@@ -51,6 +51,15 @@ let free_params body =
 
 let program ~name body = { name; params = free_params body; body }
 
+let reused_index p =
+  let rec go enclosing = function
+    | Assign _ -> None
+    | Loop l ->
+        if List.mem l.index enclosing then Some l.index
+        else List.find_map (go (l.index :: enclosing)) l.body
+  in
+  List.find_map (go []) p.body
+
 let rec map_expr f e =
   let e =
     match e with

@@ -43,6 +43,12 @@ val free_params : stmt list -> string list
 val program : name:string -> stmt list -> program
 (** Builds a program, inferring {!program.params}. *)
 
+val reused_index : program -> string option
+(** The index of the first loop, in source order, that reuses the index of
+    an enclosing loop.  Such nests have no consistent meaning (which
+    binding does a subscript see?), so {!Parser.parse} rejects them and
+    [Runtime.Interp.prepare] refuses them. *)
+
 val map_expr : (expr -> expr) -> expr -> expr
 (** Bottom-up expression rewriting. *)
 

@@ -139,13 +139,19 @@ and parse_atom st =
         (Error
            (Printf.sprintf "unexpected token %s in expression" (Lexer.pp_token t), line))
 
-let rec parse_stmts st acc =
+let rec parse_stmts st ~enclosing acc =
   match peek st with
   | Lexer.KDO, _ ->
       advance st;
       let index =
         match peek st with
-        | Lexer.IDENT v, _ ->
+        | Lexer.IDENT v, line ->
+            if List.mem v enclosing then
+              raise
+                (Error
+                   ( Printf.sprintf
+                       "loop index %s reuses the index of an enclosing loop" v,
+                     line ));
             advance st;
             v
         | t, line ->
@@ -183,9 +189,9 @@ let rec parse_stmts st acc =
                        line )))
         | _ -> 1
       in
-      let body = parse_stmts st [] in
+      let body = parse_stmts st ~enclosing:(index :: enclosing) [] in
       expect st Lexer.KENDDO "ENDDO";
-      parse_stmts st (Loop { index; lo; hi; step; body } :: acc)
+      parse_stmts st ~enclosing (Loop { index; lo; hi; step; body } :: acc)
   | Lexer.IDENT name, line ->
       advance st;
       (match peek st with
@@ -194,7 +200,7 @@ let rec parse_stmts st acc =
           let subs = parse_args st in
           expect st Lexer.EQUALS "=";
           let rhs = parse_expr_prec st in
-          parse_stmts st (Assign ((name, subs), rhs) :: acc)
+          parse_stmts st ~enclosing (Assign ((name, subs), rhs) :: acc)
       | t, _ ->
           raise
             (Error
@@ -207,7 +213,7 @@ let rec parse_stmts st acc =
 
 let parse ~name src =
   let st = { toks = Lexer.tokenize src } in
-  let body = parse_stmts st [] in
+  let body = parse_stmts st ~enclosing:[] [] in
   (match peek st with
   | Lexer.EOF, _ -> ()
   | t, line ->

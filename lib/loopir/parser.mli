@@ -18,7 +18,8 @@ exception Error of string * int
 
 val parse : name:string -> string -> Ast.program
 (** [parse ~name src] parses a program; symbolic parameters are inferred
-    from the free identifiers. *)
+    from the free identifiers.  A loop that reuses the index of an
+    enclosing loop raises {!Error} at the line of its index. *)
 
 val parse_expr : string -> Ast.expr
 (** Parses a single expression (for tests and the CLI). *)

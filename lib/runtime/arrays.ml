@@ -28,8 +28,19 @@ let note_bounds t name idx =
           if v > s.ext.hi.(k) then s.ext.hi.(k) <- v)
         idx
 
+(* Initial cell values: a per-array name hash mixed with the indices,
+   outermost first.  [freeze] carries the mix of an index prefix down a
+   row-major pass, so seeding a cell costs one [mix] and allocates
+   nothing. *)
+let[@inline] mix h v =
+  let h = (h lxor v) * 0x3c79ac492ba7b653 in
+  h lxor (h lsr 29)
+
+let[@inline] value_of_hash h =
+  float_of_int ((h land max_int) mod 1000) /. 97.0
+
 let initial_value name idx =
-  float_of_int (Hashtbl.hash (name, idx) mod 1000) /. 97.0
+  value_of_hash (List.fold_left mix (Hashtbl.hash name) idx)
 
 let cell_count ext =
   Array.fold_left ( * ) 1
@@ -44,26 +55,28 @@ let offset ext idx =
     idx;
   !acc
 
-(* Rebuild the index tuple of a flat offset, to seed initial values. *)
-let idx_of_offset ext off =
-  let n = Array.length ext.lo in
-  let idx = Array.make n 0 in
-  let off = ref off in
-  for k = n - 1 downto 0 do
-    let w = ext.hi.(k) - ext.lo.(k) + 1 in
-    idx.(k) <- (!off mod w) + ext.lo.(k);
-    off := !off / w
-  done;
-  Array.to_list idx
+let seed name ext =
+  let rank = Array.length ext.lo in
+  let data = Array.create_float (cell_count ext) in
+  let off = ref 0 in
+  let rec fill k h =
+    if k = rank - 1 then
+      for v = ext.lo.(k) to ext.hi.(k) do
+        data.(!off) <- value_of_hash (mix h v);
+        incr off
+      done
+    else
+      for v = ext.lo.(k) to ext.hi.(k) do
+        fill (k + 1) (mix h v)
+      done
+  in
+  let h = Hashtbl.hash name in
+  if rank = 0 then data.(0) <- value_of_hash h else fill 0 h;
+  data
 
 let freeze t =
   if not t.frozen then begin
-    Hashtbl.iter
-      (fun name s ->
-        let n = cell_count s.ext in
-        s.data <-
-          Array.init n (fun off -> initial_value name (idx_of_offset s.ext off)))
-      t.tbl;
+    Hashtbl.iter (fun name s -> s.data <- seed name s.ext) t.tbl;
     t.frozen <- true
   end
 

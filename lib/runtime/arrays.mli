@@ -1,8 +1,10 @@
 (** Dense float array store for program execution.
 
-    Extents are discovered by a dry scan of every subscript the program will
-    evaluate, so negative and parametric indices (as in the Cholesky kernel)
-    are handled by offsetting.  Cells start with a deterministic per-cell
+    Extents are discovered by a dry scan ({!Interp.scan_bounds}) that
+    evaluates each affine subscript at both ends of its innermost loop,
+    where it takes its extremes, and every other subscript at every point;
+    negative and parametric indices (as in the Cholesky kernel) are
+    handled by offsetting.  Cells start with a deterministic per-cell
     value derived from the array name and indices, so two executions agree
     iff they perform the same writes in an equivalent order. *)
 
@@ -15,14 +17,18 @@ val note_bounds : t -> string -> int list -> unit
     tuple (call during the dry scan). *)
 
 val freeze : t -> unit
-(** Allocate backing stores; must be called after all {!note_bounds} and
-    before any {!get}/{!set}. *)
+(** Allocate backing stores and seed every cell with {!initial_value}, in
+    one row-major pass that allocates nothing per cell; must be called
+    after all {!note_bounds} and before any {!get}/{!set}. *)
 
 val get : t -> string -> int list -> float
 val set : t -> string -> int list -> float -> unit
 
 val initial_value : string -> int list -> float
-(** The deterministic initial cell value. *)
+(** The deterministic initial cell value: the hash of the array name,
+    mixed with each index in turn (outermost first), reduced to one of
+    1000 values [k /. 97.0].  {!get} falls back to it outside the
+    extent, so it matches the seeded cells. *)
 
 type view = {
   v_lo : int array;  (** per-dimension scanned lower bound *)

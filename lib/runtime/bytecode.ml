@@ -363,9 +363,10 @@ let[@inline] geti (code : buf) i = Bigarray.Array1.unsafe_get code i
 
 (* Offset of the reference encoded at [p] for the instance whose iteration
    vector starts at [wk.(ib)].  Safety: the dry scan evaluated every
-   subscript the program executes, so fused offsets of scheduled
-   instances are in bounds (same argument as the closure engine's fused
-   accesses; see {!Compile}). *)
+   affine subscript at both ends of its innermost loop, where it takes
+   its extremes, so fused offsets of scheduled instances are in bounds
+   (same argument as the closure engine's fused accesses; see
+   {!Compile}). *)
 let[@inline] roff code (wk : buf) ib p =
   let n = geti code (p + 2) in
   let c = geti code (p + 1) in

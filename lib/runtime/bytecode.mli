@@ -35,9 +35,10 @@
     VM loop.  {!Interp.run_sequential} remains the bit-for-bit oracle
     either way ([Exec.check], and the differential corpus suite).
 
-    Fused accesses use unchecked array reads/writes: the dry scan
-    ({!Interp.scan_bounds}) evaluated every subscript the program
-    executes, so offsets of scheduled instances are always in bounds.
+    Fused accesses use unchecked array reads/writes.  The dry scan
+    ({!Interp.scan_bounds}) evaluated every affine subscript at both ends
+    of its innermost loop, where it takes its extremes, so the offsets of
+    scheduled instances are always in bounds.
     Feeding instances from outside the scanned iteration space is a
     programming error (the closure engine raises [Invalid_argument]
     there; this engine's behaviour is then undefined).

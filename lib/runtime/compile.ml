@@ -14,8 +14,9 @@ type ctx = {
   store : Arrays.t;
 }
 
-(* First occurrence wins, matching the binding list [Interp.exec_instance]
-   builds (outermost first, [List.assoc] semantics). *)
+(* The loop indices of a nest are distinct ([Interp.prepare] refuses a loop
+   that reuses an enclosing loop's index), so a name has at most one
+   slot. *)
 let slot ctx name =
   let n = Array.length ctx.vars in
   let rec find j =
@@ -106,8 +107,12 @@ let rec cint ctx e : int array -> int =
            (Loopir.Pretty.expr_to_string e))
 
 (* Integer evaluator with the affine fast path: affine expressions use raw
-   machine arithmetic (the dry scan already evaluated every subscript with
-   checked arithmetic, so overflow would have raised there first). *)
+   machine arithmetic.  The dry scan evaluated each affine subscript with
+   checked arithmetic at both ends of its innermost loop; every
+   subexpression is linear in that index, so at the points in between it
+   lies between its end values and cannot overflow either.  Wrapping
+   arithmetic is exact modulo 2^63, so the canonical form [c + Σ m·iter]
+   yields that in-range value however its terms are grouped. *)
 let cint_value ctx e : int array -> int =
   match affine_of ctx e with
   | Some { a_const; a_coefs } -> (

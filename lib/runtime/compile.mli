@@ -9,14 +9,17 @@
     loop performs no list traversal, no string lookup and no AST matching.
 
     Semantics match {!Interp.exec_instance} for every instance of the
-    program's own iteration space: the dry scan ({!Interp.scan_bounds})
-    has already evaluated every subscript with checked arithmetic and
-    noted its extent, so fused offsets are always in bounds for scheduled
-    instances.  Feeding iteration vectors from outside the scanned space
-    is a programming error: fused accesses then raise [Invalid_argument]
-    (the OCaml array bounds check) instead of falling back to
-    {!Arrays.initial_value}.  Non-affine subscripts keep the exact
-    interpreter semantics (they go through {!Arrays.get}/{!Arrays.set}).
+    program's own iteration space.  The dry scan ({!Interp.scan_bounds})
+    evaluated every affine subscript with checked arithmetic at both ends
+    of its innermost loop and noted its extent; each of its subexpressions
+    is linear in that index, so at every point in between it neither
+    overflows nor leaves the noted extent.  Fused offsets are therefore
+    always in bounds for scheduled instances.  Feeding iteration vectors
+    from outside the scanned space is a programming error: fused accesses
+    then raise [Invalid_argument] (the OCaml array bounds check) instead
+    of falling back to {!Arrays.initial_value}.  Non-affine subscripts
+    keep the exact interpreter semantics (they go through
+    {!Arrays.get}/{!Arrays.set}).
 
     {!Interp} remains the reference oracle: [Exec.check] compares a
     compiled run against [Interp.run_sequential] bit-for-bit. *)

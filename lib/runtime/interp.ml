@@ -8,6 +8,12 @@ type env = {
 }
 
 let prepare prog ~params =
+  Option.iter
+    (fun v ->
+      invalid_arg
+        (Printf.sprintf
+           "Interp.prepare: loop index %s reuses an enclosing loop's index" v))
+    (Ast.reused_index prog);
   let prog = Loopir.Normalize.unit_strides prog in
   List.iter
     (fun p ->
@@ -16,13 +22,13 @@ let prepare prog ~params =
     prog.Ast.params;
   { prog; params; stmts = Array.of_list (Prog.stmts_of prog) }
 
-let var_env t bindings name =
-  match List.assoc_opt name bindings with
+let param t name =
+  match List.assoc_opt name t.params with
   | Some v -> v
-  | None -> (
-      match List.assoc_opt name t.params with
-      | Some v -> v
-      | None -> failwith (Printf.sprintf "Interp: unbound variable %s" name))
+  | None -> failwith (Printf.sprintf "Interp: unbound variable %s" name)
+
+let var_env t bindings name =
+  match List.assoc_opt name bindings with Some v -> v | None -> param t name
 
 (* Float evaluation of right-hand sides. *)
 let rec feval store ienv e =
@@ -83,26 +89,73 @@ let iterate t visit =
   let counter = ref 0 in
   List.iter (run [] counter) t.prog.Ast.body
 
+(* A subscript whose every subexpression is affine: its value, and the
+   value of each subexpression, is linear in the innermost loop index.
+   [Affine.of_expr] itself may overflow on huge constants; such a
+   subscript is treated as non-affine and evaluated at every point. *)
+let is_affine e =
+  match Loopir.Affine.of_expr e with
+  | Some _ -> true
+  | None | (exception Numeric.Safeint.Overflow) -> false
+
+(* Note the extents of one statement's references by walking its own
+   enclosing loops.  Loop bounds are evaluated at every point of the outer
+   loops.  Inside the innermost loop, a reference with all-affine
+   subscripts is evaluated only at the two ends, where each subscript
+   takes its minimum and maximum; the others at every point.  At each
+   evaluated point the references are noted in source order. *)
+let scan_stmt t store (info : Prog.stmt_info) =
+  let loops = Array.of_list info.Prog.loops in
+  let depth = Array.length loops in
+  let names = Array.map (fun (l : Prog.loop_ctx) -> l.Prog.index) loops in
+  let slots = Array.make depth 0 in
+  (* Slots [0 .. !bound-1] are bound; the innermost binding wins. *)
+  let bound = ref 0 in
+  let env name =
+    let rec find k =
+      if k < 0 then param t name
+      else if String.equal names.(k) name then slots.(k)
+      else find (k - 1)
+    in
+    find (!bound - 1)
+  in
+  let refs = Prog.refs_of info in
+  let general =
+    List.filter (fun (_, subs, _) -> not (List.for_all is_affine subs)) refs
+  in
+  let note (a, subs, _) =
+    Arrays.note_bounds store a (List.map (Loopir.Eval_int.eval env) subs)
+  in
+  let at k v rs =
+    slots.(k) <- v;
+    List.iter note rs
+  in
+  let rec walk k =
+    bound := k;
+    let lo = Loopir.Eval_int.eval env loops.(k).Prog.lo
+    and hi = Loopir.Eval_int.eval env loops.(k).Prog.hi in
+    if k < depth - 1 then
+      for v = lo to hi do
+        slots.(k) <- v;
+        walk (k + 1)
+      done
+    else if lo <= hi then begin
+      bound := depth;
+      at k lo refs;
+      if hi > lo then begin
+        if general <> [] then
+          for v = lo + 1 to hi - 1 do
+            at k v general
+          done;
+        at k hi refs
+      end
+    end
+  in
+  if depth = 0 then List.iter note refs else walk 0
+
 let scan_bounds t =
   let store = Arrays.create () in
-  let note ~stmt:_ ~bindings (a, subs) rhs =
-    let ienv = var_env t bindings in
-    Arrays.note_bounds store a (List.map (Loopir.Eval_int.eval ienv) subs);
-    let rec scan = function
-      | Ast.Ref (a, subs) ->
-          Arrays.note_bounds store a
-            (List.map (Loopir.Eval_int.eval ienv) subs);
-          List.iter scan subs
-      | Ast.Bin (_, x, y) | Ast.Mod (x, y) ->
-          scan x;
-          scan y
-      | Ast.Un (_, x) | Ast.Pow (x, _) -> scan x
-      | Ast.Min es | Ast.Max es -> List.iter scan es
-      | Ast.Int _ | Ast.Real _ | Ast.Var _ -> ()
-    in
-    scan rhs
-  in
-  iterate t note;
+  Array.iter (scan_stmt t store) t.stmts;
   Arrays.freeze store;
   store
 

@@ -541,7 +541,14 @@ let process t (req : Proto.request) ~submitted_ns =
   | None -> (
       let prog =
         match req.Proto.source with
-        | Proto.Prog p -> Ok p
+        | Proto.Prog p -> (
+            match Loopir.Ast.reused_index p with
+            | None -> Ok p
+            | Some v ->
+                Error
+                  (Printf.sprintf
+                     "%s: loop index %s reuses the index of an enclosing loop"
+                     req.Proto.name v))
         | Proto.Src s -> (
             match Loopir.Parser.parse ~name:req.Proto.name s with
             | p -> Ok p

@@ -96,6 +96,39 @@ let test_parse_errors () =
   (* scalar assignment is not a statement *)
   bad "DO i = 1, n, 0\n a(i)=1.0 \nENDDO"
 
+let test_parse_reused_index () =
+  (* A loop reusing an enclosing loop's index is an error at its line;
+     sibling loops may share an index. *)
+  let reuse v line =
+    Parser.Error
+      (Printf.sprintf "loop index %s reuses the index of an enclosing loop" v, line)
+  in
+  Alcotest.check_raises "inner DO i" (reuse "i" 2) (fun () ->
+      ignore
+        (Parser.parse ~name:"t"
+           "DO i = 1, 3\n  DO i = 5, 6\n    a(i) = a(i) + 1.0\n  ENDDO\nENDDO"));
+  Alcotest.check_raises "two levels down" (reuse "k" 3) (fun () ->
+      ignore
+        (Parser.parse ~name:"t"
+           "DO k = 1, n\n DO j = 1, n\n  DO k = 1, j\n   a(k) = 1.0\n\
+           \  ENDDO\n ENDDO\nENDDO"));
+  let siblings =
+    Parser.parse ~name:"t"
+      "DO i = 1, 3\n  a(i) = 1.0\nENDDO\n\
+       DO i = 1, 3\n  DO j = 1, i\n    b(i, j) = 2.0\n  ENDDO\nENDDO"
+  in
+  Alcotest.(check (option string)) "siblings" None (Ast.reused_index siblings);
+  let inner = Parser.parse ~name:"t" "DO i = 5, 6\n  a(i) = 1.0\nENDDO" in
+  let nested =
+    Ast.program ~name:"t"
+      [
+        Ast.Loop
+          { index = "i"; lo = Ast.Int 1; hi = Ast.Int 3; step = 1; body = inner.Ast.body };
+      ]
+  in
+  Alcotest.(check (option string)) "AST-built reuse" (Some "i")
+    (Ast.reused_index nested)
+
 let test_roundtrip_builtins () =
   List.iter
     (fun (name, p) ->
@@ -312,6 +345,8 @@ let () =
           Alcotest.test_case "program structure" `Quick test_parse_program;
           Alcotest.test_case "steps" `Quick test_parse_step;
           Alcotest.test_case "rejects bad input" `Quick test_parse_errors;
+          Alcotest.test_case "rejects a reused loop index" `Quick
+            test_parse_reused_index;
           Alcotest.test_case "builtin round-trips" `Quick test_roundtrip_builtins;
           QCheck_alcotest.to_alcotest prop_parse_pretty_roundtrip;
         ] );

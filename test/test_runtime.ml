@@ -43,6 +43,214 @@ let test_arrays_equal () =
   Arrays.set a "x" [ 2 ] 1.0;
   Alcotest.(check bool) "diverged" false (Arrays.equal a b)
 
+let test_arrays_seeding () =
+  (* Every cell [freeze] seeds, and every out-of-extent read, equals
+     [initial_value] — ranks 1 to 3, negative lower bounds. *)
+  let cases =
+    [
+      ("r1", [ [ -5 ]; [ 7 ] ]);
+      ("r2", [ [ -3; 4 ]; [ 2; -2 ] ]);
+      ("r3", [ [ -2; -1; 0 ]; [ 2; 3; -4 ] ]);
+    ]
+  in
+  List.iter
+    (fun (name, points) ->
+      let s = Arrays.create () in
+      List.iter (Arrays.note_bounds s name) points;
+      Arrays.freeze s;
+      let v = Option.get (Arrays.view s name) in
+      (* One dimension beyond the extent on both sides. *)
+      let rec tuples k =
+        if k = Array.length v.Arrays.v_lo then [ [] ]
+        else
+          let rest = tuples (k + 1) in
+          List.concat_map
+            (fun x -> List.map (fun t -> x :: t) rest)
+            (List.init
+               (v.Arrays.v_hi.(k) - v.Arrays.v_lo.(k) + 3)
+               (fun j -> v.Arrays.v_lo.(k) - 1 + j))
+      in
+      List.iter
+        (fun idx ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s(%s)" name
+               (String.concat "," (List.map string_of_int idx)))
+            (Arrays.initial_value name idx)
+            (Arrays.get s name idx))
+        (tuples 0))
+    cases;
+  (* A degenerate mix would make the check above vacuous: a fresh 64×64
+     array must take most of the 1000 possible values. *)
+  let s = Arrays.create () in
+  Arrays.note_bounds s "a" [ 0; 0 ];
+  Arrays.note_bounds s "a" [ 63; 63 ];
+  Arrays.freeze s;
+  let seen = Hashtbl.create 1000 in
+  Array.iter
+    (fun x -> Hashtbl.replace seen x ())
+    (Option.get (Arrays.view s "a")).Arrays.v_data;
+  let distinct = Hashtbl.length seen in
+  if distinct < 900 then
+    Alcotest.failf "64x64 array takes only %d distinct initial values" distinct
+
+(* ------------------------------------------------------------------ *)
+(* Dry scan: exact extents                                              *)
+
+(* Per-point reference scan: every reference of every statement instance,
+   evaluated with checked arithmetic. *)
+let brute_force_scan (env : Interp.env) =
+  let store = Arrays.create () in
+  let eval bindings =
+    Loopir.Eval_int.eval (fun v ->
+        match List.assoc_opt v bindings with
+        | Some x -> x
+        | None -> List.assoc v env.Interp.params)
+  in
+  Array.iter
+    (fun (info : Loopir.Prog.stmt_info) ->
+      let rec go bindings = function
+        | [] ->
+            List.iter
+              (fun (a, subs, _) ->
+                Arrays.note_bounds store a (List.map (eval bindings) subs))
+              (Loopir.Prog.refs_of info)
+        | (l : Loopir.Prog.loop_ctx) :: rest ->
+            for v = eval bindings l.lo to eval bindings l.hi do
+              go ((l.index, v) :: bindings) rest
+            done
+      in
+      go [] info.Loopir.Prog.loops)
+    env.Interp.stmts;
+  Arrays.freeze store;
+  store
+
+let check_extents label env =
+  let want = brute_force_scan env and got = Interp.scan_bounds env in
+  Alcotest.(check (list string))
+    (label ^ ": arrays") (Arrays.arrays want) (Arrays.arrays got);
+  List.iter
+    (fun a ->
+      match (Arrays.view want a, Arrays.view got a) with
+      | Some w, Some g ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s: %s lo" label a)
+            w.Arrays.v_lo g.Arrays.v_lo;
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s: %s hi" label a)
+            w.Arrays.v_hi g.Arrays.v_hi
+      | _ -> Alcotest.failf "%s: %s missing a view" label a)
+    (Arrays.arrays want)
+
+let test_scan_bounds_builtins () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun size ->
+          let params = List.map (fun p -> (p, size)) prog.Loopir.Ast.params in
+          check_extents
+            (Printf.sprintf "%s@%d" name size)
+            (Interp.prepare prog ~params))
+        [ 0; 1; 2; 3; 5; 8; 16 ])
+    Loopir.Builtin.all
+
+let scan_src ?(params = []) src =
+  Interp.prepare (Loopir.Parser.parse ~name:"scan" src) ~params
+
+let test_scan_bounds_hand_written () =
+  List.iter
+    (fun (label, src, params) -> check_extents label (scan_src ~params src))
+    [
+      ( "mod/min/max/floor-div subscripts",
+        "DO i = 1, n\n\
+        \  DO j = -3, n\n\
+        \    a(MOD(i*j, 5), MIN(i, j) + MAX(j, 2), (i - j)/3) = b(i + j) + \
+         c(MOD(j, 3) - 2)\n\
+        \  ENDDO\n\
+         ENDDO",
+        [ ("n", 7) ] );
+      ( "subscript without the innermost index",
+        "DO i = 1, n\n\
+        \  DO j = 2, n\n\
+        \    a(i) = a(i) + b(2*i - 1, j) + d(n - i, 3)\n\
+        \  ENDDO\n\
+         ENDDO",
+        [ ("n", 6) ] );
+      ( "negative step",
+        "DO i = n, 1, -2\n\
+        \  DO j = 10, i, -3\n\
+        \    a(3*i - j) = a(i) + b(j - i, -i)\n\
+        \  ENDDO\n\
+         ENDDO",
+        [ ("n", 9) ] );
+      ( "triangular and min/max bounds",
+        "DO i = 1, n\n\
+        \  DO j = i, MIN(2*i, n + 1)\n\
+        \    a(i, j - i) = a(j, i) + 1.0\n\
+        \  ENDDO\n\
+        \  DO k = MAX(1, i - 2), (n + i)/2\n\
+        \    b(k - i) = b(k + i) * 2.0\n\
+        \  ENDDO\n\
+         ENDDO",
+        [ ("n", 8) ] );
+      ( "empty inner loop",
+        "DO i = 1, n\n\
+        \  DO j = 1, 0\n\
+        \    z(i, j) = 1.0\n\
+        \  ENDDO\n\
+        \  a(i) = 2.0\n\
+         ENDDO",
+        [ ("n", 4) ] );
+      ( "statement outside any loop",
+        "s(n + 1) = t(2*n) + t(MOD(n, 3))",
+        [ ("n", 5) ] );
+    ];
+  (* An array touched only inside empty loops stays absent. *)
+  let store =
+    Interp.scan_bounds
+      (scan_src ~params:[ ("n", 4) ]
+         "DO i = 1, n\n  DO j = 1, 0\n    z(i, j) = 1.0\n  ENDDO\nENDDO\n\
+          DO i = 1, 0\n  y(i) = 1.0\nENDDO")
+  in
+  Alcotest.(check (list string)) "empty loops note nothing" [] (Arrays.arrays store)
+
+let test_scan_bounds_overflow () =
+  (* 2^61·i overflows at i = 2: the endpoint scan (which meets it at
+     i = 3) raises what the per-point scan raises. *)
+  let env =
+    scan_src ~params:[ ("n", 3) ]
+      "DO i = 1, n\n  a(i * 2305843009213693952) = 1.0\nENDDO"
+  in
+  Alcotest.check_raises "reference scan" Numeric.Safeint.Overflow (fun () ->
+      ignore (brute_force_scan env));
+  Alcotest.check_raises "scan_bounds" Numeric.Safeint.Overflow (fun () ->
+      ignore (Interp.scan_bounds env));
+  Alcotest.check_raises "run_sequential" Numeric.Safeint.Overflow (fun () ->
+      ignore (Interp.run_sequential env))
+
+let test_prepare_rejects_reused_index () =
+  (* The parser rejects such a nest; one built from the AST must not reach
+     analysis or execution either. *)
+  let inner =
+    Loopir.Parser.parse ~name:"inner" "DO i = 5, 6\n  a(i) = a(i) + 1.0\nENDDO"
+  in
+  let prog =
+    Loopir.Ast.program ~name:"reuse"
+      [
+        Loopir.Ast.Loop
+          {
+            index = "i";
+            lo = Loopir.Ast.Int 1;
+            hi = Loopir.Ast.Int 3;
+            step = 1;
+            body = inner.Loopir.Ast.body;
+          };
+      ]
+  in
+  Alcotest.check_raises "prepare"
+    (Invalid_argument
+       "Interp.prepare: loop index i reuses an enclosing loop's index")
+    (fun () -> ignore (Interp.prepare prog ~params:[]))
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                          *)
 
@@ -707,11 +915,24 @@ let () =
         [
           Alcotest.test_case "extents and values" `Quick test_arrays_basic;
           Alcotest.test_case "equality" `Quick test_arrays_equal;
+          Alcotest.test_case "seeding = initial_value" `Quick
+            test_arrays_seeding;
+        ] );
+      ( "scan",
+        [
+          Alcotest.test_case "exact extents (builtins, 7 sizes)" `Quick
+            test_scan_bounds_builtins;
+          Alcotest.test_case "exact extents (hand-written nests)" `Quick
+            test_scan_bounds_hand_written;
+          Alcotest.test_case "overflow raises as before" `Quick
+            test_scan_bounds_overflow;
         ] );
       ( "interp",
         [
           Alcotest.test_case "prefix sum semantics" `Quick
             test_interp_prefix_sum;
+          Alcotest.test_case "prepare rejects a reused loop index" `Quick
+            test_prepare_rejects_reused_index;
           Alcotest.test_case "sequential schedule ≡ program" `Quick
             test_interp_schedule_equivalence_fig2;
         ] );

@@ -378,6 +378,47 @@ let test_service_error_isolation () =
       | _ -> Alcotest.fail "unbound parameter should be a pipeline error")
   | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
 
+let test_service_reused_index () =
+  (* A nest that reuses an enclosing loop's index is a bad request, from
+     source text or from an AST, and is never analysed. *)
+  let src =
+    "DO i = 1, 3\n  DO i = 5, 6\n    a(i) = a(i) + 1.0\n  ENDDO\nENDDO"
+  in
+  let inner =
+    Loopir.Parser.parse ~name:"inner" "DO i = 5, 6\n  a(i) = 1.0\nENDDO"
+  in
+  let prog =
+    Loopir.Ast.program ~name:"ast"
+      [
+        Loopir.Ast.Loop
+          {
+            index = "i";
+            lo = Loopir.Ast.Int 1;
+            hi = Loopir.Ast.Int 3;
+            step = 1;
+            body = inner.Loopir.Ast.body;
+          };
+      ]
+  in
+  let svc = Service.create ~config:(quiet_config ~domains:1) () in
+  let responses =
+    Service.batch svc
+      [
+        Proto.request ~id:"src" ~name:"src" (Proto.Src src);
+        Proto.request ~id:"ast" ~name:"ast" (Proto.Prog prog);
+      ]
+  in
+  Service.shutdown svc;
+  let msg = "loop index i reuses the index of an enclosing loop" in
+  List.iter2
+    (fun (r : Proto.response) want ->
+      match r.Proto.body with
+      | Proto.Failed (Proto.Bad_request m) ->
+          Alcotest.(check string) r.Proto.id want m
+      | _ -> Alcotest.failf "%s: expected a bad-request record" r.Proto.id)
+    responses
+    [ "src: parse error at line 2: " ^ msg; "ast: " ^ msg ]
+
 let test_service_deadline () =
   let svc = Service.create ~config:(quiet_config ~domains:1) () in
   let req =
@@ -614,6 +655,8 @@ let () =
           Alcotest.test_case "error isolation" `Quick
             test_service_error_isolation;
           Alcotest.test_case "deadline" `Quick test_service_deadline;
+          Alcotest.test_case "reused loop index is a bad request" `Quick
+            test_service_reused_index;
         ] );
       ( "telemetry",
         [
