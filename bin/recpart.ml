@@ -137,8 +137,8 @@ let load_cost = function
 let cost_file_arg =
   let doc =
     "Read cost-model constants (as written by $(b,profile --calibrate \
-     --cost-out)) from a JSON FILE and predict with them instead of the \
-     built-in defaults."
+     --cost-out)) from a JSON FILE and predict and size DOALL chunks with \
+     them instead of the built-in defaults."
   in
   Arg.(value & opt (some string) None & info [ "cost" ] ~docv:"FILE" ~doc)
 
@@ -182,34 +182,6 @@ let strategy_arg =
          Pipeline.Plan.all_strategies)
   in
   Arg.(value & opt (some sconv) None & info [ "s"; "strategy" ] ~docv:"NAME" ~doc)
-
-let engine_arg =
-  let doc =
-    "Schedule execution engine: $(b,compiled) (statements lowered once to \
-     closures over the iteration vector), $(b,bytecode) (statements lowered \
-     to a flat int-coded instruction stream executed by a tight VM loop \
-     over packed work buffers) or $(b,interp) (the reference AST \
-     interpreter)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("compiled", `Compiled); ("bytecode", `Bytecode); ("interp", `Interp) ])
-        `Compiled
-    & info [ "engine" ] ~docv:"NAME" ~doc)
-
-let chunking_arg =
-  let doc =
-    "Within-phase work distribution: $(b,cost) (DOALL blocks sized from the \
-     cost model, chains self-scheduled longest-first through a shared \
-     cursor) or $(b,static) (equal DOALL blocks and longest-first LPT \
-     buckets, fixed before the phase starts)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("cost", `Cost); ("static", `Static) ]) `Cost
-    & info [ "chunking" ] ~docv:"MODE" ~doc)
 
 let classify ?strategy prog =
   ok_or_die ~stage:Diag.Classify (Pipeline.Driver.classify ?strategy prog)
@@ -377,21 +349,14 @@ let run_cmd =
     let doc = "Emit the run report as JSON instead of text." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run spec passoc threads strategy engine chunking json trace =
+  let run spec passoc threads strategy json trace =
     let prog = load_program spec in
     let params = params_of_assoc prog passoc in
     let sink =
       if trace = None then Obs.Sink.null else Obs.Sink.make ()
     in
     let options =
-      {
-        Pipeline.Driver.default_options with
-        threads;
-        strategy;
-        exec_engine = engine;
-        chunking;
-        sink;
-      }
+      { Pipeline.Driver.default_options with threads; strategy; sink }
     in
     match Pipeline.Driver.run ~options ~name:spec ~params prog with
     | Error e ->
@@ -422,7 +387,7 @@ let run_cmd =
          "Run the full pipeline: partition, execute on domains, validate \
           against sequential, and report per-stage timings")
     Term.(const run $ prog_arg $ params_arg $ threads_arg $ strategy_arg
-          $ engine_arg $ chunking_arg $ json_arg $ trace_arg)
+          $ json_arg $ trace_arg)
 
 (* ---- explain ----------------------------------------------------------- *)
 
@@ -669,8 +634,8 @@ let profile_cmd =
     Arg.(value & opt (some string) None
          & info [ "cost-out" ] ~docv:"FILE" ~doc)
   in
-  let run spec passoc threads strategy engine chunking trace html sched_prof
-      sched_json calibrate cost_out cost_file =
+  let run spec passoc threads strategy trace html sched_prof sched_json
+      calibrate cost_out cost_file =
     let prog = load_program spec in
     let params = params_of_assoc prog passoc in
     let sink = Obs.Sink.make () in
@@ -679,8 +644,6 @@ let profile_cmd =
         Pipeline.Driver.default_options with
         threads;
         strategy;
-        exec_engine = engine;
-        chunking;
         sim_cost = load_cost cost_file;
         sink;
       }
@@ -763,7 +726,7 @@ let profile_cmd =
           run, and $(b,--trace)/$(b,--html) write Chrome-trace/HTML \
           artifacts")
     Term.(const run $ prog_arg $ params_arg $ threads_arg $ strategy_arg
-          $ engine_arg $ chunking_arg $ trace_arg $ html_arg $ sched_arg
+          $ trace_arg $ html_arg $ sched_arg
           $ sched_json_arg $ calibrate_arg $ cost_out_arg $ cost_file_arg)
 
 (* ---- batch / serve ----------------------------------------------------- *)
@@ -802,8 +765,8 @@ let flight_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR" ~doc)
 
-let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check
-    ~engine ~sink ~events ~slow_ms ~flight_dir () =
+let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check ~sink
+    ~events ~slow_ms ~flight_dir () =
   {
     Svc.Service.default_config with
     domains;
@@ -812,7 +775,6 @@ let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check
     check = not no_check;
     measure = not no_check;
     deadline_s = deadline;
-    exec_engine = engine;
     sink;
     events;
     slow_ms;
@@ -885,11 +847,11 @@ let batch_cmd =
     let doc = "Write JSONL responses here instead of stdout." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run file out domains cache threads deadline no_check engine trace
-      slow_ms flight_dir =
+  let run file out domains cache threads deadline no_check trace slow_ms
+      flight_dir =
     let sink = if trace = None then Obs.Sink.null else Obs.Sink.make () in
     let config =
-      svc_config ~domains ~cache ~threads ~deadline ~no_check ~engine ~sink
+      svc_config ~domains ~cache ~threads ~deadline ~no_check ~sink
         ~events:Obs.Event.null ~slow_ms ~flight_dir ()
     in
     let svc = Svc.Service.create ~config () in
@@ -951,8 +913,8 @@ let batch_cmd =
           (malformed requests become error records, the batch always \
           completes), summary statistics on stderr")
     Term.(const run $ file_arg $ out_arg $ domains_arg $ cache_arg
-          $ threads_arg $ deadline_arg $ no_check_arg $ engine_arg
-          $ trace_arg $ slow_ms_arg $ flight_dir_arg)
+          $ threads_arg $ deadline_arg $ no_check_arg $ trace_arg
+          $ slow_ms_arg $ flight_dir_arg)
 
 let serve_cmd =
   let listen_arg =
@@ -992,12 +954,11 @@ let serve_cmd =
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
   in
   let run listen store_dir max_conns drain_timeout queue domains cache
-      threads deadline no_check engine slow_ms flight_dir =
+      threads deadline no_check slow_ms flight_dir =
     let config =
       {
         (svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check
-           ~engine ~sink:Obs.Sink.null ~events:Obs.Event.null ~slow_ms
-           ~flight_dir ())
+           ~sink:Obs.Sink.null ~events:Obs.Event.null ~slow_ms ~flight_dir ())
         with
         queue_capacity = queue;
       }
@@ -1066,8 +1027,8 @@ let serve_cmd =
           content-addressed cache across requests")
     Term.(const run $ listen_arg $ store_dir_arg $ max_conns_arg
           $ drain_timeout_arg $ queue_arg $ domains_arg $ cache_arg
-          $ threads_arg $ deadline_arg $ no_check_arg $ engine_arg
-          $ slow_ms_arg $ flight_dir_arg)
+          $ threads_arg $ deadline_arg $ no_check_arg $ slow_ms_arg
+          $ flight_dir_arg)
 
 (* ---- metrics ----------------------------------------------------------- *)
 
@@ -1142,13 +1103,12 @@ let metrics_cmd =
                     | _ ->
                         fail "recpart metrics: malformed metrics response"))))
   in
-  let run corpus json health connect domains cache threads deadline no_check
-      engine =
+  let run corpus json health connect domains cache threads deadline no_check =
     match connect with
     | Some addr_str -> run_connect addr_str json health
     | None ->
     let config =
-      svc_config ~domains ~cache ~threads ~deadline ~no_check ~engine
+      svc_config ~domains ~cache ~threads ~deadline ~no_check
         ~sink:Obs.Sink.null ~events:Obs.Event.null ~slow_ms:None
         ~flight_dir:None ()
     in
@@ -1207,7 +1167,7 @@ let metrics_cmd =
           server over its socket ($(b,--connect))")
     Term.(const run $ corpus_arg $ json_arg $ health_arg $ connect_arg
           $ domains_arg $ cache_arg $ threads_arg $ deadline_arg
-          $ no_check_arg $ engine_arg)
+          $ no_check_arg)
 
 (* ---- simulate ---------------------------------------------------------- *)
 

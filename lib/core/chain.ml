@@ -22,26 +22,6 @@ let iter_chain t k f =
 let lengths t =
   Array.init (n_chains t) (fun k -> t.offsets.(k + 1) - t.offsets.(k))
 
-let order_longest_first t =
-  let order = Array.init (n_chains t) Fun.id in
-  (* Stable on ties (ascending chain id) so the schedule order is
-     deterministic whatever the decomposition produced. *)
-  Array.sort
-    (fun a b ->
-      let c = compare (chain_length t b) (chain_length t a) in
-      if c <> 0 then c else compare a b)
-    order;
-  order
-
-let blit_point_to t k i dst pos =
-  if k < 0 || k >= n_chains t then
-    invalid_arg "Chain.blit_point_to: chain out of range";
-  if i < 0 || i >= chain_length t k then
-    invalid_arg "Chain.blit_point_to: point out of range";
-  if pos < 0 || pos + t.dim > Array.length dst then
-    invalid_arg "Chain.blit_point_to: destination range out of bounds";
-  Array.blit t.data ((t.offsets.(k) + i) * t.dim) dst pos t.dim
-
 let to_lists t =
   List.init (n_chains t) (fun k -> List.init (chain_length t k) (get t k))
 

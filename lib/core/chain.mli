@@ -38,17 +38,6 @@ val lengths : t -> int array
     lengths the scheduler orders P2 work by (Theorem 1 bounds their
     maximum by [⌈log_a L⌉ + 1]). *)
 
-val order_longest_first : t -> int array
-(** A permutation of chain ids sorted by decreasing length (ties broken
-    by ascending id, so the order is deterministic).  Longest-first is the
-    LPT submission order the executor wants: the chain that bounds the
-    barrier goes first. *)
-
-val blit_point_to : t -> int -> int -> int array -> int -> unit
-(** [blit_point_to t k i dst pos] copies point [i] of chain [k] into
-    [dst] at [pos] without allocating (the flat-packing counterpart of
-    {!get}).  Raises [Invalid_argument] out of range. *)
-
 val to_lists : t -> Linalg.Ivec.t list list
 (** Unpacked view (one list per chain) — for tests, visualization and
     event evidence; allocates. *)

@@ -263,12 +263,8 @@ let materialize_rec_scan rp ~params =
       theorem_bound = Theorem.bound ~growth ~diameter;
     }
 
-let materialize ?(engine = `Scan) rp ~params =
-  match
-    match engine with
-    | `Enum -> materialize_rec rp ~params
-    | `Scan -> materialize_rec_scan rp ~params
-  with
+let materialize rp ~params =
+  match materialize_rec_scan rp ~params with
   | c -> Ok c
   | exception Diag.Error e -> Error e
   | exception Presburger.Omega.Blowup m -> Error (Diag.Set_blowup m)

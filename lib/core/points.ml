@@ -7,12 +7,6 @@ let get t i =
   if i < 0 || i >= t.n then invalid_arg "Points.get: index out of range";
   Array.sub t.data (i * t.dim) t.dim
 
-let blit_to t i dst pos =
-  if i < 0 || i >= t.n then invalid_arg "Points.blit_to: index out of range";
-  if pos < 0 || pos + t.dim > Array.length dst then
-    invalid_arg "Points.blit_to: destination range out of bounds";
-  Array.blit t.data (i * t.dim) dst pos t.dim
-
 let iter f t =
   for i = 0 to t.n - 1 do
     f (Array.sub t.data (i * t.dim) t.dim)

@@ -167,9 +167,6 @@ type options = {
   check : bool;
   measure : bool;
   strategy : Plan.strategy option;
-  engine : [ `Enum | `Scan ];
-  exec_engine : Runtime.Exec.engine;
-  chunking : [ `Static | `Cost ];
   workers : Runtime.Workers.t option;
   sim_cost : Runtime.Sim.cost option;
   sink : Obs.Sink.t;
@@ -182,9 +179,6 @@ let default_options =
     check = true;
     measure = true;
     strategy = None;
-    engine = `Scan;
-    exec_engine = `Compiled;
-    chunking = `Cost;
     workers = None;
     sim_cost = None;
     sink = Obs.Sink.null;
@@ -197,31 +191,6 @@ type outcome = {
   sched : Runtime.Sched.t option;
   report : Report.t;
 }
-
-(* The executor's [`Cost] chunking wants concrete cost constants; reuse
-   the prediction's calibrated ones when the caller supplied them so the
-   chunk sizes and the prediction come from the same model. *)
-let exec_chunking options : Runtime.Exec.chunking =
-  match options.chunking with
-  | `Static -> `Static
-  | `Cost ->
-      `Cost (Option.value options.sim_cost ~default:Runtime.Sim.base_seconds)
-
-(* The engine option only affects REC materialization; route it through
-   [Core.Partition.materialize] by re-dispatching here. *)
-let materialize_with ~engine plan ~prog ~params =
-  match plan with
-  | Plan.Rec_chains rp ->
-      guarded (fun () ->
-          check_params prog ~params;
-          let arr =
-            param_array ~names:rp.Core.Partition.simple.Depend.Solve.params
-              ~params
-          in
-          match Core.Partition.materialize ~engine rp ~params:arr with
-          | Ok c -> Rec { rp; c }
-          | Error e -> Diag.fail e)
-  | _ -> materialize plan ~prog ~params
 
 let run ?(options = default_options) ~name ~params prog =
   if options.threads <= 0 then
@@ -272,7 +241,7 @@ let run ?(options = default_options) ~name ~params prog =
     let* concrete =
       at Diag.Materialize
         (timed "materialize" (fun () ->
-             materialize_with ~engine:options.engine plan ~prog ~params))
+             materialize plan ~prog ~params))
     in
     let sched =
       match concrete with
@@ -345,9 +314,7 @@ let run ?(options = default_options) ~name ~params prog =
                      in
                      let seq_s = Obs.Clock.elapsed_s t0 in
                      let tmd =
-                       Runtime.Exec.run_timed ~sink
-                         ~engine:options.exec_engine
-                         ~chunking:(exec_chunking options)
+                       Runtime.Exec.run_timed ~sink ?cost:options.sim_cost
                          ?workers:options.workers env ~threads:options.threads
                          s
                      in
@@ -469,14 +436,6 @@ let run ?(options = default_options) ~name ~params prog =
         threads = options.threads;
         legality;
         semantics;
-        exec_engine =
-          Option.map
-            (fun _ -> Runtime.Exec.engine_name options.exec_engine)
-            par_seconds;
-        chunking =
-          Option.map
-            (fun _ -> Runtime.Exec.chunking_name (exec_chunking options))
-            par_seconds;
         seq_seconds;
         par_seconds;
         model_makespan;

@@ -71,25 +71,16 @@ type options = {
   check : bool;  (** verify legality + sequential equivalence *)
   measure : bool;  (** measure seq/parallel wall time *)
   strategy : Plan.strategy option;  (** [None] = Algorithm 1 selection *)
-  engine : [ `Enum | `Scan ];  (** REC materialization engine *)
-  exec_engine : Runtime.Exec.engine;
-      (** schedule execution engine: [`Compiled] (default) runs closure-
-          compiled kernels, [`Bytecode] the flat-bytecode VM, [`Interp]
-          the AST-walking interpreter *)
-  chunking : [ `Static | `Cost ];
-      (** work distribution within a phase: [`Cost] (default) sizes DOALL
-          chunks from the cost model ([sim_cost] when given, otherwise
-          {!Runtime.Sim.base_seconds}) and self-schedules chains
-          longest-first; [`Static] pre-deals equal blocks / LPT buckets *)
   workers : Runtime.Workers.t option;
       (** persistent executor pool to reuse across runs; [None] (the
           default) lets each run create and shut down a transient pool *)
   sim_cost : Runtime.Sim.cost option;
       (** cost-model constants for the pre-execution prediction
-          ({!Report.prediction}); [None] (the default) predicts with the
-          uncalibrated {!Runtime.Sim.base_seconds}, [Some c] uses
-          calibrated constants (see {!Runtime.Sim.calibrate}) and tags the
-          report's prediction block ["calibrated"] *)
+          ({!Report.prediction}) and for the executor's DOALL chunk sizes;
+          [None] (the default) uses the uncalibrated
+          {!Runtime.Sim.base_seconds}, [Some c] uses calibrated constants
+          (see {!Runtime.Sim.calibrate}) and tags the report's prediction
+          block ["calibrated"] *)
   sink : Obs.Sink.t;
       (** where stage/execution spans go; {!Obs.Sink.null} (the default)
           records nothing and costs one branch per span site *)
@@ -100,8 +91,8 @@ type options = {
 }
 
 val default_options : options
-(** 4 threads, check and measure on, automatic strategy, scan engine,
-    no-op sink, no-op event log. *)
+(** 4 threads, check and measure on, automatic strategy, no-op sink,
+    no-op event log. *)
 
 type outcome = {
   plan : Plan.t;

@@ -126,13 +126,6 @@ type t = {
   threads : int;
   legality : check_result;
   semantics : check_result;
-  exec_engine : string option;
-      (** execution engine of the parallel run
-          ("bytecode"/"compiled"/"interp"); [None] when nothing was
-          executed *)
-  chunking : string option;
-      (** chunk policy of the parallel run ("static"/"cost"); [None] when
-          nothing was executed *)
   seq_seconds : float option;
   par_seconds : float option;
   model_makespan : float option;
@@ -194,13 +187,6 @@ let to_text r =
           r.timings));
   line "legality : %s" (check_result_string r.legality);
   line "semantics: %s" (check_result_string r.semantics);
-  (match r.exec_engine with
-  | Some e ->
-      line "engine   : %s%s" e
-        (match r.chunking with
-        | Some c -> Printf.sprintf " (%s chunking)" c
-        | None -> "")
-  | None -> ());
   (match (r.par_seconds, r.seq_seconds) with
   | Some par, Some seq ->
       line "wall time: %.4fs on %d thread(s) (sequential interp: %.4fs)" par
@@ -411,8 +397,6 @@ let to_json r =
          [ ("threads", Json.Int r.threads) ];
          [ ("legality", check_json r.legality) ];
          [ ("semantics", check_json r.semantics) ];
-         opt (fun e -> ("exec_engine", Json.Str e)) r.exec_engine;
-         opt (fun c -> ("chunking", Json.Str c)) r.chunking;
          opt (fun s -> ("seq_seconds", Json.Float s)) r.seq_seconds;
          opt (fun s -> ("par_seconds", Json.Float s)) r.par_seconds;
          opt (fun s -> ("model_makespan", Json.Float s)) r.model_makespan;

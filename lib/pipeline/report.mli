@@ -96,13 +96,6 @@ type t = {
   threads : int;
   legality : check_result;  (** every dependence edge respected? *)
   semantics : check_result;  (** arrays identical to the sequential run? *)
-  exec_engine : string option;
-      (** execution engine of the parallel run
-          ("bytecode"/"compiled"/"interp"); [None] when nothing was
-          executed *)
-  chunking : string option;
-      (** chunk policy of the parallel run ("static"/"cost"); [None] when
-          nothing was executed *)
   seq_seconds : float option;  (** sequential interpreter wall time *)
   par_seconds : float option;  (** instrumented schedule execution *)
   model_makespan : float option;  (** DOACROSS cost-model makespan *)

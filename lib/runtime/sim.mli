@@ -45,8 +45,7 @@ val doall_chunk_count : cost -> threads:int -> n:int -> int
     against the per-phase fork+barrier overhead (each block ≥ 4× the
     overhead), floored at [threads], capped at [8 × threads] and at [n].
     [threads ≤ 1] yields one block ([0] for an empty phase) — sequential
-    execution never splits.  This is what the executor's cost-aware
-    chunking uses in place of equal per-thread index ranges. *)
+    execution never splits.  {!Exec} sizes its DOALL chunks with it. *)
 
 val seq_time : cost -> int -> float
 (** Sequential execution of [n] iterations of the {e original} code

@@ -7,7 +7,6 @@ type config = {
   check : bool;
   measure : bool;
   deadline_s : float option;
-  exec_engine : Runtime.Exec.engine;
   sink : Obs.Sink.t;
   events : Obs.Event.t;
   slow_ms : float option;
@@ -29,7 +28,6 @@ let default_config =
     check = true;
     measure = true;
     deadline_s = None;
-    exec_engine = `Compiled;
     sink = Obs.Sink.null;
     events = Obs.Event.null;
     slow_ms = None;
@@ -45,7 +43,11 @@ let latency_us = Obs.Histogram.make "svc.request.latency_us"
 let queue_us = Obs.Histogram.make "svc.request.queue_us"
 
 (* The cached payload of one successful request: everything a warm
-   response needs except the requester's identity and timing. *)
+   response needs except the requester's identity and timing.  The
+   durable store Marshals it, and Marshal does not check types: any
+   change to [value], [Proto.survey] or [Pipeline.Report.t] must bump
+   [value_tag] below, or a store written by an older binary decodes as
+   the wrong type. *)
 type value = {
   v_strategy : string option;
   v_describe : string option;
@@ -73,7 +75,7 @@ type t = {
    version tag so a payload written by an incompatible binary decodes as
    a miss (recomputed and re-written), never a crash.  The store's
    checksummed records already reject corruption below this layer. *)
-let value_tag = "rpv1:"
+let value_tag = "rpv2:"
 
 let encode_value (v : value) = value_tag ^ Marshal.to_string v []
 
@@ -247,7 +249,6 @@ let compute t (req : Proto.request) prog ~threads =
           check = t.config.check;
           measure = t.config.measure;
           strategy = req.strategy;
-          exec_engine = t.config.exec_engine;
           workers = Some t.exec;
           sink = t.config.sink;
           events = t.config.events;
@@ -571,7 +572,6 @@ let process t (req : Proto.request) ~submitted_ns =
                   Printf.sprintf "threads=%d" threads;
                   Printf.sprintf "check=%b" t.config.check;
                   Printf.sprintf "measure=%b" t.config.measure;
-                  "exec=" ^ Runtime.Exec.engine_name t.config.exec_engine;
                   Printf.sprintf "survey=%b" req.Proto.survey;
                 ]
               ~params:req.Proto.params prog

@@ -31,11 +31,6 @@ type config = {
   check : bool;  (** validate legality + sequential equivalence *)
   measure : bool;
   deadline_s : float option;  (** default per-request deadline *)
-  exec_engine : Runtime.Exec.engine;
-      (** schedule execution engine for [Run] requests — [`Compiled],
-          [`Bytecode] or [`Interp].  Part of the cache key (the [exec=]
-          facet), so results produced by different engines never alias
-          even though they are bit-identical by construction. *)
   sink : Obs.Sink.t;  (** spans: submit→dequeue→analyze→respond *)
   events : Obs.Event.t;  (** decision + service lifecycle events *)
   slow_ms : float option;
@@ -57,9 +52,8 @@ type config = {
 
 val default_config : config
 (** 4 domains, queue 64, cache 512 over 8 shards, 2 threads, check and
-    measure on, no deadline, compiled execution, no-op sink and event
-    log; flight recorder on (no dump dir), no slow-request log, 60
-    windows of 1s; no store. *)
+    measure on, no deadline, no-op sink and event log; flight recorder on
+    (no dump dir), no slow-request log, 60 windows of 1s; no store. *)
 
 type t
 

@@ -453,27 +453,8 @@ let test_chain_scheduling_accessors () =
   let c = Chain.of_lists ~dim:2 chains in
   Alcotest.check (Alcotest.array Alcotest.int) "lengths" [| 2; 1; 3; 1 |]
     (Chain.lengths c);
-  (* Longest first; equal lengths keep ascending chain id (stable, so
-     straggler attribution stays deterministic). *)
-  Alcotest.check (Alcotest.array Alcotest.int) "longest-first order"
-    [| 2; 0; 1; 3 |]
-    (Chain.order_longest_first c);
-  let dst = Array.make 4 0 in
-  Chain.blit_point_to c 2 1 dst 1;
-  Alcotest.check (Alcotest.array Alcotest.int) "blit, no boxing"
-    [| 0; 8; 2; 0 |] dst;
   Alcotest.check (Alcotest.array Alcotest.int) "empty lengths" [||]
     (Chain.lengths (Chain.of_lists ~dim:2 []))
-
-let test_points_blit_to () =
-  let b = Core.Points.Builder.create ~dim:3 in
-  Core.Points.Builder.add b [| 1; 2; 3 |];
-  Core.Points.Builder.add b [| 4; 5; 6 |];
-  let p = Core.Points.Builder.finish b in
-  let dst = Array.make 5 9 in
-  Core.Points.blit_to p 1 dst 2;
-  Alcotest.check (Alcotest.array Alcotest.int) "copied in place"
-    [| 9; 9; 4; 5; 6 |] dst
 
 let () =
   Alcotest.run "core"
@@ -529,7 +510,6 @@ let () =
           Alcotest.test_case "chain roundtrip" `Quick test_chain_roundtrip;
           Alcotest.test_case "chain scheduling accessors" `Quick
             test_chain_scheduling_accessors;
-          Alcotest.test_case "points blit" `Quick test_points_blit_to;
           Alcotest.test_case "cyclic successor map terminates" `Quick
             test_scan_cycle_terminates;
         ] );

@@ -693,27 +693,6 @@ let test_gate_on_committed_baseline () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence through the driver                                *)
-
-let test_engines_agree () =
-  let run engine =
-    let options = { Driver.default_options with engine; measure = false } in
-    match
-      Driver.run ~options ~name:"example2" ~params:[ ("n", 10) ]
-        Loopir.Builtin.example2
-    with
-    | Ok { concrete = Driver.Rec { c; _ }; _ } -> c
-    | Ok _ -> Alcotest.fail "REC expected"
-    | Error e -> Alcotest.fail (Driver.error_to_string e)
-  in
-  let a = run `Enum and b = run `Scan in
-  Alcotest.(check bool) "same P1" true
-    (a.Core.Partition.p1_pts = b.Core.Partition.p1_pts);
-  Alcotest.(check bool) "same chains" true
-    (List.sort compare (Core.Chain.to_lists a.Core.Partition.chains)
-    = List.sort compare (Core.Chain.to_lists b.Core.Partition.chains))
-
-(* ------------------------------------------------------------------ *)
 (* Codegen through the pipeline                                         *)
 
 let test_codegen_rec_and_unsupported () =
@@ -778,7 +757,6 @@ let () =
           Alcotest.test_case "report contents" `Quick test_run_report_contents;
           Alcotest.test_case "text and JSON rendering" `Quick
             test_run_text_and_json;
-          Alcotest.test_case "enum ≡ scan engines" `Quick test_engines_agree;
           Alcotest.test_case "codegen availability" `Quick
             test_codegen_rec_and_unsupported;
         ] );

@@ -496,8 +496,8 @@ let test_exec_determinism_paper_examples () =
     cases
 
 let test_compiled_matches_interp_examples () =
-  (* Both engines must leave bit-for-bit identical stores (and both equal
-     the sequential oracle) on every paper example, at 1/2/4 domains. *)
+  (* The compiled kernels must leave a store bit-for-bit equal to the
+     sequential oracle on every paper example, at 1/2/4 domains. *)
   let cases =
     [
       ("example1", Loopir.Builtin.example1, [ ("n1", 10); ("n2", 10) ]);
@@ -523,90 +523,18 @@ let test_compiled_matches_interp_examples () =
       let oracle = Interp.run_sequential env in
       List.iter
         (fun threads ->
-          let compiled = Exec.run ~engine:`Compiled env ~threads sched in
           Alcotest.(check bool)
             (Printf.sprintf "%s compiled t=%d ≡ sequential" name threads)
             true
-            (Arrays.equal compiled oracle);
-          let interp = Exec.run ~engine:`Interp env ~threads sched in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s compiled t=%d ≡ interp" name threads)
-            true
-            (Arrays.equal compiled interp))
+            (Arrays.equal (Exec.run env ~threads sched) oracle))
         [ 1; 2; 4 ])
     cases
 
 let test_compiled_matches_interp_corpus () =
-  (* Every corpus kernel through a sequential-order schedule: exercises
-     the compiler's general paths (non-affine subscripts, parameters in
-     subscripts, multi-statement bodies, reductions). *)
-  List.iter
-    (fun (name, prog) ->
-      let params =
-        List.map (fun p -> (p, 8)) prog.Loopir.Ast.params
-      in
-      let tr = Trace.build prog ~params in
-      let sched = Sched.sequential_of_trace tr in
-      let env = Interp.prepare prog ~params in
-      let compiled = Exec.run ~engine:`Compiled env ~threads:1 sched in
-      Alcotest.(check bool)
-        (name ^ ": compiled ≡ sequential interp")
-        true
-        (Arrays.equal compiled (Interp.run_sequential env)))
-    Loopir.Builtin.corpus
-
-(* ------------------------------------------------------------------ *)
-(* Bytecode engine                                                      *)
-
-module Bytecode = Runtime.Bytecode
-
-let test_bytecode_matches_interp_examples () =
-  (* The VM must leave bit-for-bit identical stores to both the closure
-     engine and the sequential oracle on every paper example, at 1/2/4
-     domains. *)
-  let cases =
-    [
-      ("example1", Loopir.Builtin.example1, [ ("n1", 10); ("n2", 10) ]);
-      ("fig2", Loopir.Builtin.fig2, []);
-      ("example2", Loopir.Builtin.example2, [ ("n", 12) ]);
-      ( "cholesky",
-        Loopir.Builtin.cholesky,
-        [ ("nmat", 2); ("m", 2); ("n", 5); ("nrhs", 1) ] );
-    ]
-  in
-  List.iter
-    (fun (name, prog, params) ->
-      let sched =
-        match Partition.choose prog with
-        | Partition.Rec_chains rp ->
-            let arr = Array.of_list (List.map snd params) in
-            Sched.of_rec ~stmt:0
-              (Partition.materialize_rec_scan rp ~params:arr)
-        | Partition.Dataflow_const | Partition.Pdm_fallback _ ->
-            Sched.of_fronts (Dataflow.peel_concrete prog ~params)
-      in
-      let env = Interp.prepare prog ~params in
-      let oracle = Interp.run_sequential env in
-      List.iter
-        (fun threads ->
-          let byte = Exec.run ~engine:`Bytecode env ~threads sched in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s bytecode t=%d ≡ sequential" name threads)
-            true
-            (Arrays.equal byte oracle);
-          let compiled = Exec.run ~engine:`Compiled env ~threads sched in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s bytecode t=%d ≡ compiled" name threads)
-            true
-            (Arrays.equal byte compiled))
-        [ 1; 2; 4 ])
-    cases
-
-let test_bytecode_matches_interp_corpus () =
-  (* Every corpus kernel, at 1/2/4 domains: exercises the lowerer's
-     general paths (reductions, powers, parameters in subscripts,
-     multi-statement bodies) and the closure fallback (non-affine
-     subscripts, MOD). *)
+  (* Every corpus kernel through a sequential-order schedule, at 1/2/4
+     domains: exercises the compiler's general paths (non-affine
+     subscripts, MOD, powers, parameters in subscripts, multi-statement
+     bodies, reductions). *)
   List.iter
     (fun (name, prog) ->
       let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
@@ -617,17 +545,17 @@ let test_bytecode_matches_interp_corpus () =
       List.iter
         (fun threads ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: bytecode t=%d ≡ sequential interp" name
+            (Printf.sprintf "%s: compiled t=%d ≡ sequential interp" name
                threads)
             true
-            (Arrays.equal (Exec.run ~engine:`Bytecode env ~threads sched) oracle))
+            (Arrays.equal (Exec.run env ~threads sched) oracle))
         [ 1; 2; 4 ])
     Loopir.Builtin.corpus
 
-let test_bytecode_fallback_nonaffine () =
-  (* A quadratic subscript cannot be fused into a linear offset: the
-     statement must take the closure fallback — and still match the
-     oracle exactly. *)
+let test_compiled_general_path_nonaffine () =
+  (* A quadratic subscript cannot be fused into a linear offset: both
+     references take the general Arrays.get/set path — and must still
+     match the oracle exactly on 2 domains. *)
   let open Loopir.Ast in
   let sq = Bin (Mul, Var "i", Var "i") in
   let prog =
@@ -645,38 +573,12 @@ let test_bytecode_fallback_nonaffine () =
       ]
   in
   let env = Interp.prepare prog ~params:[] in
-  let store = Interp.scan_bounds env in
-  let bc = Bytecode.compile env store in
-  Alcotest.(check bool) "statement fell back" true (Bytecode.n_fallbacks bc > 0);
   let sched = Sched.sequential_of_trace (Trace.build prog ~params:[]) in
   Alcotest.(check bool)
-    "fallback path ≡ sequential interp" true
+    "general path ≡ sequential interp" true
     (Arrays.equal
-       (Exec.run ~engine:`Bytecode env ~threads:2 sched)
+       (Exec.run env ~threads:2 sched)
        (Interp.run_sequential env))
-
-let test_chunking_variants_agree () =
-  (* Static pre-dealt buckets and cost-proportional self-scheduling must
-     produce identical stores for every engine — chunking only moves
-     work between domains, never reorders it within a chain. *)
-  let env, sched =
-    rec_schedule Loopir.Builtin.example1
-      [ ("n1", 16); ("n2", 16) ]
-      [| 16; 16 |]
-  in
-  let oracle = Interp.run_sequential env in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun chunking ->
-          let got = Exec.run ~engine ~chunking env ~threads:4 sched in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s ≡ sequential"
-               (Exec.engine_name engine)
-               (Exec.chunking_name chunking))
-            true (Arrays.equal got oracle))
-        [ `Static; `Cost Sim.base_seconds ])
-    [ `Compiled; `Bytecode; `Interp ]
 
 let test_doall_chunk_count_bounds () =
   (* The chunk policy: nothing for empty phases, one chunk sequentially,
@@ -830,18 +732,7 @@ let test_exec_degenerate_threads () =
       | Ok () -> ()
       | Error m ->
           Alcotest.fail (Printf.sprintf "threads=%d: %s" threads m))
-    [ 0; -1 ];
-  (* Bucketing never produces empty buckets to spawn for. *)
-  Alcotest.(check int) "no buckets for empty input" 0
-    (List.length (Exec.doall_buckets 4 [||]));
-  List.iter
-    (fun threads ->
-      let buckets = Exec.doall_buckets threads [| 1; 2; 3 |] in
-      Alcotest.(check int) "all elements kept" 3
-        (List.fold_left (fun acc b -> acc + Array.length b) 0 buckets);
-      Alcotest.(check bool) "no empty bucket" true
-        (List.for_all (fun b -> Array.length b > 0) buckets))
-    [ -3; 0; 1; 2; 7 ]
+    [ 0; -1 ]
 
 let test_thread_loads_overflow () =
   (* A phase that used more buckets than [threads] must fold the overflow
@@ -973,14 +864,8 @@ let () =
             `Quick test_compiled_matches_interp_examples;
           Alcotest.test_case "compiled ≡ interp (full corpus)" `Quick
             test_compiled_matches_interp_corpus;
-          Alcotest.test_case "bytecode ≡ interp (paper examples, 1/2/4)"
-            `Quick test_bytecode_matches_interp_examples;
-          Alcotest.test_case "bytecode ≡ interp (full corpus, 1/2/4)" `Quick
-            test_bytecode_matches_interp_corpus;
-          Alcotest.test_case "bytecode closure fallback (non-affine)" `Quick
-            test_bytecode_fallback_nonaffine;
-          Alcotest.test_case "chunking variants agree" `Quick
-            test_chunking_variants_agree;
+          Alcotest.test_case "compiled general path (non-affine)" `Quick
+            test_compiled_general_path_nonaffine;
           Alcotest.test_case "cost-proportional chunk count bounds" `Quick
             test_doall_chunk_count_bounds;
           Alcotest.test_case "DOALL chunk ranges tile exactly" `Quick

@@ -202,6 +202,45 @@ let test_disk_warm_short_circuit () =
     (counter "svc.store.hits");
   Service.shutdown svc2
 
+(* A record behind another value tag (one an older binary wrote) must be
+   recomputed, never decoded: Marshal does not check types, so decoding
+   a value whose layout changed can crash the server. *)
+let test_foreign_tag_is_a_miss () =
+  let dir = temp_dir "store-tag" in
+  let svc = Service.create ~config:(service_config dir) () in
+  Alcotest.(check bool) "first run ok" true
+    (Proto.ok (Service.run_one svc (request ())));
+  Service.shutdown svc;
+  (* The key the service files this run request under. *)
+  let req = request () in
+  let prog =
+    match req.Proto.source with
+    | Proto.Src src -> Loopir.Parser.parse ~name:req.Proto.name src
+    | Proto.Prog p -> p
+  in
+  let key =
+    Key.of_request
+      ~extra:
+        [ "mode=run"; "threads=1"; "check=false"; "measure=false"; "survey=false" ]
+      ~params:req.Proto.params prog
+  in
+  let s = Store.open_dir ~shards:Service.default_config.cache_shards dir in
+  (match Store.find s key with
+  | None -> Alcotest.fail "the run was not stored under its request key"
+  | Some payload ->
+      (* The same bytes behind the previous tag would unmarshal fine:
+         only the tag check may keep them out. *)
+      let body = String.index payload ':' + 1 in
+      Store.add s key
+        ("rpv1:" ^ String.sub payload body (String.length payload - body)));
+  Store.close s;
+  let svc2 = Service.create ~config:(service_config dir) () in
+  let r2 = Service.run_one svc2 (request ()) in
+  Alcotest.(check bool) "foreign-tag run ok" true (Proto.ok r2);
+  Alcotest.(check bool) "foreign-tag record recomputed, not decoded" false
+    r2.Proto.cached;
+  Service.shutdown svc2
+
 let test_garbage_store_file_is_empty () =
   let dir = temp_dir "store-garbage" in
   let path = Filename.concat dir "shard-00.log" in
@@ -241,5 +280,7 @@ let () =
         [
           Alcotest.test_case "disk-warm hit skips recomputation" `Quick
             test_disk_warm_short_circuit;
+          Alcotest.test_case "foreign value tag is recomputed" `Quick
+            test_foreign_tag_is_a_miss;
         ] );
     ]
