@@ -255,26 +255,8 @@ let fig3_panel1 () =
   let rec_a = Sim.abstract (Sched.of_rec ~stmt:0 c) in
   let points = Partition.rec_points_in_order c in
   let n_seq = List.length points in
-  let a = rp.Partition.simple in
-  (* Distance set straight from the recurrence maps (cheap at this scale). *)
-  let in_phi x = Iset.mem a.Solve.phi (Array.append x [| n1; n2 |]) in
-  let rec_map =
-    Option.get
-      (Core.Recurrence.of_pair rp.Partition.pair
-         ~params:(function "n1" -> n1 | "n2" -> n2 | _ -> 0))
-  in
-  let dists =
-    List.concat_map
-      (fun x ->
-        List.filter_map
-          (fun y -> if in_phi y then Some (Linalg.Ivec.sub y x) else None)
-          (Core.Recurrence.neighbors rec_map x))
-      points
-    |> List.filter Linalg.Ivec.is_lex_positive
-    |> List.sort_uniq Linalg.Ivec.compare_lex
-  in
-  let pdm = Baselines.Pdm.of_distances ~dim:2 dists in
-  let pl = Baselines.Pl.of_distances ~dim:2 dists in
+  let pdm = Baselines.Pdm.of_simple rp.Partition.simple ~params:[| n1; n2 |] in
+  let pl = Baselines.Pl.of_simple rp.Partition.simple ~params:[| n1; n2 |] in
   let pdm_a = Sim.abstract (Baselines.Pdm.schedule pdm ~stmt:0 points) in
   let pl_a = Sim.abstract (Baselines.Pl.schedule pl ~stmt:0 points) in
   print_panel

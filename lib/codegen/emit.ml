@@ -1,6 +1,7 @@
 module L = Presburger.Linexpr
 module C = Presburger.Constr
 module Iset = Presburger.Iset
+module Bounds = Presburger.Bounds
 module Q = Numeric.Rat
 
 let expr_str names e = Format.asprintf "%a" (L.pp names) e

@@ -6,8 +6,11 @@
     the chain start set [W] whose body calls a WHILE-loop chain subroutine
     stepping [I := I·T + u]. *)
 
-val pp_bound_max : string array -> Format.formatter -> Bounds.bound list -> unit
-val pp_bound_min : string array -> Format.formatter -> Bounds.bound list -> unit
+val pp_bound_max :
+  string array -> Format.formatter -> Presburger.Bounds.bound list -> unit
+
+val pp_bound_min :
+  string array -> Format.formatter -> Presburger.Bounds.bound list -> unit
 
 val doall_of_set :
   ?body:string -> names:string array -> Presburger.Iset.t -> string

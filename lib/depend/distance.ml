@@ -1,56 +1,34 @@
 module Rel = Presburger.Rel
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
+module Bounds = Presburger.Bounds
 module Ivec = Linalg.Ivec
 
 type class_ = No_dependence | Uniform | Non_uniform
 
-let concrete_pairs rd ~params =
-  let set = Rel.to_set rd in
-  let bound = Iset.bind_params set params in
-  let n2 = Iset.dim bound in
-  let m = n2 / 2 in
-  List.map
-    (fun xy -> (Array.sub xy 0 m, Array.sub xy m m))
-    (Enum.points bound)
+let scan_bound set ~params =
+  let b = Iset.bind_params set params in
+  Bounds.points (Iset.dim b) (Iset.polys b)
 
-let distances rd ~params =
-  concrete_pairs rd ~params
-  |> List.map (fun (i, j) -> Ivec.sub j i)
-  |> List.sort_uniq Ivec.compare_lex
+let distances rd ~params = scan_bound (Rel.deltas rd) ~params
 
 let classify rd ~phi ~params =
-  let pairs = concrete_pairs rd ~params in
-  if pairs = [] then No_dependence
-  else
-    let module PS = Set.Make (struct
-      type t = int array * int array
-
-      let compare (a1, b1) (a2, b2) =
-        match Ivec.compare_lex a1 a2 with
-        | 0 -> Ivec.compare_lex b1 b2
-        | c -> c
-    end) in
-    let pair_set = PS.of_list pairs in
-    let ds = distances rd ~params in
-    let phi_pts = Enum.points (Iset.bind_params phi params) in
-    let module VS = Set.Make (struct
-      type t = int array
-
-      let compare = Ivec.compare_lex
-    end) in
-    let phi_set = VS.of_list phi_pts in
-    let uniform =
-      List.for_all
-        (fun d ->
-          List.for_all
-            (fun i ->
-              let j = Ivec.add i d in
-              (not (VS.mem j phi_set)) || PS.mem (i, j) pair_set)
-            phi_pts)
-        ds
-    in
-    if uniform then Uniform else Non_uniform
+  match distances rd ~params with
+  | [] -> No_dependence
+  | ds ->
+      let phi_pts = scan_bound phi ~params in
+      let in_phi = Hashtbl.create (List.length phi_pts) in
+      List.iter (fun i -> Hashtbl.replace in_phi i ()) phi_pts;
+      let uniform =
+        List.for_all
+          (fun d ->
+            List.for_all
+              (fun i ->
+                let j = Ivec.add i d in
+                (not (Hashtbl.mem in_phi j)) || Rel.mem rd ~params i j)
+              phi_pts)
+          ds
+      in
+      if uniform then Uniform else Non_uniform
 
 let has_coupled_subscripts (s : Loopir.Prog.stmt_info) =
   let vars = Loopir.Prog.loop_vars s in

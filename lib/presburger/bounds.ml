@@ -1,15 +1,15 @@
 module S = Numeric.Safeint
-module L = Presburger.Linexpr
-module C = Presburger.Constr
-module P = Presburger.Poly
+module L = Linexpr
+module C = Constr
+module P = Poly
 
-type bound = { num : Presburger.Linexpr.t; den : int }
+type bound = { num : Linexpr.t; den : int }
 
 type level = {
   lowers : bound list;
   uppers : bound list;
-  guards : Presburger.Constr.t list;
-  stride : (int * Presburger.Linexpr.t) option;
+  guards : Constr.t list;
+  stride : (int * Linexpr.t) option;
 }
 
 type nest = { n_iters : int; levels : level array }
@@ -188,3 +188,54 @@ and of_poly_normalized ~n_iters p =
       { (levels.(k)) with lowers = List.rev !lowers; uppers = List.rev !uppers }
   done;
   { n_iters; levels }
+
+(* Walks the nest the way its emitted loops run: at each level the max of
+   the ceiling lowers to the min of the floor uppers (in steps of the
+   stride, from its residue), keeping values whose guards hold.  Bounds,
+   strides and guards at level k read only xs.(0..k), so the slots below
+   the current level never need resetting. *)
+let scan nest =
+  let n = nest.n_iters in
+  let xs = Array.make n 0 in
+  let pts = ref [] in
+  let rec go k =
+    if k = n then pts := Array.copy xs :: !pts
+    else begin
+      let lv = nest.levels.(k) in
+      let lo =
+        List.fold_left
+          (fun acc { num; den } -> max acc (S.cdiv (L.eval num xs) den))
+          min_int lv.lowers
+      in
+      let hi =
+        List.fold_left
+          (fun acc { num; den } -> min acc (S.fdiv (L.eval num xs) den))
+          max_int lv.uppers
+      in
+      let start, step =
+        match lv.stride with
+        | None -> (lo, 1)
+        | Some (m, r) -> (S.add lo (S.emod (S.sub (L.eval r xs) lo) m), m)
+      in
+      let v = ref start in
+      while !v <= hi do
+        xs.(k) <- !v;
+        if List.for_all (fun g -> C.holds g xs) lv.guards then go (k + 1);
+        v := !v + step
+      done
+    end
+  in
+  go 0;
+  List.rev !pts
+
+let points n polys =
+  List.iter
+    (fun p ->
+      if P.dim p <> n then
+        invalid_arg "Bounds.points: parameters must be bound first")
+    polys;
+  if n = 0 then
+    if List.exists (fun p -> P.normalize p <> None) polys then [ [||] ] else []
+  else
+    List.concat_map (fun p -> scan (with_strides (of_poly ~n_iters:n p))) polys
+    |> List.sort_uniq Linalg.Ivec.compare_lex

@@ -26,15 +26,27 @@ let par_map f xs =
         if n < par_threshold then List.map f xs
         else begin
           let out = Array.make n None in
+          (* Once a job raises, the runner re-raises its exception after
+             the barrier, so jobs not yet started are skipped: a typed
+             Omega.Blowup then costs what it costs sequentially instead of
+             every other disjunct's full budget. *)
+          let failed = Atomic.make false in
           let job i () =
             (* The flag is per executing domain: a job that re-enters the
                Dnf layer (e.g. remove_redundant → Omega.is_empty) stays
                sequential instead of submitting a nested barrier. *)
-            let flag = Domain.DLS.get in_par_job in
-            flag := true;
-            Fun.protect
-              ~finally:(fun () -> flag := false)
-              (fun () -> out.(i) <- Some (f arr.(i)))
+            if not (Atomic.get failed) then begin
+              let flag = Domain.DLS.get in_par_job in
+              flag := true;
+              Fun.protect
+                ~finally:(fun () -> flag := false)
+                (fun () ->
+                  match f arr.(i) with
+                  | v -> out.(i) <- Some v
+                  | exception e ->
+                      Atomic.set failed true;
+                      raise e)
+            end
           in
           run (Array.init n job);
           Array.to_list

@@ -9,8 +9,10 @@
 val set_runner : ((unit -> unit) array -> unit) option -> unit
 (** Installs (or removes, with [None]) the parallel job runner used for
     independent disjunct elimination.  The runner must execute every job in
-    the array before returning (a barrier) and may re-raise a job's
-    exception; [Runtime.Workers.install_dnf_runner] wires a worker pool in.
+    the array before returning (a barrier) and re-raise the first job
+    exception; once a job has raised, the jobs that have not started yet
+    return at once, so a failure costs what it costs sequentially.
+    [Runtime.Workers.install_dnf_runner] wires a worker pool in.
     Jobs never submit nested runner calls (re-entry falls back to
     sequential), but the runner itself must tolerate concurrent calls from
     several domains. *)

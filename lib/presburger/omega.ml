@@ -169,7 +169,19 @@ let rec eliminate_b budget p k =
                           let rmax =
                             S.fdiv (S.sub (S.mul cmax a) (S.add cmax a)) cmax
                           in
-                          List.init (max 0 (rmax + 1)) (fun i ->
+                          let count = max 0 (rmax + 1) in
+                          (* Splinters are bounded like residue branches and
+                             paid for from the same budget: coefficients
+                             grown by earlier pivots would otherwise emit
+                             thousands of polyhedra per lower bound. *)
+                          if count > max_branch_modulus then
+                            raise
+                              (Blowup
+                                 (Printf.sprintf "splinter count %d" count));
+                          budget := !budget - count;
+                          if !budget <= 0 then
+                            raise (Blowup "elimination budget exhausted");
+                          List.init count (fun i ->
                               pivot_eliminate p k (L.add_const f_l (-i))))
                         lowers
                     in
@@ -207,6 +219,79 @@ let project_out p ks =
         [ p ]
         (List.rev ks) )
 
+(* Cost of eliminating x_k next, lower is cheaper: a unit-coefficient
+   equality pivot is exact and adds nothing; a larger pivot adds a
+   divisibility constraint; Fourier–Motzkin pays for its bound pairs, more
+   when a coefficient is not unit (dark shadow and splinters); residue
+   branching on a divisibility constraint costs most. *)
+let elimination_cost p k =
+  let in_div =
+    List.exists (function C.Div (_, e) -> L.uses e k | _ -> false) p.P.cons
+  in
+  let eq_cost =
+    List.filter_map
+      (function
+        | C.Eq e when L.uses e k -> Some (S.abs (L.coeff e k)) | _ -> None)
+      p.P.cons
+    |> function
+    | [] -> None
+    | cs -> Some (List.fold_left min max_int cs)
+  in
+  match eq_cost with
+  | Some 1 -> 0
+  | Some c -> 10 + c
+  | None ->
+      if in_div then 100_000
+      else
+        let lo = ref 0 and up = ref 0 and unit_only = ref true in
+        List.iter
+          (function
+            | C.Ge e when L.coeff e k > 0 ->
+                incr lo;
+                if L.coeff e k > 1 then unit_only := false
+            | C.Ge e when L.coeff e k < 0 ->
+                incr up;
+                if L.coeff e k < -1 then unit_only := false
+            | _ -> ())
+          p.P.cons;
+        (!lo * !up) + if !unit_only then 100 else 1000
+
+(* The first variable of [ks] with the lowest cost; a variable no
+   constraint uses costs nothing to drop. *)
+let cheapest p ks =
+  let best =
+    List.fold_left
+      (fun best k ->
+        let cost = if P.uses_var p k then elimination_cost p k else -1 in
+        match best with
+        | Some (c, _) when c <= cost -> best
+        | _ -> Some (cost, k))
+      None ks
+  in
+  snd (Option.get best)
+
+let project_out_greedy p ks =
+  Obs.Counter.incr c_project_calls;
+  List.map P.intern
+    ( with_budget 200_000 @@ fun budget ->
+      let rec go p ks =
+        if ks = [] then [ p ]
+        else
+          match P.normalize p with
+          | None -> []
+          | Some p ->
+              let k = cheapest p ks in
+              (* Variables above k are renumbered down by the elimination. *)
+              let rest =
+                List.filter_map
+                  (fun j ->
+                    if j = k then None else Some (if j > k then j - 1 else j))
+                  ks
+              in
+              List.concat_map (fun q -> go q rest) (eliminate_b budget p k)
+      in
+      go p (List.sort_uniq compare ks) )
+
 let is_empty p =
   Obs.Counter.incr c_is_empty_calls;
   Hc.get memo_is_empty (P.digest p) @@ fun () ->
@@ -220,45 +305,10 @@ let is_empty p =
         if p.P.cons = [] then false
         else begin
           (* Pick the cheapest variable to eliminate. *)
-          let n = p.P.n in
           let best = ref None in
-          for k = 0 to n - 1 do
+          for k = 0 to p.P.n - 1 do
             if P.uses_var p k then begin
-              let in_div =
-                List.exists
-                  (function C.Div (_, e) -> L.uses e k | _ -> false)
-                  p.P.cons
-              in
-              let eq_cost =
-                List.filter_map
-                  (function
-                    | C.Eq e when L.uses e k -> Some (S.abs (L.coeff e k))
-                    | _ -> None)
-                  p.P.cons
-                |> function
-                | [] -> None
-                | cs -> Some (List.fold_left min max_int cs)
-              in
-              let score =
-                match eq_cost with
-                | Some 1 -> 0
-                | Some c -> 10 + c
-                | None ->
-                    if in_div then 100_000
-                    else
-                      let lo = ref 0 and up = ref 0 and unit_only = ref true in
-                      List.iter
-                        (function
-                          | C.Ge e when L.coeff e k > 0 ->
-                              incr lo;
-                              if L.coeff e k > 1 then unit_only := false
-                          | C.Ge e when L.coeff e k < 0 ->
-                              incr up;
-                              if L.coeff e k < -1 then unit_only := false
-                          | _ -> ())
-                        p.P.cons;
-                      (!lo * !up) + (if !unit_only then 100 else 1000)
-              in
+              let score = elimination_cost p k in
               match !best with
               | Some (s, _) when s <= score -> ()
               | _ -> best := Some (score, k)

@@ -24,9 +24,20 @@ val eliminate : Poly.t -> int -> Poly.t list
 val project_out : Poly.t -> int list -> Poly.t list
 (** [project_out p ks] eliminates every variable in [ks] (any order). *)
 
+val project_out_greedy : Poly.t -> int list -> Poly.t list
+(** [project_out_greedy p ks] is the same set as {!project_out}, but every
+    disjunct eliminates its cheapest remaining variable next, by the cost
+    heuristic {!is_empty} uses: unit-coefficient equality pivots first,
+    residue branching last.  Where equalities couple the variables this
+    often gives far fewer disjuncts than the fixed order, and avoids
+    splinter blowups the fixed order runs into.  Not memoized; {!Rel.deltas}
+    memoizes its result. *)
+
 val is_empty : Poly.t -> bool
 (** [is_empty p] decides whether [p] contains an integer point. *)
 
 val max_branch_modulus : int
-(** Residue branching on a divisibility constraint with modulus above this
-    raises {!Blowup}. *)
+(** Residue branching on a divisibility constraint with modulus above this,
+    or a Fourier–Motzkin step needing more splinters than this for one
+    lower bound, raises {!Blowup}.  Splinters count against the work budget
+    like elimination calls. *)

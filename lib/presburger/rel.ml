@@ -1,4 +1,5 @@
 module P = Poly
+module L = Linexpr
 module D = Numeric.Digest
 
 type t = {
@@ -109,6 +110,9 @@ let memo_ran : P.t list Hc.memo = Hc.memo ~name:"rel.ran" ~capacity:4096 ()
 let memo_compose : P.t list Hc.memo =
   Hc.memo ~name:"rel.compose" ~capacity:4096 ()
 
+let memo_deltas : P.t list Hc.memo =
+  Hc.memo ~name:"rel.deltas" ~capacity:4096 ()
+
 let dom r =
   let ni = Array.length r.inn and no = Array.length r.out in
   let outs = List.init no (fun k -> ni + k) in
@@ -124,6 +128,30 @@ let ran r =
     Hc.get memo_ran (digest r) (fun () -> Dnf.project_out r.polys ins)
   in
   Iset.make ~iters:r.out ~params:r.params polys
+
+(* The change of variables j = i + d is unimodular: a coefficient b of j_k
+   adds b to i_k's and becomes d_k's, so the pairs of [r] map one-to-one
+   onto the points (i, d) and one exact projection of i leaves the
+   differences.  After the shear the dependence equations couple the i_k,
+   so the projection picks its elimination order per disjunct. *)
+let deltas r =
+  let m = Array.length r.inn in
+  if Array.length r.out <> m then invalid_arg "Rel.deltas: arity";
+  let shear e =
+    L.make
+      (Array.init (L.dim e) (fun k ->
+           if k < m then Numeric.Safeint.add (L.coeff e k) (L.coeff e (m + k))
+           else L.coeff e k))
+      (L.constant e)
+  in
+  let ins = List.init m Fun.id in
+  let polys =
+    Hc.get memo_deltas (digest r) (fun () ->
+        List.concat_map
+          (fun p -> Omega.project_out_greedy (P.map_exprs shear p) ins)
+          r.polys)
+  in
+  Iset.make ~iters:(Array.map (fun v -> "d" ^ v) r.inn) ~params:r.params polys
 
 let to_set r =
   Iset.make ~iters:(Array.append r.inn r.out) ~params:r.params r.polys

@@ -29,7 +29,7 @@ val equal : t -> t -> bool
 
 val digest : t -> Numeric.Digest.t
 (** Content digest of the three name tuples and the (order-sensitive)
-    disjunct digests; memo key for {!dom}/{!ran}/{!compose}. *)
+    disjunct digests; memo key for {!dom}/{!ran}/{!deltas}/{!compose}. *)
 
 val simplify : ?aggressive:bool -> t -> t
 
@@ -41,6 +41,13 @@ val dom : t -> Iset.t
 
 val ran : t -> Iset.t
 (** [ran r] projects onto the output tuple. *)
+
+val deltas : t -> Iset.t
+(** [deltas r] is the distance set [{d | ∃i. (i, i+d) ∈ r}] of an
+    equal-arity relation, exact and with the parameters still symbolic: one
+    Omega projection ({!Omega.project_out_greedy}) after the unimodular
+    substitution [j = i + d].  Its iteration variables are the input names
+    prefixed with [d].  Memoized like {!dom}/{!ran}. *)
 
 val to_set : t -> Iset.t
 (** [to_set r] reads the relation as a set over [inn ⧺ out]. *)

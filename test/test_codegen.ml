@@ -1,57 +1,15 @@
-(* Tests for code generation: Fourier–Motzkin bound extraction must
-   enumerate exactly the polyhedron's points (validated against the exact
-   enumerator), and the emitted listings must contain the paper's structural
-   elements. *)
+(* Tests for code generation: Fourier–Motzkin bound extraction, scanned by
+   [Bounds.scan], must enumerate exactly the polyhedron's points (validated
+   against the exact enumerator), and the emitted listings must contain the
+   paper's structural elements. *)
 
 module L = Presburger.Linexpr
 module C = Presburger.Constr
 module P = Presburger.Poly
-module Bounds = Codegen.Bounds
+module Bounds = Presburger.Bounds
 module Emit = Codegen.Emit
 module Enum = Presburger.Enum
 module Iset = Presburger.Iset
-
-(* Evaluate a bound list at a point prefix. *)
-let eval_bound xs { Bounds.num; den } ~ceil =
-  let v = L.eval num xs in
-  if ceil then Numeric.Safeint.cdiv v den else Numeric.Safeint.fdiv v den
-
-(* Walk a nest: enumerate exactly the points its loops + guards produce
-   (handling loop strides like the emitted code would). *)
-let enumerate_nest n_total nest =
-  let pts = ref [] in
-  let xs = Array.make n_total 0 in
-  let rec go k =
-    if k = nest.Bounds.n_iters then pts := Array.copy xs :: !pts
-    else begin
-      let lv = nest.Bounds.levels.(k) in
-      let lo =
-        List.fold_left
-          (fun acc b -> max acc (eval_bound xs b ~ceil:true))
-          min_int lv.Bounds.lowers
-      in
-      let hi =
-        List.fold_left
-          (fun acc b -> min acc (eval_bound xs b ~ceil:false))
-          max_int lv.Bounds.uppers
-      in
-      let start, step =
-        match lv.Bounds.stride with
-        | None -> (lo, 1)
-        | Some (m, r) ->
-            (lo + Numeric.Safeint.emod (L.eval r xs - lo) m, m)
-      in
-      let v = ref start in
-      while !v <= hi do
-        xs.(k) <- !v;
-        if List.for_all (fun g -> C.holds g xs) lv.Bounds.guards then go (k + 1);
-        v := !v + step
-      done;
-      xs.(k) <- 0
-    end
-  in
-  go 0;
-  List.rev !pts
 
 let ge coef const = C.Ge (L.make (Array.of_list coef) const)
 let eq coef const = C.Eq (L.make (Array.of_list coef) const)
@@ -59,7 +17,7 @@ let dv m coef const = C.Div (m, L.make (Array.of_list coef) const)
 
 let check_nest_matches name p n_iters =
   let nest = Bounds.of_poly ~n_iters p in
-  let got = enumerate_nest (P.dim p) nest in
+  let got = Bounds.scan nest in
   let expected = Enum.points_polys (P.dim p) [ p ] in
   Alcotest.(check int)
     (name ^ " count")
@@ -106,7 +64,7 @@ let test_bounds_empty_poly () =
   (* i ≥ 0 ∧ i ≤ -5: normalize keeps it; nest enumerates nothing. *)
   let nest = Bounds.of_poly ~n_iters:1 p in
   Alcotest.(check (list (list int))) "no points" []
-    (List.map Array.to_list (enumerate_nest 1 nest))
+    (List.map Array.to_list (Bounds.scan nest))
 
 (* Property: random bounded polyhedra round-trip through bound extraction. *)
 let gen_constr n =
@@ -139,7 +97,7 @@ let prop_nest_exact =
   QCheck2.Test.make ~name:"nest enumeration = exact points (2D)" ~count:200
     (gen_poly 2) (fun p ->
       let nest = Bounds.of_poly ~n_iters:2 p in
-      let got = enumerate_nest 2 nest |> List.sort compare in
+      let got = Bounds.scan nest |> List.sort compare in
       let expected = Enum.points_polys 2 [ p ] |> List.sort compare in
       got = expected)
 
@@ -147,9 +105,14 @@ let prop_nest_strided_exact =
   QCheck2.Test.make ~name:"strided nest enumeration = exact points (2D)"
     ~count:200 (gen_poly 2) (fun p ->
       let nest = Bounds.with_strides (Bounds.of_poly ~n_iters:2 p) in
-      let got = enumerate_nest 2 nest |> List.sort compare in
+      let got = Bounds.scan nest |> List.sort compare in
       let expected = Enum.points_polys 2 [ p ] |> List.sort compare in
       got = expected)
+
+let prop_points_union_exact =
+  QCheck2.Test.make ~name:"points of a union = exact points (2D)" ~count:150
+    QCheck2.Gen.(list_size (int_range 0 3) (gen_poly 2))
+    (fun ps -> Bounds.points 2 ps = Enum.points_polys 2 ps)
 
 let test_stride_extraction () =
   (* 1 ≤ i ≤ 20 ∧ 3 | i + 1: stride 3 starting at residue 2. *)
@@ -160,7 +123,7 @@ let test_stride_extraction () =
   | _ -> Alcotest.fail "stride 3 expected");
   Alcotest.(check int) "guard consumed" 0
     (List.length nest.Bounds.levels.(0).Bounds.guards);
-  let got = enumerate_nest 1 nest |> List.map (fun a -> a.(0)) in
+  let got = Bounds.scan nest |> List.map (fun a -> a.(0)) in
   Alcotest.(check (list int)) "points" [ 2; 5; 8; 11; 14; 17; 20 ] got
 
 let test_stride_non_coprime_kept_as_guard () =
@@ -170,7 +133,7 @@ let test_stride_non_coprime_kept_as_guard () =
   let p = P.make 1 [ ge [ 1 ] 0; ge [ -1 ] 10; dv 4 [ 2 ] 1 ] in
   let nest = Bounds.with_strides (Bounds.of_poly ~n_iters:1 p) in
   Alcotest.(check (list (list int))) "no points" []
-    (List.map Array.to_list (enumerate_nest 1 nest))
+    (List.map Array.to_list (Bounds.scan nest))
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                             *)
@@ -265,6 +228,7 @@ let () =
           Alcotest.test_case "empty polyhedron" `Quick test_bounds_empty_poly;
           QCheck_alcotest.to_alcotest prop_nest_exact;
           QCheck_alcotest.to_alcotest prop_nest_strided_exact;
+          QCheck_alcotest.to_alcotest prop_points_union_exact;
           Alcotest.test_case "stride extraction" `Quick test_stride_extraction;
           Alcotest.test_case "non-coprime stride stays guard" `Quick
             test_stride_non_coprime_kept_as_guard;

@@ -308,6 +308,188 @@ let prop_dtests_conservative =
           | _, Dtests.Independent -> ex = Dtests.Independent
           | Dtests.Maybe_dependent, Dtests.Maybe_dependent -> true))
 
+(* ------------------------------------------------------------------ *)
+(* Distance sets vs the pair-enumeration oracle                         *)
+
+(* The oracle enumerates every pair of Rd at the bound parameters — what
+   [Distance] did before it read the distances off Rd's delta set. *)
+let oracle_pairs rd ~params =
+  let set = Iset.bind_params (Rel.to_set rd) params in
+  let m = Iset.dim set / 2 in
+  List.map
+    (fun xy -> (Array.sub xy 0 m, Array.sub xy m m))
+    (Enum.points set)
+
+let oracle_distances rd ~params =
+  oracle_pairs rd ~params
+  |> List.map (fun (i, j) -> Ivec.sub j i)
+  |> List.sort_uniq Ivec.compare_lex
+
+let oracle_classify rd ~phi ~params =
+  match oracle_pairs rd ~params with
+  | [] -> Distance.No_dependence
+  | pairs ->
+      let pair_set = Hashtbl.create 64 in
+      List.iter (fun p -> Hashtbl.replace pair_set p ()) pairs;
+      let phi_pts = Enum.points (Iset.bind_params phi params) in
+      let in_phi = Hashtbl.create 64 in
+      List.iter (fun i -> Hashtbl.replace in_phi i ()) phi_pts;
+      let uniform =
+        List.for_all
+          (fun d ->
+            List.for_all
+              (fun i ->
+                let j = Ivec.add i d in
+                (not (Hashtbl.mem in_phi j)) || Hashtbl.mem pair_set (i, j))
+              phi_pts)
+          (oracle_distances rd ~params)
+      in
+      if uniform then Distance.Uniform else Distance.Non_uniform
+
+let single_statement_builtins =
+  List.filter_map
+    (fun (name, prog) ->
+      match Solve.analyze_simple prog with
+      | a -> Some (name, a)
+      | exception _ -> None)
+    Loopir.Builtin.all
+
+let ivecs = Alcotest.(list (array int))
+
+let test_distances_match_oracle () =
+  Alcotest.(check bool)
+    "several single-statement builtins" true
+    (List.length single_statement_builtins >= 10);
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun n ->
+          let params = Array.map (fun _ -> n) a.Solve.params in
+          Alcotest.check ivecs
+            (Printf.sprintf "%s n=%d" name n)
+            (oracle_distances a.Solve.rd ~params)
+            (Distance.distances a.Solve.rd ~params))
+        [ 4; 8; 16 ])
+    single_statement_builtins
+
+let test_distances_match_oracle_paper_sizes () =
+  List.iter
+    (fun (prog, params) ->
+      let a = Solve.analyze_simple prog in
+      let expected = oracle_distances a.Solve.rd ~params in
+      Alcotest.check ivecs
+        (Printf.sprintf "%s at %s" prog.Loopir.Ast.name
+           (String.concat "x" (Array.to_list (Array.map string_of_int params))))
+        expected
+        (Distance.distances a.Solve.rd ~params))
+    [
+      (Loopir.Builtin.example1, [| 200; 300 |]);
+      (Loopir.Builtin.example2, [| 180 |]);
+    ]
+
+let test_classify_matches_oracle () =
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun n ->
+          let params = Array.map (fun _ -> n) a.Solve.params in
+          Alcotest.(check string)
+            (Printf.sprintf "%s n=%d" name n)
+            (Distance.class_to_string
+               (oracle_classify a.Solve.rd ~phi:a.Solve.phi ~params))
+            (Distance.class_to_string
+               (Distance.classify a.Solve.rd ~phi:a.Solve.phi ~params)))
+        [ 4; 8; 16 ])
+    single_statement_builtins
+
+(* Shrunk by the random-nest property below: projecting i, j, k out of the
+   sheared system in Omega.project_out's fixed order needs 1,759 splinters
+   for one lower bound and raises Blowup, while the pair oracle succeeds.
+   Choosing the cheapest variable per disjunct projects it exactly. *)
+let test_distances_splinter_regression () =
+  let prog =
+    Loopir.Parser.parse ~name:"splinter"
+      "DO i = 1, 3\n\
+       DO j = 1, 3\n\
+       DO k = 1, 3\n\
+       a(2*i + 0*j + 2*k + 0, 0*i + 0*j + 3*k + 0) = a(0*i + 3*j + -2*k + 0, \
+       0*i + 1*j + -2*k + 3)\n\
+       ENDDO\nENDDO\nENDDO\n"
+  in
+  let a = Solve.analyze_simple prog in
+  Alcotest.check ivecs "distances = oracle"
+    (oracle_distances a.Solve.rd ~params:[||])
+    (Distance.distances a.Solve.rd ~params:[||])
+
+(* Random coupled nests of depth 2 and 3: each subscript is [Σ c·v + off]
+   with c ∈ −2..3 and off ∈ 0..6, the array has rank 2..depth, and the
+   bound n ∈ 3..8 is either a literal or the symbolic parameter [n], so the
+   delta set is projected both ways.  Whenever the pair oracle succeeds,
+   the delta-set distances must equal it; a Blowup on the delta side alone
+   is a failure. *)
+type coupled_nest = {
+  write : (int array * int) array;
+  read : (int array * int) array;
+  n : int;
+  symbolic : bool;
+}
+
+let gen_coupled_nest depth =
+  QCheck2.Gen.(
+    let coefs = array_size (pure depth) (int_range (-2) 3) in
+    let sub = pair coefs (int_range 0 6) in
+    let* rank = int_range 2 depth in
+    let* write = array_size (pure rank) sub in
+    let* read = array_size (pure rank) sub in
+    let* n = int_range 3 8 in
+    let* symbolic = bool in
+    pure { write; read; n; symbolic })
+
+let coupled_nest_source t =
+  let depth = Array.length (fst t.write.(0)) in
+  let idx = [| "i"; "j"; "k" |] in
+  let sub (cs, off) =
+    String.concat " + "
+      (Array.to_list
+         (Array.mapi (fun v c -> Printf.sprintf "%d*%s" c idx.(v)) cs))
+    ^ Printf.sprintf " + %d" off
+  in
+  let refs side = String.concat ", " (Array.to_list (Array.map sub side)) in
+  let hi = if t.symbolic then "n" else string_of_int t.n in
+  String.concat ""
+    (List.init depth (fun v -> Printf.sprintf "DO %s = 1, %s\n" idx.(v) hi))
+  ^ Printf.sprintf "a(%s) = a(%s)\n" (refs t.write) (refs t.read)
+  ^ String.concat "" (List.init depth (fun _ -> "ENDDO\n"))
+
+let distances_match_oracle t =
+  let prog = Loopir.Parser.parse ~name:"rand-nest" (coupled_nest_source t) in
+  match Solve.analyze_simple prog with
+  | exception Presburger.Omega.Blowup _ -> true
+  | a -> (
+      let params = if t.symbolic then [| t.n |] else [||] in
+      let attempt f =
+        match f () with
+        | v -> Ok v
+        | exception Presburger.Omega.Blowup m -> Error m
+      in
+      match
+        ( attempt (fun () -> oracle_distances a.Solve.rd ~params),
+          attempt (fun () -> Distance.distances a.Solve.rd ~params) )
+      with
+      | Ok expected, Ok got -> expected = got
+      | Ok _, Error _ -> false
+      | Error _, _ -> true)
+
+let prop_random_distances depth ~count =
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "distances = pair oracle on random %d-D coupled nests"
+         depth)
+    ~count
+    ~print:(fun t ->
+      Printf.sprintf "%s(n = %d)" (coupled_nest_source t) t.n)
+    (gen_coupled_nest depth) distances_match_oracle
+
 let () =
   Alcotest.run "depend"
     [
@@ -333,6 +515,19 @@ let () =
         [
           Alcotest.test_case "classification" `Quick test_corpus_classes;
           Alcotest.test_case "coupled detection" `Quick test_coupled_detection;
+        ] );
+      ( "distance",
+        [
+          Alcotest.test_case "distances = pair oracle (builtins)" `Quick
+            test_distances_match_oracle;
+          Alcotest.test_case "distances = pair oracle (paper sizes)" `Quick
+            test_distances_match_oracle_paper_sizes;
+          Alcotest.test_case "classify = pair oracle (builtins)" `Quick
+            test_classify_matches_oracle;
+          Alcotest.test_case "splinter-heavy 3-D nest (shrunk)" `Quick
+            test_distances_splinter_regression;
+          QCheck_alcotest.to_alcotest (prop_random_distances 2 ~count:100);
+          QCheck_alcotest.to_alcotest (prop_random_distances 3 ~count:15);
         ] );
       ( "unified",
         [

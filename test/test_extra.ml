@@ -79,6 +79,13 @@ let prop_dom_ran_match =
       dom = List.sort_uniq compare (List.map fst prs)
       && ran = List.sort_uniq compare (List.map snd prs))
 
+let prop_deltas_match =
+  QCheck2.Test.make ~name:"deltas = differences of pairs" ~count:150
+    gen_rel_poly (fun p ->
+      let r = mk_rel p in
+      Enum.points (Rel.deltas r) |> List.map (fun a -> a.(0))
+      = List.sort_uniq compare (List.map (fun (x, y) -> y - x) (pairs_of r)))
+
 let prop_lex_forward_subset =
   QCheck2.Test.make ~name:"lex_forward keeps exactly x < y pairs" ~count:150
     gen_rel_poly (fun p ->
@@ -225,6 +232,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_inverse_swaps;
           QCheck_alcotest.to_alcotest prop_compose_matches;
           QCheck_alcotest.to_alcotest prop_dom_ran_match;
+          QCheck_alcotest.to_alcotest prop_deltas_match;
           QCheck_alcotest.to_alcotest prop_lex_forward_subset;
           Alcotest.test_case "restrict_dom" `Quick test_restrict_dom_ran;
         ] );

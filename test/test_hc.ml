@@ -270,6 +270,18 @@ let prop_dom_ran_match_reference =
       let rd, rr = with_memo_disabled (fun () -> (Rel.dom r, Rel.ran r)) in
       iset1_ext_equal (Rel.dom r) rd && iset1_ext_equal (Rel.ran r) rr)
 
+(* Differences of the ±10 box reach ±20. *)
+let prop_deltas_match_reference =
+  QCheck2.Test.make ~name:"memoized deltas = reference" ~count:40 gen_rel
+    (fun r ->
+      let reference = with_memo_disabled (fun () -> Rel.deltas r) in
+      let memoized = Rel.deltas r in
+      List.for_all
+        (fun l ->
+          let xs = Array.of_list l in
+          Iset.mem memoized xs = Iset.mem reference xs)
+        (box_points 1 (-22) 22))
+
 let prop_compose_matches_reference =
   QCheck2.Test.make ~name:"memoized compose = reference" ~count:25
     QCheck2.Gen.(pair gen_rel gen_rel)
@@ -385,6 +397,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_simplify_matches_reference;
           QCheck_alcotest.to_alcotest prop_decisions_match_reference;
           QCheck_alcotest.to_alcotest prop_dom_ran_match_reference;
+          QCheck_alcotest.to_alcotest prop_deltas_match_reference;
           QCheck_alcotest.to_alcotest prop_compose_matches_reference;
           Alcotest.test_case "mixed spaces rejected on both paths" `Quick
             test_mixed_space_rejected;

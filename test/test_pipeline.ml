@@ -146,6 +146,37 @@ let test_run_text_and_json () =
           "\"partition\":{";
         ]
 
+(* An Omega elimination on this nest once needed ~6,000 splinters per
+   lower bound and aborted the process.  The analysis now raises a typed
+   Blowup, Algorithm 1 degrades to dataflow fronts (the bounds are
+   constants), and the run passes both checks. *)
+let test_run_degrades_on_splinter_blowup () =
+  let prog =
+    Loopir.Parser.parse ~name:"splinter"
+      "DO i = 1, 6\n\
+      \  DO j = 1, 6\n\
+      \    DO k = 1, 6\n\
+      \      a(-1*i + 3*j + -1*k + 4, 2*j + 3*k + 3) = a(3*i + 1*k + 4, -1*i \
+       + 2*j + 1*k + 2)\n\
+      \    ENDDO\n\
+      \  ENDDO\n\
+       ENDDO\n"
+  in
+  (match Driver.analyze prog with
+  | Error (Diag.Set_blowup _) -> ()
+  | Error e -> Alcotest.fail ("unexpected: " ^ Diag.to_string e)
+  | Ok _ -> Alcotest.fail "expected a set-algebra blowup");
+  let options = { Driver.default_options with threads = 1 } in
+  match Driver.run ~options ~name:"splinter" ~params:[] prog with
+  | Error e -> Alcotest.fail (Driver.error_to_string e)
+  | Ok { report; _ } ->
+      Alcotest.(check string) "degrades to dataflow" "dataflow"
+        report.Report.strategy;
+      check_ok "legality" report.Report.legality;
+      check_ok "semantics" report.Report.semantics;
+      Alcotest.(check bool) "every instance" true
+        (report.Report.n_instances = Some 216)
+
 (* ------------------------------------------------------------------ *)
 (* Error threading: typed Diag errors instead of failwith strings       *)
 
@@ -759,6 +790,8 @@ let () =
             test_run_text_and_json;
           Alcotest.test_case "codegen availability" `Quick
             test_codegen_rec_and_unsupported;
+          Alcotest.test_case "splinter blowup degrades to dataflow" `Quick
+            test_run_degrades_on_splinter_blowup;
         ] );
       ( "errors",
         [

@@ -164,6 +164,22 @@ let test_empty_div () =
   let p = P.make 1 (dv 1 2 [ 1 ] 0 :: dv 1 3 [ 1 ] 0 :: box 1 1 6) in
   Alcotest.(check bool) "…1≤x≤6 has x=6" false (Omega.is_empty p)
 
+(* Coefficients grown by earlier pivots used to make one Fourier–Motzkin
+   step emit rmax + 1 splinters per lower bound without limit (about 6,000
+   on a 6×6×6 coupled nest, enough to exhaust memory).  The count is now
+   bounded like residue branching: 1000·x ≥ y ∧ 1000·x ≤ y + 5 needs 999
+   splinters, more than max_branch_modulus, so elimination fails typed. *)
+let test_splinter_count_bounded () =
+  let p =
+    P.make 2 (ge 2 [ 1000; -1 ] 0 :: ge 2 [ -1000; 1 ] 5 :: box 2 0 100_000)
+  in
+  Alcotest.(check bool) "above the branching bound" true
+    (999 > Omega.max_branch_modulus);
+  match Omega.eliminate p 0 with
+  | _ -> Alcotest.fail "expected Blowup"
+  | exception Omega.Blowup m ->
+      Alcotest.(check string) "typed message" "splinter count 999" m
+
 (* ------------------------------------------------------------------ *)
 (* Brute-force cross-checks                                             *)
 
@@ -225,6 +241,18 @@ let prop_projection_exact_mid =
       in
       let got =
         List.concat_map (brute_points 2) projected |> sorted_points
+      in
+      expected = got)
+
+let prop_greedy_projection_exact =
+  QCheck2.Test.make ~name:"project_out_greedy exact (3D→1D)" ~count:80
+    (gen_poly 3) (fun p ->
+      let expected =
+        brute_points 3 p |> List.map (fun xs -> [| xs.(1) |]) |> sorted_points
+      in
+      let got =
+        List.concat_map (brute_points 1) (Omega.project_out_greedy p [ 0; 2 ])
+        |> sorted_points
       in
       expected = got)
 
@@ -438,6 +466,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_emptiness_matches_brute_3d;
           QCheck_alcotest.to_alcotest prop_projection_exact;
           QCheck_alcotest.to_alcotest prop_projection_exact_mid;
+          QCheck_alcotest.to_alcotest prop_greedy_projection_exact;
+          Alcotest.test_case "splinter count bounded" `Quick
+            test_splinter_count_bounded;
         ] );
       ( "dnf",
         [

@@ -348,6 +348,16 @@ let test_service_duplicate_hits () =
   in
   Alcotest.(check int) "responses marked cached" 9 cached
 
+let splinter_src =
+  "DO i = 1, 6\n\
+  \  DO j = 1, 6\n\
+  \    DO k = 1, 6\n\
+  \      a(-1*i + 3*j + -1*k + 4, 2*j + 3*k + 3) = a(3*i + 1*k + 4, -1*i + \
+   2*j + 1*k + 2)\n\
+  \    ENDDO\n\
+  \  ENDDO\n\
+   ENDDO\n"
+
 let test_service_error_isolation () =
   let svc = Service.create ~config:(quiet_config ~domains:2) () in
   let good =
@@ -363,10 +373,21 @@ let test_service_error_isolation () =
     Proto.request ~id:"unbound" ~name:"unbound" ~params:[]
       ~mode:Proto.Classify (Proto.Src base_src)
   in
-  let responses = Service.batch svc [ good; bad; unbound ] in
+  let blowup =
+    (* Omega splinters used to exhaust memory on this nest and take the
+       whole process down; the analysis now fails typed. *)
+    Proto.request ~id:"blowup" ~name:"blowup" ~mode:Proto.Classify
+      (Proto.Src splinter_src)
+  in
+  let responses = Service.batch svc [ blowup; good; bad; unbound ] in
   Service.shutdown svc;
   match responses with
-  | [ g; b; u ] ->
+  | [ x; g; b; u ] ->
+      (match x.Proto.body with
+      | Proto.Failed (Proto.Pipeline_error { label; _ }) ->
+          Alcotest.(check string)
+            "set-algebra blowup surfaces its label" "set-blowup" label
+      | _ -> Alcotest.fail "splinter blowup should be a pipeline error");
       Alcotest.(check bool) "good succeeded" true (Proto.ok g);
       (match b.Proto.body with
       | Proto.Failed (Proto.Bad_request _) -> ()
@@ -376,7 +397,7 @@ let test_service_error_isolation () =
           Alcotest.(check string)
             "unbound parameter surfaces its label" "unbound-parameter" label
       | _ -> Alcotest.fail "unbound parameter should be a pipeline error")
-  | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs)
+  | rs -> Alcotest.failf "expected 4 responses, got %d" (List.length rs)
 
 let test_service_reused_index () =
   (* A nest that reuses an enclosing loop's index is a bad request, from
