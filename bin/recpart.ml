@@ -732,7 +732,10 @@ let profile_cmd =
 (* ---- batch / serve ----------------------------------------------------- *)
 
 let domains_arg =
-  let doc = "Worker domains draining the request queue." in
+  let doc =
+    "Domains in the service's one pool: they drain the request queue and \
+     run each request's execution chunks and set-algebra jobs."
+  in
   Arg.(value & opt int 4 & info [ "domains" ] ~doc)
 
 let cache_arg =
@@ -796,7 +799,7 @@ let response_of_line svc ~lineno line =
       Svc.Proto.error_response ~id (Svc.Proto.Bad_request message)
   | Ok req -> Svc.Service.run_one svc req
 
-let batch_summary responses stats exec_pool =
+let batch_summary responses stats pool =
   let n = List.length responses in
   let errors = List.length (List.filter (fun r -> not (Svc.Proto.ok r)) responses) in
   let hits =
@@ -808,12 +811,11 @@ let batch_summary responses stats exec_pool =
     n (n - errors) errors hits
     (if n = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int n)
     stats.Svc.Cache.size stats.Svc.Cache.capacity;
-  (* The executor pool is created once per service: its spawn count scales
-     with the pool size, never with the request count (CI smoke greps this
-     line). *)
-  Printf.eprintf "exec-pool: domains=%d spawned=%d requests=%d\n"
-    (Runtime.Workers.domains exec_pool)
-    (Runtime.Workers.spawned exec_pool)
+  (* The pool is created once per service: its spawn count is the pool
+     size, never the request count (CI smoke greps this line). *)
+  Printf.eprintf "pool: domains=%d spawned=%d requests=%d\n"
+    (Runtime.Workers.domains pool)
+    (Runtime.Workers.spawned pool)
     n;
   (* Request-level cache hits above; this line is the set-algebra layer
      below it (CI asserts the hit count is non-zero on the batch corpus). *)
@@ -902,8 +904,7 @@ let batch_cmd =
       ordered;
     if out <> None then close_out oc;
     write_trace sink trace;
-    batch_summary ordered (Svc.Service.cache_stats svc)
-      (Svc.Service.exec_pool svc)
+    batch_summary ordered (Svc.Service.cache_stats svc) (Svc.Service.pool svc)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1046,7 +1047,7 @@ let metrics_cmd =
   in
   let health_arg =
     let doc =
-      "Print the health report (pool/queue/cache/exec liveness) instead of \
+      "Print the health report (pool/queue/cache liveness) instead of \
        metrics; exits non-zero when unhealthy."
     in
     Arg.(value & flag & info [ "health" ] ~doc)

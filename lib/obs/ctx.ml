@@ -14,8 +14,8 @@ let make () =
   { id = Printf.sprintf "t%06x-%x" origin (Atomic.fetch_and_add seq 1) }
 
 (* Per-domain cell: the context never migrates between domains by itself —
-   pools that move work across domains capture it at submit time and
-   install it around the job (Svc.Pool, Runtime.Workers). *)
+   the pool that moves work across domains (Runtime.Workers) captures it
+   when a run or admitted job is queued and installs it around the job. *)
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let current () = !(Domain.DLS.get key)

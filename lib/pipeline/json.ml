@@ -108,11 +108,23 @@ let parse s =
     end
     else error ("invalid literal, expected " ^ word)
   in
+  (* Exactly four hex digits: [int_of_string] alone would raise Failure
+     on "ZZZZ" and accept "1_2_". *)
   let hex4 () =
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> error "\\u escape needs four hex digits"
+    in
     if !pos + 4 > n then error "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      v := (!v * 16) + digit s.[!pos];
+      advance ()
+    done;
+    !v
   in
   let parse_string () =
     expect '"';

@@ -6,10 +6,12 @@ module D = Numeric.Digest
 
 (* The presburger layer sits below Runtime in the dependency order, so the
    worker pool is injected: Runtime.Workers installs a runner that executes
-   an array of jobs on its domains ([Svc.Service] shares its exec pool this
-   way).  Without a runner — or below the threshold, or when already inside
-   a parallel disjunct job (the pool forbids nested barriers) — the work
-   runs sequentially on the caller. *)
+   an array of jobs on its domains ([Svc.Service] installs its one pool this
+   way).  Without a runner, below the threshold, or when already inside a
+   parallel disjunct job, the work runs sequentially on the caller.  The
+   pool would accept the nested barrier, but a disjunct job already runs
+   beside its siblings: splitting it again only adds queue traffic, so
+   nested eliminations stay sequential. *)
 let runner : ((unit -> unit) array -> unit) option Atomic.t = Atomic.make None
 let set_runner r = Atomic.set runner r
 let par_threshold = 4
@@ -34,7 +36,8 @@ let par_map f xs =
           let job i () =
             (* The flag is per executing domain: a job that re-enters the
                Dnf layer (e.g. remove_redundant → Omega.is_empty) stays
-               sequential instead of submitting a nested barrier. *)
+               sequential instead of submitting a nested barrier, as the
+               header comment explains. *)
             if not (Atomic.get failed) then begin
               let flag = Domain.DLS.get in_par_job in
               flag := true;

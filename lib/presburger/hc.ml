@@ -3,8 +3,7 @@
    Every table is keyed by a 128-bit Numeric.Digest (the same FNV-1a
    discipline as Svc.Key) and digest equality is treated as definitive:
    a hit returns the stored value without re-checking the inputs
-   structurally.  Tables are sharded with per-shard mutexes and a
-   per-shard intrusive LRU list, modeled on Svc.Cache, so they stay
+   structurally.  Tables are sharded Numeric.Lru maps, so they stay
    capacity-bounded under unbounded batch/serve traffic — eviction only
    costs a recomputation, never correctness.
 
@@ -14,24 +13,8 @@
 
 module D = Numeric.Digest
 
-type 'v node = {
-  nkey : D.t;
-  mutable value : 'v;
-  mutable prev : 'v node option;
-  mutable next : 'v node option;
-}
-
-type 'v shard = {
-  m : Mutex.t;
-  tbl : (D.t, 'v node) Hashtbl.t;
-  mutable head : 'v node option; (* most recently used *)
-  mutable tail : 'v node option; (* least recently used *)
-  mutable size : int;
-  cap : int;
-}
-
 type 'v memo = {
-  shards : 'v shard array;
+  lru : (D.t, 'v) Numeric.Lru.t;
   hits : Obs.Counter.t;
   misses : Obs.Counter.t;
   evictions : Obs.Counter.t;
@@ -55,33 +38,10 @@ type entry = {
 let registry : entry list ref = ref []
 let registry_m = Mutex.create ()
 
-let locked sh f =
-  Mutex.lock sh.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.m) f
-
-let clear_shard sh =
-  locked sh (fun () ->
-      Hashtbl.reset sh.tbl;
-      sh.head <- None;
-      sh.tail <- None;
-      sh.size <- 0)
-
-let memo ?(shards = 8) ~name ~capacity () =
-  if capacity <= 0 then invalid_arg "Hc.memo: capacity must be > 0";
-  let shards = max 1 shards in
-  let per_shard = (capacity + shards - 1) / shards in
+let memo ?shards ~name ~capacity () =
   let t =
     {
-      shards =
-        Array.init shards (fun _ ->
-            {
-              m = Mutex.create ();
-              tbl = Hashtbl.create 16;
-              head = None;
-              tail = None;
-              size = 0;
-              cap = per_shard;
-            });
+      lru = Numeric.Lru.create ?shards ~capacity ~hash:D.hash ();
       hits = Obs.Counter.make (Printf.sprintf "presburger.memo.%s.hits" name);
       misses =
         Obs.Counter.make (Printf.sprintf "presburger.memo.%s.misses" name);
@@ -92,7 +52,7 @@ let memo ?(shards = 8) ~name ~capacity () =
   Mutex.lock registry_m;
   registry :=
     {
-      e_clear = (fun () -> Array.iter clear_shard t.shards);
+      e_clear = (fun () -> Numeric.Lru.clear t.lru);
       e_hits = t.hits;
       e_misses = t.misses;
       e_evictions = t.evictions;
@@ -123,57 +83,12 @@ let totals () =
     { hits = 0; misses = 0; evictions = 0 }
     entries
 
-let shard_of t k = t.shards.(D.hash k mod Array.length t.shards)
-
-(* List surgery below runs under the shard mutex. *)
-
-let unlink sh n =
-  (match n.prev with Some p -> p.next <- n.next | None -> sh.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> sh.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front sh n =
-  n.next <- sh.head;
-  n.prev <- None;
-  (match sh.head with Some h -> h.prev <- Some n | None -> sh.tail <- Some n);
-  sh.head <- Some n
-
 let find t k =
-  let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | Some n ->
-          unlink sh n;
-          push_front sh n;
-          Obs.Counter.incr t.hits;
-          Some n.value
-      | None ->
-          Obs.Counter.incr t.misses;
-          None)
+  let v = Numeric.Lru.find t.lru k in
+  Obs.Counter.incr (if Option.is_some v then t.hits else t.misses);
+  v
 
-let add t k v =
-  let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | Some n ->
-          n.value <- v;
-          unlink sh n;
-          push_front sh n
-      | None ->
-          let n = { nkey = k; value = v; prev = None; next = None } in
-          Hashtbl.replace sh.tbl k n;
-          push_front sh n;
-          sh.size <- sh.size + 1;
-          if sh.size > sh.cap then begin
-            match sh.tail with
-            | Some lru ->
-                unlink sh lru;
-                Hashtbl.remove sh.tbl lru.nkey;
-                sh.size <- sh.size - 1;
-                Obs.Counter.incr t.evictions
-            | None -> assert false
-          end)
+let add t k v = if Numeric.Lru.add t.lru k v then Obs.Counter.incr t.evictions
 
 (* The compute runs outside the shard lock: concurrent misses on the same
    key both compute and both store (last write wins) — duplicated work,
@@ -189,7 +104,4 @@ let get t k f =
         add t k v;
         v
 
-let length t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> sh.size))
-    0 t.shards
+let length t = Numeric.Lru.length t.lru

@@ -1,27 +1,40 @@
 let spawned_counter = Obs.Counter.make "runtime.workers.spawned"
 let runs_counter = Obs.Counter.make "runtime.workers.runs"
 
-(* Per-domain job accounting: every executed thunk is attributed to
+(* Per-domain job accounting: every executed run thunk is attributed to
    exactly one side — [jobs_stolen] when a helper domain popped it,
    [jobs_caller] when the submitting caller ran it (its own first thunk,
    or a queued job it drained while waiting) — so
    jobs = jobs_stolen + jobs_caller holds on a quiescent pool.  The
    histograms measure scheduling latency: [queue_wait_us] from a job's
    enqueue to its dequeue, [barrier_wait_us] the time a caller spends
-   blocked at the completion barrier after running out of queued work. *)
+   blocked at the completion barrier after running out of queued work.
+   Admitted jobs are counted apart: each ends as one [completed] or one
+   [panics], and [queue_depth] samples the admission queue per submit. *)
 let jobs_counter = Obs.Counter.make "runtime.workers.jobs"
 let stolen_counter = Obs.Counter.make "runtime.workers.jobs_stolen"
 let caller_counter = Obs.Counter.make "runtime.workers.jobs_caller"
+let completed_counter = Obs.Counter.make "runtime.workers.completed"
+let panics_counter = Obs.Counter.make "runtime.workers.panics"
 let queue_wait_hist = Obs.Histogram.make "runtime.workers.queue_wait_us"
 let barrier_wait_hist = Obs.Histogram.make "runtime.workers.barrier_wait_us"
+let queue_depth_hist = Obs.Histogram.make "runtime.workers.queue_depth"
 
 let elapsed_us t0 =
   Int64.to_int (Int64.div (Int64.sub (Obs.Clock.now_ns ()) t0) 1000L)
 
+exception Closed
+
+type admitted = { ctx : Obs.Ctx.t option; job : unit -> unit }
+
 type t = {
   m : Mutex.t;
-  not_empty : Condition.t;
-  q : (unit -> unit) Queue.t;
+  work : Condition.t;  (* a job was queued, or the pool is closing *)
+  not_full : Condition.t;  (* an admission slot freed, or closing *)
+  runq : (unit -> unit) Queue.t;  (* [run]'s barrier jobs *)
+  admq : admitted Queue.t;  (* at most [capacity] admitted jobs *)
+  capacity : int;
+  events : Obs.Event.t;
   n_domains : int;
   n_spawned : int;
   mutable closing : bool;
@@ -30,41 +43,89 @@ type t = {
 
 let domains t = t.n_domains
 let spawned t = t.n_spawned
+let capacity t = t.capacity
+
+let locked t f =
+  Mutex.lock t.m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+
+let queue_length t = locked t (fun () -> Queue.length t.admq)
+let alive t = locked t (fun () -> not t.closing)
+
+(* The submitter's request context covers the dequeue event, the job
+   and any panic event: everything this job emits is attributed to its
+   request.  Installing [None] explicitly keeps a context-free job from
+   inheriting the previous job's. *)
+let run_admitted t wid { ctx; job } =
+  Obs.Ctx.with_opt ctx (fun () ->
+      Obs.Event.emit ~log:t.events ~severity:Obs.Event.Debug ~scope:"runtime"
+        ~name:"workers.dequeue" (fun () -> [ ("worker", Obs.Event.Int wid) ]);
+      match job () with
+      | () -> Obs.Counter.incr completed_counter
+      | exception e ->
+          Obs.Counter.incr panics_counter;
+          Obs.Event.emit ~log:t.events ~severity:Obs.Event.Warn
+            ~scope:"runtime" ~name:"workers.panic" (fun () ->
+              [
+                ("worker", Obs.Event.Int wid);
+                ("exn", Obs.Event.Str (Printexc.to_string e));
+              ]))
 
 (* Drain-then-exit helper: keeps popping while jobs remain, even after
-   [closing] is set, so shutdown never drops a queued job. *)
-let rec helper t =
+   [closing] is set, so shutdown never drops a queued job.  Run jobs go
+   first: a [run] caller's barrier may be waiting on them, while an
+   admitted job only waits for a free domain. *)
+let rec helper t wid =
   Mutex.lock t.m;
-  while Queue.is_empty t.q && not t.closing do
-    Condition.wait t.not_empty t.m
+  while Queue.is_empty t.runq && Queue.is_empty t.admq && not t.closing do
+    Condition.wait t.work t.m
   done;
-  if Queue.is_empty t.q then Mutex.unlock t.m
-  else begin
-    let job = Queue.pop t.q in
-    Mutex.unlock t.m;
-    Obs.Counter.incr stolen_counter;
-    job ();
-    helper t
-  end
+  match Queue.take_opt t.runq with
+  | Some job ->
+      Mutex.unlock t.m;
+      Obs.Counter.incr stolen_counter;
+      job ();
+      helper t wid
+  | None -> (
+      match Queue.take_opt t.admq with
+      | Some a ->
+          Condition.signal t.not_full;
+          Mutex.unlock t.m;
+          run_admitted t wid a;
+          helper t wid
+      | None -> Mutex.unlock t.m)
 
-let create ~domains =
-  if domains < 1 then invalid_arg "Workers.create: domains must be >= 1";
+let make ~queue_capacity ~events ~domains ~spawn =
+  if queue_capacity < 1 then
+    invalid_arg "Workers: queue_capacity must be >= 1";
   let t =
     {
       m = Mutex.create ();
-      not_empty = Condition.create ();
-      q = Queue.create ();
+      work = Condition.create ();
+      not_full = Condition.create ();
+      runq = Queue.create ();
+      admq = Queue.create ();
+      capacity = queue_capacity;
+      events;
       n_domains = domains;
-      n_spawned = domains - 1;
+      n_spawned = spawn;
       closing = false;
       helpers = [];
     }
   in
   t.helpers <-
-    List.init (domains - 1) (fun _ ->
+    List.init spawn (fun wid ->
         Obs.Counter.incr spawned_counter;
-        Domain.spawn (fun () -> helper t));
+        Domain.spawn (fun () -> helper t wid));
   t
+
+let create ~domains =
+  if domains < 1 then invalid_arg "Workers.create: domains must be >= 1";
+  make ~queue_capacity:64 ~events:Obs.Event.null ~domains ~spawn:(domains - 1)
+
+let spawn ?(queue_capacity = 64) ?(events = Obs.Event.null) ~domains () =
+  if domains < 1 then invalid_arg "Workers.spawn: domains must be >= 1";
+  make ~queue_capacity ~events ~domains ~spawn:domains
 
 let run t thunks =
   Obs.Counter.incr runs_counter;
@@ -86,7 +147,7 @@ let run t thunks =
        leak into someone else's thunk. *)
     let wrap f = Obs.Ctx.with_opt ctx f in
     (* Call-local barrier state: jobs of concurrent [run] calls share the
-       pool queue but complete against their own counter. *)
+       run queue but complete against their own counter. *)
     let cm = Mutex.create () in
     let all_done = Condition.create () in
     let remaining = ref (n - 1) in
@@ -109,12 +170,14 @@ let run t thunks =
     in
     Mutex.lock t.m;
     for i = 1 to n - 1 do
-      Queue.push (job i) t.q
+      Queue.push (job i) t.runq
     done;
-    Condition.broadcast t.not_empty;
+    Condition.broadcast t.work;
     Mutex.unlock t.m;
     (* The caller is a worker too: run the first thunk here, then help
-       drain the queue until this call's jobs are all accounted for. *)
+       drain the run queue until this call's jobs are all accounted for.
+       It never takes an admitted job, which may block (the drain rule in
+       workers.mli). *)
     Obs.Counter.incr caller_counter;
     (match thunks.(0) () with
     | v -> results.(0) <- Some v
@@ -125,7 +188,7 @@ let run t thunks =
       Mutex.unlock cm;
       if pending then begin
         Mutex.lock t.m;
-        let next = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
+        let next = Queue.take_opt t.runq in
         Mutex.unlock t.m;
         match next with
         | Some j ->
@@ -135,7 +198,7 @@ let run t thunks =
             j ();
             drain ()
         | None ->
-            (* Own jobs are in flight on other domains: wait them out. *)
+            (* Own jobs are running on other domains: wait them out. *)
             let w0 = Obs.Clock.now_ns () in
             Mutex.lock cm;
             while !remaining > 0 do
@@ -150,6 +213,45 @@ let run t thunks =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
+(* Enqueue under [t.m], once the caller has checked for room.  With no
+   spawned domain nothing would ever run the job. *)
+let enqueue t job =
+  if t.n_spawned = 0 then invalid_arg "Workers: the pool spawned no domain";
+  Queue.push { ctx = Obs.Ctx.current (); job } t.admq;
+  Condition.signal t.work;
+  Queue.length t.admq
+
+let admitted t depth =
+  Obs.Histogram.observe queue_depth_hist depth;
+  Obs.Event.emit ~log:t.events ~severity:Obs.Event.Debug ~scope:"runtime"
+    ~name:"workers.submit" (fun () -> [ ("depth", Obs.Event.Int depth) ])
+
+let submit t job =
+  let depth =
+    locked t (fun () ->
+        while Queue.length t.admq >= t.capacity && not t.closing do
+          Condition.wait t.not_full t.m
+        done;
+        if t.closing then raise Closed;
+        enqueue t job)
+  in
+  admitted t depth
+
+(* Non-blocking admission for the network path: a full queue is the
+   load-shedding signal, not something to wait out while a socket reader
+   sits blocked.  Returns [false] instead of raising on a closing pool;
+   the server turns both into typed error records. *)
+let try_submit t job =
+  match
+    locked t (fun () ->
+        if t.closing || Queue.length t.admq >= t.capacity then None
+        else Some (enqueue t job))
+  with
+  | None -> false
+  | Some depth ->
+      admitted t depth;
+      true
+
 (* The presburger layer sits below this one, so its parallel disjunct
    elimination receives the pool as an injected runner rather than a direct
    dependency.  [run] already satisfies Dnf's runner contract: barrier
@@ -160,11 +262,14 @@ let install_dnf_runner t =
 let uninstall_dnf_runner () = Presburger.Dnf.set_runner None
 
 let shutdown t =
-  Mutex.lock t.m;
-  let first = not t.closing in
-  t.closing <- true;
-  Condition.broadcast t.not_empty;
-  Mutex.unlock t.m;
+  let first =
+    locked t (fun () ->
+        let first = not t.closing in
+        t.closing <- true;
+        Condition.broadcast t.work;
+        Condition.broadcast t.not_full;
+        first)
+  in
   if first then begin
     List.iter Domain.join t.helpers;
     t.helpers <- []

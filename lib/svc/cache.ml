@@ -1,19 +1,3 @@
-type 'v node = {
-  nkey : Key.t;
-  mutable value : 'v;
-  mutable prev : 'v node option;
-  mutable next : 'v node option;
-}
-
-type 'v shard = {
-  m : Mutex.t;
-  tbl : (Key.t, 'v node) Hashtbl.t;
-  mutable head : 'v node option;  (* most recently used *)
-  mutable tail : 'v node option;  (* least recently used *)
-  mutable size : int;
-  cap : int;
-}
-
 (* Optional durable second tier: a memory miss falls through to the
    store, a decoded payload is promoted into memory, and every insert is
    written behind to the log.  The codec lives with the tier because the
@@ -25,28 +9,16 @@ type 'v tier = {
 }
 
 type 'v t = {
-  shards : 'v shard array;
+  lru : (Key.t, 'v) Numeric.Lru.t;
   hits : Obs.Counter.t;
   misses : Obs.Counter.t;
   evictions : Obs.Counter.t;
   mutable tier : 'v tier option;
 }
 
-let create ?(shards = 8) ~capacity ~name () =
-  if capacity <= 0 then invalid_arg "Svc.Cache.create: capacity must be > 0";
-  let shards = max 1 shards in
-  let per_shard = (capacity + shards - 1) / shards in
+let create ?shards ~capacity ~name () =
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            m = Mutex.create ();
-            tbl = Hashtbl.create 16;
-            head = None;
-            tail = None;
-            size = 0;
-            cap = per_shard;
-          });
+    lru = Numeric.Lru.create ?shards ~capacity ~hash:Key.hash ();
     hits = Obs.Counter.make (Printf.sprintf "svc.cache.%s.hits" name);
     misses = Obs.Counter.make (Printf.sprintf "svc.cache.%s.misses" name);
     evictions = Obs.Counter.make (Printf.sprintf "svc.cache.%s.evictions" name);
@@ -60,66 +32,15 @@ let attach_store t ~store ~encode ~decode =
 
 let store t = Option.map (fun tier -> tier.t_store) t.tier
 
-let shard_of t k = t.shards.(Key.hash k mod Array.length t.shards)
-
-(* List surgery below runs under the shard mutex. *)
-
-let unlink sh n =
-  (match n.prev with Some p -> p.next <- n.next | None -> sh.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> sh.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front sh n =
-  n.next <- sh.head;
-  n.prev <- None;
-  (match sh.head with Some h -> h.prev <- Some n | None -> sh.tail <- Some n);
-  sh.head <- Some n
-
-let locked sh f =
-  Mutex.lock sh.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.m) f
-
 (* Memory insert without touching the store tier — shared by [add] and
    the disk-hit promotion path (which must not re-append the record it
    just read). *)
 let add_mem t k v =
-  let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | Some n ->
-          n.value <- v;
-          unlink sh n;
-          push_front sh n
-      | None ->
-          let n = { nkey = k; value = v; prev = None; next = None } in
-          Hashtbl.replace sh.tbl k n;
-          push_front sh n;
-          sh.size <- sh.size + 1;
-          if sh.size > sh.cap then begin
-            match sh.tail with
-            | Some lru ->
-                unlink sh lru;
-                Hashtbl.remove sh.tbl lru.nkey;
-                sh.size <- sh.size - 1;
-                Obs.Counter.incr t.evictions
-            | None -> assert false
-          end)
+  if Numeric.Lru.add t.lru k v then Obs.Counter.incr t.evictions
 
 let find t k =
-  let sh = shard_of t k in
-  let in_mem =
-    locked sh (fun () ->
-        match Hashtbl.find_opt sh.tbl k with
-        | Some n ->
-            unlink sh n;
-            push_front sh n;
-            Obs.Counter.incr t.hits;
-            Some n.value
-        | None ->
-            Obs.Counter.incr t.misses;
-            None)
-  in
+  let in_mem = Numeric.Lru.find t.lru k in
+  Obs.Counter.incr (if Option.is_some in_mem then t.hits else t.misses);
   match (in_mem, t.tier) with
   | (Some _ as hit), _ -> hit
   | None, None -> None
@@ -143,10 +64,7 @@ let add t k v =
       if not (Store.mem tier.t_store k) then
         Store.add tier.t_store k (tier.t_encode v)
 
-let length t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> sh.size))
-    0 t.shards
+let length t = Numeric.Lru.length t.lru
 
 type stats = {
   hits : int;
@@ -162,6 +80,5 @@ let stats (t : 'v t) =
     misses = Obs.Counter.value t.misses;
     evictions = Obs.Counter.value t.evictions;
     size = length t;
-    capacity =
-      Array.fold_left (fun acc sh -> acc + sh.cap) 0 t.shards;
+    capacity = Numeric.Lru.capacity t.lru;
   }

@@ -58,11 +58,11 @@ type value = {
 type t = {
   config : config;
   cache : value Cache.t;
-  pool : Pool.t;
-  exec : Runtime.Workers.t;
-      (* one executor pool for every request's parallel phases: spawned at
-         service creation, shared across the whole batch/serve lifetime
-         (spawn count scales with [threads], not with requests) *)
+  pool : Runtime.Workers.t;
+      (* the one domain pool: its domains drain admitted requests and run
+         their execution chunks and DNF disjuncts; spawned at service
+         creation, so the spawn count is [domains], never the request
+         count *)
   window : Obs.Window.t;
   store : Store.t option;
   mutable gauge_providers : (unit -> (string * float) list) list;
@@ -102,9 +102,8 @@ let create ?(config = default_config) () =
         Cache.create ~shards:config.cache_shards
           ~capacity:config.cache_capacity ~name:"results" ();
       pool =
-        Pool.create ~queue_capacity:config.queue_capacity
+        Runtime.Workers.spawn ~queue_capacity:config.queue_capacity
           ~events:config.events ~domains:config.domains ();
-      exec = Runtime.Workers.create ~domains:(max 1 config.threads);
       window = Obs.Window.create ~windows:config.windows ~period_s:config.window_s ();
       store;
       gauge_providers = [];
@@ -115,18 +114,16 @@ let create ?(config = default_config) () =
       Cache.attach_store t.cache ~store ~encode:encode_value
         ~decode:decode_value)
     store;
-  (* The exec pool doubles as the presburger layer's DNF-disjunct runner,
-     so analysis-side set algebra parallelizes over the same domains. *)
-  Runtime.Workers.install_dnf_runner t.exec;
+  (* The pool doubles as the presburger layer's DNF-disjunct runner, so
+     analysis-side set algebra parallelizes over the same domains. *)
+  Runtime.Workers.install_dnf_runner t.pool;
   if config.flight then Obs.Flight.enable ();
   t
 
 let cache_stats t = Cache.stats t.cache
-let exec_pool t = t.exec
+let pool t = t.pool
 let window t = t.window
 let store t = t.store
-let pool_capacity t = Pool.capacity t.pool
-let pool_queue_length t = Pool.queue_length t.pool
 
 let register_gauges t provider =
   t.gauge_providers <- provider :: t.gauge_providers
@@ -136,8 +133,7 @@ let flush_store t = Option.iter Store.flush t.store
 let shutdown t =
   Runtime.Workers.uninstall_dnf_runner ();
   if t.config.flight then Obs.Flight.disable ();
-  Pool.shutdown t.pool;
-  Runtime.Workers.shutdown t.exec;
+  Runtime.Workers.shutdown t.pool;
   Option.iter Store.close t.store
 
 (* Same exception → Diag mapping as Pipeline.Driver.guarded: the known
@@ -249,7 +245,7 @@ let compute t (req : Proto.request) prog ~threads =
           check = t.config.check;
           measure = t.config.measure;
           strategy = req.strategy;
-          workers = Some t.exec;
+          workers = Some t.pool;
           sink = t.config.sink;
           events = t.config.events;
         }
@@ -296,15 +292,15 @@ let stats_body t =
   let m = Obs.Metrics.snapshot () in
   (* Point-in-time pool state: counters only move forward, but queue depth
      and domain counts are levels — exported as gauges alongside them. *)
+  let module W = Runtime.Workers in
   let gauges =
     [
-      ("svc.pool.domains", float_of_int (Pool.domains t.pool));
+      ("runtime.workers.domains", float_of_int (W.domains t.pool));
+      ("runtime.workers.spawned", float_of_int (W.spawned t.pool));
       (* "queue_now" not "queue_depth": the per-submit depth histogram
          already owns that name in the exposition. *)
-      ("svc.pool.queue_now", float_of_int (Pool.queue_length t.pool));
-      ("svc.pool.queue_capacity", float_of_int (Pool.capacity t.pool));
-      ("runtime.workers.domains", float_of_int (Runtime.Workers.domains t.exec));
-      ("runtime.workers.spawned", float_of_int (Runtime.Workers.spawned t.exec));
+      ("runtime.workers.queue_now", float_of_int (W.queue_length t.pool));
+      ("runtime.workers.queue_capacity", float_of_int (W.capacity t.pool));
     ]
     @ (match t.store with
       | None -> []
@@ -323,9 +319,10 @@ let stats_body t =
 
 let health_body t =
   let module Json = Pipeline.Json in
-  let alive = Pool.alive t.pool in
-  let qlen = Pool.queue_length t.pool in
-  let qcap = Pool.capacity t.pool in
+  let module W = Runtime.Workers in
+  let alive = W.alive t.pool in
+  let qlen = W.queue_length t.pool in
+  let qcap = W.capacity t.pool in
   (* Cache.length takes every shard lock in turn — a responsiveness probe
      as much as a size reading. *)
   let cache_size = Cache.length t.cache in
@@ -338,7 +335,8 @@ let health_body t =
            Json.Obj
              [
                ("alive", Json.Bool alive);
-               ("domains", Json.Int (Pool.domains t.pool));
+               ("domains", Json.Int (W.domains t.pool));
+               ("spawned", Json.Int (W.spawned t.pool));
                ("queue_depth", Json.Int qlen);
                ("queue_capacity", Json.Int qcap);
              ] );
@@ -347,12 +345,6 @@ let health_body t =
              [
                ("size", Json.Int cache_size);
                ("capacity", Json.Int st.Cache.capacity);
-             ] );
-         ( "exec",
-           Json.Obj
-             [
-               ("domains", Json.Int (Runtime.Workers.domains t.exec));
-               ("spawned", Json.Int (Runtime.Workers.spawned t.exec));
              ] );
          ( "windows",
            Json.Obj
@@ -642,12 +634,12 @@ let submit t (req : Proto.request) ~k =
       in
       k resp
     in
-    if Pool.try_submit t.pool job then Accepted
+    if Runtime.Workers.try_submit t.pool job then Accepted
     else
       Shed
         {
-          queue_depth = Pool.queue_length t.pool;
-          queue_capacity = Pool.capacity t.pool;
+          queue_depth = Runtime.Workers.queue_length t.pool;
+          queue_capacity = Runtime.Workers.capacity t.pool;
         }
   end
 
@@ -667,15 +659,15 @@ let batch t reqs =
     (fun i (req : Proto.request) ->
       if pooled req then begin
         (* Mint the request context here and install it around submit:
-           Pool.submit captures it with the job, so the dequeue event and
-           every span/event of the pooled run carry this trace id. *)
+           Workers.submit captures it with the job, so the dequeue event
+           and every span/event of the pooled run carry this trace id. *)
         let ctx = Obs.Ctx.make () in
         Obs.Ctx.with_ctx ctx @@ fun () ->
         Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug
           ~scope:"svc" ~name:"request.submit" (fun () ->
             [ ("id", Obs.Event.Str req.Proto.id) ]);
         let submitted_ns = Obs.Clock.now_ns () in
-        Pool.submit t.pool (fun () ->
+        Runtime.Workers.submit t.pool (fun () ->
             let resp =
               try process t req ~submitted_ns
               with e ->

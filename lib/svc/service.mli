@@ -14,8 +14,12 @@
     its (complete) result discarded in favor of a deadline error — a
     running pipeline stage is never interrupted mid-flight.
 
+    One {!Runtime.Workers} pool does all the work: its domains drain the
+    admitted requests and also run each request's execution chunks and
+    DNF disjuncts.
+
     Every request runs under an {!Obs.Ctx} (minted at submit, propagated
-    through the pool and the executor domains), so all spans/events it
+    to every pool domain that works for it), so all spans/events it
     causes carry its trace id, which is also stamped into the response.
     Failed requests (deadline/pipeline/panic) dump their flight-recorder
     history to [config.flight_dir]; {!Proto.Metrics}/{!Proto.Health}
@@ -23,11 +27,15 @@
     rolling {!Obs.Window} without touching the cache. *)
 
 type config = {
-  domains : int;  (** worker domains draining the queue *)
-  queue_capacity : int;  (** bounded submit queue (backpressure) *)
+  domains : int;
+      (** pool domains: they drain the request queue and run the
+          requests' execution chunks and DNF disjuncts *)
+  queue_capacity : int;  (** bounded request queue (backpressure) *)
   cache_capacity : int;  (** total cached results (see {!Cache.create}) *)
   cache_shards : int;
-  threads : int;  (** default execution domains per request *)
+  threads : int;
+      (** default chunk drainers per request execution (a cache-key
+          facet; the drainers run on the pool's domains) *)
   check : bool;  (** validate legality + sequential equivalence *)
   measure : bool;
   deadline_s : float option;  (** default per-request deadline *)
@@ -58,8 +66,8 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Spawns the worker pool (and opens the durable store when
-    [config.store_dir] is set); call {!shutdown} when done. *)
+(** Spawns the pool's [config.domains] domains (and opens the durable
+    store when [config.store_dir] is set); call {!shutdown} when done. *)
 
 val run_one : t -> Proto.request -> Proto.response
 (** Process one request synchronously on the calling domain, sharing the
@@ -84,7 +92,8 @@ val submit : t -> Proto.request -> k:(Proto.response -> unit) -> admission
     fires later on a worker domain (so it must be thread-safe), or the
     call returns {!Shed} when the queue is at capacity — the server's
     load-shedding signal, rendered as a typed [overloaded] record.  [k]
-    must not raise; an exception from it is counted as a pool panic. *)
+    must not raise; an exception from it is counted in
+    [runtime.workers.panics]. *)
 
 val cache_stats : t -> Cache.stats
 
@@ -95,11 +104,6 @@ val flush_store : t -> unit
 (** Force the store's write-behind buffers to disk (no-op without a
     store).  The server calls this on graceful drain. *)
 
-val pool_capacity : t -> int
-val pool_queue_length : t -> int
-(** Queue state for rendering {!Shed} into an [overloaded] record and
-    for the health op's headroom signal. *)
-
 val register_gauges : t -> (unit -> (string * float) list) -> unit
 (** Add gauge providers sampled by the [metrics] op's export (the
     network server registers its connection/in-flight gauges here so
@@ -109,12 +113,10 @@ val window : t -> Obs.Window.t
 (** The service's rolling aggregation window (rolled from the request
     hot path; what the [metrics] op's windowed quantiles read). *)
 
-val exec_pool : t -> Runtime.Workers.t
-(** The persistent executor pool shared by every request's parallel
-    phases — created once with [config.threads] domains at {!create}
-    (its spawn count scales with the pool size, never with the request
-    count). *)
+val pool : t -> Runtime.Workers.t
+(** The service's one domain pool, spawned at {!create} with
+    [config.domains] domains (its spawn count never scales with the
+    request count). *)
 
 val shutdown : t -> unit
-(** Drain in-flight work, join the workers and shut the executor pool
-    down.  Idempotent. *)
+(** Drain in-flight work and join the pool's domains.  Idempotent. *)

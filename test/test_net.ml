@@ -219,6 +219,11 @@ let test_server_bad_and_oversized_keep_connection () =
         (get_str "status" r);
       Alcotest.(check string) "bad-request kind" "bad-request"
         (get_str "kind" r);
+      (* a malformed \u escape is a typed record too, and the reader
+         thread lives on *)
+      let r = parse_line (Result.get_ok (Client.call c {|{"id":"\uZZZZ"}|})) in
+      Alcotest.(check string) "bad escape is a bad-request record"
+        "bad-request" (get_str "kind" r);
       (* oversized line -> typed record, framing intact *)
       let huge =
         Printf.sprintf "{\"id\":\"big\",\"src\":\"%s\"}" (String.make 4096 'x')

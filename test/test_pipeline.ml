@@ -394,7 +394,11 @@ let test_json_parse_errors () =
       match Json.parse s with
       | Ok _ -> Alcotest.failf "%S should not parse" s
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ];
+    [
+      ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}";
+      (* a \u escape takes exactly four hex digits *)
+      {|"\uZZZZ"|}; {|{"a":"\u12"}|}; {|"\u1_2_"|};
+    ];
   List.iter
     (fun (s, expect) ->
       match Json.parse s with

@@ -1,13 +1,14 @@
 (* Tests for the analysis service layer: content-addressed keys (format
    insensitivity, alpha-renaming, determinism), the sharded LRU cache
-   (eviction order, capacity, multi-domain consistency), the domain pool
-   (drain-on-shutdown, panic isolation, pool-of-1 ≡ sequential), the
-   JSONL protocol, and end-to-end service behavior (cache hits on
+   (eviction order, capacity, multi-domain consistency), the service's
+   domain pool (Runtime.Workers admission: drain-on-shutdown, panic
+   isolation, nested runs, shedding, pool-of-1 ≡ sequential), the JSONL
+   protocol, and end-to-end service behavior (cache hits on
    duplicates, per-request error isolation, deadlines). *)
 
 module Key = Svc.Key
 module Cache = Svc.Cache
-module Pool = Svc.Pool
+module Workers = Runtime.Workers
 module Proto = Svc.Proto
 module Service = Svc.Service
 
@@ -168,31 +169,118 @@ let test_cache_concurrent () =
 (* Pool                                                                 *)
 
 let test_pool_shutdown_drains () =
-  let pool = Pool.create ~queue_capacity:8 ~domains:2 () in
+  let pool = Workers.spawn ~queue_capacity:8 ~domains:2 () in
   let done_count = Atomic.make 0 in
   for _ = 1 to 50 do
-    Pool.submit pool (fun () -> Atomic.incr done_count)
+    Workers.submit pool (fun () -> Atomic.incr done_count)
   done;
-  Pool.shutdown pool;
+  Workers.shutdown pool;
   Alcotest.(check int) "all queued jobs ran" 50 (Atomic.get done_count);
   Alcotest.(check bool)
     "submit after shutdown raises Closed" true
-    (match Pool.submit pool (fun () -> ()) with
+    (match Workers.submit pool (fun () -> ()) with
     | () -> false
-    | exception Pool.Closed -> true)
+    | exception Workers.Closed -> true)
 
 let test_pool_panic_isolation () =
-  let panics = Obs.Counter.make "svc.pool.panics" in
+  let panics = Obs.Counter.make "runtime.workers.panics" in
   let before = Obs.Counter.value panics in
-  let pool = Pool.create ~queue_capacity:4 ~domains:2 () in
+  let pool = Workers.spawn ~queue_capacity:4 ~domains:2 () in
   let ok = Atomic.make 0 in
   for i = 1 to 20 do
-    if i mod 2 = 0 then Pool.submit pool (fun () -> failwith "boom")
-    else Pool.submit pool (fun () -> Atomic.incr ok)
+    if i mod 2 = 0 then Workers.submit pool (fun () -> failwith "boom")
+    else Workers.submit pool (fun () -> Atomic.incr ok)
   done;
-  Pool.shutdown pool;
+  Workers.shutdown pool;
   Alcotest.(check int) "good jobs all completed" 10 (Atomic.get ok);
   Alcotest.(check int) "panics counted" 10 (Obs.Counter.value panics - before)
+
+(* An admitted job may call [run] on its own pool, as a request does for
+   its execution chunks and DNF disjuncts.  On one domain the job is the
+   only drainer; on two the idle domain helps. *)
+let test_pool_admitted_jobs_run () =
+  List.iter
+    (fun domains ->
+      let pool = Workers.spawn ~domains () in
+      let sums = Array.make 8 0 in
+      for j = 0 to 7 do
+        Workers.submit pool (fun () ->
+            let r = Workers.run pool (Array.init 16 (fun i () -> (i * j) + 1)) in
+            sums.(j) <- Array.fold_left ( + ) 0 r)
+      done;
+      Workers.shutdown pool;
+      Array.iteri
+        (fun j s ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d domains: job %d's run" domains j)
+            ((120 * j) + 16)
+            s)
+        sums)
+    [ 1; 2 ]
+
+(* The drain rule: a [run] caller drains run jobs, never admitted ones.
+   Admitted job [a] runs [t0] itself while [t1] runs on the pool's other
+   domain; [t0] queues admitted job [b] and returns.  [a]'s domain then
+   finds the run queue empty and must wait at the barrier, not take [b],
+   so [b] cannot start before [t1] finishes. *)
+let test_pool_run_skips_admissions () =
+  let pool = Workers.spawn ~domains:2 () in
+  let t1_started = Atomic.make false and b_started = Atomic.make false in
+  let seen = ref [||] in
+  Workers.submit pool (fun () ->
+      seen :=
+        Workers.run pool
+          [|
+            (fun () ->
+              while not (Atomic.get t1_started) do
+                Domain.cpu_relax ()
+              done;
+              Workers.submit pool (fun () -> Atomic.set b_started true);
+              false);
+            (fun () ->
+              Atomic.set t1_started true;
+              Unix.sleepf 0.02;
+              Atomic.get b_started);
+          |]);
+  (* Shut down only once [b] has run: a closing pool lets an idle domain
+     exit, and [t1] needs the second domain. *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Atomic.get b_started)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Workers.shutdown pool;
+  Alcotest.(check bool) "b ran after a" true (Atomic.get b_started);
+  Alcotest.(check (array bool)) "b never started during a's run"
+    [| false; false |] !seen
+
+(* Run jobs never count against the admission capacity: with a's run
+   leaving 9 jobs in the run queue, a one-slot queue still admits one
+   job, and sheds only the next. *)
+let test_pool_shed_counts_admissions_only () =
+  let pool = Workers.spawn ~queue_capacity:1 ~domains:1 () in
+  let in_run = Atomic.make false and release = Atomic.make false in
+  let ran = Atomic.make 0 in
+  Workers.submit pool (fun () ->
+      ignore
+        (Workers.run pool
+           (Array.init 10 (fun i () ->
+                if i = 0 then begin
+                  Atomic.set in_run true;
+                  while not (Atomic.get release) do
+                    Domain.cpu_relax ()
+                  done
+                end;
+                Atomic.incr ran))));
+  while not (Atomic.get in_run) do
+    Domain.cpu_relax ()
+  done;
+  let first = Workers.try_submit pool (fun () -> Atomic.incr ran) in
+  let second = Workers.try_submit pool (fun () -> Atomic.incr ran) in
+  Atomic.set release true;
+  Workers.shutdown pool;
+  Alcotest.(check bool) "admitted beside 9 queued run jobs" true first;
+  Alcotest.(check bool) "shed once the admission slot is taken" false second;
+  Alcotest.(check int) "every accepted job ran" 11 (Atomic.get ran)
 
 (* A pool of one domain must produce exactly what the calling domain
    produces: same status, strategy and survey for every request. *)
@@ -297,7 +385,32 @@ let test_proto_malformed_lines () =
     "unknown strategy";
   expect_error ~line_id:"r9"
     {|{"id":"r9","name":"x","src":"A(1)=2","threads":0}|}
-    "bad thread count"
+    "bad thread count";
+  expect_error {|{"id":"\uZZZZ"}|} "non-hex \\u escape"
+
+(* Outside input never crashes the decoder: lines of JSON tokens mixed
+   with [\u] escapes followed by four arbitrary bytes decode to [Ok] or
+   [Error]; a [Failure] escaping from [Json.parse] used to kill the
+   connection's reader thread. *)
+let prop_request_of_line_total =
+  let token =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 3,
+            oneofl
+              [
+                "{"; "}"; "["; "]"; ":"; ","; " "; "\""; {|"id"|}; {|"name"|};
+                {|"src"|}; {|"params"|}; "12"; "-2.5e3"; "true"; "null";
+              ] );
+          (1, map (fun b -> "\\u" ^ b) (string_size ~gen:char (return 4)));
+        ])
+  in
+  QCheck2.Test.make ~name:"request_of_line never raises" ~count:1000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(map (String.concat "") (list_size (int_range 1 12) token))
+    (fun line ->
+      match Proto.request_of_line line with Ok _ | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Service                                                              *)
@@ -533,7 +646,16 @@ let test_service_health_op () =
             (fun key ->
               Alcotest.(check bool) (key ^ " block present") true
                 (List.mem_assoc key fields))
-            [ "pool"; "cache"; "exec"; "windows" ]
+            [ "pool"; "cache"; "windows" ];
+          (* one pool: its spawned domains are the configured domains *)
+          Alcotest.(check (option int))
+            "pool.spawned = domains" (Some 2)
+            (match List.assoc_opt "pool" fields with
+            | Some pool -> (
+                match Pipeline.Json.member "spawned" pool with
+                | Some (Pipeline.Json.Int n) -> Some n
+                | _ -> None)
+            | None -> None)
       | _ -> Alcotest.fail "health detail is not an object")
   | _ -> Alcotest.fail "health op should answer with Healthy"
 
@@ -662,12 +784,19 @@ let () =
             test_pool_panic_isolation;
           Alcotest.test_case "pool of 1 = sequential" `Quick
             test_pool_of_one_sequential;
+          Alcotest.test_case "admitted jobs may call run" `Quick
+            test_pool_admitted_jobs_run;
+          Alcotest.test_case "run drains no admitted job" `Quick
+            test_pool_run_skips_admissions;
+          Alcotest.test_case "only admitted jobs are shed" `Quick
+            test_pool_shed_counts_admissions_only;
         ] );
       ( "proto",
         [
           Alcotest.test_case "jsonl round trip" `Quick test_proto_round_trip;
           Alcotest.test_case "malformed lines" `Quick
             test_proto_malformed_lines;
+          QCheck_alcotest.to_alcotest prop_request_of_line_total;
         ] );
       ( "service",
         [
