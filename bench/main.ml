@@ -899,18 +899,17 @@ let pipeline_json () =
   let sc = if quick then 1 else 2 in
   let programs = builtin_corpus sc in
   let thread_counts = [ 1; 2; 4 ] in
-  (* One recording sink across the whole section: the resulting
+  (* One recording log attached across the corpus runs: the resulting
      BENCH_trace.json shows every program × thread-count run end to end. *)
-  let sink = Obs.Sink.make () in
+  let log = Obs.Event.make () in
   let entries =
+    Obs.Event.with_ambient log @@ fun () ->
     List.filter_map
       (fun (name, prog, params) ->
         let runs =
           List.filter_map
             (fun threads ->
-              let options =
-                { Pipeline.Driver.default_options with threads; sink }
-              in
+              let options = { Pipeline.Driver.default_options with threads } in
               let name = Printf.sprintf "%s@t%d" name threads in
               match Pipeline.Driver.run ~options ~name ~params prog with
               | Ok o -> Some (threads, o.Pipeline.Driver.report)
@@ -1005,11 +1004,11 @@ let pipeline_json () =
   close_out oc;
   Printf.printf "wrote BENCH_pipeline.json (%d programs)\n" (List.length entries);
   let oc = open_out "BENCH_trace.json" in
-  output_string oc (Obs.Trace.to_chrome_json ~process:"bench" sink);
+  output_string oc (Obs.Trace.to_chrome_json ~process:"bench" log);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote BENCH_trace.json (%d spans)\n"
-    (List.length (Obs.Sink.spans sink));
+    (List.length (Obs.Event.spans log));
   doc
 
 (* ------------------------------------------------------------------ *)

@@ -142,10 +142,10 @@ let cost_file_arg =
   in
   Arg.(value & opt (some string) None & info [ "cost" ] ~docv:"FILE" ~doc)
 
-let write_trace ?metrics sink = function
+let write_trace ?metrics log = function
   | None -> ()
   | Some path ->
-      write_file path (Obs.Trace.to_chrome_json ?metrics sink);
+      write_file path (Obs.Trace.to_chrome_json ?metrics log);
       Printf.eprintf "trace written to %s (open in ui.perfetto.dev)\n" path
 
 (* The JSON shape for a failed run: the stage that died, the structured
@@ -352,24 +352,23 @@ let run_cmd =
   let run spec passoc threads strategy json trace =
     let prog = load_program spec in
     let params = params_of_assoc prog passoc in
-    let sink =
-      if trace = None then Obs.Sink.null else Obs.Sink.make ()
-    in
-    let options =
-      { Pipeline.Driver.default_options with threads; strategy; sink }
-    in
-    match Pipeline.Driver.run ~options ~name:spec ~params prog with
+    let log = if trace = None then Obs.Event.null else Obs.Event.make () in
+    let options = { Pipeline.Driver.default_options with threads; strategy } in
+    match
+      Obs.Event.with_ambient log (fun () ->
+          Pipeline.Driver.run ~options ~name:spec ~params prog)
+    with
     | Error e ->
         (* The partial trace still shows where time went before the
            failure. *)
-        write_trace sink trace;
+        write_trace log trace;
         if json then begin
           print_endline (Pipeline.Json.to_string_pretty (error_json e));
           exit 1
         end
         else die "recpart: %s" (Pipeline.Driver.error_to_string e)
     | Ok { report; _ } ->
-        write_trace ?metrics:report.Pipeline.Report.metrics sink trace;
+        write_trace ?metrics:report.Pipeline.Report.metrics log trace;
         if json then
           print_endline
             (Pipeline.Json.to_string_pretty (Pipeline.Report.to_json report))
@@ -638,14 +637,13 @@ let profile_cmd =
       calibrate cost_out cost_file =
     let prog = load_program spec in
     let params = params_of_assoc prog passoc in
-    let sink = Obs.Sink.make () in
+    let log = Obs.Event.make () in
     let options =
       {
         Pipeline.Driver.default_options with
         threads;
         strategy;
         sim_cost = load_cost cost_file;
-        sink;
       }
     in
     let write_html ?metrics () =
@@ -653,16 +651,19 @@ let profile_cmd =
       | None -> ()
       | Some path ->
           write_file path
-            (Obs.Html.render ?metrics ~title:("recpart profile: " ^ spec) sink);
+            (Obs.Html.render ?metrics ~title:("recpart profile: " ^ spec) log);
           Printf.eprintf "HTML report written to %s\n" path
     in
-    match Pipeline.Driver.run ~options ~name:spec ~params prog with
+    match
+      Obs.Event.with_ambient log (fun () ->
+          Pipeline.Driver.run ~options ~name:spec ~params prog)
+    with
     | Error e ->
-        write_trace sink trace;
+        write_trace log trace;
         write_html ();
         die "recpart: %s" (Pipeline.Driver.error_to_string e)
     | Ok { report; sched; _ } ->
-        print_string (Obs.Trace.to_text sink);
+        print_string (Obs.Trace.to_text log);
         print_newline ();
         print_string (Pipeline.Report.to_text report);
         let theorem_bound =
@@ -672,7 +673,7 @@ let profile_cmd =
         if sched_prof || sched_json <> None then begin
           let cp =
             Obs.Critpath.of_spans ~threads ?theorem_bound
-              (Obs.Sink.spans sink)
+              (Obs.Event.spans log)
           in
           if sched_prof then begin
             print_newline ();
@@ -713,7 +714,7 @@ let profile_cmd =
                     (Pipeline.Json.to_string_pretty (cost_to_json c));
                   Printf.eprintf "cost constants written to %s\n" path)
         end;
-        write_trace ?metrics:report.Pipeline.Report.metrics sink trace;
+        write_trace ?metrics:report.Pipeline.Report.metrics log trace;
         write_html ?metrics:report.Pipeline.Report.metrics ()
   in
   Cmd.v
@@ -768,8 +769,8 @@ let flight_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR" ~doc)
 
-let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check ~sink
-    ~events ~slow_ms ~flight_dir () =
+let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check
+    ~slow_ms ~flight_dir () =
   {
     Svc.Service.default_config with
     domains;
@@ -778,8 +779,6 @@ let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check ~sink
     check = not no_check;
     measure = not no_check;
     deadline_s = deadline;
-    sink;
-    events;
     slow_ms;
     flight_dir;
     store_dir;
@@ -851,11 +850,12 @@ let batch_cmd =
   in
   let run file out domains cache threads deadline no_check trace slow_ms
       flight_dir =
-    let sink = if trace = None then Obs.Sink.null else Obs.Sink.make () in
     let config =
-      svc_config ~domains ~cache ~threads ~deadline ~no_check ~sink
-        ~events:Obs.Event.null ~slow_ms ~flight_dir ()
+      svc_config ~domains ~cache ~threads ~deadline ~no_check ~slow_ms
+        ~flight_dir ()
     in
+    let log = if trace = None then Obs.Event.null else Obs.Event.make () in
+    Obs.Event.with_ambient log @@ fun () ->
     let svc = Svc.Service.create ~config () in
     let ic = open_in file in
     let lines = ref [] in
@@ -903,7 +903,7 @@ let batch_cmd =
       (fun r -> output_string oc (Svc.Proto.response_to_line r ^ "\n"))
       ordered;
     if out <> None then close_out oc;
-    write_trace sink trace;
+    write_trace log trace;
     batch_summary ordered (Svc.Service.cache_stats svc) (Svc.Service.pool svc)
   in
   Cmd.v
@@ -959,7 +959,7 @@ let serve_cmd =
     let config =
       {
         (svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check
-           ~sink:Obs.Sink.null ~events:Obs.Event.null ~slow_ms ~flight_dir ())
+           ~slow_ms ~flight_dir ())
         with
         queue_capacity = queue;
       }
@@ -1109,8 +1109,7 @@ let metrics_cmd =
     | Some addr_str -> run_connect addr_str json health
     | None ->
     let config =
-      svc_config ~domains ~cache ~threads ~deadline ~no_check
-        ~sink:Obs.Sink.null ~events:Obs.Event.null ~slow_ms:None
+      svc_config ~domains ~cache ~threads ~deadline ~no_check ~slow_ms:None
         ~flight_dir:None ()
     in
     let svc = Svc.Service.create ~config () in

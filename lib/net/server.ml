@@ -17,7 +17,6 @@ type config = {
   max_line : int;
   idle_timeout_s : float;
   drain_timeout_s : float;
-  events : Obs.Event.t;
 }
 
 let default_config =
@@ -26,7 +25,6 @@ let default_config =
     max_line = 1024 * 1024;
     idle_timeout_s = 300.0;
     drain_timeout_s = 10.0;
-    events = Obs.Event.null;
   }
 
 type state = Running | Draining | Stopped
@@ -237,8 +235,7 @@ let accept_loop t =
                     }
                   in
                   Obs.Counter.incr conn_accepted;
-                  Obs.Event.emit ~log:t.config.events
-                    ~severity:Obs.Event.Debug ~scope:"net"
+                  Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"net"
                     ~name:"conn.accept" (fun () ->
                       [
                         ( "conns",
@@ -313,7 +310,7 @@ let start ?(config = default_config) service addr =
             ("net.conns", float_of_int (List.length t.conns));
             ("net.inflight", float_of_int t.inflight);
           ]));
-  Obs.Event.emit ~log:config.events ~severity:Obs.Event.Info ~scope:"net"
+  Obs.Event.emit ~severity:Obs.Event.Info ~scope:"net"
     ~name:"server.start" (fun () ->
       [ ("addr", Obs.Event.Str (Addr.to_string bound)) ]);
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
@@ -368,7 +365,7 @@ let wait t =
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   Service.flush_store t.service;
-  Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Info ~scope:"net"
+  Obs.Event.emit ~severity:Obs.Event.Info ~scope:"net"
     ~name:"server.stop" (fun () ->
       [ ("addr", Obs.Event.Str (Addr.to_string t.bound)) ])
 

@@ -37,8 +37,10 @@ type config = {
   drain_timeout_s : float;
       (** how long {!wait} lets in-flight requests finish before
           force-closing connections *)
-  events : Obs.Event.t;
 }
+(** Server lifecycle events ([server.start]/[server.stop], Debug
+    [conn.accept]) go to the ambient {!Obs.Event} log, like every other
+    layer's. *)
 
 val default_config : config
 (** 64 connections, 1 MiB lines, 300 s idle timeout, 10 s drain. *)

@@ -34,19 +34,22 @@ type t = {
 let clamp01 x =
   if Float.is_finite x then Float.max 0.0 (Float.min 1.0 x) else 0.0
 
-let phase_of_span (s : Sink.span) =
+let phase_of_span (s : Event.event) =
   let n = String.length s.name in
   if n > 6 && String.sub s.name 0 6 = "phase:" then
     Some (String.sub s.name 6 (n - 6))
   else None
 
-let task_of_span (s : Sink.span) =
+let task_of_span (s : Event.event) =
   if s.name <> "task" then None
   else
-    let int_arg k =
-      Option.bind (List.assoc_opt k s.args) int_of_string_opt
+    let arg k =
+      match List.assoc_opt k s.fields with
+      | Some (Event.Str v) -> Some v
+      | _ -> None
     in
-    match List.assoc_opt "phase" s.args with
+    let int_arg k = Option.bind (arg k) int_of_string_opt in
+    match arg "phase" with
     | None -> None
     | Some label ->
         let len = Option.value (int_arg "len") ~default:0 in
@@ -57,7 +60,7 @@ let task_of_span (s : Sink.span) =
               id;
               len;
               tid = s.tid;
-              start_ns = s.start_ns;
+              start_ns = s.t_ns;
               dur_ns = s.dur_ns;
             } )
         in
@@ -85,18 +88,18 @@ let of_spans ?threads ?theorem_bound spans =
   let all_tasks = List.filter_map task_of_span spans in
   (* Attach each task to the innermost (latest-starting) phase span with
      its label whose window contains the task start: label match alone
-     would conflate repeated labels (many runs through one sink). *)
+     would conflate repeated labels (many runs through one log). *)
   List.iter
     (fun (label, (tk : task)) ->
       let best = ref (-1) in
       Array.iteri
-        (fun i (plabel, (p : Sink.span)) ->
+        (fun i (plabel, (p : Event.event)) ->
           if
             plabel = label
-            && p.Sink.start_ns <= tk.start_ns
-            && tk.start_ns <= Int64.add p.Sink.start_ns p.Sink.dur_ns
+            && p.Event.t_ns <= tk.start_ns
+            && tk.start_ns <= Int64.add p.Event.t_ns p.Event.dur_ns
             && (!best < 0
-               || (snd phases.(!best)).Sink.start_ns <= p.Sink.start_ns)
+               || (snd phases.(!best)).Event.t_ns <= p.Event.t_ns)
           then best := i)
         phases;
       if !best >= 0 then groups.(!best) <- tk :: groups.(!best))
@@ -113,7 +116,7 @@ let of_spans ?threads ?theorem_bound spans =
   let barriers =
     Array.to_list
       (Array.mapi
-         (fun i (label, (p : Sink.span)) ->
+         (fun i (label, (p : Event.event)) ->
            let ts = groups.(i) in
            let busy_ns =
              List.fold_left (fun acc t -> Int64.add acc t.dur_ns) 0L ts
@@ -126,12 +129,12 @@ let of_spans ?threads ?theorem_bound spans =
                  | _ -> Some t)
                None ts
            in
-           let wall_ns = p.Sink.dur_ns in
+           let wall_ns = p.Event.dur_ns in
            let crit_ns =
              match straggler with
              | None -> wall_ns
              | Some s ->
-                 Int64.max 0L (Int64.sub (end_ns s) p.Sink.start_ns)
+                 Int64.max 0L (Int64.sub (end_ns s) p.Event.t_ns)
            in
            let idle_fraction =
              if Int64.compare wall_ns 0L <= 0 then 0.0
@@ -143,7 +146,7 @@ let of_spans ?threads ?theorem_bound spans =
            in
            {
              label;
-             start_ns = p.Sink.start_ns;
+             start_ns = p.Event.t_ns;
              wall_ns;
              n_tasks = List.length ts;
              n_domains = distinct_tids ts;

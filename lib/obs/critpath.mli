@@ -1,9 +1,9 @@
 (** Critical-path analysis of a recorded span timeline.
 
-    Consumes the generic {!Sink.span} list an instrumented execution
-    leaves behind (obs sits below the runtime layer, so nothing here
-    knows about schedules or phases beyond the span naming convention)
-    and answers the scheduler-observability questions: which work unit
+    Consumes the span records ({!Event.spans}) an instrumented
+    execution leaves in the attached log (obs sits below the runtime
+    layer, so nothing here knows about schedules or phases beyond the
+    span naming convention) and answers the scheduler-observability questions: which work unit
     did each barrier wait for (straggler attribution), how much of the
     wall time is on the critical path, and how long the longest measured
     recurrence chain really was — the quantity Theorem 1 bounds by
@@ -12,13 +12,13 @@
     Naming convention (produced by the executor):
     - a span named ["phase:<label>"] delimits one barrier-terminated
       phase;
-    - spans named ["task"] inside it carry args
+    - spans named ["task"] inside it carry [Str] fields
       [("phase", <label>); ("len", <points>)] and either
       [("chain", <id>)] (a recurrence chain / sequential task) or
       [("block", <id>)] (a DOALL block).
 
     Unknown spans are ignored, so the analysis is safe to run on any
-    sink (pipeline stage spans, service spans, …). *)
+    log (pipeline stage spans, service spans, …). *)
 
 type unit_kind = Chain | Block
 
@@ -61,8 +61,8 @@ type t = {
           when no chain task was recorded *)
 }
 
-val of_spans : ?threads:int -> ?theorem_bound:int -> Sink.span list -> t
-(** Builds the analysis from a recorded timeline ({!Sink.spans} order —
+val of_spans : ?threads:int -> ?theorem_bound:int -> Event.event list -> t
+(** Builds the analysis from a recorded timeline ({!Event.spans} order —
     sorted by start time).  [threads] (default: the largest number of
     distinct domains seen in any one phase, at least 1) sets the
     denominator for idle attribution.  Phases with duplicate labels are

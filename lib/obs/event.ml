@@ -12,42 +12,38 @@ type event = {
   tid : int;
   t_ns : int64;
   seq : int;
+  dur_ns : int64;
+  depth : int;
+  span : bool;
 }
 
-(* Same recording scheme as Sink: one cell per (log, domain), only the
-   owning domain mutates [recorded], registration is a CAS loop.  The
-   global [seq] counter is the one shared atomic — event volume is a few
-   per pipeline stage, so contention is irrelevant, and it buys a total
-   emission order that per-domain timestamps alone cannot. *)
-type cell = { tid : int; mutable recorded : event list }
+(* One cell per (log, domain), held by the log alone: only the owning
+   domain mutates [recorded], so appends need no synchronization; a
+   domain finds its cell by its (never reused) domain id and registers a
+   new one with a CAS loop; domain termination is a memory barrier
+   (Domain.join), so the reader sees complete cells.  Nothing outside the
+   log references a cell, so a dropped log's records are garbage.  The
+   per-log [seq] counter is the one shared atomic, taken by decision
+   events only — event volume is a few per pipeline stage, so contention
+   is irrelevant, and it buys a total emission order that per-domain
+   timestamps alone cannot.  Spans need no sequence: they order by start
+   time. *)
+type cell = { owner : int; mutable recorded : event list }
 
-type rec_log = { id : int; cells : cell list Atomic.t; seq : int Atomic.t }
+type rec_log = { cells : cell list Atomic.t; seq : int Atomic.t }
 
 type t = Null | Rec of rec_log
 
 let null = Null
-let next_id = Atomic.make 0
-
-let make () =
-  Rec
-    {
-      id = Atomic.fetch_and_add next_id 1;
-      cells = Atomic.make [];
-      seq = Atomic.make 0;
-    }
-
+let make () = Rec { cells = Atomic.make []; seq = Atomic.make 0 }
 let enabled = function Null -> false | Rec _ -> true
 
-let cells_key : (int * cell) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
 let my_cell l =
-  let local = Domain.DLS.get cells_key in
-  match List.assoc_opt l.id !local with
+  let me = (Domain.self () :> int) in
+  match List.find_opt (fun c -> c.owner = me) (Atomic.get l.cells) with
   | Some c -> c
   | None ->
-      let c = { tid = (Domain.self () :> int); recorded = [] } in
-      local := (l.id, c) :: !local;
+      let c = { owner = me; recorded = [] } in
       let rec register () =
         let seen = Atomic.get l.cells in
         if not (Atomic.compare_and_set l.cells seen (c :: seen)) then
@@ -56,9 +52,15 @@ let my_cell l =
       register ();
       c
 
+let record t e =
+  match t with
+  | Null -> ()
+  | Rec l ->
+      let c = my_cell l in
+      c.recorded <- e :: c.recorded
+
 let ambient_log = Atomic.make Null
 let ambient () = Atomic.get ambient_log
-let set_ambient t = Atomic.set ambient_log t
 
 let with_ambient t f =
   let prev = Atomic.get ambient_log in
@@ -90,8 +92,7 @@ let emit ?log ?(severity = Info) ~scope ~name fields =
       (match log with
       | Null -> ()
       | Rec l ->
-          let c = my_cell l in
-          c.recorded <-
+          record log
             {
               scope;
               name;
@@ -100,11 +101,13 @@ let emit ?log ?(severity = Info) ~scope ~name fields =
                 (match req with
                 | Some id -> fs @ [ ("req", Str id) ]
                 | None -> fs);
-              tid = c.tid;
+              tid;
               t_ns;
               seq = Atomic.fetch_and_add l.seq 1;
-            }
-            :: c.recorded);
+              dur_ns = 0L;
+              depth = 0;
+              span = false;
+            });
       if flight_on then
         (* The flight entry carries the request id in its own [req]
            field, so the detail list is the fields as given — no append
@@ -121,11 +124,24 @@ let emit ?log ?(severity = Info) ~scope ~name fields =
             detail = List.map (fun (k, v) -> (k, value_to_string v)) fs;
           }
 
-let events = function
+let recorded ~span = function
   | Null -> []
   | Rec l ->
-      List.concat_map (fun c -> c.recorded) (Atomic.get l.cells)
-      |> List.sort (fun (a : event) (b : event) -> compare a.seq b.seq)
+      List.concat_map
+        (fun c -> List.filter (fun (e : event) -> e.span = span) c.recorded)
+        (Atomic.get l.cells)
+
+let events t =
+  List.sort (fun (a : event) (b : event) -> compare a.seq b.seq)
+    (recorded ~span:false t)
+
+let spans t =
+  List.sort
+    (fun (a : event) (b : event) ->
+      match Int64.compare a.t_ns b.t_ns with
+      | 0 -> compare (a.depth, a.tid) (b.depth, b.tid)
+      | c -> c)
+    (recorded ~span:true t)
 
 let clear = function
   | Null -> ()
@@ -133,31 +149,13 @@ let clear = function
 
 (* ---- JSONL ----------------------------------------------------------- *)
 
-(* obs sits below the pipeline layer, so like Trace it writes JSON
-   directly (Pipeline.Json.parse round-trips it in the tests). *)
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let emit_value buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
       if Float.is_finite f then Printf.bprintf buf "%.9g" f
       else Buffer.add_string buf "null"
-  | Str s -> escape buf s
+  | Str s -> Jsonw.escape buf s
 
 let to_jsonl t =
   let evs = events t in
@@ -174,16 +172,16 @@ let to_jsonl t =
         (Int64.to_float (Int64.sub e.t_ns t0) /. 1e3)
         e.tid;
       Buffer.add_string buf ", \"severity\": ";
-      escape buf (severity_name e.severity);
+      Jsonw.escape buf (severity_name e.severity);
       Buffer.add_string buf ", \"scope\": ";
-      escape buf e.scope;
+      Jsonw.escape buf e.scope;
       Buffer.add_string buf ", \"name\": ";
-      escape buf e.name;
+      Jsonw.escape buf e.name;
       Buffer.add_string buf ", \"fields\": {";
       List.iteri
         (fun k (key, v) ->
           if k > 0 then Buffer.add_string buf ", ";
-          escape buf key;
+          Jsonw.escape buf key;
           Buffer.add_string buf ": ";
           emit_value buf v)
         e.fields;

@@ -1,21 +1,24 @@
-(** Structured decision events — the provenance companion to {!Span}.
+(** The per-run recording: structured decision events and timed spans
+    in one log.
 
-    Spans answer {e where time went}; events answer {e why the compiler
-    took a branch}: which dependence test fired and what it concluded,
-    why Algorithm 1 chose or rejected a strategy, what the partition
-    looked like.  Each event is a named record with a severity and typed
-    key/value fields, stamped with the emitting domain and a monotonic
-    timestamp, and globally sequenced so a log replays in emission order
-    even across domains.
+    Events answer {e why the compiler took a branch}: which dependence
+    test fired and what it concluded, why Algorithm 1 chose or rejected
+    a strategy, what the partition looked like.  Each event is a named
+    record with a severity and typed key/value fields, stamped with the
+    emitting domain and a monotonic timestamp, and sequenced so a log
+    replays in emission order even across domains.  Spans answer {e where
+    time went}: {!Span.with_} records each one into the same log as a
+    record marked [span], carrying its duration and nesting depth.
+    Readers pick their half: {!events} and {!to_jsonl} see decision
+    events only (what [recpart explain] prints), {!spans} sees spans
+    only (what {!Trace}, {!Html} and {!Critpath} read).
 
-    Like {!Sink}, the default log is {!null}: with it, {!emit} costs one
-    branch plus the (unevaluated) field thunk, so instrumentation can
-    stay in hot paths.  Recording is lock-free per domain, same cell
-    scheme as {!Sink}.  Events are deliberately separate from spans:
-    spans are a timing tree consumed by trace viewers, events are a flat
-    decision log consumed by [recpart explain] and JSONL tooling — mixing
-    them would force every span reader to skip decision payloads and
-    vice versa. *)
+    The default log is {!null}: with it, {!emit} costs one branch plus
+    the (unevaluated) field thunk and a span site one branch, so
+    instrumentation can stay in hot paths.  A top-level command attaches
+    one recording log for the whole process with {!with_ambient}; no
+    library layer attaches or passes a log.  Recording is lock-free: each
+    domain appends to its own cell of the log. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
@@ -25,13 +28,22 @@ val severity_name : severity -> string
 (** ["debug"], ["info"], ["warn"]. *)
 
 type event = {
-  scope : string;  (** subsystem, e.g. ["depend"], ["partition"] *)
+  scope : string;
+      (** subsystem, e.g. ["depend"], ["partition"]; [""] on spans *)
   name : string;  (** event kind within the scope, e.g. ["choose.rec"] *)
   severity : severity;
-  fields : (string * value) list;  (** typed payload, in emission order *)
+  fields : (string * value) list;
+      (** typed payload, in emission order; a span's args as [Str]s *)
   tid : int;  (** domain that emitted the event *)
-  t_ns : int64;  (** {!Clock.now_ns} at emission *)
-  seq : int;  (** global emission order (gap-free per log) *)
+  t_ns : int64;  (** {!Clock.now_ns} at emission; a span's start *)
+  seq : int;
+      (** emission order among the log's decision events (gap-free per
+          log); [-1] on spans, which order by [t_ns] *)
+  dur_ns : int64;  (** a span's duration (≥ 0); [0] for decision events *)
+  depth : int;
+      (** a span's nesting depth within its domain; [0] for decision
+          events *)
+  span : bool;  (** [true] on a {!Span.with_} record *)
 }
 
 type t
@@ -61,25 +73,37 @@ val emit :
     the flight ring in the entry's [req] slot).  Lock-free; safe from
     any domain. *)
 
+val record : t -> event -> unit
+(** Appends a finished record to the calling domain's cell as it is (no
+    [seq] is assigned, nothing goes to the flight ring); no-op on
+    {!null}.  {!Span.with_} records its spans this way. *)
+
 val events : t -> event list
-(** Everything recorded so far, in emission ([seq]) order.  Call after
-    joining worker domains. *)
+(** The decision events recorded so far, in emission ([seq]) order.
+    Call after joining worker domains. *)
+
+val spans : t -> event list
+(** The spans recorded so far, sorted by start time (ties by depth, so
+    parents precede their children, then by domain).  Call after joining
+    worker domains. *)
+
+val value_to_string : value -> string
+(** A field value as plain text ([Float]s with [%.9g]). *)
 
 val clear : t -> unit
+(** Forgets every recorded event and span (the log remains usable). *)
 
 val ambient : unit -> t
-(** The process-wide default log used by {!emit} when no explicit log is
-    given.  Starts as {!null}. *)
-
-val set_ambient : t -> unit
+(** The process-wide default log {!emit} and {!Span.with_} record into
+    when no explicit log is given.  Starts as {!null}. *)
 
 val with_ambient : t -> (unit -> 'a) -> 'a
 (** Runs [f] with the ambient log swapped to [t], restoring the previous
     one afterwards (also on exceptions). *)
 
 val to_jsonl : t -> string
-(** One JSON object per line, in emission order: [seq], [t_us] (relative
-    to the first event), [tid], [severity], [scope], [name], and the
-    typed [fields] as a nested object.  Each line parses with
+(** One JSON object per decision event, in emission order: [seq],
+    [t_us] (relative to the first event), [tid], [severity], [scope],
+    [name], and the typed [fields] as a nested object.  Each line parses with
     [Pipeline.Json.parse]; the whole string is the JSONL event-log
     artifact format. *)

@@ -77,22 +77,6 @@ let prometheus ?(prefix = "recpart_") ?(gauges = []) ?window (m : Metrics.t) =
 
 (* ---- JSON snapshot --------------------------------------------------- *)
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let hist_json buf (s : Histogram.snap) =
   Printf.bprintf buf "{\"count\": %d, \"sum\": %d" s.Histogram.count
     s.Histogram.sum;
@@ -117,7 +101,7 @@ let json_string ?(gauges = []) ?window (m : Metrics.t) =
     List.iteri
       (fun k (name, v) ->
         if k > 0 then Buffer.add_string buf ", ";
-        escape buf name;
+        Jsonw.escape buf name;
         Buffer.add_string buf ": ";
         num buf v)
       gauges;
@@ -127,14 +111,14 @@ let json_string ?(gauges = []) ?window (m : Metrics.t) =
   List.iteri
     (fun k (name, v) ->
       if k > 0 then Buffer.add_string buf ", ";
-      escape buf name;
+      Jsonw.escape buf name;
       Printf.bprintf buf ": %d" v)
     m.Metrics.counters;
   Buffer.add_string buf "}, \"histograms\": {";
   List.iteri
     (fun k (name, s) ->
       if k > 0 then Buffer.add_string buf ", ";
-      escape buf name;
+      Jsonw.escape buf name;
       Buffer.add_string buf ": ";
       hist_json buf s)
     m.Metrics.histograms;
@@ -149,7 +133,7 @@ let json_string ?(gauges = []) ?window (m : Metrics.t) =
       List.iteri
         (fun k (name, (q : Window.quantiles)) ->
           if k > 0 then Buffer.add_string buf ", ";
-          escape buf name;
+          Jsonw.escape buf name;
           Printf.bprintf buf ": {\"count\": %d, \"sum\": %d" q.Window.count
             q.Window.sum;
           List.iter

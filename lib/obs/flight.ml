@@ -219,24 +219,6 @@ let entries ?req () =
 
 (* ---- JSONL ----------------------------------------------------------- *)
 
-(* obs sits below the pipeline layer, so like Event/Trace it writes JSON
-   directly (Pipeline.Json.parse round-trips it in the tests). *)
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_jsonl es =
   let t0 =
     List.fold_left
@@ -249,24 +231,24 @@ let to_jsonl es =
   List.iter
     (fun e ->
       Printf.bprintf buf "{\"kind\": ";
-      escape buf e.kind;
+      Jsonw.escape buf e.kind;
       Printf.bprintf buf ", \"t_us\": %.3f, \"dur_us\": %.3f, \"tid\": %d"
         (Int64.to_float (Int64.sub e.t_ns t0) /. 1e3)
         (Int64.to_float e.dur_ns /. 1e3)
         e.tid;
       Buffer.add_string buf ", \"req\": ";
-      escape buf e.req;
+      Jsonw.escape buf e.req;
       Buffer.add_string buf ", \"scope\": ";
-      escape buf e.scope;
+      Jsonw.escape buf e.scope;
       Buffer.add_string buf ", \"name\": ";
-      escape buf e.name;
+      Jsonw.escape buf e.name;
       Buffer.add_string buf ", \"detail\": {";
       List.iteri
         (fun k (key, v) ->
           if k > 0 then Buffer.add_string buf ", ";
-          escape buf key;
+          Jsonw.escape buf key;
           Buffer.add_string buf ": ";
-          escape buf v)
+          Jsonw.escape buf v)
         e.detail;
       Buffer.add_string buf "}}\n")
     es;

@@ -1,12 +1,12 @@
 (** Always-on flight recorder — per-domain ring buffers of the most
     recent spans and [Info]-and-above events, kept so a failed request
-    can be explained after the fact without re-running under a
-    recording sink.
+    can be explained after the fact without re-running under an
+    attached log.
 
-    Unlike {!Sink}/{!Event} logs (which grow without bound and are wired
-    up per run), the recorder is process-global and fixed-size: each
-    domain writes into its own ring of [capacity] fixed-width slots,
-    overwriting the oldest entry.  Recording is lock-free and copying —
+    Unlike {!Event} logs (which grow without bound and are attached by
+    a top-level command), the recorder is process-global and
+    fixed-size: each domain writes into its own ring of [capacity]
+    fixed-width slots, overwriting the oldest entry.  Recording is lock-free and copying —
     the owning domain copies the entry's fields into its preallocated
     ring storage (truncating oversized strings to the slot), so nothing
     recorded retains caller-allocated memory and the recorder adds no

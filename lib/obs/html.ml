@@ -34,17 +34,17 @@ let span_style name = Printf.sprintf "background:hsl(%d,65%%,78%%)" (hue name)
 
 let origin spans =
   List.fold_left
-    (fun acc (s : Sink.span) ->
+    (fun acc (s : Event.event) ->
       match acc with
-      | None -> Some s.Sink.start_ns
-      | Some t -> Some (min t s.Sink.start_ns))
+      | None -> Some s.Event.t_ns
+      | Some t -> Some (min t s.Event.t_ns))
     None spans
   |> Option.value ~default:0L
 
 let horizon spans t0 =
   List.fold_left
-    (fun acc (s : Sink.span) ->
-      max acc (Int64.sub (Int64.add s.Sink.start_ns s.Sink.dur_ns) t0))
+    (fun acc (s : Event.event) ->
+      max acc (Int64.sub (Int64.add s.Event.t_ns s.Event.dur_ns) t0))
     1L spans
 
 let pct part whole = 100.0 *. Int64.to_float part /. Int64.to_float whole
@@ -77,21 +77,21 @@ summary .args{color:#999;font-size:12px}
 let waterfall buf spans t0 total =
   let stages =
     List.filter
-      (fun (s : Sink.span) ->
-        String.length s.Sink.name > 6 && String.sub s.Sink.name 0 6 = "stage:")
+      (fun (s : Event.event) ->
+        String.length s.Event.name > 6 && String.sub s.Event.name 0 6 = "stage:")
       spans
   in
   if stages <> [] then begin
     Buffer.add_string buf "<h2>Stage waterfall</h2>\n";
     List.iter
-      (fun (s : Sink.span) ->
-        let left = pct (Int64.sub s.Sink.start_ns t0) total in
-        let width = max 0.15 (pct s.Sink.dur_ns total) in
+      (fun (s : Event.event) ->
+        let left = pct (Int64.sub s.Event.t_ns t0) total in
+        let width = max 0.15 (pct s.Event.dur_ns total) in
         Printf.bprintf buf
           "<div class=\"wf\"><span class=\"lbl\">%s &mdash; %s</span>\n\
            <div class=\"bar\" style=\"left:%.2f%%;width:%.2f%%;%s\"></div></div>\n"
-          (esc s.Sink.name) (fmt_ns s.Sink.dur_ns) left width
-          (span_style s.Sink.name))
+          (esc s.Event.name) (fmt_ns s.Event.dur_ns) left width
+          (span_style s.Event.name))
       stages
   end
 
@@ -102,25 +102,25 @@ let timeline buf spans t0 total tids =
   List.iter
     (fun tid ->
       let mine =
-        List.filter (fun (s : Sink.span) -> s.Sink.tid = tid) spans
+        List.filter (fun (s : Event.event) -> s.Event.tid = tid) spans
       in
       let max_depth =
-        List.fold_left (fun d (s : Sink.span) -> max d s.Sink.depth) 0 mine
+        List.fold_left (fun d (s : Event.event) -> max d s.Event.depth) 0 mine
       in
       Printf.bprintf buf "<div class=\"dom\">domain %d</div>\n" tid;
       Printf.bprintf buf "<div class=\"lane\" style=\"height:%dpx\">\n"
         (((max_depth + 1) * 18) + 4);
       List.iter
-        (fun (s : Sink.span) ->
-          let left = pct (Int64.sub s.Sink.start_ns t0) total in
-          let width = max 0.1 (pct s.Sink.dur_ns total) in
+        (fun (s : Event.event) ->
+          let left = pct (Int64.sub s.Event.t_ns t0) total in
+          let width = max 0.1 (pct s.Event.dur_ns total) in
           Printf.bprintf buf
             "<div class=\"bar\" style=\"left:%.2f%%;width:%.2f%%;top:%dpx;%s\" \
              title=\"%s (%s)\">%s</div>\n"
             left width
-            ((s.Sink.depth * 18) + 2)
-            (span_style s.Sink.name)
-            (esc s.Sink.name) (fmt_ns s.Sink.dur_ns) (esc s.Sink.name))
+            ((s.Event.depth * 18) + 2)
+            (span_style s.Event.name)
+            (esc s.Event.name) (fmt_ns s.Event.dur_ns) (esc s.Event.name))
         mine;
       Buffer.add_string buf "</div>\n")
     tids
@@ -133,9 +133,9 @@ let tree buf spans tids =
     (fun tid ->
       Printf.bprintf buf "<div class=\"dom\">domain %d</div>\n" tid;
       let mine =
-        List.filter (fun (s : Sink.span) -> s.Sink.tid = tid) spans
+        List.filter (fun (s : Event.event) -> s.Event.tid = tid) spans
       in
-      (* [Sink.spans] orders by start time with parents before children;
+      (* [Event.spans] orders by start time with parents before children;
          nesting follows the recorded depth directly. *)
       let depth = ref (-1) in
       let close_to d =
@@ -145,20 +145,22 @@ let tree buf spans tids =
         done
       in
       List.iter
-        (fun (s : Sink.span) ->
-          close_to s.Sink.depth;
+        (fun (s : Event.event) ->
+          close_to s.Event.depth;
           Printf.bprintf buf
             "<details open><summary>%s <span class=\"dur\">%s</span>"
-            (esc s.Sink.name) (fmt_ns s.Sink.dur_ns);
-          (match s.Sink.args with
+            (esc s.Event.name) (fmt_ns s.Event.dur_ns);
+          (match s.Event.fields with
           | [] -> ()
           | args ->
               Printf.bprintf buf " <span class=\"args\">%s</span>"
                 (esc
                    (String.concat ", "
-                      (List.map (fun (k, v) -> k ^ "=" ^ v) args))));
+                      (List.map
+                         (fun (k, v) -> k ^ "=" ^ Event.value_to_string v)
+                         args))));
           Buffer.add_string buf "</summary>\n";
-          depth := s.Sink.depth)
+          depth := s.Event.depth)
         mine;
       close_to 0)
     tids
@@ -195,12 +197,12 @@ let metrics_tables buf (m : Metrics.t) =
       m.Metrics.histograms
   end
 
-let render ?metrics ?(title = "recpart profile") sink =
-  let spans = Sink.spans sink in
+let render ?metrics ?(title = "recpart profile") log =
+  let spans = Event.spans log in
   let t0 = origin spans in
   let total = horizon spans t0 in
   let tids =
-    List.sort_uniq compare (List.map (fun (s : Sink.span) -> s.Sink.tid) spans)
+    List.sort_uniq compare (List.map (fun (s : Event.event) -> s.Event.tid) spans)
   in
   let buf = Buffer.create 8192 in
   Printf.bprintf buf

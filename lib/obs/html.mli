@@ -1,7 +1,7 @@
 (** Self-contained HTML profile reports.
 
-    [render] turns a recorded {!Sink} (plus an optional {!Metrics}
-    snapshot) into one HTML page with no external assets — inline CSS
+    [render] turns the spans of a recorded {!Event} log (plus an
+    optional {!Metrics} snapshot) into one HTML page with no external assets — inline CSS
     only, so the file can be attached to a CI run or mailed around and
     still render.  Sections:
 
@@ -15,6 +15,6 @@
     Like {!Trace}, this sits below the pipeline layer and writes its
     output directly. *)
 
-val render : ?metrics:Metrics.t -> ?title:string -> Sink.t -> string
-(** [render sink] is the complete HTML document.  [title] defaults to
+val render : ?metrics:Metrics.t -> ?title:string -> Event.t -> string
+(** [render log] is the complete HTML document.  [title] defaults to
     ["recpart profile"]. *)

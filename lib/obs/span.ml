@@ -2,10 +2,10 @@
    counter is race-free. *)
 let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-let with_ ?sink ~name ?(args = []) f =
-  let sink = match sink with Some s -> s | None -> Sink.ambient () in
-  let sink_on = Sink.enabled sink in
-  if not (sink_on || Flight.enabled ()) then f ()
+let with_ ?log ~name ?(args = []) f =
+  let log = match log with Some l -> l | None -> Event.ambient () in
+  let log_on = Event.enabled log in
+  if not (log_on || Flight.enabled ()) then f ()
   else begin
     let depth = Domain.DLS.get depth_key in
     let d = !depth in
@@ -18,18 +18,22 @@ let with_ ?sink ~name ?(args = []) f =
       (* Request attribution: a span closed while an Obs.Ctx is installed
          carries its trace id, whichever domain it ran on. *)
       let req = Ctx.current_id () in
-      if sink_on then
-        Sink.record sink
+      if log_on then
+        Event.record log
           {
-            Sink.name;
-            args =
-              (match req with
-              | Some id -> ("req", id) :: args
-              | None -> args);
+            Event.scope = "";
+            name;
+            severity = Event.Info;
+            fields =
+              List.map
+                (fun (k, v) -> (k, Event.Str v))
+                (match req with Some id -> ("req", id) :: args | None -> args);
             tid;
-            start_ns = t0;
+            t_ns = t0;
+            seq = -1;
             dur_ns;
             depth = d;
+            span = true;
           };
       Flight.record
         {
@@ -50,35 +54,4 @@ let with_ ?sink ~name ?(args = []) f =
     | exception e ->
         finish ();
         raise e
-  end
-
-let instant ?sink ~name ?(args = []) () =
-  let sink = match sink with Some s -> s | None -> Sink.ambient () in
-  let sink_on = Sink.enabled sink in
-  if sink_on || Flight.enabled () then begin
-    let t0 = Clock.now_ns () in
-    let tid = (Domain.self () :> int) in
-    let req = Ctx.current_id () in
-    if sink_on then
-      Sink.record sink
-        {
-          Sink.name;
-          args =
-            (match req with Some id -> ("req", id) :: args | None -> args);
-          tid;
-          start_ns = t0;
-          dur_ns = 0L;
-          depth = !(Domain.DLS.get depth_key);
-        };
-    Flight.record
-      {
-        Flight.kind = "span";
-        scope = "";
-        name;
-        req = Option.value req ~default:"";
-        tid;
-        t_ns = t0;
-        dur_ns = 0L;
-        detail = args;
-      }
   end

@@ -1,73 +1,53 @@
-(* The emitter writes JSON directly: obs sits below the pipeline layer,
-   so it cannot use Pipeline.Json (which is also where the parser used by
-   the round-trip tests lives). *)
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let us_of_ns ns = Int64.to_float ns /. 1e3
 
 (* Timestamps are shifted so the earliest span starts at 0 — Chrome's UI
    shows absolute microseconds, and boot-relative values are noise. *)
 let origin spans =
   List.fold_left
-    (fun acc (s : Sink.span) ->
+    (fun acc (s : Event.event) ->
       match acc with
-      | None -> Some s.Sink.start_ns
-      | Some t -> Some (min t s.Sink.start_ns))
+      | None -> Some s.Event.t_ns
+      | Some t -> Some (min t s.Event.t_ns))
     None spans
   |> Option.value ~default:0L
 
-let event buf ~first ~t0 (s : Sink.span) =
+let event buf ~first ~t0 (s : Event.event) =
   if not first then Buffer.add_string buf ",\n    ";
   Buffer.add_string buf "{\"name\": ";
-  escape buf s.Sink.name;
+  Jsonw.escape buf s.Event.name;
   Buffer.add_string buf ", \"cat\": \"recpart\", \"ph\": \"X\"";
-  Printf.bprintf buf ", \"ts\": %.3f" (us_of_ns (Int64.sub s.Sink.start_ns t0));
-  Printf.bprintf buf ", \"dur\": %.3f" (us_of_ns s.Sink.dur_ns);
-  Printf.bprintf buf ", \"pid\": 0, \"tid\": %d" s.Sink.tid;
-  (match s.Sink.args with
+  Printf.bprintf buf ", \"ts\": %.3f" (us_of_ns (Int64.sub s.Event.t_ns t0));
+  Printf.bprintf buf ", \"dur\": %.3f" (us_of_ns s.Event.dur_ns);
+  Printf.bprintf buf ", \"pid\": 0, \"tid\": %d" s.Event.tid;
+  (match s.Event.fields with
   | [] -> ()
   | args ->
       Buffer.add_string buf ", \"args\": {";
       List.iteri
         (fun k (key, v) ->
           if k > 0 then Buffer.add_string buf ", ";
-          escape buf key;
+          Jsonw.escape buf key;
           Buffer.add_string buf ": ";
-          escape buf v)
+          Jsonw.escape buf (Event.value_to_string v))
         args;
       Buffer.add_char buf '}');
   Buffer.add_char buf '}'
 
 let counter_event buf ~t_us name v =
   Buffer.add_string buf ",\n    {\"name\": ";
-  escape buf name;
+  Jsonw.escape buf name;
   Printf.bprintf buf
     ", \"cat\": \"recpart\", \"ph\": \"C\", \"ts\": %.3f, \"pid\": 0, \
      \"args\": {\"value\": %d}}"
     t_us v
 
-let to_chrome_json ?metrics ?(process = "recpart") sink =
-  let spans = Sink.spans sink in
+let to_chrome_json ?metrics ?(process = "recpart") log =
+  let spans = Event.spans log in
   let t0 = origin spans in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"traceEvents\": [\n    ";
   Buffer.add_string buf "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"args\": {\"name\": ";
-  escape buf process;
+  Jsonw.escape buf process;
   Buffer.add_string buf "}}";
   List.iter (fun s -> event buf ~first:false ~t0 s) spans;
   (match metrics with
@@ -75,8 +55,8 @@ let to_chrome_json ?metrics ?(process = "recpart") sink =
   | Some m ->
       let t_end =
         List.fold_left
-          (fun acc (s : Sink.span) ->
-            max acc (us_of_ns (Int64.sub (Int64.add s.Sink.start_ns s.Sink.dur_ns) t0)))
+          (fun acc (s : Event.event) ->
+            max acc (us_of_ns (Int64.sub (Int64.add s.Event.t_ns s.Event.dur_ns) t0)))
           0.0 spans
       in
       List.iter
@@ -94,31 +74,33 @@ let fmt_ns ns =
   else if f >= 1e3 then Printf.sprintf "%8.3f us" (f /. 1e3)
   else Printf.sprintf "%8.0f ns" f
 
-let to_text sink =
-  let spans = Sink.spans sink in
+let to_text log =
+  let spans = Event.spans log in
   let tids =
-    List.sort_uniq compare (List.map (fun (s : Sink.span) -> s.Sink.tid) spans)
+    List.sort_uniq compare (List.map (fun (s : Event.event) -> s.Event.tid) spans)
   in
   let buf = Buffer.create 1024 in
   List.iter
     (fun tid ->
       Printf.bprintf buf "domain %d\n" tid;
       List.iter
-        (fun (s : Sink.span) ->
-          if s.Sink.tid = tid then begin
-            let indent = String.make (2 * (s.Sink.depth + 1)) ' ' in
+        (fun (s : Event.event) ->
+          if s.Event.tid = tid then begin
+            let indent = String.make (2 * (s.Event.depth + 1)) ' ' in
             let label =
-              match s.Sink.args with
-              | [] -> s.Sink.name
+              match s.Event.fields with
+              | [] -> s.Event.name
               | args ->
-                  s.Sink.name ^ " ["
+                  s.Event.name ^ " ["
                   ^ String.concat ", "
-                      (List.map (fun (k, v) -> k ^ "=" ^ v) args)
+                      (List.map
+                         (fun (k, v) -> k ^ "=" ^ Event.value_to_string v)
+                         args)
                   ^ "]"
             in
             let pad = max 1 (46 - String.length indent - String.length label) in
             Printf.bprintf buf "%s%s%s%s\n" indent label (String.make pad ' ')
-              (fmt_ns s.Sink.dur_ns)
+              (fmt_ns s.Event.dur_ns)
           end)
         spans)
     tids;

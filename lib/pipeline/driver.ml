@@ -169,8 +169,6 @@ type options = {
   strategy : Plan.strategy option;
   workers : Runtime.Workers.t option;
   sim_cost : Runtime.Sim.cost option;
-  sink : Obs.Sink.t;
-  events : Obs.Event.t;
 }
 
 let default_options =
@@ -181,8 +179,6 @@ let default_options =
     strategy = None;
     workers = None;
     sim_cost = None;
-    sink = Obs.Sink.null;
-    events = Obs.Event.null;
   }
 
 type outcome = {
@@ -201,11 +197,10 @@ let run ?(options = default_options) ~name ~params prog =
         timings = [];
       }
   else begin
-    let sink = options.sink in
     let timings = ref [] in
     let gcs = ref [] in
     let timed label f =
-      Obs.Span.with_ ~sink ~name:("stage:" ^ label) (fun () ->
+      Obs.Span.with_ ~name:("stage:" ^ label) (fun () ->
           let gc0 = Obs.Gcstats.quick () in
           let t0 = Obs.Clock.now_ns () in
           let r = f () in
@@ -231,9 +226,7 @@ let run ?(options = default_options) ~name ~params prog =
         r
     in
     let metrics_before = Obs.Metrics.snapshot () in
-    Obs.Sink.with_ambient sink @@ fun () ->
-    Obs.Event.with_ambient options.events @@ fun () ->
-    Obs.Span.with_ ~sink ~name:("run:" ^ name) @@ fun () ->
+    Obs.Span.with_ ~name:("run:" ^ name) @@ fun () ->
     let* plan =
       at Diag.Classify
         (timed "classify" (fun () -> classify ?strategy:options.strategy prog))
@@ -309,12 +302,12 @@ let run ?(options = default_options) ~name ~params prog =
                      let env = Runtime.Interp.prepare prog ~params in
                      let t0 = Obs.Clock.now_ns () in
                      let seq =
-                       Obs.Span.with_ ~sink ~name:"seq-interp" (fun () ->
+                       Obs.Span.with_ ~name:"seq-interp" (fun () ->
                            Runtime.Interp.run_sequential env)
                      in
                      let seq_s = Obs.Clock.elapsed_s t0 in
                      let tmd =
-                       Runtime.Exec.run_timed ~sink ?cost:options.sim_cost
+                       Runtime.Exec.run_timed ?cost:options.sim_cost
                          ?workers:options.workers env ~threads:options.threads
                          s
                      in

@@ -81,18 +81,16 @@ type options = {
           {!Runtime.Sim.base_seconds}, [Some c] uses calibrated constants
           (see {!Runtime.Sim.calibrate}) and tags the report's prediction
           block ["calibrated"] *)
-  sink : Obs.Sink.t;
-      (** where stage/execution spans go; {!Obs.Sink.null} (the default)
-          records nothing and costs one branch per span site *)
-  events : Obs.Event.t;
-      (** where decision-provenance events go (installed as the ambient
-          {!Obs.Event} log for the duration of {!run}); {!Obs.Event.null}
-          (the default) records nothing *)
 }
+(** The options select execution and checking only.  Recording is not
+    an option: {!run}'s [run:*]/[stage:*] spans, the executor's spans
+    and every layer's decision events go to the ambient {!Obs.Event}
+    log, which a top-level command attaches once for the whole process
+    ({!Obs.Event.with_ambient}); with none attached each site costs one
+    branch. *)
 
 val default_options : options
-(** 4 threads, check and measure on, automatic strategy, no-op sink,
-    no-op event log. *)
+(** 4 threads, check and measure on, automatic strategy. *)
 
 type outcome = {
   plan : Plan.t;
@@ -112,4 +110,6 @@ val run :
     ({!Runtime.Sched.check_legal}) and executed on domains with the result
     compared to the sequential interpreter; check failures are reported in
     {!Report.t} (the pipeline itself still succeeds — an [Error] means a
-    stage could not run at all). *)
+    stage could not run at all).  [run] reads the ambient log and never
+    swaps it, so concurrent runs on several domains all record into the
+    one attached log. *)

@@ -77,24 +77,24 @@ let chunk_runner compiled = function
 (* Runs the chunks [iter_chunks] yields to this domain and returns the
    seconds it was busy, the words it allocated (the GC delta is taken
    inside the executing domain, so on OCaml 5 the counters are exact for
-   this domain's work) and the instances it executed.  With a recording
-   sink each chunk gets a span carrying the per-chunk sample
+   this domain's work) and the instances it executed.  With a log
+   attached each chunk gets a span carrying the per-chunk sample
    {!Obs.Critpath} consumes: [("phase", label)], [(kind, id)] and
    [("len", points)]. *)
-let run_chunks ~sink ~label ~kind run iter_chunks =
+let run_chunks ~label ~kind run iter_chunks =
   let gc0 = Obs.Gcstats.quick () in
   let t0 = Obs.Clock.now_ns () in
   let load = ref 0 in
-  if not (Obs.Sink.enabled sink) then
+  if not (Obs.Event.enabled (Obs.Event.ambient ())) then
     iter_chunks (fun c ->
         load := !load + c.c_len;
         run c)
   else
-    Obs.Span.with_ ~sink ~name:("bucket:" ^ label) (fun () ->
+    Obs.Span.with_ ~name:("bucket:" ^ label) (fun () ->
         iter_chunks (fun c ->
             load := !load + c.c_len;
             let s0 = Obs.Clock.now_ns () in
-            Obs.Span.with_ ~sink ~name:"task"
+            Obs.Span.with_ ~name:"task"
               ~args:
                 [
                   ("phase", label);
@@ -119,7 +119,7 @@ let run_chunks ~sink ~label ~kind run iter_chunks =
    chunks.  Sequential runs ([pool] = [None]) drain it on the calling
    domain; parallel work is handed to the persistent [pool], and the
    return from {!Workers.run} is the inter-phase barrier. *)
-let run_phase_timed ~sink ~pool ~cost compiled ~threads phase =
+let run_phase_timed ~pool ~cost compiled ~threads phase =
   let label = Sched.phase_label phase in
   let kind =
     match phase with Sched.Doall _ -> "block" | Sched.Tasks _ -> "chain"
@@ -130,7 +130,7 @@ let run_phase_timed ~sink ~pool ~cost compiled ~threads phase =
   let n_chunks = Array.length chunks in
   let next = Atomic.make 0 in
   let drain () =
-    run_chunks ~sink ~label ~kind run (fun f ->
+    run_chunks ~label ~kind run (fun f ->
         let rec go () =
           let k = Atomic.fetch_and_add next 1 in
           if k < n_chunks then begin
@@ -159,14 +159,13 @@ let run_phase_timed ~sink ~pool ~cost compiled ~threads phase =
     seconds = Obs.Clock.elapsed_s t0;
   }
 
-let run_timed ?(sink = Obs.Sink.null) ?(cost = Sim.base_seconds) ?workers env
-    ~threads s =
+let run_timed ?(cost = Sim.base_seconds) ?workers env ~threads s =
   let threads = max 1 threads in
   let store = Interp.scan_bounds env in
   (* Kernel compilation happens outside the timed region, like store
      setup: [seconds] measures execution of the hot loop. *)
   let compiled =
-    Obs.Span.with_ ~sink ~name:"compile" (fun () -> Compile.program env store)
+    Obs.Span.with_ ~name:"compile" (fun () -> Compile.program env store)
   in
   let pool, owned =
     if threads = 1 then (None, false)
@@ -182,9 +181,8 @@ let run_timed ?(sink = Obs.Sink.null) ?(cost = Sim.base_seconds) ?workers env
       let phase_stats =
         List.map
           (fun phase ->
-            Obs.Span.with_ ~sink ~name:("phase:" ^ Sched.phase_label phase)
-              (fun () ->
-                run_phase_timed ~sink ~pool ~cost compiled ~threads phase))
+            Obs.Span.with_ ~name:("phase:" ^ Sched.phase_label phase)
+              (fun () -> run_phase_timed ~pool ~cost compiled ~threads phase))
           s.Sched.phases
       in
       { store; seconds = Obs.Clock.elapsed_s t0; phase_stats })

@@ -30,9 +30,11 @@
     Every run goes through one instrumented path ({!run_timed}); {!run}
     and {!check} are thin views of it, and the pipeline layer turns the
     per-phase statistics into its report.  All timings come from
-    {!Obs.Clock} (monotonic).  With a recording {!Obs.Sink.t}, each phase,
-    per-domain bucket and chunk additionally becomes a span on the
-    executing domain's timeline.  Per-chunk [task] spans carry the sample
+    {!Obs.Clock} (monotonic).  Each phase, per-domain bucket and chunk
+    additionally becomes a span on the executing domain's timeline in
+    the ambient {!Obs.Event} log when a top-level command attached one
+    (with no log attached, the bucket and chunk spans are not even
+    opened).  Per-chunk [task] spans carry the sample
     {!Obs.Critpath} consumes — [("phase", label)], [("chain", id)] (task
     phases; the REC chain index) or [("block", id)] (DOALL blocks), and
     [("len", points)] — so every barrier's straggler is attributable to
@@ -63,7 +65,6 @@ type timed = {
 }
 
 val run_timed :
-  ?sink:Obs.Sink.t ->
   ?cost:Sim.cost ->
   ?workers:Workers.t ->
   Interp.env ->
@@ -74,9 +75,9 @@ val run_timed :
     domain when [threads ≤ 1]) and records per-phase wall time and
     per-domain load/busy time.  [cost] (default {!Sim.base_seconds})
     sizes the DOALL chunks; [workers] (default: a transient pool created
-    and shut down inside this call) supplies a persistent executor pool;
-    [sink] (default {!Obs.Sink.null}) receives phase/bucket/task spans
-    when recording. *)
+    and shut down inside this call) supplies a persistent executor pool.
+    The compile, phase, bucket and task spans go to the ambient
+    {!Obs.Event} log. *)
 
 val run : ?cost:Sim.cost -> Interp.env -> threads:int -> Sched.t -> Arrays.t
 (** [run_timed]'s final store. *)

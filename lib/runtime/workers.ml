@@ -34,7 +34,6 @@ type t = {
   runq : (unit -> unit) Queue.t;  (* [run]'s barrier jobs *)
   admq : admitted Queue.t;  (* at most [capacity] admitted jobs *)
   capacity : int;
-  events : Obs.Event.t;
   n_domains : int;
   n_spawned : int;
   mutable closing : bool;
@@ -56,16 +55,16 @@ let alive t = locked t (fun () -> not t.closing)
    and any panic event: everything this job emits is attributed to its
    request.  Installing [None] explicitly keeps a context-free job from
    inheriting the previous job's. *)
-let run_admitted t wid { ctx; job } =
+let run_admitted wid { ctx; job } =
   Obs.Ctx.with_opt ctx (fun () ->
-      Obs.Event.emit ~log:t.events ~severity:Obs.Event.Debug ~scope:"runtime"
+      Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"runtime"
         ~name:"workers.dequeue" (fun () -> [ ("worker", Obs.Event.Int wid) ]);
       match job () with
       | () -> Obs.Counter.incr completed_counter
       | exception e ->
           Obs.Counter.incr panics_counter;
-          Obs.Event.emit ~log:t.events ~severity:Obs.Event.Warn
-            ~scope:"runtime" ~name:"workers.panic" (fun () ->
+          Obs.Event.emit ~severity:Obs.Event.Warn ~scope:"runtime"
+            ~name:"workers.panic" (fun () ->
               [
                 ("worker", Obs.Event.Int wid);
                 ("exn", Obs.Event.Str (Printexc.to_string e));
@@ -91,11 +90,11 @@ let rec helper t wid =
       | Some a ->
           Condition.signal t.not_full;
           Mutex.unlock t.m;
-          run_admitted t wid a;
+          run_admitted wid a;
           helper t wid
       | None -> Mutex.unlock t.m)
 
-let make ~queue_capacity ~events ~domains ~spawn =
+let make ~queue_capacity ~domains ~spawn =
   if queue_capacity < 1 then
     invalid_arg "Workers: queue_capacity must be >= 1";
   let t =
@@ -106,7 +105,6 @@ let make ~queue_capacity ~events ~domains ~spawn =
       runq = Queue.create ();
       admq = Queue.create ();
       capacity = queue_capacity;
-      events;
       n_domains = domains;
       n_spawned = spawn;
       closing = false;
@@ -121,11 +119,11 @@ let make ~queue_capacity ~events ~domains ~spawn =
 
 let create ~domains =
   if domains < 1 then invalid_arg "Workers.create: domains must be >= 1";
-  make ~queue_capacity:64 ~events:Obs.Event.null ~domains ~spawn:(domains - 1)
+  make ~queue_capacity:64 ~domains ~spawn:(domains - 1)
 
-let spawn ?(queue_capacity = 64) ?(events = Obs.Event.null) ~domains () =
+let spawn ?(queue_capacity = 64) ~domains () =
   if domains < 1 then invalid_arg "Workers.spawn: domains must be >= 1";
-  make ~queue_capacity ~events ~domains ~spawn:domains
+  make ~queue_capacity ~domains ~spawn:domains
 
 let run t thunks =
   Obs.Counter.incr runs_counter;
@@ -221,9 +219,9 @@ let enqueue t job =
   Condition.signal t.work;
   Queue.length t.admq
 
-let admitted t depth =
+let admitted depth =
   Obs.Histogram.observe queue_depth_hist depth;
-  Obs.Event.emit ~log:t.events ~severity:Obs.Event.Debug ~scope:"runtime"
+  Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"runtime"
     ~name:"workers.submit" (fun () -> [ ("depth", Obs.Event.Int depth) ])
 
 let submit t job =
@@ -235,7 +233,7 @@ let submit t job =
         if t.closing then raise Closed;
         enqueue t job)
   in
-  admitted t depth
+  admitted depth
 
 (* Non-blocking admission for the network path: a full queue is the
    load-shedding signal, not something to wait out while a socket reader
@@ -249,7 +247,7 @@ let try_submit t job =
   with
   | None -> false
   | Some depth ->
-      admitted t depth;
+      admitted depth;
       true
 
 (* The presburger layer sits below this one, so its parallel disjunct

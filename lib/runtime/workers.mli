@@ -54,13 +54,12 @@ val create : domains:int -> t
     Each spawn increments the global ["runtime.workers.spawned"]
     counter. *)
 
-val spawn :
-  ?queue_capacity:int -> ?events:Obs.Event.t -> domains:int -> unit -> t
+val spawn : ?queue_capacity:int -> domains:int -> unit -> t
 (** Spawns exactly [domains] (≥ 1) domains behind an admission queue of
     at most [queue_capacity] (default 64, ≥ 1) jobs: the pool for
-    submitters that never run jobs themselves.  [events] receives the
-    admission events [workers.submit]/[workers.dequeue]/[workers.panic]
-    (default: none). *)
+    submitters that never run jobs themselves.  The admission events
+    [workers.submit]/[workers.dequeue]/[workers.panic] go to the ambient
+    {!Obs.Event} log. *)
 
 val domains : t -> int
 (** The configured size: helpers plus the participating caller for

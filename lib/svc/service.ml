@@ -7,8 +7,6 @@ type config = {
   check : bool;
   measure : bool;
   deadline_s : float option;
-  sink : Obs.Sink.t;
-  events : Obs.Event.t;
   slow_ms : float option;
   flight : bool;
   flight_dir : string option;
@@ -28,8 +26,6 @@ let default_config =
     check = true;
     measure = true;
     deadline_s = None;
-    sink = Obs.Sink.null;
-    events = Obs.Event.null;
     slow_ms = None;
     flight = true;
     flight_dir = None;
@@ -103,7 +99,7 @@ let create ?(config = default_config) () =
           ~capacity:config.cache_capacity ~name:"results" ();
       pool =
         Runtime.Workers.spawn ~queue_capacity:config.queue_capacity
-          ~events:config.events ~domains:config.domains ();
+          ~domains:config.domains ();
       window = Obs.Window.create ~windows:config.windows ~period_s:config.window_s ();
       store;
       gauge_providers = [];
@@ -246,8 +242,6 @@ let compute t (req : Proto.request) prog ~threads =
           measure = t.config.measure;
           strategy = req.strategy;
           workers = Some t.pool;
-          sink = t.config.sink;
-          events = t.config.events;
         }
       in
       match Pipeline.Driver.run ~options ~name:req.name ~params:req.params prog with
@@ -438,8 +432,8 @@ let slow_log t (ctx : Obs.Ctx.t) (req : Proto.request) ~run_s ~memo0 body =
         stages
   | _ -> ()
 
-let emit_outcome t (req : Proto.request) ~cached body =
-  Obs.Event.emit ~log:t.config.events ~scope:"svc"
+let emit_outcome (req : Proto.request) ~cached body =
+  Obs.Event.emit ~scope:"svc"
     ~name:
       (match body with
       | Proto.Failed _ -> "request.error"
@@ -474,7 +468,7 @@ let process t (req : Proto.request) ~submitted_ns =
   (* Begin marker: the svc:request span only records when it closes, so
      without this a request that dies mid-flight would be invisible in
      its own flight dump. *)
-  Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug ~scope:"svc"
+  Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"svc"
     ~name:"request.begin" (fun () ->
       [
         ("id", Obs.Event.Str req.Proto.id);
@@ -489,7 +483,7 @@ let process t (req : Proto.request) ~submitted_ns =
        body includes it (the request's begin breadcrumb is Debug and
        log-only; the failure event is the one flight-recorded record
        that names the failure). *)
-    emit_outcome t req ~cached body;
+    emit_outcome req ~cached body;
     (match body with
     | Proto.Failed (Proto.Bad_request _) | Proto.Done _ | Proto.Stats _
     | Proto.Healthy _ ->
@@ -509,7 +503,7 @@ let process t (req : Proto.request) ~submitted_ns =
   | Proto.Metrics -> finish ~cached:false (stats_body t)
   | Proto.Health -> finish ~cached:false (health_body t)
   | Proto.Run | Proto.Classify ->
-  Obs.Span.with_ ~sink:t.config.sink ~name:"svc:request"
+  Obs.Span.with_ ~name:"svc:request"
     ~args:[ ("id", req.Proto.id) ]
   @@ fun () ->
   let deadline =
@@ -570,17 +564,17 @@ let process t (req : Proto.request) ~submitted_ns =
           in
           match Cache.find t.cache key with
           | Some v ->
-              Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug
+              Obs.Event.emit ~severity:Obs.Event.Debug
                 ~scope:"svc" ~name:"cache.hit" (fun () ->
                   [ ("key", Obs.Event.Str (Key.to_string key)) ]);
               finish ~cached:true (done_of_value req v)
           | None -> (
-              Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug
+              Obs.Event.emit ~severity:Obs.Event.Debug
                 ~scope:"svc" ~name:"cache.miss" (fun () ->
                   [ ("key", Obs.Event.Str (Key.to_string key)) ]);
               let outcome =
                 try
-                  Obs.Span.with_ ~sink:t.config.sink ~name:"svc:analyze"
+                  Obs.Span.with_ ~name:"svc:analyze"
                     ~args:[ ("id", req.Proto.id) ] (fun () ->
                       compute t req prog ~threads)
                 with e -> Error (Proto.Panic (Printexc.to_string e))
@@ -621,7 +615,7 @@ let submit t (req : Proto.request) ~k =
        the pool job and every span/event it causes carry it. *)
     let ctx = Obs.Ctx.make () in
     Obs.Ctx.with_ctx ctx @@ fun () ->
-    Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug ~scope:"svc"
+    Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"svc"
       ~name:"request.submit" (fun () ->
         [ ("id", Obs.Event.Str req.Proto.id) ]);
     let submitted_ns = Obs.Clock.now_ns () in
@@ -663,7 +657,7 @@ let batch t reqs =
            and every span/event of the pooled run carry this trace id. *)
         let ctx = Obs.Ctx.make () in
         Obs.Ctx.with_ctx ctx @@ fun () ->
-        Obs.Event.emit ~log:t.config.events ~severity:Obs.Event.Debug
+        Obs.Event.emit ~severity:Obs.Event.Debug
           ~scope:"svc" ~name:"request.submit" (fun () ->
             [ ("id", Obs.Event.Str req.Proto.id) ]);
         let submitted_ns = Obs.Clock.now_ns () in

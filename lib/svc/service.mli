@@ -21,7 +21,10 @@
     Every request runs under an {!Obs.Ctx} (minted at submit, propagated
     to every pool domain that works for it), so all spans/events it
     causes carry its trace id, which is also stamped into the response.
-    Failed requests (deadline/pipeline/panic) dump their flight-recorder
+    Its [svc:request]/[svc:analyze] spans and lifecycle events go to the
+    ambient {!Obs.Event} log — [recpart batch --trace] attaches one for
+    the process, [recpart serve] none, so there they reach only the
+    flight recorder.  Failed requests (deadline/pipeline/panic) dump their flight-recorder
     history to [config.flight_dir]; {!Proto.Metrics}/{!Proto.Health}
     requests are answered inline from the [Obs] registries and the
     rolling {!Obs.Window} without touching the cache. *)
@@ -39,8 +42,6 @@ type config = {
   check : bool;  (** validate legality + sequential equivalence *)
   measure : bool;
   deadline_s : float option;  (** default per-request deadline *)
-  sink : Obs.Sink.t;  (** spans: submit→dequeue→analyze→respond *)
-  events : Obs.Event.t;  (** decision + service lifecycle events *)
   slow_ms : float option;
       (** log any request slower than this to stderr with stage timings
           and the presburger-memo delta it caused *)
@@ -60,8 +61,8 @@ type config = {
 
 val default_config : config
 (** 4 domains, queue 64, cache 512 over 8 shards, 2 threads, check and
-    measure on, no deadline, no-op sink and event log; flight recorder on
-    (no dump dir), no slow-request log, 60 windows of 1s; no store. *)
+    measure on, no deadline; flight recorder on (no dump dir), no
+    slow-request log, 60 windows of 1s; no store. *)
 
 type t
 

@@ -2,9 +2,9 @@
    atomicity under domains, histograms, metrics diffs, and the Chrome
    trace_event export round-tripping through the pipeline JSON parser. *)
 
-module Sink = Obs.Sink
 module Span = Obs.Span
 module Clock = Obs.Clock
+module Event = Obs.Event
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                                *)
@@ -24,88 +24,122 @@ let test_clock_monotone () =
 (* Spans                                                                *)
 
 let test_span_nesting () =
-  let sink = Sink.make () in
+  let log = Event.make () in
   let r =
-    Span.with_ ~sink ~name:"outer" (fun () ->
-        Span.with_ ~sink ~name:"inner1" (fun () -> ignore (Sys.opaque_identity 1));
-        Span.with_ ~sink ~name:"inner2" ~args:[ ("k", "v") ] (fun () -> ());
+    Span.with_ ~log ~name:"outer" (fun () ->
+        Span.with_ ~log ~name:"inner1" (fun () -> ignore (Sys.opaque_identity 1));
+        Span.with_ ~log ~name:"inner2" ~args:[ ("k", "v") ] (fun () -> ());
         17)
   in
   Alcotest.(check int) "with_ returns f's value" 17 r;
-  match Sink.spans sink with
+  match Event.spans log with
   | [ outer; inner1; inner2 ] ->
-      Alcotest.(check string) "outer first" "outer" outer.Sink.name;
-      Alcotest.(check string) "inner1 second" "inner1" inner1.Sink.name;
-      Alcotest.(check string) "inner2 third" "inner2" inner2.Sink.name;
-      Alcotest.(check int) "outer depth" 0 outer.Sink.depth;
-      Alcotest.(check int) "inner depth" 1 inner1.Sink.depth;
-      Alcotest.(check int) "inner2 depth" 1 inner2.Sink.depth;
+      Alcotest.(check string) "outer first" "outer" outer.Event.name;
+      Alcotest.(check string) "inner1 second" "inner1" inner1.Event.name;
+      Alcotest.(check string) "inner2 third" "inner2" inner2.Event.name;
+      Alcotest.(check int) "outer depth" 0 outer.Event.depth;
+      Alcotest.(check int) "inner depth" 1 inner1.Event.depth;
+      Alcotest.(check int) "inner2 depth" 1 inner2.Event.depth;
       Alcotest.(check bool) "args kept" true
-        (inner2.Sink.args = [ ("k", "v") ]);
+        (inner2.Event.fields = [ ("k", Event.Str "v") ]);
       List.iter
-        (fun (s : Sink.span) ->
+        (fun (s : Event.event) ->
           Alcotest.(check bool)
-            (s.Sink.name ^ " duration >= 0")
+            (s.Event.name ^ " duration >= 0")
             true
-            (Int64.compare s.Sink.dur_ns 0L >= 0))
+            (Int64.compare s.Event.dur_ns 0L >= 0))
         [ outer; inner1; inner2 ];
       (* children start after the parent and end before it *)
-      let ends (s : Sink.span) = Int64.add s.Sink.start_ns s.Sink.dur_ns in
+      let ends (s : Event.event) = Int64.add s.Event.t_ns s.Event.dur_ns in
       Alcotest.(check bool) "inner1 starts inside outer" true
-        (Int64.compare inner1.Sink.start_ns outer.Sink.start_ns >= 0);
+        (Int64.compare inner1.Event.t_ns outer.Event.t_ns >= 0);
       Alcotest.(check bool) "inner2 after inner1" true
-        (Int64.compare inner2.Sink.start_ns (ends inner1) >= 0);
+        (Int64.compare inner2.Event.t_ns (ends inner1) >= 0);
       Alcotest.(check bool) "inner2 ends inside outer" true
         (Int64.compare (ends inner2) (ends outer) <= 0)
   | spans ->
       Alcotest.failf "expected 3 spans, got %d" (List.length spans)
 
 let test_span_on_exception () =
-  let sink = Sink.make () in
-  (try Span.with_ ~sink ~name:"boom" (fun () -> failwith "x")
+  let log = Event.make () in
+  (try Span.with_ ~log ~name:"boom" (fun () -> failwith "x")
    with Failure _ -> ());
-  match Sink.spans sink with
-  | [ s ] -> Alcotest.(check string) "recorded despite raise" "boom" s.Sink.name
+  match Event.spans log with
+  | [ s ] -> Alcotest.(check string) "recorded despite raise" "boom" s.Event.name
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
 let test_span_null_sink () =
-  Span.with_ ~sink:Sink.null ~name:"dropped" (fun () -> ());
+  Span.with_ ~log:Event.null ~name:"dropped" (fun () -> ());
   Alcotest.(check int) "null sink records nothing" 0
-    (List.length (Sink.spans Sink.null))
+    (List.length (Event.spans Event.null))
 
 let test_ambient_sink () =
-  let sink = Sink.make () in
-  Sink.with_ambient sink (fun () -> Span.with_ ~name:"ambient" (fun () -> ()));
+  let log = Event.make () in
+  Event.with_ambient log (fun () -> Span.with_ ~name:"ambient" (fun () -> ()));
   (* After with_ambient the default is restored: this span is dropped. *)
   Span.with_ ~name:"after" (fun () -> ());
-  match Sink.spans sink with
-  | [ s ] -> Alcotest.(check string) "ambient recorded" "ambient" s.Sink.name
+  match Event.spans log with
+  | [ s ] -> Alcotest.(check string) "ambient recorded" "ambient" s.Event.name
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
 let test_spans_across_domains () =
-  let sink = Sink.make () in
+  let log = Event.make () in
   let work tag () =
-    Span.with_ ~sink ~name:("worker-" ^ tag) (fun () ->
-        Span.with_ ~sink ~name:"step" (fun () -> ignore (Sys.opaque_identity tag)))
+    Span.with_ ~log ~name:("worker-" ^ tag) (fun () ->
+        Span.with_ ~log ~name:"step" (fun () -> ignore (Sys.opaque_identity tag)))
   in
   let ds = List.init 3 (fun k -> Domain.spawn (work (string_of_int k))) in
   List.iter Domain.join ds;
-  let spans = Sink.spans sink in
+  let spans = Event.spans log in
   Alcotest.(check int) "2 spans per domain" 6 (List.length spans);
   let tids =
-    List.sort_uniq compare (List.map (fun s -> s.Sink.tid) spans)
+    List.sort_uniq compare (List.map (fun s -> s.Event.tid) spans)
   in
   Alcotest.(check int) "3 distinct domain ids" 3 (List.length tids);
   (* each domain has its own independent depth counter *)
   List.iter
-    (fun (s : Sink.span) ->
+    (fun (s : Event.event) ->
       let expect =
-        if String.length s.Sink.name >= 6 && String.sub s.Sink.name 0 6 = "worker"
+        if String.length s.Event.name >= 6 && String.sub s.Event.name 0 6 = "worker"
         then 0
         else 1
       in
-      Alcotest.(check int) (s.Sink.name ^ " depth") expect s.Sink.depth)
+      Alcotest.(check int) (s.Event.name ^ " depth") expect s.Event.depth)
     spans
+
+(* The idle path: with no log attached and the flight recorder off, a
+   span site or an event site (Info or Debug) costs one branch and
+   allocates nothing. *)
+let test_idle_sites_allocate_nothing () =
+  Obs.Flight.disable ();
+  Alcotest.(check bool) "no log attached" false
+    (Event.enabled (Event.ambient ()));
+  let n = 10_000 in
+  let body () = () in
+  let fields () = [ ("k", Event.Int 1) ] in
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let baseline = minor_words (fun () -> ()) in
+  let check what f =
+    Alcotest.(check (float 0.0))
+      (what ^ " allocates nothing")
+      baseline (minor_words f)
+  in
+  check "Span.with_" (fun () ->
+      for _ = 1 to n do
+        Span.with_ ~name:"idle" body
+      done);
+  check "Info Event.emit" (fun () ->
+      for _ = 1 to n do
+        Event.emit ~scope:"idle" ~name:"info" fields
+      done);
+  check "Debug Event.emit" (fun () ->
+      for _ = 1 to n do
+        Event.emit ~severity:Event.Debug ~scope:"idle" ~name:"debug" fields
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Counters and histograms                                              *)
@@ -222,8 +256,6 @@ let test_metrics_diff () =
 (* ------------------------------------------------------------------ *)
 (* Decision events                                                      *)
 
-module Event = Obs.Event
-
 let test_event_emit_and_order () =
   let log = Event.make () in
   Event.emit ~log ~scope:"depend" ~name:"test.gcd" (fun () ->
@@ -338,31 +370,47 @@ let test_event_jsonl_parses () =
   | Some (Pipeline.Json.Str s) -> Alcotest.(check string) "severity" "warn" s
   | _ -> Alcotest.fail "severity missing on second line"
 
+(* A dropped log's records are garbage: no domain keeps a reference to
+   the log's cells. *)
+let[@inline never] record_into_dropped_log w =
+  let log = Event.make () in
+  Event.emit ~log ~scope:"s" ~name:"n" (fun () ->
+      let payload = Event.Str (String.make 8 'x') in
+      Weak.set w 0 (Some payload);
+      [ ("p", payload) ]);
+  Alcotest.(check int) "recorded" 1 (List.length (Event.events log))
+
+let test_event_dropped_log_collected () =
+  let w = Weak.create 1 in
+  record_into_dropped_log w;
+  Gc.full_major ();
+  Alcotest.(check bool) "record collected with its log" false (Weak.check w 0)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                  *)
 
 let record_sample_trace () =
-  let sink = Sink.make () in
-  Span.with_ ~sink ~name:"run" (fun () ->
-      Span.with_ ~sink ~name:"phase:P1" ~args:[ ("n", "3") ] (fun () ->
+  let log = Event.make () in
+  Span.with_ ~log ~name:"run" (fun () ->
+      Span.with_ ~log ~name:"phase:P1" ~args:[ ("n", "3") ] (fun () ->
           let ds =
             List.init 2 (fun k ->
                 Domain.spawn (fun () ->
-                    Span.with_ ~sink ~name:"bucket" (fun () ->
+                    Span.with_ ~log ~name:"bucket" (fun () ->
                         ignore (Sys.opaque_identity k))))
           in
           List.iter Domain.join ds);
-      Span.with_ ~sink ~name:"phase:\"quoted\"\n" (fun () -> ()));
-  sink
+      Span.with_ ~log ~name:"phase:\"quoted\"\n" (fun () -> ()));
+  log
 
 let test_chrome_trace_round_trip () =
-  let sink = record_sample_trace () in
+  let log = record_sample_trace () in
   let c = Obs.Counter.make "test.trace_counter" in
   Obs.Counter.incr c;
   let metrics =
     { Obs.Metrics.counters = [ ("test.trace_counter", 1) ]; histograms = [] }
   in
-  let json = Obs.Trace.to_chrome_json ~metrics sink in
+  let json = Obs.Trace.to_chrome_json ~metrics log in
   match Pipeline.Json.parse json with
   | Error m -> Alcotest.fail ("trace JSON does not parse: " ^ m)
   | Ok t -> (
@@ -411,8 +459,8 @@ let test_chrome_trace_round_trip () =
       | _ -> Alcotest.fail "traceEvents missing")
 
 let test_trace_text () =
-  let sink = record_sample_trace () in
-  let text = Obs.Trace.to_text sink in
+  let log = record_sample_trace () in
+  let text = Obs.Trace.to_text log in
   List.iter
     (fun needle ->
       let found =
@@ -429,15 +477,16 @@ let test_chrome_trace_from_pipeline_run () =
      well-nested complete events.  The executor pool load-balances
      dynamically (the caller helps drain the bucket queue), so on a tiny
      nest fewer than [threads] domains may end up executing buckets. *)
-  let sink = Sink.make () in
-  let options = { Pipeline.Driver.default_options with threads = 4; sink } in
+  let log = Event.make () in
+  let options = { Pipeline.Driver.default_options with threads = 4 } in
   (match
-     Pipeline.Driver.run ~options ~name:"example2" ~params:[ ("n", 12) ]
-       Loopir.Builtin.example2
+     Event.with_ambient log (fun () ->
+         Pipeline.Driver.run ~options ~name:"example2" ~params:[ ("n", 12) ]
+           Loopir.Builtin.example2)
    with
   | Error e -> Alcotest.fail (Pipeline.Driver.error_to_string e)
   | Ok _ -> ());
-  let json = Obs.Trace.to_chrome_json sink in
+  let json = Obs.Trace.to_chrome_json log in
   match Pipeline.Json.parse json with
   | Error m -> Alcotest.fail ("trace JSON does not parse: " ^ m)
   | Ok t -> (
@@ -507,12 +556,16 @@ let test_chrome_trace_from_pipeline_run () =
 
 let mkspan ?(args = []) ?(tid = 0) ~name ~start ~dur () =
   {
-    Obs.Sink.name;
-    args;
+    Event.scope = "";
+    name;
+    severity = Event.Info;
+    fields = List.map (fun (k, v) -> (k, Event.Str v)) args;
     tid;
-    start_ns = Int64.of_int start;
+    t_ns = Int64.of_int start;
+    seq = -1;
     dur_ns = Int64.of_int dur;
     depth = 0;
+    span = true;
   }
 
 let mktask ~phase ~chain ~len ~tid ~start ~dur =
@@ -634,6 +687,8 @@ let () =
           Alcotest.test_case "ambient sink" `Quick test_ambient_sink;
           Alcotest.test_case "independent domain timelines" `Quick
             test_spans_across_domains;
+          Alcotest.test_case "idle sites allocate nothing" `Quick
+            test_idle_sites_allocate_nothing;
         ] );
       ( "metrics",
         [
@@ -657,6 +712,8 @@ let () =
             test_event_multi_domain_seq;
           Alcotest.test_case "JSONL lines parse" `Quick
             test_event_jsonl_parses;
+          Alcotest.test_case "dropped log is collected" `Quick
+            test_event_dropped_log_collected;
         ] );
       ( "trace",
         [

@@ -249,17 +249,17 @@ let test_error_carries_stage_timings () =
 (* Observability through the driver                                     *)
 
 let test_run_with_recording_sink () =
-  let sink = Obs.Sink.make () in
-  let options = { Driver.default_options with sink } in
+  let log = Obs.Event.make () in
   match
-    Driver.run ~options ~name:"example2" ~params:[ ("n", 12) ]
-      Loopir.Builtin.example2
+    Obs.Event.with_ambient log (fun () ->
+        Driver.run ~name:"example2" ~params:[ ("n", 12) ]
+          Loopir.Builtin.example2)
   with
   | Error e -> Alcotest.fail (Driver.error_to_string e)
   | Ok { report; _ } ->
       let names =
-        List.map (fun (s : Obs.Sink.span) -> s.Obs.Sink.name)
-          (Obs.Sink.spans sink)
+        List.map (fun (s : Obs.Event.event) -> s.Obs.Event.name)
+          (Obs.Event.spans log)
       in
       List.iter
         (fun needle ->
@@ -323,13 +323,63 @@ let test_run_with_recording_sink () =
         [ "\"balance\":{"; "\"idle_fraction\":"; "\"metrics\":{" ]
 
 let test_null_sink_reports_no_balance_gap () =
-  (* With the default no-op sink the run still produces balance (it comes
-     from the executor's timers, not from spans). *)
+  (* With no log attached the run still produces balance (it comes from
+     the executor's timers, not from spans). *)
   match run_ex2 () with
   | Error e -> Alcotest.fail (Driver.error_to_string e)
   | Ok { report; _ } ->
       Alcotest.(check bool) "balance present" true
         (report.Report.balance <> None)
+
+(* Two domains running Driver.run at once must record into the one
+   attached log: every event and span of both runs, nothing lost, and
+   the log still attached when they return.  A per-call swap of the
+   process-wide ambient breaks all three. *)
+let test_concurrent_runs_share_one_log () =
+  let runs = 20 in
+  let options = { Driver.default_options with threads = 1 } in
+  let run_all () =
+    for _ = 1 to runs do
+      match
+        Driver.run ~options ~name:"example1"
+          ~params:[ ("n1", 10); ("n2", 10) ]
+          Loopir.Builtin.example1
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Driver.error_to_string e)
+    done
+  in
+  let span_counts log =
+    List.fold_left
+      (fun acc (s : Obs.Event.event) ->
+        let n = Option.value (List.assoc_opt s.Obs.Event.name acc) ~default:0 in
+        (s.Obs.Event.name, n + 1) :: List.remove_assoc s.Obs.Event.name acc)
+      [] (Obs.Event.spans log)
+    |> List.sort compare
+  in
+  (* Warm the memo tables, so every recorded run takes the same path. *)
+  run_all ();
+  let solo = Obs.Event.make () in
+  Obs.Event.with_ambient solo run_all;
+  let shared = Obs.Event.make () in
+  let attached_after_runs =
+    Obs.Event.with_ambient shared (fun () ->
+        List.iter Domain.join (List.init 2 (fun _ -> Domain.spawn run_all));
+        Obs.Event.ambient () == shared)
+  in
+  Alcotest.(check bool) "solo runs recorded events" true
+    (Obs.Event.events solo <> []);
+  Alcotest.(check int) "twice the solo events"
+    (2 * List.length (Obs.Event.events solo))
+    (List.length (Obs.Event.events shared));
+  Alcotest.(check (list (pair string int)))
+    "twice the solo count of every span name"
+    (List.map (fun (name, n) -> (name, 2 * n)) (span_counts solo))
+    (span_counts shared);
+  Alcotest.(check bool) "the log is still attached when the runs return"
+    true attached_after_runs;
+  Alcotest.(check bool) "with_ambient detaches it on exit" false
+    (Obs.Event.enabled (Obs.Event.ambient ()))
 
 let test_json_parse_roundtrip () =
   match run_ex2 () with
@@ -545,14 +595,14 @@ let test_rejection_provenance_example3 () =
   | None -> Alcotest.fail "no auto.selected event"
 
 let test_driver_threads_events_option () =
-  (* Driver.run installs options.events as the ambient log, so the inner
+  (* Driver.run records into the attached ambient log, so the inner
      layers' provenance (dependence tests, partition cardinalities) shows
      up without any explicit plumbing. *)
   let log = Event.make () in
-  let options = { Driver.default_options with events = log } in
   (match
-     Driver.run ~options ~name:"example2" ~params:[ ("n", 12) ]
-       Loopir.Builtin.example2
+     Event.with_ambient log (fun () ->
+         Driver.run ~name:"example2" ~params:[ ("n", 12) ]
+           Loopir.Builtin.example2)
    with
   | Error e -> Alcotest.fail (Driver.error_to_string e)
   | Ok _ -> ());
@@ -821,6 +871,8 @@ let () =
             test_gc_telemetry_roundtrip;
           Alcotest.test_case "balance clamps degenerate walls" `Quick
             test_balance_degenerate_clamps;
+          Alcotest.test_case "concurrent runs share one attached log" `Quick
+            test_concurrent_runs_share_one_log;
         ] );
       ( "provenance",
         [

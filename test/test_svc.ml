@@ -719,11 +719,14 @@ let test_service_deadline_flight_dump () =
    originating request's trace id — including the ones that ran on pool
    worker domains, which is where the Ctx propagation could break. *)
 let test_service_spans_carry_req () =
-  let sink = Obs.Sink.make () in
-  let config = { (quiet_config ~domains:2) with sink } in
-  let svc = Service.create ~config () in
-  let responses = Service.batch svc (classify_corpus ~copies:2) in
-  Service.shutdown svc;
+  let log = Obs.Event.make () in
+  let responses =
+    Obs.Event.with_ambient log (fun () ->
+        let svc = Service.create ~config:(quiet_config ~domains:2) () in
+        let responses = Service.batch svc (classify_corpus ~copies:2) in
+        Service.shutdown svc;
+        responses)
+  in
   let traces =
     List.filter_map
       (fun (r : Proto.response) ->
@@ -734,23 +737,23 @@ let test_service_spans_carry_req () =
     (List.length traces);
   let svc_spans =
     List.filter
-      (fun (s : Obs.Sink.span) ->
-        String.length s.Obs.Sink.name >= 4
-        && String.sub s.Obs.Sink.name 0 4 = "svc:")
-      (Obs.Sink.spans sink)
+      (fun (s : Obs.Event.event) ->
+        String.length s.Obs.Event.name >= 4
+        && String.sub s.Obs.Event.name 0 4 = "svc:")
+      (Obs.Event.spans log)
   in
   Alcotest.(check bool) "batch recorded service spans" true (svc_spans <> []);
   let main_tid = (Domain.self () :> int) in
   let off_main = ref false in
   List.iter
-    (fun (s : Obs.Sink.span) ->
-      match List.assoc_opt "req" s.Obs.Sink.args with
-      | None -> Alcotest.failf "span %s lost its request id" s.Obs.Sink.name
-      | Some req ->
-          if s.Obs.Sink.tid <> main_tid then off_main := true;
+    (fun (s : Obs.Event.event) ->
+      match List.assoc_opt "req" s.Obs.Event.fields with
+      | Some (Obs.Event.Str req) ->
+          if s.Obs.Event.tid <> main_tid then off_main := true;
           Alcotest.(check bool)
-            (Printf.sprintf "span %s req is a batch trace" s.Obs.Sink.name)
-            true (List.mem req traces))
+            (Printf.sprintf "span %s req is a batch trace" s.Obs.Event.name)
+            true (List.mem req traces)
+      | _ -> Alcotest.failf "span %s lost its request id" s.Obs.Event.name)
     svc_spans;
   Alcotest.(check bool) "spans ran on pool worker domains" true !off_main
 
