@@ -204,13 +204,9 @@ let cholesky_params =
   if quick then [ ("nmat", 16); ("m", 4); ("n", 20); ("nrhs", 2) ]
   else [ ("nmat", 250); ("m", 4); ("n", 40); ("nrhs", 3) ]
 
+(* One trace serves the front count, the edge statistics and panel 4. *)
 let cholesky_data =
-  lazy
-    (let c =
-       Dataflow.peel_concrete Loopir.Builtin.cholesky ~params:cholesky_params
-     in
-     let tr = Depend.Trace.build Loopir.Builtin.cholesky ~params:cholesky_params in
-     (c, tr))
+  lazy (Dataflow.peel_concrete Loopir.Builtin.cholesky ~params:cholesky_params)
 
 let ex4 () =
   section "E6 / Example 4: NASA Cholesky kernel, dataflow partitioning";
@@ -218,8 +214,9 @@ let ex4 () =
     (String.concat ", "
        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cholesky_params))
     (if quick then "  [--quick]" else "  (paper parameters)");
-  let c, tr = Lazy.force cholesky_data in
-  Printf.printf "statement instances : %d\n" (Array.length c.Dataflow.instances);
+  let c = Lazy.force cholesky_data in
+  let tr = c.Dataflow.trace in
+  Printf.printf "statement instances : %d\n" (Array.length tr.Depend.Trace.instances);
   Printf.printf "dependence edges    : %d\n" (Depend.Trace.n_edges tr);
   Printf.printf "dataflow steps      : %d   (paper: 238 at paper parameters)\n"
     c.Dataflow.steps;
@@ -299,12 +296,10 @@ let fig3_panel2 () =
 let fig3_panel3 () =
   let n = if quick then 80 else 150 in
   let params = [ ("n", n) ] in
-  let tr = Depend.Trace.build Loopir.Builtin.example3 ~params in
+  let c = Dataflow.peel_concrete Loopir.Builtin.example3 ~params in
+  let tr = c.Dataflow.trace in
   let n_seq = Array.length tr.Depend.Trace.instances in
-  let rec_a =
-    Sim.abstract
-      (Sched.of_fronts (Dataflow.peel_concrete Loopir.Builtin.example3 ~params))
-  in
+  let rec_a = Sim.abstract (Sched.of_fronts c) in
   let par_a = Sim.abstract (Baselines.Innerpar.schedule tr) in
   print_panel
     (Printf.sprintf
@@ -325,8 +320,9 @@ let fig3_panel3 () =
     ]
 
 let fig3_panel4 () =
-  let c, tr = Lazy.force cholesky_data in
-  let n_seq = Array.length c.Dataflow.instances in
+  let c = Lazy.force cholesky_data in
+  let tr = c.Dataflow.trace in
+  let n_seq = Array.length tr.Depend.Trace.instances in
   let rec_a =
     List.map
       (fun front -> Sim.ADoall (List.length front))
@@ -628,11 +624,13 @@ let metrics_json (m : Obs.Metrics.t) =
 (* E13 — analyze-stage memoization: cold vs memo-warm classification over
    the builtin corpus, per worker-pool size.  The memo tables are cleared
    before the cold pass, so "cold" really recomputes every set-algebra
-   result and "warm" answers from the {!Presburger.Hc} tables.  Timings
-   (and the hit counts, which depend on scheduling at t > 1) are plain
-   fields; the gate-checked counters are only emitted for the t = 1 run,
-   where sequential execution makes omega call counts and memo miss counts
-   exactly reproducible. *)
+   result and "warm" answers from the {!Presburger.Hc} tables; the warm
+   time is the median of [warm_reps] passes.  Timings (and the hit counts,
+   which depend on scheduling at t > 1) are plain fields; the gate-checked
+   counters are only emitted for the t = 1 run, where sequential execution
+   makes omega call counts and memo miss counts exactly reproducible. *)
+let warm_reps = 9
+
 let analyze_entry () =
   let corpus =
     [
@@ -643,8 +641,9 @@ let analyze_entry () =
     ]
   in
   Printf.printf
-    "  analyze-stage memoization (classify over %d nests, cold vs warm):\n"
-    (List.length corpus);
+    "  analyze-stage memoization (classify over %d nests, cold vs warm; warm \
+     = median of %d passes):\n"
+    (List.length corpus) warm_reps;
   Printf.printf "  domains    cold s     warm s  speedup  warm hits/misses\n";
   let omega_calls (m : Obs.Metrics.t) =
     List.fold_left
@@ -686,6 +685,17 @@ let analyze_entry () =
         let m1 = Presburger.Hc.totals () in
         let warm_s, warm_m = pass () in
         let m2 = Presburger.Hc.totals () in
+        (* One warm pass is ~0.35 ms, too short to time alone: the speedup
+           uses the median of [warm_reps] passes, the counters and hit
+           counts the first. *)
+        let warm_s =
+          let times =
+            Array.init warm_reps (fun k ->
+                if k = 0 then warm_s else fst (pass ()))
+          in
+          Array.sort compare times;
+          times.(warm_reps / 2)
+        in
         Runtime.Workers.uninstall_dnf_runner ();
         Runtime.Workers.shutdown pool;
         let open Presburger.Hc in
@@ -855,6 +865,15 @@ let prediction_entry () =
         ("threads", Pipeline.Json.Int 1);
         ("rel_error_pre", Pipeline.Json.Float mean_pre);
         ("rel_error_post", Pipeline.Json.Float mean_post);
+        (* The mean as an integer percentage, clamped below at the 50%
+           acceptance target.  A plain field, not a gated counter: the
+           clamp gives it a zero interquartile range whenever most runs
+           meet the target, but the mean it clamps spread 37.5% (IQR /
+           median over ten quick runs), and its tail crossed the gate on
+           unchanged code. *)
+        ( "prediction_rel_error_pct_post",
+          Pipeline.Json.Int
+            (max 50 (int_of_float (Float.round (mean_post *. 100.0)))) );
         ( "per_program",
           Pipeline.Json.List
             (List.map
@@ -871,17 +890,6 @@ let prediction_entry () =
               ( "counters",
                 Pipeline.Json.Obj
                   [
-                    (* Clamped below at the 50% acceptance target: the raw
-                       mean swings 2x between runs at bench sizes (exact
-                       value in rel_error_post above), so gating it would
-                       chase noise.  Anything under target reads as 50;
-                       the gate fires only when calibration stops meeting
-                       the paper target by a margin. *)
-                    ( "prediction_rel_error_pct_post",
-                      Pipeline.Json.Int
-                        (max 50
-                           (int_of_float (Float.round (mean_post *. 100.0))))
-                    );
                     ( "programs_predicted",
                       Pipeline.Json.Int (List.length pre) );
                   ] );
@@ -1623,15 +1631,18 @@ let exec_bench () =
                   ("exec_seconds", Json.Float wall);
                   ("p1_idle_pct_median", Json.Float p1);
                   ("p3_idle_pct_median", Json.Float p3);
+                  (* Over ten quick runs P1 idle spread 14.8% (IQR /
+                     median), more than a third of the 25% gate, so it is
+                     a plain field; P3 idle spread 3.7% and stays
+                     gated. *)
+                  ("p1_idle_pct", Json.Int (int_of_float p1));
                   ( "metrics",
                     Json.Obj
                       [
                         ( "counters",
                           Json.Obj
-                            [
-                              ("p1_idle_pct", Json.Int (int_of_float p1));
-                              ("p3_idle_pct", Json.Int (int_of_float p3));
-                            ] );
+                            [ ("p3_idle_pct", Json.Int (int_of_float p3)) ]
+                        );
                       ] );
                 ];
             ] );

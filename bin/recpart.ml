@@ -313,7 +313,7 @@ let partition_cmd =
       | Pipeline.Driver.Fronts d ->
           Printf.printf "%s%d steps over %d instances\n" at
             d.Core.Dataflow.steps
-            (Array.length d.Core.Dataflow.instances)
+            (Array.length d.Core.Dataflow.trace.Depend.Trace.instances)
       | Pipeline.Driver.Tasks { sched } ->
           Printf.printf "%s%d phases, %d instances\n" at
             (Runtime.Sched.n_phases sched)

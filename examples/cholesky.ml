@@ -27,8 +27,9 @@ let () =
     (String.concat ", "
        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) params));
   let c = Core.Dataflow.peel_concrete prog ~params in
+  let tr = c.Core.Dataflow.trace in
   Printf.printf "statement instances : %d\n"
-    (Array.length c.Core.Dataflow.instances);
+    (Array.length tr.Depend.Trace.instances);
   Printf.printf "dataflow steps      : %d%s\n" c.Core.Dataflow.steps
     (if full then "   (paper: 238 partitioning steps)" else "");
   let sizes = Array.map List.length c.Core.Dataflow.fronts in
@@ -41,7 +42,6 @@ let () =
   (* The PDM uniformization keeps the L dimension fully parallel: group
      instances by their l value — no dependence crosses groups. *)
   print_endline "\n=== PDM view: outermost L stays DOALL ===";
-  let tr = Depend.Trace.build prog ~params in
   let bad = ref 0 in
   (* l is the innermost loop of every statement of the kernel. *)
   let l_of (i : Depend.Trace.instance) =
@@ -70,16 +70,16 @@ let () =
   (* Figure 3, panel 4: REC dataflow vs PDM (L-cosets), always at the
      paper's parameters so front work dominates region overheads. *)
   print_endline "\n=== simulated speedup (cf. Figure 3, panel 4) ===";
-  let cpaper, trpaper =
-    if full then (c, tr)
+  let cpaper =
+    if full then c
     else begin
       let params = [ ("nmat", 250); ("m", 4); ("n", 40); ("nrhs", 3) ] in
       print_endline "(computing at paper parameters NMAT=250, M=4, N=40, NRHS=3)";
-      ( Core.Dataflow.peel_concrete prog ~params,
-        Depend.Trace.build prog ~params )
+      Core.Dataflow.peel_concrete prog ~params
     end
   in
-  let n_seq = Array.length cpaper.Core.Dataflow.instances in
+  let trpaper = cpaper.Core.Dataflow.trace in
+  let n_seq = Array.length trpaper.Depend.Trace.instances in
   let rec_a =
     List.map
       (fun front -> Runtime.Sim.ADoall (List.length front))

@@ -37,9 +37,8 @@ let () =
   (* Validation of the two-phase schedule. *)
   let sched = Runtime.Sched.of_fronts c in
   let env = Runtime.Interp.prepare prog ~params in
-  let tr = Depend.Trace.build prog ~params in
   Printf.printf "two-phase schedule: legality %s, semantics %s\n"
-    (match Runtime.Sched.check_legal sched tr with
+    (match Runtime.Sched.check_legal sched c.Core.Dataflow.trace with
     | Ok () -> "OK"
     | Error m -> "FAILED: " ^ m)
     (match Runtime.Interp.check_schedule env sched with
@@ -49,11 +48,10 @@ let () =
   (* Speedups: REC (2 barriers) vs inner-PAR (n barriers) vs DOACROSS. *)
   print_endline "\n=== simulated speedup at n=150 (cf. Figure 3, panel 3) ===";
   let params = [ ("n", 150) ] in
-  let tr = Depend.Trace.build prog ~params in
+  let c = Core.Dataflow.peel_concrete prog ~params in
+  let tr = c.Core.Dataflow.trace in
   let n_seq = Array.length tr.Depend.Trace.instances in
-  let rec_sched =
-    Runtime.Sched.of_fronts (Core.Dataflow.peel_concrete prog ~params)
-  in
+  let rec_sched = Runtime.Sched.of_fronts c in
   let par_sched = Baselines.Innerpar.schedule tr in
   Printf.printf "threads    REC    PAR  DOACROSS  (linear)\n";
   List.iter

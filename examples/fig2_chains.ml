@@ -44,9 +44,8 @@ let () =
   let concrete = Core.Dataflow.peel_concrete prog ~params:[] in
   let sched = Runtime.Sched.of_fronts concrete in
   let env = Runtime.Interp.prepare prog ~params:[] in
-  let tr = Depend.Trace.build prog ~params:[] in
   Printf.printf "two-phase schedule: legality %s, semantics %s\n"
-    (match Runtime.Sched.check_legal sched tr with
+    (match Runtime.Sched.check_legal sched concrete.Core.Dataflow.trace with
     | Ok () -> "OK"
     | Error m -> "FAILED: " ^ m)
     (match Runtime.Interp.check_schedule env sched with

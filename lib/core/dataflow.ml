@@ -31,7 +31,7 @@ let peel_symbolic ~phi ~rd ~max_steps =
 
 type concrete = {
   graph : Depend.Graph.t;
-  instances : Depend.Trace.instance array;
+  trace : Depend.Trace.t;
   steps : int;
   fronts : int list array;
 }
@@ -44,9 +44,4 @@ let peel_concrete prog ~params =
     (fun node lvl -> fronts.(lvl - 1) <- node :: fronts.(lvl - 1))
     g.Depend.Graph.level;
   Array.iteri (fun k l -> fronts.(k) <- List.rev l) fronts;
-  {
-    graph = g;
-    instances = tr.Depend.Trace.instances;
-    steps = g.Depend.Graph.n_levels;
-    fronts;
-  }
+  { graph = g; trace = tr; steps = g.Depend.Graph.n_levels; fronts }

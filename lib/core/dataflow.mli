@@ -6,7 +6,12 @@
     (exact, but needs a step limit since termination is only guaranteed for
     compile-time-known bounds) and a concrete one layering the exact
     trace-based dependence graph — the route used for the paper's Cholesky
-    experiment (238 steps at the paper's parameters). *)
+    experiment (238 steps at the paper's parameters).
+
+    The concrete result carries the trace it peeled, so a caller that also
+    validates the schedule ([Pipeline.Driver.run], the E6 bench) checks it
+    against that same trace instead of building a second one: the builder
+    is deterministic, so a rebuild would be an equal value. *)
 
 exception Did_not_terminate of int
 (** Symbolic peeling exceeded the step limit (argument = limit). *)
@@ -20,7 +25,7 @@ val peel_symbolic :
 
 type concrete = {
   graph : Depend.Graph.t;
-  instances : Depend.Trace.instance array;
+  trace : Depend.Trace.t;  (** the instance trace the fronts index *)
   steps : int;  (** = number of fronts = dataflow partitioning steps *)
   fronts : int list array;  (** instance indices per front *)
 }

@@ -1,5 +1,5 @@
 module Ast = Loopir.Ast
-
+module S = Numeric.Safeint
 
 type instance = { inst : int; stmt : int; iter : int array }
 
@@ -8,6 +8,8 @@ type t = {
   edge_src : int array;
   edge_dst : int array;
 }
+
+let c_builds = Obs.Counter.make "trace.builds"
 
 let n_edges t = Array.length t.edge_src
 
@@ -19,103 +21,314 @@ let iter_edges t f =
 let edges t =
   List.init (Array.length t.edge_src) (fun k -> (t.edge_src.(k), t.edge_dst.(k)))
 
+(* Doubles an array, keeping its contents. *)
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* ---- compilation -------------------------------------------------------- *)
+
+(* Index expressions compiled against the loop-slot scope (innermost
+   binding first, as the walk's environment chain resolved them), with
+   parameters folded in: the {!Loopir.Eval_int} semantics, checked
+   arithmetic and evaluation order included.  A name bound by no loop and
+   no parameter, and a value-domain construct, compile to closures that
+   raise when evaluated, so a statement that never runs never fails. *)
+let rec cint scope params e : int array -> int =
+  match e with
+  | Ast.Int k -> fun _ -> k
+  | Ast.Var v -> (
+      match List.assoc_opt v scope with
+      | Some j -> fun it -> it.(j)
+      | None -> (
+          match List.assoc_opt v params with
+          | Some k -> fun _ -> k
+          | None -> fun _ -> Diag.fail (Diag.Unbound_variable v)))
+  | Ast.Bin (Ast.Add, a, b) ->
+      let fa = cint scope params a and fb = cint scope params b in
+      fun it -> S.add (fa it) (fb it)
+  | Ast.Bin (Ast.Sub, a, b) ->
+      let fa = cint scope params a and fb = cint scope params b in
+      fun it -> S.sub (fa it) (fb it)
+  | Ast.Bin (Ast.Mul, a, b) ->
+      let fa = cint scope params a and fb = cint scope params b in
+      fun it -> S.mul (fa it) (fb it)
+  | Ast.Bin (Ast.Div, a, b) ->
+      let fa = cint scope params a and fb = cint scope params b in
+      fun it -> S.fdiv (fa it) (fb it)
+  | Ast.Un (Ast.Neg, a) ->
+      let fa = cint scope params a in
+      fun it -> S.neg (fa it)
+  | Ast.Un (Ast.Abs, a) ->
+      let fa = cint scope params a in
+      fun it -> S.abs (fa it)
+  | Ast.Min es -> (
+      match List.map (cint scope params) es with
+      | [] -> fun _ -> raise (Loopir.Eval_int.Not_integer "empty MIN")
+      | f :: fs -> fun it -> List.fold_left (fun m g -> min m (g it)) (f it) fs)
+  | Ast.Max es -> (
+      match List.map (cint scope params) es with
+      | [] -> fun _ -> raise (Loopir.Eval_int.Not_integer "empty MAX")
+      | f :: fs -> fun it -> List.fold_left (fun m g -> max m (g it)) (f it) fs)
+  | Ast.Mod (a, b) ->
+      let fa = cint scope params a and fb = cint scope params b in
+      fun it -> S.emod (fa it) (fb it)
+  | Ast.Pow (a, k) ->
+      let fa = cint scope params a in
+      fun it -> S.pow (fa it) k
+  | Ast.Real _ | Ast.Ref _ | Ast.Un (Ast.Sqrt, _) ->
+      let msg = Loopir.Pretty.expr_to_string e in
+      fun _ -> raise (Loopir.Eval_int.Not_integer msg)
+
+(* An array reference: its cell class (the array name and rank, interned)
+   and its compiled subscripts. *)
+type cref = { cls : int; subs : (int array -> int) array }
+
+type node =
+  | Stmt of { id : int; depth : int; reads : cref array; write : cref }
+  | Loop of {
+      slot : int;
+      lo : int array -> int;
+      hi : int array -> int;
+      body : node array;
+    }
+
+(* The right-hand side's references in the walk's recording order:
+   subscripts' own references first, then the reference itself; operands
+   left to right. *)
+let rec reads_of cref acc = function
+  | Ast.Int _ | Ast.Real _ | Ast.Var _ -> acc
+  | Ast.Ref (a, subs) -> cref (a, subs) :: List.fold_left (reads_of cref) acc subs
+  | Ast.Bin (_, a, b) | Ast.Mod (a, b) -> reads_of cref (reads_of cref acc a) b
+  | Ast.Un (_, a) | Ast.Pow (a, _) -> reads_of cref acc a
+  | Ast.Min es | Ast.Max es -> List.fold_left (reads_of cref) acc es
+
+(* ---- cells ---------------------------------------------------------------- *)
+
+(* One open-addressing table over the cells touched so far, keyed by
+   (class, subscripts).  Memory follows the distinct cells, never the
+   arrays' extents.  Each cell holds its last writer and the readers since
+   that write, most recent first, as a list threaded through [node_inst] /
+   [node_next]; a write recycles the list's nodes. *)
+type cells = {
+  stride : int;  (** 1 + the largest rank *)
+  key : int array;  (** the reference being looked up: class, subscripts *)
+  mutable index : int array;  (** cell id, or -1 for an empty slot *)
+  mutable keys : int array;  (** cell [c]'s key at [c * stride] *)
+  mutable hashes : int array;
+  mutable writer : int array;  (** last writing instance, or -1 *)
+  mutable readers : int array;  (** head node of the reader list, or -1 *)
+  mutable n_cells : int;
+  mutable node_inst : int array;
+  mutable node_next : int array;
+  mutable n_nodes : int;
+  mutable free : int;  (** head of the recycled nodes, or -1 *)
+}
+
+let cells_make ~max_rank =
+  let stride = max_rank + 1 and cap = 64 in
+  {
+    stride;
+    key = Array.make stride 0;
+    index = Array.make (2 * cap) (-1);
+    keys = Array.make (cap * stride) 0;
+    hashes = Array.make cap 0;
+    writer = Array.make cap (-1);
+    readers = Array.make cap (-1);
+    n_cells = 0;
+    node_inst = Array.make cap 0;
+    node_next = Array.make cap (-1);
+    n_nodes = 0;
+    free = -1;
+  }
+
+(* Multiplicative mixing, with the high bits folded down: the index masks
+   the low ones. *)
+let hash_key key rank =
+  let h = ref key.(0) in
+  for i = 1 to rank do
+    h := (!h * 0x2545F4914F6CDD1D) + key.(i)
+  done;
+  let h = !h * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 31)
+
+let same_key t c rank =
+  let base = c * t.stride in
+  let rec go i = i > rank || (t.keys.(base + i) = t.key.(i) && go (i + 1)) in
+  go 0
+
+(* Rebuilds the index at twice the size from the stored hashes. *)
+let rehash t =
+  let index = Array.make (2 * Array.length t.index) (-1) in
+  let mask = Array.length index - 1 in
+  for c = 0 to t.n_cells - 1 do
+    let p = ref (t.hashes.(c) land mask) in
+    while index.(!p) >= 0 do
+      p := (!p + 1) land mask
+    done;
+    index.(!p) <- c
+  done;
+  t.index <- index
+
+(* The cell of the key in [t.key] (rank [rank]), added on first touch. *)
+let cell t rank =
+  if 2 * (t.n_cells + 1) > Array.length t.index then rehash t;
+  let h = hash_key t.key rank in
+  let mask = Array.length t.index - 1 in
+  let rec probe p =
+    let c = t.index.(p) in
+    if c < 0 then begin
+      let c = t.n_cells in
+      if c = Array.length t.hashes then begin
+        t.keys <- grow t.keys 0;
+        t.hashes <- grow t.hashes 0;
+        t.writer <- grow t.writer (-1);
+        t.readers <- grow t.readers (-1)
+      end;
+      Array.blit t.key 0 t.keys (c * t.stride) (rank + 1);
+      t.hashes.(c) <- h;
+      t.n_cells <- c + 1;
+      t.index.(p) <- c;
+      c
+    end
+    else if t.hashes.(c) = h && same_key t c rank then c
+    else probe ((p + 1) land mask)
+  in
+  probe (h land mask)
+
+(* Evaluates a reference's subscripts, left to right, into [t.key] and
+   returns its cell. *)
+let cell_of t r it =
+  let key = t.key in
+  key.(0) <- r.cls;
+  let subs = r.subs in
+  for i = 0 to Array.length subs - 1 do
+    key.(i + 1) <- subs.(i) it
+  done;
+  cell t (Array.length subs)
+
 (* Growable int-pair buffer. *)
 type ebuf = { mutable src : int array; mutable dst : int array; mutable len : int }
 
-let ebuf_make () = { src = Array.make 1024 0; dst = Array.make 1024 0; len = 0 }
-
 let ebuf_push b s d =
   if b.len = Array.length b.src then begin
-    let grow a = Array.append a (Array.make (Array.length a) 0) in
-    b.src <- grow b.src;
-    b.dst <- grow b.dst
+    b.src <- grow b.src 0;
+    b.dst <- grow b.dst 0
   end;
   b.src.(b.len) <- s;
   b.dst.(b.len) <- d;
   b.len <- b.len + 1
 
-(* Per array element: the last writing instance and the readers seen since. *)
-type cell = { mutable last_write : int; mutable readers : int list }
+let add_edge eb src dst = if src <> dst then ebuf_push eb src dst
+
+let read t eb inst c =
+  let w = t.writer.(c) in
+  if w >= 0 then add_edge eb w inst;
+  let node =
+    if t.free >= 0 then begin
+      let node = t.free in
+      t.free <- t.node_next.(node);
+      node
+    end
+    else begin
+      if t.n_nodes = Array.length t.node_inst then begin
+        t.node_inst <- grow t.node_inst 0;
+        t.node_next <- grow t.node_next (-1)
+      end;
+      let node = t.n_nodes in
+      t.n_nodes <- node + 1;
+      node
+    end
+  in
+  t.node_inst.(node) <- inst;
+  t.node_next.(node) <- t.readers.(c);
+  t.readers.(c) <- node
+
+let write t eb inst c =
+  let w = t.writer.(c) in
+  if w >= 0 then add_edge eb w inst;
+  let head = t.readers.(c) in
+  if head >= 0 then begin
+    let node = ref head and last = ref head in
+    while !node >= 0 do
+      add_edge eb t.node_inst.(!node) inst;
+      last := !node;
+      node := t.node_next.(!node)
+    done;
+    t.node_next.(!last) <- t.free;
+    t.free <- head;
+    t.readers.(c) <- -1
+  end;
+  t.writer.(c) <- inst
+
+(* ---- the pass ------------------------------------------------------------- *)
 
 let build prog ~params =
+  Obs.Counter.incr c_builds;
   let prog = Loopir.Normalize.unit_strides prog in
   List.iter
     (fun p ->
       if not (List.mem_assoc p params) then
         Diag.fail (Diag.Unbound_parameter p))
     prog.Ast.params;
-  (* Annotate every Assign with its static id, numbering in the same
-     textual order as Prog.stmts_of. *)
-  let next_static = ref 0 in
-  let rec annotate = function
+  (* Static ids number the statements in the same textual order as
+     Prog.stmts_of; loop [d] levels deep binds slot [d]. *)
+  let classes = Hashtbl.create 16 in
+  let max_rank = ref 0 and max_depth = ref 0 and next_id = ref 0 in
+  let cref scope (a, subs) =
+    let rank = List.length subs in
+    max_rank := max !max_rank rank;
+    let cls =
+      match Hashtbl.find_opt classes (a, rank) with
+      | Some c -> c
+      | None ->
+          let c = Hashtbl.length classes in
+          Hashtbl.add classes (a, rank) c;
+          c
+    in
+    { cls; subs = Array.of_list (List.map (cint scope params) subs) }
+  in
+  let rec compile scope depth = function
     | Ast.Assign (lhs, rhs) ->
-        let id = !next_static in
-        incr next_static;
-        `Assign (id, lhs, rhs)
-    | Ast.Loop l -> `Loop (l, List.map annotate l.Ast.body)
+        let id = !next_id in
+        incr next_id;
+        let reads = Array.of_list (List.rev (reads_of (cref scope) [] rhs)) in
+        Stmt { id; depth; reads; write = cref scope lhs }
+    | Ast.Loop l ->
+        max_depth := max !max_depth (depth + 1);
+        let lo = cint scope params l.Ast.lo and hi = cint scope params l.Ast.hi in
+        let inner = (l.Ast.index, depth) :: scope in
+        let body = Array.of_list (List.map (compile inner (depth + 1)) l.Ast.body) in
+        Loop { slot = depth; lo; hi; body }
   in
-  let annotated = List.map annotate prog.Ast.body in
-  let cells : (string * int list, cell) Hashtbl.t = Hashtbl.create 4096 in
-  let instances = ref [] in
-  let n_inst = ref 0 in
-  let eb = ebuf_make () in
-  let add_edge src dst = if src <> dst then ebuf_push eb src dst in
-  let cell_of key =
-    match Hashtbl.find_opt cells key with
-    | Some c -> c
-    | None ->
-        let c = { last_write = -1; readers = [] } in
-        Hashtbl.add cells key c;
-        c
-  in
-  let read inst key =
-    let c = cell_of key in
-    if c.last_write >= 0 then add_edge c.last_write inst;
-    c.readers <- inst :: c.readers
-  in
-  let write inst key =
-    let c = cell_of key in
-    if c.last_write >= 0 then add_edge c.last_write inst;
-    List.iter (fun r -> add_edge r inst) c.readers;
-    c.readers <- [];
-    c.last_write <- inst
-  in
-  let rec record_reads env inst = function
-    | Ast.Int _ | Ast.Real _ | Ast.Var _ -> ()
-    | Ast.Ref (a, subs) ->
-        List.iter (record_reads env inst) subs;
-        read inst (a, List.map (Loopir.Eval_int.eval env) subs)
-    | Ast.Bin (_, a, b) | Ast.Mod (a, b) ->
-        record_reads env inst a;
-        record_reads env inst b
-    | Ast.Un (_, a) | Ast.Pow (a, _) -> record_reads env inst a
-    | Ast.Min es | Ast.Max es -> List.iter (record_reads env inst) es
-  in
-  let rec run env iter_stack = function
-    | `Assign (stmt, (a, subs), rhs) ->
+  let program = List.map (compile [] 0) prog.Ast.body in
+  let cells = cells_make ~max_rank:!max_rank in
+  let eb = { src = Array.make 1024 0; dst = Array.make 1024 0; len = 0 } in
+  let dummy = { inst = -1; stmt = -1; iter = [||] } in
+  let instances = ref (Array.make 1024 dummy) and n_inst = ref 0 in
+  let it = Array.make !max_depth 0 in
+  let rec run = function
+    | Stmt { id; depth; reads; write = w } ->
         let inst = !n_inst in
-        incr n_inst;
-        instances :=
-          { inst; stmt; iter = Array.of_list (List.rev iter_stack) }
-          :: !instances;
-        record_reads env inst rhs;
-        write inst (a, List.map (Loopir.Eval_int.eval env) subs)
-    | `Loop (l, body) ->
-        let lo = Loopir.Eval_int.eval env l.Ast.lo
-        and hi = Loopir.Eval_int.eval env l.Ast.hi in
+        if inst = Array.length !instances then
+          instances := grow !instances dummy;
+        !instances.(inst) <- { inst; stmt = id; iter = Array.sub it 0 depth };
+        n_inst := inst + 1;
+        for k = 0 to Array.length reads - 1 do
+          read cells eb inst (cell_of cells reads.(k) it)
+        done;
+        write cells eb inst (cell_of cells w it)
+    | Loop { slot; lo; hi; body } ->
+        let lo = lo it and hi = hi it in
         for v = lo to hi do
-          let env' name = if name = l.Ast.index then v else env name in
-          List.iter (run env' (v :: iter_stack)) body
+          it.(slot) <- v;
+          Array.iter run body
         done
   in
-  let env0 name =
-    match List.assoc_opt name params with
-    | Some v -> v
-    | None -> Diag.fail (Diag.Unbound_variable name)
-  in
-  List.iter (run env0 []) annotated;
+  List.iter run program;
   {
-    instances = Array.of_list (List.rev !instances);
+    instances = Array.sub !instances 0 !n_inst;
     edge_src = Array.sub eb.src 0 eb.len;
     edge_dst = Array.sub eb.dst 0 eb.len;
   }

@@ -1,13 +1,32 @@
 (** Dynamic (trace-based) dependence analysis for concrete loop bounds: the
-    program is walked in execution order recording every array reference, and
+    program is run in execution order recording every array reference, and
     flow / anti / output dependence edges are built between statement
     instances.  This drives the dataflow-partitioning branch of Algorithm 1
     on programs like the Cholesky kernel, where the exact statement-instance
-    dependence graph is finite.
+    dependence graph is finite, and it is the graph every served schedule is
+    validated against ({!Runtime.Sched.check_legal}).
 
-    Edges are stored compactly (parallel int arrays, destinations
-    non-decreasing) so paper-scale traces (millions of instances) fit
-    comfortably in memory. *)
+    {!build} is one compiled pass.  Each loop index gets one slot of a
+    single [int array]; each reference's subscripts are compiled once to
+    closures over it, with parameters folded in and the checked
+    ({!Numeric.Safeint}) arithmetic and evaluation order of
+    {!Loopir.Eval_int} kept: unbound-variable, non-integer and overflow
+    errors are raised when a subscript is evaluated, never when it is
+    compiled, so a statement that never runs never fails.  Array cells live
+    in one open-addressing table keyed by (array name, rank, index tuple),
+    each holding its last writer and the readers since; memory is
+    O(distinct cells + edges) whatever the arrays' extents, so a sparse
+    subscript such as [a(100000000*i)] costs one cell per touched element.
+
+    The output is fixed: instances in execution order; edges recorded when
+    their destination executes (destinations non-decreasing), reads in
+    source order, a cell's readers most recent first, self-edges dropped and
+    duplicate edges kept.  {!Graph.of_trace} relies on that order and
+    {!Runtime.Sched.check_legal} reports the first broken edge in it.
+    Every call counts in the [trace.builds] counter.
+
+    Edges are stored compactly (parallel int arrays) so paper-scale traces
+    (millions of instances) fit comfortably in memory. *)
 
 type instance = {
   inst : int;  (** execution order, 0-based *)

@@ -244,14 +244,20 @@ let run ?(options = default_options) ~name ~params prog =
           | Ok s -> Some s
           | Error _ -> None)
     in
-    (* Legality: replay the exact instance graph against the schedule. *)
+    (* Legality: replay the exact instance graph against the schedule.
+       Dataflow fronts were peeled off that very graph, so their trace is
+       reused; every other plan builds it here, once. *)
     let* legality =
       match (sched, concrete) with
       | Some s, _ when options.check ->
           at Diag.Validate
             (guarded (fun () ->
                  timed "validate" (fun () ->
-                     let tr = Depend.Trace.build prog ~params in
+                     let tr =
+                       match concrete with
+                       | Fronts d -> d.Core.Dataflow.trace
+                       | _ -> Depend.Trace.build prog ~params
+                     in
                      match Runtime.Sched.check_legal s tr with
                      | Ok () -> Report.Passed
                      | Error m -> Report.Failed m)))

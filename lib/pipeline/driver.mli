@@ -108,7 +108,9 @@ val run :
 (** The whole pipeline on one program.  When [options.check] is set, the
     schedule is validated against the exact instance graph
     ({!Runtime.Sched.check_legal}) and executed on domains with the result
-    compared to the sequential interpreter; check failures are reported in
+    compared to the sequential interpreter.  A run builds that graph once:
+    validate reuses the trace a [Fronts] materialization peeled, and
+    builds it only for the other plans.  Check failures are reported in
     {!Report.t} (the pipeline itself still succeeds — an [Error] means a
     stage could not run at all).  [run] reads the ambient log and never
     swaps it, so concurrent runs on several domains all record into the

@@ -70,7 +70,9 @@ let of_fronts (c : Core.Dataflow.concrete) =
                  Array.of_list
                    (List.map
                       (fun node ->
-                        let i = c.Core.Dataflow.instances.(node) in
+                        let i =
+                          c.Core.Dataflow.trace.Depend.Trace.instances.(node)
+                        in
                         {
                           stmt = i.Depend.Trace.stmt;
                           iter = i.Depend.Trace.iter;
@@ -98,27 +100,63 @@ let of_task_groups ~label ~stmt groups =
 
 let concat ss = of_phases (List.concat_map (fun s -> s.phases) ss)
 
+(* Statement instances keyed by (stmt, iter). *)
+module Ids = Hashtbl.Make (struct
+  type t = int * int array
+
+  let equal ((s1, a1) : t) (s2, a2) =
+    s1 = s2
+    && Array.length a1 = Array.length a2
+    &&
+    let rec go k = k < 0 || (a1.(k) = a2.(k) && go (k - 1)) in
+    go (Array.length a1 - 1)
+
+  let hash ((s, a) : t) =
+    let h = ref s in
+    for k = 0 to Array.length a - 1 do
+      h := (!h * 31) + a.(k)
+    done;
+    !h land max_int
+end)
+
 let check_legal s (tr : Depend.Trace.t) =
-  (* Position of every scheduled instance: (phase, task, index-in-task);
-     DOALL instances get distinct task ids so only phase order counts. *)
-  let pos = Hashtbl.create (Array.length tr.Depend.Trace.instances * 2) in
-  let dup = ref None in
+  (* Every trace instance's id is its index in the trace, which is also
+     what the edges name.  Each scheduled instance's position (phase,
+     task, index-in-task) is recorded by id; DOALL instances get distinct
+     task ids so only phase order counts.  Scheduled instances the trace
+     lacks are only counted. *)
+  let insts = tr.Depend.Trace.instances in
+  let n = Array.length insts in
+  let ids = Ids.create n in
+  Array.iteri
+    (fun id (i : Depend.Trace.instance) ->
+      Ids.add ids (i.Depend.Trace.stmt, i.Depend.Trace.iter) id)
+    insts;
+  let phase_of = Array.make n (-1) and task_of = Array.make n 0
+  and index_of = Array.make n 0 in
+  let extra = Ids.create 8 in
+  let placed = ref 0 and dup = ref None in
+  let note inst pi ti k =
+    let key = (inst.stmt, inst.iter) in
+    match Ids.find_opt ids key with
+    | Some id ->
+        if phase_of.(id) >= 0 then dup := Some key
+        else begin
+          phase_of.(id) <- pi;
+          task_of.(id) <- ti;
+          index_of.(id) <- k;
+          incr placed
+        end
+    | None -> if Ids.mem extra key then dup := Some key else Ids.add extra key ()
+  in
   List.iteri
     (fun pi phase ->
-      let note key v =
-        if Hashtbl.mem pos key then dup := Some key else Hashtbl.add pos key v
-      in
       match phase with
       | Doall { instances; _ } ->
-          Array.iteri
-            (fun k inst -> note (inst.stmt, inst.iter) (pi, k, 0))
-            instances
+          Array.iteri (fun k inst -> note inst pi k 0) instances
       | Tasks { tasks; _ } ->
           Array.iteri
-            (fun ti task ->
-              Array.iteri
-                (fun k inst -> note (inst.stmt, inst.iter) (pi, ti, k))
-                task)
+            (fun ti task -> Array.iteri (fun k inst -> note inst pi ti k) task)
             tasks)
     s.phases;
   match !dup with
@@ -127,32 +165,29 @@ let check_legal s (tr : Depend.Trace.t) =
         (Printf.sprintf "instance S%d%s scheduled twice" stmt
            (Linalg.Ivec.to_string iter))
   | None ->
-      if Hashtbl.length pos <> Array.length tr.Depend.Trace.instances then
+      let scheduled = !placed + Ids.length extra in
+      if scheduled <> n then
         Error
-          (Printf.sprintf "schedule has %d instances, trace has %d"
-             (Hashtbl.length pos)
-             (Array.length tr.Depend.Trace.instances))
+          (Printf.sprintf "schedule has %d instances, trace has %d" scheduled n)
       else begin
-        let key node =
-          let i = tr.Depend.Trace.instances.(node) in
-          (i.Depend.Trace.stmt, i.Depend.Trace.iter)
+        (* The first edge, in trace order, that the schedule breaks. *)
+        let src = tr.Depend.Trace.edge_src and dst = tr.Depend.Trace.edge_dst in
+        let rec check e =
+          if e = Array.length src then Ok ()
+          else
+            let a = src.(e) and b = dst.(e) in
+            let pa = phase_of.(a) and pb = phase_of.(b) in
+            if pa < 0 || pb < 0 then Error "instance missing from schedule"
+            else
+              let ta = task_of.(a) and ka = index_of.(a)
+              and tb = task_of.(b) and kb = index_of.(b) in
+              if pa < pb || (pa = pb && ta = tb && ka < kb) then check (e + 1)
+              else
+                Error
+                  (Printf.sprintf
+                     "dependence %d→%d not respected (phase %d task %d idx \
+                      %d vs phase %d task %d idx %d)"
+                     a b pa ta ka pb tb kb)
         in
-        let bad = ref None in
-        Depend.Trace.iter_edges tr
-          (fun a b ->
-            if !bad = None then
-              match (Hashtbl.find_opt pos (key a), Hashtbl.find_opt pos (key b)) with
-              | Some (pa, ta, ka), Some (pb, tb, kb) ->
-                  let ok =
-                    pa < pb || (pa = pb && ta = tb && ka < kb)
-                  in
-                  if not ok then
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "dependence %d→%d not respected (phase %d task %d \
-                            idx %d vs phase %d task %d idx %d)"
-                           a b pa ta ka pb tb kb)
-              | _ -> bad := Some "instance missing from schedule");
-        match !bad with Some m -> Error m | None -> Ok ()
+        check 0
       end

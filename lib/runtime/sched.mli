@@ -4,7 +4,9 @@
     chains of the REC partitioning, or lattice cosets for PDM).
 
     The same schedule value drives the semantic validator ({!Interp}), the
-    SMP cost simulator ({!Sim}) and the multicore executor ({!Exec}). *)
+    SMP cost simulator ({!Sim}) and the multicore executor ({!Exec}), and
+    {!check_legal} replays the exact instance trace ({!Depend.Trace})
+    against it, by trace instance id. *)
 
 type instance = { stmt : int; iter : int array }
 
@@ -47,4 +49,11 @@ val check_legal : t -> Depend.Trace.t -> (unit, string) result
 (** Verifies that every dependence edge of the exact instance graph is
     respected: source strictly before target (earlier phase, or same task of
     the same phase at a smaller index) and every instance appears exactly
-    once. *)
+    once.  Checks run in this order, each reporting one [Error]: an instance
+    scheduled twice (the last such in schedule order); a schedule whose
+    instance count differs from the trace's; then the first edge, in trace
+    order, with an endpoint missing from the schedule or not respected.
+
+    Each trace instance is hashed once, to its id (its index in the trace,
+    which is what edges name); scheduled positions are recorded in arrays
+    indexed by that id, so the edge walk does no hashing. *)

@@ -194,7 +194,7 @@ let test_dataflow_concrete_cholesky_small () =
   (* Fronts partition all instances. *)
   let total = Array.fold_left (fun acc f -> acc + List.length f) 0 c.Dataflow.fronts in
   Alcotest.(check int) "fronts cover instances"
-    (Array.length c.Dataflow.instances)
+    (Array.length c.Dataflow.trace.Depend.Trace.instances)
     total
 
 (* ------------------------------------------------------------------ *)

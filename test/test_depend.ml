@@ -490,6 +490,236 @@ let prop_random_distances depth ~count =
       Printf.sprintf "%s(n = %d)" (coupled_nest_source t) t.n)
     (gen_coupled_nest depth) distances_match_oracle
 
+(* ------------------------------------------------------------------ *)
+(* Trace builder against its reference                                  *)
+
+(* The builder as it was before it was compiled, kept verbatim as the
+   oracle: a walk over the AST through an environment closure per loop,
+   every cell keyed by (array, subscript list) in a polymorphic Hashtbl.
+   [Trace.build] must equal it instance for instance and edge for edge, in
+   order. *)
+type ebuf = { mutable src : int array; mutable dst : int array; mutable len : int }
+
+let ebuf_make () = { src = Array.make 1024 0; dst = Array.make 1024 0; len = 0 }
+
+let ebuf_push b s d =
+  if b.len = Array.length b.src then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    b.src <- grow b.src;
+    b.dst <- grow b.dst
+  end;
+  b.src.(b.len) <- s;
+  b.dst.(b.len) <- d;
+  b.len <- b.len + 1
+
+type cell = { mutable last_write : int; mutable readers : int list }
+
+let reference_trace prog ~params =
+  let module Ast = Loopir.Ast in
+  let prog = Loopir.Normalize.unit_strides prog in
+  List.iter
+    (fun p ->
+      if not (List.mem_assoc p params) then
+        Diag.fail (Diag.Unbound_parameter p))
+    prog.Ast.params;
+  let next_static = ref 0 in
+  let rec annotate = function
+    | Ast.Assign (lhs, rhs) ->
+        let id = !next_static in
+        incr next_static;
+        `Assign (id, lhs, rhs)
+    | Ast.Loop l -> `Loop (l, List.map annotate l.Ast.body)
+  in
+  let annotated = List.map annotate prog.Ast.body in
+  let cells : (string * int list, cell) Hashtbl.t = Hashtbl.create 4096 in
+  let instances = ref [] in
+  let n_inst = ref 0 in
+  let eb = ebuf_make () in
+  let add_edge src dst = if src <> dst then ebuf_push eb src dst in
+  let cell_of key =
+    match Hashtbl.find_opt cells key with
+    | Some c -> c
+    | None ->
+        let c = { last_write = -1; readers = [] } in
+        Hashtbl.add cells key c;
+        c
+  in
+  let read inst key =
+    let c = cell_of key in
+    if c.last_write >= 0 then add_edge c.last_write inst;
+    c.readers <- inst :: c.readers
+  in
+  let write inst key =
+    let c = cell_of key in
+    if c.last_write >= 0 then add_edge c.last_write inst;
+    List.iter (fun r -> add_edge r inst) c.readers;
+    c.readers <- [];
+    c.last_write <- inst
+  in
+  let rec record_reads env inst = function
+    | Ast.Int _ | Ast.Real _ | Ast.Var _ -> ()
+    | Ast.Ref (a, subs) ->
+        List.iter (record_reads env inst) subs;
+        read inst (a, List.map (Loopir.Eval_int.eval env) subs)
+    | Ast.Bin (_, a, b) | Ast.Mod (a, b) ->
+        record_reads env inst a;
+        record_reads env inst b
+    | Ast.Un (_, a) | Ast.Pow (a, _) -> record_reads env inst a
+    | Ast.Min es | Ast.Max es -> List.iter (record_reads env inst) es
+  in
+  let rec run env iter_stack = function
+    | `Assign (stmt, (a, subs), rhs) ->
+        let inst = !n_inst in
+        incr n_inst;
+        instances :=
+          { Trace.inst; stmt; iter = Array.of_list (List.rev iter_stack) }
+          :: !instances;
+        record_reads env inst rhs;
+        write inst (a, List.map (Loopir.Eval_int.eval env) subs)
+    | `Loop (l, body) ->
+        let lo = Loopir.Eval_int.eval env l.Ast.lo
+        and hi = Loopir.Eval_int.eval env l.Ast.hi in
+        for v = lo to hi do
+          let env' name = if name = l.Ast.index then v else env name in
+          List.iter (run env' (v :: iter_stack)) body
+        done
+  in
+  let env0 name =
+    match List.assoc_opt name params with
+    | Some v -> v
+    | None -> Diag.fail (Diag.Unbound_variable name)
+  in
+  List.iter (run env0 []) annotated;
+  {
+    Trace.instances = Array.of_list (List.rev !instances);
+    edge_src = Array.sub eb.src 0 eb.len;
+    edge_dst = Array.sub eb.dst 0 eb.len;
+  }
+
+(* Both builders on one program: the same trace, or the same exception. *)
+let trace_outcome build prog ~params =
+  match build prog ~params with
+  | tr -> Ok tr
+  | exception e -> Error (Printexc.to_string e)
+
+let same_trace prog ~params =
+  match
+    ( trace_outcome Trace.build prog ~params,
+      trace_outcome reference_trace prog ~params )
+  with
+  | Ok a, Ok b ->
+      a.Trace.instances = b.Trace.instances
+      && a.Trace.edge_src = b.Trace.edge_src
+      && a.Trace.edge_dst = b.Trace.edge_dst
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let check_same_trace name prog ~params =
+  (match
+     ( trace_outcome Trace.build prog ~params,
+       trace_outcome reference_trace prog ~params )
+   with
+  | Ok a, Ok b ->
+      Alcotest.(check int)
+        (name ^ ": instances")
+        (Array.length b.Trace.instances)
+        (Array.length a.Trace.instances);
+      Alcotest.(check int) (name ^ ": edges") (Trace.n_edges b) (Trace.n_edges a)
+  | _, Error e -> Alcotest.failf "%s: reference raised %s" name e
+  | Error e, Ok _ -> Alcotest.failf "%s: build raised %s" name e);
+  Alcotest.(check bool) (name ^ ": identical") true (same_trace prog ~params)
+
+let test_trace_matches_reference_builtins () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun v ->
+          let params = List.map (fun p -> (p, v)) prog.Loopir.Ast.params in
+          check_same_trace (Printf.sprintf "%s@%d" name v) prog ~params)
+        [ 1; 2; 3; 5; 8; 13 ])
+    Loopir.Builtin.all
+
+let parse_nest src = Loopir.Parser.parse ~name:"nest" src
+
+let test_trace_reference_hand_cases () =
+  check_same_trace "negative step, MIN/MAX bounds"
+    (parse_nest
+       "DO i = n, 1, -2\n\
+       \  DO j = MAX(1, i - 3), MIN(n, i + 2)\n\
+       \    a(i + j) = a(i - j + 5) + a(MIN(i, j)) * a(i + j)\n\
+       \  ENDDO\n\
+        ENDDO")
+    ~params:[ ("n", 9) ];
+  (* a(i) and a(i, 1) are different cells: the ranks never alias. *)
+  let ranks = parse_nest "DO i = 1, n\n  a(i) = a(i, 1) + 1\nENDDO" in
+  check_same_trace "ranks kept apart" ranks ~params:[ ("n", 4) ];
+  Alcotest.(check int) "no edge across ranks" 0
+    (Trace.n_edges (Trace.build ranks ~params:[ ("n", 4) ]));
+  (* [q] is left out of the declared parameters, so only evaluating the
+     subscript can notice it. *)
+  let undeclared src = { (parse_nest src) with Loopir.Ast.params = [] } in
+  let dead = undeclared "DO i = 1, 0\n  a(i + q) = a(i) + 1\nENDDO" in
+  check_same_trace "unbound variable in a loop that never runs" dead
+    ~params:[];
+  Alcotest.(check int) "no instances" 0
+    (Array.length (Trace.build dead ~params:[]).Trace.instances);
+  let raises name prog ~params expected =
+    match Trace.build prog ~params with
+    | _ -> Alcotest.failf "%s: no exception" name
+    | exception e ->
+        if not (expected e) then
+          Alcotest.failf "%s: unexpected %s" name (Printexc.to_string e);
+        Alcotest.(check (result reject string))
+          (name ^ ": reference raises the same")
+          (Error (Printexc.to_string e))
+          (Result.map (fun _ -> ()) (trace_outcome reference_trace prog ~params))
+  in
+  raises "unbound variable"
+    (undeclared "DO i = 1, 3\n  a(i + q) = a(i) + 1\nENDDO")
+    ~params:[]
+    (function Diag.Error (Diag.Unbound_variable "q") -> true | _ -> false);
+  raises "real-valued subscript"
+    (parse_nest "DO i = 1, 3\n  a(i) = a(i * 1.5) + 1\nENDDO")
+    ~params:[]
+    (function Loopir.Eval_int.Not_integer _ -> true | _ -> false);
+  raises "overflowing subscript product"
+    (parse_nest "DO i = 1, 3\n  a(p * p * i) = a(i) + 1\nENDDO")
+    ~params:[ ("p", 1 lsl 40) ]
+    (function Numeric.Safeint.Overflow -> true | _ -> false)
+
+let prop_trace_matches_reference depth ~count =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "build = reference on random %d-D coupled nests" depth)
+    ~count
+    ~print:(fun t -> Printf.sprintf "%s(n = %d)" (coupled_nest_source t) t.n)
+    (gen_coupled_nest depth)
+    (fun t ->
+      let prog = Loopir.Parser.parse ~name:"rand-nest" (coupled_nest_source t) in
+      same_trace prog ~params:(if t.symbolic then [ ("n", t.n) ] else []))
+
+(* Cells are keyed by the subscripts actually touched: three cells a
+   hundred million apart cost three cells, not an array over the
+   extent. *)
+let test_trace_sparse_subscripts () =
+  let prog =
+    parse_nest
+      "DO i = 1, 3\n\
+      \  a(100000000*i) = a(100000000*i - 100000000) + 1\n\
+      \  b(i) = a(100000000*i)\n\
+       ENDDO"
+  in
+  let before = Gc.quick_stat () in
+  let tr = Trace.build prog ~params:[] in
+  let after = Gc.quick_stat () in
+  let words =
+    after.Gc.minor_words +. after.Gc.major_words -. after.Gc.promoted_words
+    -. (before.Gc.minor_words +. before.Gc.major_words
+      -. before.Gc.promoted_words)
+  in
+  Alcotest.(check int) "6 instances" 6 (Array.length tr.Trace.instances);
+  if words >= 100_000.0 then
+    Alcotest.failf "Trace.build allocated %.0f words (limit 100000)" words
+
 let () =
   Alcotest.run "depend"
     [
@@ -553,5 +783,13 @@ let () =
           Alcotest.test_case "fig2 two levels" `Quick test_trace_fig2;
           Alcotest.test_case "negative step" `Quick test_trace_negative_step;
           Alcotest.test_case "direct DAG" `Quick test_graph_levels_direct;
+          Alcotest.test_case "build = reference (builtins, 6 sizes)" `Quick
+            test_trace_matches_reference_builtins;
+          Alcotest.test_case "build = reference (hand cases)" `Quick
+            test_trace_reference_hand_cases;
+          QCheck_alcotest.to_alcotest (prop_trace_matches_reference 2 ~count:100);
+          QCheck_alcotest.to_alcotest (prop_trace_matches_reference 3 ~count:50);
+          Alcotest.test_case "sparse subscripts stay cheap" `Quick
+            test_trace_sparse_subscripts;
         ] );
     ]

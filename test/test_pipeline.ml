@@ -177,6 +177,42 @@ let test_run_degrades_on_splinter_blowup () =
       Alcotest.(check bool) "every instance" true
         (report.Report.n_instances = Some 216)
 
+(* A checked run builds the exact instance trace once: dataflow plans
+   validate against the trace their fronts were peeled from, every other
+   plan builds it in validate. *)
+let test_run_builds_one_trace () =
+  let builds = Obs.Counter.make "trace.builds" in
+  List.iter
+    (fun (name, prog, params, strategy, fronts) ->
+      let options = { Driver.default_options with threads = 1; strategy } in
+      let before = Obs.Counter.value builds in
+      (match Driver.run ~options ~name ~params prog with
+      | Error e -> Alcotest.fail (Driver.error_to_string e)
+      | Ok o ->
+          Alcotest.(check bool)
+            (name ^ " peels dataflow fronts")
+            fronts
+            (match o.Driver.concrete with Driver.Fronts _ -> true | _ -> false);
+          Alcotest.(check string) (name ^ " legality") "ok"
+            (Report.check_result_string o.Driver.report.Report.legality));
+      Alcotest.(check int)
+        (name ^ ": one trace build")
+        1
+        (Obs.Counter.value builds - before))
+    [
+      ( "cholesky",
+        Loopir.Builtin.cholesky,
+        [ ("nmat", 2); ("m", 2); ("n", 5); ("nrhs", 1) ],
+        None,
+        true );
+      ("example3", Loopir.Builtin.example3, [ ("n", 6) ], None, true);
+      ( "example1",
+        Loopir.Builtin.example1,
+        [ ("n1", 8); ("n2", 8) ],
+        Some Plan.Rec,
+        false );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Error threading: typed Diag errors instead of failwith strings       *)
 
@@ -846,6 +882,8 @@ let () =
             test_codegen_rec_and_unsupported;
           Alcotest.test_case "splinter blowup degrades to dataflow" `Quick
             test_run_degrades_on_splinter_blowup;
+          Alcotest.test_case "a checked run builds one trace" `Quick
+            test_run_builds_one_trace;
         ] );
       ( "errors",
         [

@@ -338,9 +338,12 @@ let test_illegal_schedule_detected () =
                tr.Trace.instances)))
   in
   let bad = Sched.of_phases [ Sched.Tasks { label = "bad"; tasks = [| rev_task |] } ] in
-  (match Sched.check_legal bad tr with
-  | Ok () -> Alcotest.fail "legality checker missed reversal"
-  | Error _ -> ());
+  Alcotest.(check (result unit string))
+    "legality checker reports the first broken edge"
+    (Error
+       "dependence 0→1 not respected (phase 0 task 0 idx 4 vs phase 0 task \
+        0 idx 3)")
+    (Sched.check_legal bad tr);
   let env = Interp.prepare prog ~params:[ ("n", 6) ] in
   match Interp.check_schedule env bad with
   | Ok () -> Alcotest.fail "interpreter missed reversal"
@@ -354,9 +357,9 @@ let test_duplicate_instance_detected () =
     Sched.of_phases
       [ Sched.Doall { label = "dup"; instances = [| inst 1; inst 2; inst 3; inst 2 |] } ]
   in
-  match Sched.check_legal bad tr with
-  | Ok () -> Alcotest.fail "duplicate not detected"
-  | Error _ -> ()
+  Alcotest.(check (result unit string))
+    "duplicate detected" (Error "instance S0(2) scheduled twice")
+    (Sched.check_legal bad tr)
 
 let test_duplicate_across_tasks_detected () =
   (* The same instance appearing in two tasks of one phase must be caught
@@ -371,9 +374,9 @@ let test_duplicate_across_tasks_detected () =
           { label = "dup"; tasks = [| [| inst 1; inst 2 |]; [| inst 2; inst 3 |] |] };
       ]
   in
-  match Sched.check_legal bad tr with
-  | Ok () -> Alcotest.fail "cross-task duplicate not detected"
-  | Error _ -> ()
+  Alcotest.(check (result unit string))
+    "cross-task duplicate detected" (Error "instance S0(2) scheduled twice")
+    (Sched.check_legal bad tr)
 
 let test_edge_violation_same_doall_detected () =
   (* Putting a dependent pair in the same DOALL phase breaks the edge even
@@ -387,9 +390,37 @@ let test_edge_violation_same_doall_detected () =
       tr.Trace.instances
   in
   let bad = Sched.of_phases [ Sched.Doall { label = "flat"; instances = all } ] in
-  match Sched.check_legal bad tr with
-  | Ok () -> Alcotest.fail "same-phase dependence edge not detected"
-  | Error _ -> ()
+  Alcotest.(check (result unit string))
+    "same-phase dependence edge detected"
+    (Error
+       "dependence 0→1 not respected (phase 0 task 0 idx 0 vs phase 0 task \
+        1 idx 0)")
+    (Sched.check_legal bad tr)
+
+(* The instance count is checked before any edge: one instance too few,
+   or one the trace lacks, is reported as a count mismatch. *)
+let test_missing_and_foreign_instances_detected () =
+  let prog = List.assoc "prefix_sum" Loopir.Builtin.corpus in
+  let tr = Trace.build prog ~params:[ ("n", 6) ] in
+  let seq =
+    Array.map
+      (fun (i : Trace.instance) ->
+        { Sched.stmt = i.Trace.stmt; iter = i.Trace.iter })
+      tr.Trace.instances
+  in
+  let sequential task =
+    Sched.of_phases [ Sched.Tasks { label = "seq"; tasks = [| task |] } ]
+  in
+  let omitted =
+    Array.append (Array.sub seq 0 2) (Array.sub seq 3 (Array.length seq - 3))
+  in
+  Alcotest.(check (result unit string))
+    "omitted instance" (Error "schedule has 4 instances, trace has 5")
+    (Sched.check_legal (sequential omitted) tr);
+  let foreign = Array.append seq [| { Sched.stmt = 0; iter = [| 7 |] } |] in
+  Alcotest.(check (result unit string))
+    "instance the trace lacks" (Error "schedule has 6 instances, trace has 5")
+    (Sched.check_legal (sequential foreign) tr)
 
 (* ------------------------------------------------------------------ *)
 (* Simulator                                                            *)
@@ -882,6 +913,8 @@ let () =
             test_duplicate_across_tasks_detected;
           Alcotest.test_case "same-phase edge violation detected" `Quick
             test_edge_violation_same_doall_detected;
+          Alcotest.test_case "missing and foreign instances detected" `Quick
+            test_missing_and_foreign_instances_detected;
         ] );
       ( "sim",
         [
