@@ -29,10 +29,10 @@ let grow a fill =
 
 (* ---- compilation -------------------------------------------------------- *)
 
-(* Index expressions compiled against the loop-slot scope (innermost
-   binding first, as the walk's environment chain resolved them), with
-   parameters folded in: the {!Loopir.Eval_int} semantics, checked
-   arithmetic and evaluation order included.  A name bound by no loop and
+(* Index expressions compiled against the loop-slot scope (a name binds
+   to its innermost enclosing loop, else to a parameter), with parameters
+   folded in: the {!Loopir.Eval_int} semantics, checked arithmetic and
+   evaluation order included.  A name bound by no loop and
    no parameter, and a value-domain construct, compile to closures that
    raise when evaluated, so a statement that never runs never fails. *)
 let rec cint scope params e : int array -> int =
@@ -94,9 +94,9 @@ type node =
       body : node array;
     }
 
-(* The right-hand side's references in the walk's recording order:
-   subscripts' own references first, then the reference itself; operands
-   left to right. *)
+(* The right-hand side's references in recording order: subscripts' own
+   references first, then the reference itself; operands left to
+   right. *)
 let rec reads_of cref acc = function
   | Ast.Int _ | Ast.Real _ | Ast.Var _ -> acc
   | Ast.Ref (a, subs) -> cref (a, subs) :: List.fold_left (reads_of cref) acc subs
