@@ -865,15 +865,6 @@ let prediction_entry () =
         ("threads", Pipeline.Json.Int 1);
         ("rel_error_pre", Pipeline.Json.Float mean_pre);
         ("rel_error_post", Pipeline.Json.Float mean_post);
-        (* The mean as an integer percentage, clamped below at the 50%
-           acceptance target.  A plain field, not a gated counter: the
-           clamp gives it a zero interquartile range whenever most runs
-           meet the target, but the mean it clamps spread 37.5% (IQR /
-           median over ten quick runs), and its tail crossed the gate on
-           unchanged code. *)
-        ( "prediction_rel_error_pct_post",
-          Pipeline.Json.Int
-            (max 50 (int_of_float (Float.round (mean_post *. 100.0)))) );
         ( "per_program",
           Pipeline.Json.List
             (List.map
@@ -890,6 +881,17 @@ let prediction_entry () =
               ( "counters",
                 Pipeline.Json.Obj
                   [
+                    (* Clamped below at the 50% acceptance target: the raw
+                       mean swings 2x between runs at bench sizes (exact
+                       value in rel_error_post above), so gating it would
+                       chase noise.  Anything under target reads as 50;
+                       the gate fires only when calibration stops meeting
+                       the paper target by a margin. *)
+                    ( "prediction_rel_error_pct_post",
+                      Pipeline.Json.Int
+                        (max 50
+                           (int_of_float (Float.round (mean_post *. 100.0))))
+                    );
                     ( "programs_predicted",
                       Pipeline.Json.Int (List.length pre) );
                   ] );
@@ -1631,11 +1633,6 @@ let exec_bench () =
                   ("exec_seconds", Json.Float wall);
                   ("p1_idle_pct_median", Json.Float p1);
                   ("p3_idle_pct_median", Json.Float p3);
-                  (* Over ten quick runs P1 idle spread 14.8% (IQR /
-                     median), more than a third of the 25% gate, so it is
-                     a plain field; P3 idle spread 3.7% and stays
-                     gated. *)
-                  ("p1_idle_pct", Json.Int (int_of_float p1));
                   ( "metrics",
                     Json.Obj
                       [

@@ -1,5 +1,4 @@
 module Ast = Loopir.Ast
-module S = Numeric.Safeint
 
 type instance = { inst : int; stmt : int; iter : int array }
 
@@ -29,61 +28,24 @@ let grow a fill =
 
 (* ---- compilation -------------------------------------------------------- *)
 
-(* Index expressions compiled against the loop-slot scope (a name binds
-   to its innermost enclosing loop, else to a parameter), with parameters
-   folded in: the {!Loopir.Eval_int} semantics, checked arithmetic and
-   evaluation order included.  A name bound by no loop and
-   no parameter, and a value-domain construct, compile to closures that
-   raise when evaluated, so a statement that never runs never fails. *)
-let rec cint scope params e : int array -> int =
-  match e with
-  | Ast.Int k -> fun _ -> k
-  | Ast.Var v -> (
+(* Index expressions compiled against the loop-slot scope: a name binds to
+   its innermost enclosing loop, else to a parameter.  A name bound by
+   neither compiles to a closure that raises when evaluated, like every
+   other failure of {!Loopir.Eval_int.compile}, so a statement that never
+   runs never fails. *)
+let cint scope params =
+  Loopir.Eval_int.compile ~var:(fun v ->
       match List.assoc_opt v scope with
       | Some j -> fun it -> it.(j)
       | None -> (
           match List.assoc_opt v params with
           | Some k -> fun _ -> k
           | None -> fun _ -> Diag.fail (Diag.Unbound_variable v)))
-  | Ast.Bin (Ast.Add, a, b) ->
-      let fa = cint scope params a and fb = cint scope params b in
-      fun it -> S.add (fa it) (fb it)
-  | Ast.Bin (Ast.Sub, a, b) ->
-      let fa = cint scope params a and fb = cint scope params b in
-      fun it -> S.sub (fa it) (fb it)
-  | Ast.Bin (Ast.Mul, a, b) ->
-      let fa = cint scope params a and fb = cint scope params b in
-      fun it -> S.mul (fa it) (fb it)
-  | Ast.Bin (Ast.Div, a, b) ->
-      let fa = cint scope params a and fb = cint scope params b in
-      fun it -> S.fdiv (fa it) (fb it)
-  | Ast.Un (Ast.Neg, a) ->
-      let fa = cint scope params a in
-      fun it -> S.neg (fa it)
-  | Ast.Un (Ast.Abs, a) ->
-      let fa = cint scope params a in
-      fun it -> S.abs (fa it)
-  | Ast.Min es -> (
-      match List.map (cint scope params) es with
-      | [] -> fun _ -> raise (Loopir.Eval_int.Not_integer "empty MIN")
-      | f :: fs -> fun it -> List.fold_left (fun m g -> min m (g it)) (f it) fs)
-  | Ast.Max es -> (
-      match List.map (cint scope params) es with
-      | [] -> fun _ -> raise (Loopir.Eval_int.Not_integer "empty MAX")
-      | f :: fs -> fun it -> List.fold_left (fun m g -> max m (g it)) (f it) fs)
-  | Ast.Mod (a, b) ->
-      let fa = cint scope params a and fb = cint scope params b in
-      fun it -> S.emod (fa it) (fb it)
-  | Ast.Pow (a, k) ->
-      let fa = cint scope params a in
-      fun it -> S.pow (fa it) k
-  | Ast.Real _ | Ast.Ref _ | Ast.Un (Ast.Sqrt, _) ->
-      let msg = Loopir.Pretty.expr_to_string e in
-      fun _ -> raise (Loopir.Eval_int.Not_integer msg)
 
-(* An array reference: its cell class (the array name and rank, interned)
-   and its compiled subscripts. *)
-type cref = { cls : int; subs : (int array -> int) array }
+(* An array reference: its compiled subscripts, and the key they are
+   evaluated into — the array's interned name, then the subscripts, so the
+   key's length tells the ranks of one name apart. *)
+type cref = { key : int array; subs : (int array -> int) array }
 
 type node =
   | Stmt of { id : int; depth : int; reads : cref array; write : cref }
@@ -106,107 +68,46 @@ let rec reads_of cref acc = function
 
 (* ---- cells ---------------------------------------------------------------- *)
 
-(* One open-addressing table over the cells touched so far, keyed by
-   (class, subscripts).  Memory follows the distinct cells, never the
-   arrays' extents.  Each cell holds its last writer and the readers since
-   that write, most recent first, as a list threaded through [node_inst] /
-   [node_next]; a write recycles the list's nodes. *)
-type cells = {
-  stride : int;  (** 1 + the largest rank *)
-  key : int array;  (** the reference being looked up: class, subscripts *)
-  mutable index : int array;  (** cell id, or -1 for an empty slot *)
-  mutable keys : int array;  (** cell [c]'s key at [c * stride] *)
-  mutable hashes : int array;
-  mutable writer : int array;  (** last writing instance, or -1 *)
-  mutable readers : int array;  (** head node of the reader list, or -1 *)
-  mutable n_cells : int;
-  mutable node_inst : int array;
-  mutable node_next : int array;
-  mutable n_nodes : int;
-  mutable free : int;  (** head of the recycled nodes, or -1 *)
-}
+(* The cells touched so far, keyed by (name, subscripts): memory follows
+   the distinct cells, never the arrays' extents.  Each cell holds its last
+   writer and the readers since that write, most recent first. *)
+module Cells = Hashtbl.Make (struct
+  type t = int array
 
-let cells_make ~max_rank =
-  let stride = max_rank + 1 and cap = 64 in
-  {
-    stride;
-    key = Array.make stride 0;
-    index = Array.make (2 * cap) (-1);
-    keys = Array.make (cap * stride) 0;
-    hashes = Array.make cap 0;
-    writer = Array.make cap (-1);
-    readers = Array.make cap (-1);
-    n_cells = 0;
-    node_inst = Array.make cap 0;
-    node_next = Array.make cap (-1);
-    n_nodes = 0;
-    free = -1;
-  }
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let i = ref 0 in
+    if n = Array.length b then
+      while !i < n && a.(!i) = b.(!i) do
+        incr i
+      done;
+    !i = n
 
-(* Multiplicative mixing, with the high bits folded down: the index masks
-   the low ones. *)
-let hash_key key rank =
-  let h = ref key.(0) in
-  for i = 1 to rank do
-    h := (!h * 0x2545F4914F6CDD1D) + key.(i)
-  done;
-  let h = !h * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 31)
-
-let same_key t c rank =
-  let base = c * t.stride in
-  let rec go i = i > rank || (t.keys.(base + i) = t.key.(i) && go (i + 1)) in
-  go 0
-
-(* Rebuilds the index at twice the size from the stored hashes. *)
-let rehash t =
-  let index = Array.make (2 * Array.length t.index) (-1) in
-  let mask = Array.length index - 1 in
-  for c = 0 to t.n_cells - 1 do
-    let p = ref (t.hashes.(c) land mask) in
-    while index.(!p) >= 0 do
-      p := (!p + 1) land mask
+  (* Multiplicative mixing, with the high bits folded down: the table
+     masks the low ones, which strided subscripts leave all alike. *)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h + a.(i)) * 0x2545F4914F6CDD1D
     done;
-    index.(!p) <- c
-  done;
-  t.index <- index
+    (!h lxor (!h lsr 32)) land max_int
+end)
 
-(* The cell of the key in [t.key] (rank [rank]), added on first touch. *)
-let cell t rank =
-  if 2 * (t.n_cells + 1) > Array.length t.index then rehash t;
-  let h = hash_key t.key rank in
-  let mask = Array.length t.index - 1 in
-  let rec probe p =
-    let c = t.index.(p) in
-    if c < 0 then begin
-      let c = t.n_cells in
-      if c = Array.length t.hashes then begin
-        t.keys <- grow t.keys 0;
-        t.hashes <- grow t.hashes 0;
-        t.writer <- grow t.writer (-1);
-        t.readers <- grow t.readers (-1)
-      end;
-      Array.blit t.key 0 t.keys (c * t.stride) (rank + 1);
-      t.hashes.(c) <- h;
-      t.n_cells <- c + 1;
-      t.index.(p) <- c;
-      c
-    end
-    else if t.hashes.(c) = h && same_key t c rank then c
-    else probe ((p + 1) land mask)
-  in
-  probe (h land mask)
+type cell = { mutable writer : int; mutable readers : int list }
 
-(* Evaluates a reference's subscripts, left to right, into [t.key] and
-   returns its cell. *)
-let cell_of t r it =
-  let key = t.key in
-  key.(0) <- r.cls;
-  let subs = r.subs in
+(* Evaluates a reference's subscripts, left to right, into its key and
+   returns its cell; the key is copied only when the cell is new. *)
+let cell_of cells r it =
+  let key = r.key and subs = r.subs in
   for i = 0 to Array.length subs - 1 do
     key.(i + 1) <- subs.(i) it
   done;
-  cell t (Array.length subs)
+  match Cells.find cells key with
+  | c -> c
+  | exception Not_found ->
+      let c = { writer = -1; readers = [] } in
+      Cells.add cells (Array.copy key) c;
+      c
 
 (* Growable int-pair buffer. *)
 type ebuf = { mutable src : int array; mutable dst : int array; mutable len : int }
@@ -222,45 +123,15 @@ let ebuf_push b s d =
 
 let add_edge eb src dst = if src <> dst then ebuf_push eb src dst
 
-let read t eb inst c =
-  let w = t.writer.(c) in
-  if w >= 0 then add_edge eb w inst;
-  let node =
-    if t.free >= 0 then begin
-      let node = t.free in
-      t.free <- t.node_next.(node);
-      node
-    end
-    else begin
-      if t.n_nodes = Array.length t.node_inst then begin
-        t.node_inst <- grow t.node_inst 0;
-        t.node_next <- grow t.node_next (-1)
-      end;
-      let node = t.n_nodes in
-      t.n_nodes <- node + 1;
-      node
-    end
-  in
-  t.node_inst.(node) <- inst;
-  t.node_next.(node) <- t.readers.(c);
-  t.readers.(c) <- node
+let read eb inst c =
+  if c.writer >= 0 then add_edge eb c.writer inst;
+  c.readers <- inst :: c.readers
 
-let write t eb inst c =
-  let w = t.writer.(c) in
-  if w >= 0 then add_edge eb w inst;
-  let head = t.readers.(c) in
-  if head >= 0 then begin
-    let node = ref head and last = ref head in
-    while !node >= 0 do
-      add_edge eb t.node_inst.(!node) inst;
-      last := !node;
-      node := t.node_next.(!node)
-    done;
-    t.node_next.(!last) <- t.free;
-    t.free <- head;
-    t.readers.(c) <- -1
-  end;
-  t.writer.(c) <- inst
+let write eb inst c =
+  if c.writer >= 0 then add_edge eb c.writer inst;
+  List.iter (fun r -> add_edge eb r inst) c.readers;
+  c.readers <- [];
+  c.writer <- inst
 
 (* ---- the pass ------------------------------------------------------------- *)
 
@@ -274,20 +145,19 @@ let build prog ~params =
     prog.Ast.params;
   (* Static ids number the statements in the same textual order as
      Prog.stmts_of; loop [d] levels deep binds slot [d]. *)
-  let classes = Hashtbl.create 16 in
-  let max_rank = ref 0 and max_depth = ref 0 and next_id = ref 0 in
+  let names = Hashtbl.create 16 in
+  let max_depth = ref 0 and next_id = ref 0 in
   let cref scope (a, subs) =
-    let rank = List.length subs in
-    max_rank := max !max_rank rank;
-    let cls =
-      match Hashtbl.find_opt classes (a, rank) with
-      | Some c -> c
+    let name =
+      match Hashtbl.find_opt names a with
+      | Some k -> k
       | None ->
-          let c = Hashtbl.length classes in
-          Hashtbl.add classes (a, rank) c;
-          c
+          let k = Hashtbl.length names in
+          Hashtbl.add names a k;
+          k
     in
-    { cls; subs = Array.of_list (List.map (cint scope params) subs) }
+    let key = Array.make (1 + List.length subs) name in
+    { key; subs = Array.of_list (List.map (cint scope params) subs) }
   in
   let rec compile scope depth = function
     | Ast.Assign (lhs, rhs) ->
@@ -303,7 +173,7 @@ let build prog ~params =
         Loop { slot = depth; lo; hi; body }
   in
   let program = List.map (compile [] 0) prog.Ast.body in
-  let cells = cells_make ~max_rank:!max_rank in
+  let cells = Cells.create 64 in
   let eb = { src = Array.make 1024 0; dst = Array.make 1024 0; len = 0 } in
   let dummy = { inst = -1; stmt = -1; iter = [||] } in
   let instances = ref (Array.make 1024 dummy) and n_inst = ref 0 in
@@ -316,9 +186,9 @@ let build prog ~params =
         !instances.(inst) <- { inst; stmt = id; iter = Array.sub it 0 depth };
         n_inst := inst + 1;
         for k = 0 to Array.length reads - 1 do
-          read cells eb inst (cell_of cells reads.(k) it)
+          read eb inst (cell_of cells reads.(k) it)
         done;
-        write cells eb inst (cell_of cells w it)
+        write eb inst (cell_of cells w it)
     | Loop { slot; lo; hi; body } ->
         let lo = lo it and hi = hi it in
         for v = lo to hi do

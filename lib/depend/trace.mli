@@ -7,16 +7,15 @@
     validated against ({!Runtime.Sched.check_legal}).
 
     {!build} is one compiled pass.  Each loop index gets one slot of a
-    single [int array]; each reference's subscripts are compiled once to
-    closures over it, with parameters folded in and the checked
-    ({!Numeric.Safeint}) arithmetic and evaluation order of
-    {!Loopir.Eval_int} kept: unbound-variable, non-integer and overflow
-    errors are raised when a subscript is evaluated, never when it is
-    compiled, so a statement that never runs never fails.  Array cells live
-    in one open-addressing table keyed by (array name, rank, index tuple),
-    each holding its last writer and the readers since; memory is
-    O(distinct cells + edges) whatever the arrays' extents, so a sparse
-    subscript such as [a(100000000*i)] costs one cell per touched element.
+    single [int array]; each reference's subscripts are compiled once by
+    {!Loopir.Eval_int.compile}, with parameters folded in, so arithmetic
+    is checked and unbound-variable, non-integer and overflow errors are
+    raised when a subscript is evaluated, never when it is compiled: a
+    statement that never runs never fails.  Array cells live in one hash
+    table keyed by (array name, index tuple), each holding its last writer
+    and the readers since; memory is O(distinct cells + edges) whatever
+    the arrays' extents, so a sparse subscript such as [a(100000000*i)]
+    costs one cell per touched element.
 
     The output is fixed: instances in execution order; edges recorded when
     their destination executes (destinations non-decreasing), reads in

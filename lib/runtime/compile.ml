@@ -55,56 +55,16 @@ let affine_of ctx e =
       in
       if ok then Some { a_const = !const; a_coefs = coefs } else None
 
-(* General (non-affine) integer evaluation: the {!Loopir.Eval_int}
-   semantics — checked arithmetic included — with variable lookups
-   resolved to slots/constants at compile time. *)
-let rec cint ctx e : int array -> int =
-  match e with
-  | Ast.Int k -> fun _ -> k
-  | Ast.Var v -> (
+(* General (non-affine) integer evaluation: {!Loopir.Eval_int.compile},
+   with variable lookups resolved to slots/constants at compile time. *)
+let cint ctx =
+  Loopir.Eval_int.compile ~var:(fun v ->
       match slot ctx v with
       | Some j -> fun it -> it.(j)
       | None -> (
           match param ctx v with
           | Some k -> fun _ -> k
-          | None ->
-              failwith (Printf.sprintf "Compile: unbound variable %s" v)))
-  | Ast.Bin (Ast.Add, a, b) ->
-      let fa = cint ctx a and fb = cint ctx b in
-      fun it -> S.add (fa it) (fb it)
-  | Ast.Bin (Ast.Sub, a, b) ->
-      let fa = cint ctx a and fb = cint ctx b in
-      fun it -> S.sub (fa it) (fb it)
-  | Ast.Bin (Ast.Mul, a, b) ->
-      let fa = cint ctx a and fb = cint ctx b in
-      fun it -> S.mul (fa it) (fb it)
-  | Ast.Bin (Ast.Div, a, b) ->
-      let fa = cint ctx a and fb = cint ctx b in
-      fun it -> S.fdiv (fa it) (fb it)
-  | Ast.Un (Ast.Neg, a) ->
-      let fa = cint ctx a in
-      fun it -> S.neg (fa it)
-  | Ast.Un (Ast.Abs, a) ->
-      let fa = cint ctx a in
-      fun it -> S.abs (fa it)
-  | Ast.Min es -> (
-      match List.map (cint ctx) es with
-      | [] -> failwith "Compile: empty MIN"
-      | f :: fs -> fun it -> List.fold_left (fun m g -> min m (g it)) (f it) fs)
-  | Ast.Max es -> (
-      match List.map (cint ctx) es with
-      | [] -> failwith "Compile: empty MAX"
-      | f :: fs -> fun it -> List.fold_left (fun m g -> max m (g it)) (f it) fs)
-  | Ast.Mod (a, b) ->
-      let fa = cint ctx a and fb = cint ctx b in
-      fun it -> S.emod (fa it) (fb it)
-  | Ast.Pow (a, k) ->
-      let fa = cint ctx a in
-      fun it -> S.pow (fa it) k
-  | Ast.Real _ | Ast.Ref _ | Ast.Un (Ast.Sqrt, _) ->
-      failwith
-        (Printf.sprintf "Compile: non-integer subscript %s"
-           (Loopir.Pretty.expr_to_string e))
+          | None -> failwith (Printf.sprintf "Compile: unbound variable %s" v)))
 
 (* Integer evaluator with the affine fast path: affine expressions use raw
    machine arithmetic.  The dry scan evaluated each affine subscript with

@@ -156,10 +156,8 @@ let pipeline_failure stage e =
 (* Survey classification (dependence uniformity + coupled subscripts) with
    typed errors: the exact single-statement analysis when it applies, the
    exact instance graph otherwise — the logic examples/corpus_scan.ml used
-   to hand-roll with catch-all exception swallows.  [trace] is that graph
-   when the request already built it (a run that peeled dataflow fronts),
-   so it is not built twice. *)
-let survey_of ?trace prog ~params =
+   to hand-roll with catch-all exception swallows. *)
+let survey_of prog ~params =
   let coupled () =
     List.exists Depend.Distance.has_coupled_subscripts
       (Loopir.Prog.stmts_of prog)
@@ -194,11 +192,7 @@ let survey_of ?trace prog ~params =
                 if not (List.mem_assoc p params) then
                   Diag.fail (Diag.Unbound_parameter p))
               prog.Loopir.Ast.params;
-            let tr =
-              match trace with
-              | Some tr -> tr
-              | None -> Depend.Trace.build prog ~params
-            in
+            let tr = Depend.Trace.build prog ~params in
             let cls =
               if Depend.Trace.n_edges tr = 0 then Depend.Distance.No_dependence
               else Depend.Distance.Non_uniform
@@ -257,13 +251,7 @@ let compute t (req : Proto.request) prog ~threads =
           let survey =
             if not req.survey then None
             else
-              let trace =
-                match o.Pipeline.Driver.concrete with
-                | Pipeline.Driver.Fronts d -> Some d.Core.Dataflow.trace
-                | Pipeline.Driver.Model { tr } -> Some tr
-                | _ -> None
-              in
-              match survey_of ?trace prog ~params:req.params with
+              match survey_of prog ~params:req.params with
               | Ok s -> Some s
               | Error _ -> None
           in

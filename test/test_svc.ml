@@ -553,34 +553,6 @@ let test_service_reused_index () =
     responses
     [ "src: parse error at line 2: " ^ msg; "ast: " ^ msg ]
 
-(* A checked run that also asks for a survey builds the instance trace
-   once: the survey of an imperfect nest classifies on the trace the
-   run's dataflow fronts were peeled from. *)
-let test_service_run_survey_one_trace () =
-  let svc =
-    Service.create ~config:{ (quiet_config ~domains:1) with check = true } ()
-  in
-  let builds = Obs.Counter.make "trace.builds" in
-  let before = Obs.Counter.value builds in
-  let responses =
-    Service.batch svc
-      [
-        Proto.request ~id:"ex3" ~name:"example3" ~params:[ ("n", 6) ]
-          ~survey:true (Proto.Prog Loopir.Builtin.example3);
-      ]
-  in
-  let builds = Obs.Counter.value builds - before in
-  Service.shutdown svc;
-  match responses with
-  | [ { Proto.body = Proto.Done { survey = Some s; report = Some r; _ }; _ } ]
-    ->
-      Alcotest.(check string) "surveyed on the instance graph"
-        "instance-graph" s.Proto.via;
-      Alcotest.(check string) "legality checked" "ok"
-        (Pipeline.Report.check_result_string r.Pipeline.Report.legality);
-      Alcotest.(check int) "one trace build" 1 builds
-  | _ -> Alcotest.fail "expected one run response with a survey"
-
 let test_service_deadline () =
   let svc = Service.create ~config:(quiet_config ~domains:1) () in
   let req =
@@ -838,8 +810,6 @@ let () =
           Alcotest.test_case "deadline" `Quick test_service_deadline;
           Alcotest.test_case "reused loop index is a bad request" `Quick
             test_service_reused_index;
-          Alcotest.test_case "a run with a survey builds one trace" `Quick
-            test_service_run_survey_one_trace;
         ] );
       ( "telemetry",
         [
