@@ -22,7 +22,7 @@ let value t = Atomic.get t.cell
 let snapshot () =
   Atomic.get registry
   |> List.map (fun c -> (c.name, Atomic.get c.cell))
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset_all () =
   List.iter (fun c -> Atomic.set c.cell 0) (Atomic.get registry)

@@ -16,7 +16,8 @@ val add : t -> int -> unit
 val value : t -> int
 
 val snapshot : unit -> (string * int) list
-(** Every registered counter with its current value, sorted by name. *)
+(** Every registered counter with its current value, sorted by name
+    ({!String.compare}). *)
 
 val reset_all : unit -> unit
 (** Zeroes every registered counter (tests and CLI runs). *)

@@ -7,35 +7,70 @@ type t = {
   compactions : int;
 }
 
-let zero =
+(* All fields are floats, so the record is flat and a reading stores into
+   it without boxing: the record is allocated before the counters are
+   read.  Collection counts are exact in a float well past any run. *)
+type probe = {
+  mutable minor : float;
+  mutable promoted : float;
+  mutable major : float;
+  mutable minor_gcs : float;
+  mutable major_gcs : float;
+  mutable compactions_ : float;
+}
+
+let fresh () =
   {
-    minor_words = 0.0;
-    promoted_words = 0.0;
-    major_words = 0.0;
-    minor_collections = 0;
-    major_collections = 0;
-    compactions = 0;
+    minor = 0.0;
+    promoted = 0.0;
+    major = 0.0;
+    minor_gcs = 0.0;
+    major_gcs = 0.0;
+    compactions_ = 0.0;
   }
 
-let quick () =
+(* The minor-word counter is read last, after everything the reading
+   allocates ([Gc.counters]'s triple), so none of it is charged to the
+   span the probe opens.  [Gc.counters]'s own minor count lags the minor
+   heap; its promoted and major counts are exact. *)
+let read_words p =
+  let _, promoted, major = Gc.counters () in
+  p.promoted <- promoted;
+  p.major <- major;
+  p.minor <- Gc.minor_words ()
+
+let mark () =
+  let p = fresh () in
+  read_words p;
+  p
+
+let start () =
+  let p = fresh () in
+  let s = Gc.quick_stat () in
+  p.minor_gcs <- float_of_int s.Gc.minor_collections;
+  p.major_gcs <- float_of_int s.Gc.major_collections;
+  p.compactions_ <- float_of_int s.Gc.compactions;
+  read_words p;
+  p
+
+(* Closing readings take the minor-word counter first, so their own
+   allocation falls after the span too. *)
+let words_since p =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  minor -. p.minor +. (major -. p.major) -. (promoted -. p.promoted)
+
+let since p =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
   let s = Gc.quick_stat () in
   {
-    minor_words = s.Gc.minor_words;
-    promoted_words = s.Gc.promoted_words;
-    major_words = s.Gc.major_words;
-    minor_collections = s.Gc.minor_collections;
-    major_collections = s.Gc.major_collections;
-    compactions = s.Gc.compactions;
-  }
-
-let diff ~before ~after =
-  {
-    minor_words = after.minor_words -. before.minor_words;
-    promoted_words = after.promoted_words -. before.promoted_words;
-    major_words = after.major_words -. before.major_words;
-    minor_collections = after.minor_collections - before.minor_collections;
-    major_collections = after.major_collections - before.major_collections;
-    compactions = after.compactions - before.compactions;
+    minor_words = minor -. p.minor;
+    promoted_words = promoted -. p.promoted;
+    major_words = major -. p.major;
+    minor_collections = s.Gc.minor_collections - int_of_float p.minor_gcs;
+    major_collections = s.Gc.major_collections - int_of_float p.major_gcs;
+    compactions = s.Gc.compactions - int_of_float p.compactions_;
   }
 
 let allocated_words t = t.minor_words +. t.major_words -. t.promoted_words

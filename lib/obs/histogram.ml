@@ -99,7 +99,7 @@ let percentile (s : snap) q =
 let snapshot () =
   Atomic.get registry
   |> List.map (fun h -> (h.name, snap h))
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset_all () =
   List.iter

@@ -39,6 +39,6 @@ val percentile : snap -> float -> float
     snapshot. *)
 
 val snapshot : unit -> (string * snap) list
-(** Every registered histogram, sorted by name. *)
+(** Every registered histogram, sorted by name ({!String.compare}). *)
 
 val reset_all : unit -> unit

@@ -6,37 +6,48 @@ type t = {
 let snapshot () =
   { counters = Counter.snapshot (); histograms = Histogram.snapshot () }
 
+let cons_opt k v rest = match v with Some v -> (k, v) :: rest | None -> rest
+
+(* [after] minus [before], both sorted by key, in one merge pass: [f
+   x (Some x0)] for a key on both sides, [f x None] for one only in
+   [after]; a key only in [before] is dropped.  [None] results are left
+   out. *)
+let rec merge_sub cmp f after before =
+  match (after, before) with
+  | [], _ -> []
+  | (k, x) :: rest, [] -> cons_opt k (f x None) (merge_sub cmp f rest [])
+  | (k, x) :: rest, (k0, x0) :: rest0 ->
+      let c = cmp k k0 in
+      if c < 0 then cons_opt k (f x None) (merge_sub cmp f rest before)
+      else if c > 0 then merge_sub cmp f after rest0
+      else cons_opt k (f x (Some x0)) (merge_sub cmp f rest rest0)
+
 let diff ~before ~after =
   let counters =
-    List.filter_map
-      (fun (name, v) ->
-        let v0 =
-          Option.value ~default:0 (List.assoc_opt name before.counters)
-        in
-        if v - v0 = 0 then None else Some (name, v - v0))
-      after.counters
+    merge_sub String.compare
+      (fun v v0 ->
+        let d = v - Option.value ~default:0 v0 in
+        if d = 0 then None else Some d)
+      after.counters before.counters
   in
   let hist_diff (a : Histogram.snap) (b : Histogram.snap) : Histogram.snap =
-    let bucket (ub, n) =
-      let n0 = Option.value ~default:0 (List.assoc_opt ub b.buckets) in
-      if n - n0 = 0 then None else Some (ub, n - n0)
-    in
     {
       Histogram.count = a.Histogram.count - b.Histogram.count;
       sum = a.Histogram.sum - b.Histogram.sum;
-      buckets = List.filter_map bucket a.Histogram.buckets;
+      buckets =
+        merge_sub Int.compare
+          (fun n n0 ->
+            let d = n - Option.value ~default:0 n0 in
+            if d = 0 then None else Some d)
+          a.Histogram.buckets b.Histogram.buckets;
     }
   in
   let histograms =
-    List.filter_map
-      (fun (name, h) ->
-        let d =
-          match List.assoc_opt name before.histograms with
-          | Some h0 -> hist_diff h h0
-          | None -> h
-        in
-        if d.Histogram.count = 0 then None else Some (name, d))
-      after.histograms
+    merge_sub String.compare
+      (fun h h0 ->
+        let d = match h0 with Some h0 -> hist_diff h h0 | None -> h in
+        if d.Histogram.count = 0 then None else Some d)
+      after.histograms before.histograms
   in
   { counters; histograms }
 

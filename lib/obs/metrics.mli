@@ -2,7 +2,10 @@
     what pipeline reports embed.
 
     Counters and histograms are cumulative for the process; {!diff} turns
-    two snapshots into the activity between them (a per-run view). *)
+    two snapshots into the activity between them (a per-run view).  Every
+    [t] this module returns lists its names sorted ({!String.compare}) and
+    unique, histogram buckets by ascending bound, so {!diff} is one merge
+    pass over the two sides, linear in their length. *)
 
 type t = {
   counters : (string * int) list;
@@ -12,9 +15,11 @@ type t = {
 val snapshot : unit -> t
 
 val diff : before:t -> after:t -> t
-(** Per-name subtraction.  Counters that did not move and histograms that
-    saw no observations are dropped, so a diff only lists the layers the
-    run actually exercised. *)
+(** Per-name subtraction over two sorted [t]s (as {!snapshot} returns
+    them).  Counters that did not move and histograms that saw no
+    observations are dropped, so a diff only lists the layers the run
+    actually exercised; so are names only in [before].  A histogram only
+    in [after] is kept as it is. *)
 
 val merge : t -> t -> t
 (** Per-name addition (counter values summed, histogram counts/sums/

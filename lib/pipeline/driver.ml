@@ -201,13 +201,11 @@ let run ?(options = default_options) ~name ~params prog =
     let gcs = ref [] in
     let timed label f =
       Obs.Span.with_ ~name:("stage:" ^ label) (fun () ->
-          let gc0 = Obs.Gcstats.quick () in
+          let gc0 = Obs.Gcstats.start () in
           let t0 = Obs.Clock.now_ns () in
           let r = f () in
           timings := (label, Obs.Clock.elapsed_s t0) :: !timings;
-          gcs :=
-            (label, Obs.Gcstats.(diff ~before:gc0 ~after:(quick ())))
-            :: !gcs;
+          gcs := (label, Obs.Gcstats.since gc0) :: !gcs;
           r)
     in
     (* Mid-pipeline failures keep the stage timings collected so far,
@@ -277,7 +275,8 @@ let run ?(options = default_options) ~name ~params prog =
           Some (Strategy.predict ~cost ~threads:options.threads s, cost_source)
     in
     (* Execution: sequential ground truth + instrumented parallel run, or
-       the DOACROSS cost model. *)
+       the DOACROSS cost model.  The store is scanned once: the oracle
+       runs on a copy of it, the schedule on the store itself. *)
     let* ( semantics,
            seq_seconds,
            par_seconds,
@@ -306,16 +305,18 @@ let run ?(options = default_options) ~name ~params prog =
             (guarded (fun () ->
                  timed "execute" (fun () ->
                      let env = Runtime.Interp.prepare prog ~params in
+                     let store = Runtime.Interp.scan_bounds env in
                      let t0 = Obs.Clock.now_ns () in
                      let seq =
                        Obs.Span.with_ ~name:"seq-interp" (fun () ->
-                           Runtime.Interp.run_sequential env)
+                           Runtime.Interp.run_sequential
+                             ~store:(Runtime.Arrays.copy store) env)
                      in
                      let seq_s = Obs.Clock.elapsed_s t0 in
                      let tmd =
                        Runtime.Exec.run_timed ?cost:options.sim_cost
-                         ?workers:options.workers env ~threads:options.threads
-                         s
+                         ?workers:options.workers ~store env
+                         ~threads:options.threads s
                      in
                      let semantics =
                        if not options.check then Report.Skipped

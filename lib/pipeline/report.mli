@@ -96,7 +96,9 @@ type t = {
   threads : int;
   legality : check_result;  (** every dependence edge respected? *)
   semantics : check_result;  (** arrays identical to the sequential run? *)
-  seq_seconds : float option;  (** sequential interpreter wall time *)
+  seq_seconds : float option;
+      (** sequential interpreter wall time, on a copy of the scanned
+          store (the scan itself is shared with the parallel run) *)
   par_seconds : float option;  (** instrumented schedule execution *)
   model_makespan : float option;  (** DOACROSS cost-model makespan *)
   thread_loads : int array option;
@@ -106,8 +108,9 @@ type t = {
   prediction : prediction option;
       (** cost-model accounting; [None] when no schedule was predicted *)
   gc : (string * Obs.Gcstats.t) list;
-      (** per-stage GC telemetry ({!Obs.Gcstats.diff} around each pipeline
-          stage), in pipeline order; rendered as a ["gc"] object in JSON *)
+      (** per-stage GC telemetry ({!Obs.Gcstats.since} around each
+          pipeline stage: exact words, collection counts), in pipeline
+          order; rendered as a ["gc"] object in JSON *)
   metrics : Obs.Metrics.t option;
       (** counters/histograms the run moved (a {!Obs.Metrics.diff} of
           before/after snapshots) *)

@@ -12,21 +12,23 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 8; frozen = false }
 
-let note_bounds t name idx =
+let note_index t name idx =
   if t.frozen then invalid_arg "Arrays.note_bounds: already frozen";
-  let idx = Array.of_list idx in
   match Hashtbl.find_opt t.tbl name with
   | None ->
       Hashtbl.add t.tbl name
         { ext = { lo = Array.copy idx; hi = Array.copy idx }; data = [||] }
   | Some s ->
-      if Array.length idx <> Array.length s.ext.lo then
+      let lo = s.ext.lo and hi = s.ext.hi in
+      if Array.length idx <> Array.length lo then
         invalid_arg ("Arrays: rank mismatch for " ^ name);
-      Array.iteri
-        (fun k v ->
-          if v < s.ext.lo.(k) then s.ext.lo.(k) <- v;
-          if v > s.ext.hi.(k) then s.ext.hi.(k) <- v)
-        idx
+      for k = 0 to Array.length idx - 1 do
+        let v = idx.(k) in
+        if v < lo.(k) then lo.(k) <- v;
+        if v > hi.(k) then hi.(k) <- v
+      done
+
+let note_bounds t name idx = note_index t name (Array.of_list idx)
 
 (* Initial cell values: a per-array name hash mixed with the indices,
    outermost first.  [freeze] carries the mix of an index prefix down a
@@ -39,21 +41,26 @@ let[@inline] mix h v =
 let[@inline] value_of_hash h =
   float_of_int ((h land max_int) mod 1000) /. 97.0
 
-let initial_value name idx =
-  value_of_hash (List.fold_left mix (Hashtbl.hash name) idx)
+let initial_value_index name idx =
+  value_of_hash (Array.fold_left mix (Hashtbl.hash name) idx)
+
+let initial_value name idx = initial_value_index name (Array.of_list idx)
 
 let cell_count ext =
   Array.fold_left ( * ) 1
     (Array.mapi (fun k lo -> ext.hi.(k) - lo + 1) ext.lo)
 
+(* The flat offset of an index tuple; -1 outside the extent. *)
 let offset ext idx =
-  let acc = ref 0 in
-  List.iteri
-    (fun k v ->
-      if v < ext.lo.(k) || v > ext.hi.(k) then raise Not_found;
-      acc := (!acc * (ext.hi.(k) - ext.lo.(k) + 1)) + (v - ext.lo.(k)))
-    idx;
-  !acc
+  let lo = ext.lo and hi = ext.hi in
+  let rec go k acc =
+    if k = Array.length idx then acc
+    else
+      let v = idx.(k) in
+      if v < lo.(k) || v > hi.(k) then -1
+      else go (k + 1) ((acc * (hi.(k) - lo.(k) + 1)) + (v - lo.(k)))
+  in
+  go 0 0
 
 let seed name ext =
   let rank = Array.length ext.lo in
@@ -80,24 +87,38 @@ let freeze t =
     t.frozen <- true
   end
 
-let get t name idx =
+let get_index t name idx =
   match Hashtbl.find_opt t.tbl name with
-  | None -> initial_value name idx
-  | Some s -> (
-      match offset s.ext idx with
-      | off -> s.data.(off)
-      | exception Not_found -> initial_value name idx)
+  | None -> initial_value_index name idx
+  | Some s ->
+      let off = offset s.ext idx in
+      if off < 0 then initial_value_index name idx else s.data.(off)
 
-let set t name idx v =
+let set_index t name idx v =
   if not t.frozen then invalid_arg "Arrays.set: freeze first";
   match Hashtbl.find_opt t.tbl name with
   | None -> invalid_arg ("Arrays.set: unknown array " ^ name)
-  | Some s -> (
-      match offset s.ext idx with
-      | off -> s.data.(off) <- v
-      | exception Not_found ->
-          invalid_arg
-            (Printf.sprintf "Arrays.set: %s index out of scanned bounds" name))
+  | Some s ->
+      let off = offset s.ext idx in
+      if off < 0 then
+        invalid_arg
+          (Printf.sprintf "Arrays.set: %s index out of scanned bounds" name)
+      else s.data.(off) <- v
+
+let get t name idx = get_index t name (Array.of_list idx)
+let set t name idx v = set_index t name (Array.of_list idx) v
+
+let copy t =
+  let tbl = Hashtbl.create (Hashtbl.length t.tbl) in
+  Hashtbl.iter
+    (fun name s ->
+      Hashtbl.add tbl name
+        {
+          ext = { lo = Array.copy s.ext.lo; hi = Array.copy s.ext.hi };
+          data = Array.copy s.data;
+        })
+    t.tbl;
+  { tbl; frozen = t.frozen }
 
 type view = {
   v_lo : int array;
@@ -142,4 +163,23 @@ let max_abs_diff a b =
       | _ -> infinity)
     0.0 (arrays a)
 
-let equal a b = arrays a = arrays b && max_abs_diff a b = 0.0
+(* Bit for bit: a NaN cell differs from every other value, and -0.0
+   from 0.0, which a tolerance test would both miss. *)
+let same_cells x y =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let rec go k =
+    k = n
+    || Int64.bits_of_float x.(k) = Int64.bits_of_float y.(k) && go (k + 1)
+  in
+  go 0
+
+let equal a b =
+  arrays a = arrays b
+  && List.for_all
+       (fun name ->
+         let sa = Hashtbl.find a.tbl name and sb = Hashtbl.find b.tbl name in
+         sa.ext.lo = sb.ext.lo && sa.ext.hi = sb.ext.hi
+         && same_cells sa.data sb.data)
+       (arrays a)

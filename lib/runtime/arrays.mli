@@ -6,7 +6,13 @@
     negative and parametric indices (as in the Cholesky kernel) are
     handled by offsetting.  Cells start with a deterministic per-cell
     value derived from the array name and indices, so two executions agree
-    iff they perform the same writes in an equivalent order. *)
+    iff they perform the same writes in an equivalent order.
+
+    Index tuples come as lists (the compiled kernels' general path and
+    tests) or as arrays ([*_index]: the scan and the reference
+    interpreter evaluate subscripts into a scratch array, which no call
+    retains).  A checked run scans once and gives the oracle a {!copy}.
+    {!equal} compares bit for bit. *)
 
 type t
 
@@ -14,7 +20,11 @@ val create : unit -> t
 
 val note_bounds : t -> string -> int list -> unit
 (** Extend the recorded extent of an array to include the given index
-    tuple (call during the dry scan). *)
+    tuple (call during the dry scan).  Raises [Invalid_argument] after
+    {!freeze}, or when the tuple's rank differs from the array's. *)
+
+val note_index : t -> string -> int array -> unit
+(** {!note_bounds} from an index array. *)
 
 val freeze : t -> unit
 (** Allocate backing stores and seed every cell with {!initial_value}, in
@@ -22,7 +32,19 @@ val freeze : t -> unit
     after all {!note_bounds} and before any {!get}/{!set}. *)
 
 val get : t -> string -> int list -> float
+(** The cell's value; {!initial_value} outside the extent or for an
+    array the scan never noted. *)
+
 val set : t -> string -> int list -> float -> unit
+(** Raises [Invalid_argument] before {!freeze}, for an unknown array, or
+    outside the extent. *)
+
+val get_index : t -> string -> int array -> float
+val set_index : t -> string -> int array -> float -> unit
+(** {!get} and {!set} from an index array. *)
+
+val copy : t -> t
+(** An independent copy: same extents, frozen state and cells. *)
 
 val initial_value : string -> int list -> float
 (** The deterministic initial cell value: the hash of the array name,
@@ -44,7 +66,13 @@ val view : t -> string -> view option
     unknown arrays; raises [Invalid_argument] before {!freeze}. *)
 
 val equal : t -> t -> bool
-(** Same arrays, same extents, same contents. *)
+(** Same arrays, same extents, and every cell the same bit for bit
+    ([Int64.bits_of_float]): a NaN cell equals only the same NaN, and
+    [-0.0] differs from [0.0]. *)
 
 val max_abs_diff : t -> t -> float
+(** The largest absolute cell difference, for messages; [infinity] when
+    an array is missing on one side or differs in size.  A NaN cell adds
+    nothing to it, so use {!equal} to decide. *)
+
 val arrays : t -> string list

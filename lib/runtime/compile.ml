@@ -169,14 +169,14 @@ let fused_of ctx name subs =
 (* Non-affine (or unscanned-array) references keep the exact interpreter
    semantics, including the [initial_value] fallback of {!Arrays.get}. *)
 let general_load ctx name subs =
-  let fs = List.map (cint_value ctx) subs in
+  let fs = Array.of_list (List.map (cint_value ctx) subs) in
   let store = ctx.store in
-  fun it -> Arrays.get store name (List.map (fun f -> f it) fs)
+  fun it -> Arrays.get_index store name (Array.map (fun f -> f it) fs)
 
 let general_store ctx name subs =
-  let fs = List.map (cint_value ctx) subs in
+  let fs = Array.of_list (List.map (cint_value ctx) subs) in
   let store = ctx.store in
-  fun it v -> Arrays.set store name (List.map (fun f -> f it) fs) v
+  fun it v -> Arrays.set_index store name (Array.map (fun f -> f it) fs) v
 
 (* ---- float expressions ----------------------------------------------- *)
 

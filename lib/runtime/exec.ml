@@ -75,14 +75,13 @@ let chunk_runner compiled = function
 (* ---- instrumented chunk execution ------------------------------------ *)
 
 (* Runs the chunks [iter_chunks] yields to this domain and returns the
-   seconds it was busy, the words it allocated (the GC delta is taken
-   inside the executing domain, so on OCaml 5 the counters are exact for
-   this domain's work) and the instances it executed.  With a log
-   attached each chunk gets a span carrying the per-chunk sample
-   {!Obs.Critpath} consumes: [("phase", label)], [(kind, id)] and
-   [("len", points)]. *)
+   seconds it was busy, the words it allocated (an {!Obs.Gcstats.mark}
+   reading taken inside the executing domain: O(1) and exact for this
+   domain's work) and the instances it executed.  With a log attached
+   each chunk gets a span carrying the per-chunk sample {!Obs.Critpath}
+   consumes: [("phase", label)], [(kind, id)] and [("len", points)]. *)
 let run_chunks ~label ~kind run iter_chunks =
-  let gc0 = Obs.Gcstats.quick () in
+  let gc0 = Obs.Gcstats.mark () in
   let t0 = Obs.Clock.now_ns () in
   let load = ref 0 in
   if not (Obs.Event.enabled (Obs.Event.ambient ())) then
@@ -106,9 +105,7 @@ let run_chunks ~label ~kind run iter_chunks =
             Obs.Histogram.observe task_ns_hist
               (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) s0))));
   let busy = Obs.Clock.elapsed_s t0 in
-  let words =
-    Obs.Gcstats.(allocated_words (diff ~before:gc0 ~after:(quick ())))
-  in
+  let words = Obs.Gcstats.words_since gc0 in
   (busy, words, !load)
 
 (* The single execution path: every phase, sequential or parallel, goes
@@ -159,9 +156,11 @@ let run_phase_timed ~pool ~cost compiled ~threads phase =
     seconds = Obs.Clock.elapsed_s t0;
   }
 
-let run_timed ?(cost = Sim.base_seconds) ?workers env ~threads s =
+let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   let threads = max 1 threads in
-  let store = Interp.scan_bounds env in
+  let store =
+    match store with Some st -> st | None -> Interp.scan_bounds env
+  in
   (* Kernel compilation happens outside the timed region, like store
      setup: [seconds] measures execution of the hot loop. *)
   let compiled =

@@ -5,7 +5,8 @@
     wall-clock measurements.
 
     Every statement instance runs through its {!Compile} kernel — a
-    closure with fused affine offsets and no per-instance allocation.
+    closure with fused affine offsets.  A kernel allocates only the
+    boxed float its right-hand side returns, ~2 words per instance.
     {!Interp.run_sequential} remains the reference oracle ({!check}).
 
     Phases are separated by barriers.  Within a phase, work is addressed
@@ -51,9 +52,9 @@ type phase_stat = {
       (** seconds each domain spent executing its chunks, aligned with
           [loads]; the gap to [seconds] is barrier idle time *)
   alloc : float array;
-      (** words each domain allocated while executing its chunks
-          ({!Obs.Gcstats} delta taken inside the domain), aligned with
-          [busy] *)
+      (** words each domain allocated while executing its chunks (an
+          {!Obs.Gcstats.mark} reading taken inside the domain: O(1) and
+          exact for that domain), aligned with [busy] *)
   seconds : float;  (** wall time of the phase, barrier included *)
 }
 
@@ -67,6 +68,7 @@ type timed = {
 val run_timed :
   ?cost:Sim.cost ->
   ?workers:Workers.t ->
+  ?store:Arrays.t ->
   Interp.env ->
   threads:int ->
   Sched.t ->
@@ -76,6 +78,9 @@ val run_timed :
     per-domain load/busy time.  [cost] (default {!Sim.base_seconds})
     sizes the DOALL chunks; [workers] (default: a transient pool created
     and shut down inside this call) supplies a persistent executor pool.
+    [store] (default: a fresh {!Interp.scan_bounds} of [env]) is the
+    frozen store the run writes into and returns; a caller that scanned
+    already passes its store, or an {!Arrays.copy} of it.
     The compile, phase, bucket and task spans go to the ambient
     {!Obs.Event} log. *)
 

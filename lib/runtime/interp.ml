@@ -22,72 +22,15 @@ let prepare prog ~params =
     prog.Ast.params;
   { prog; params; stmts = Array.of_list (Prog.stmts_of prog) }
 
-let param t name =
-  match List.assoc_opt name t.params with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "Interp: unbound variable %s" name)
+let unbound name = failwith (Printf.sprintf "Interp: unbound variable %s" name)
 
-let var_env t bindings name =
-  match List.assoc_opt name bindings with Some v -> v | None -> param t name
+(* The first binding of a parameter wins, as with [List.assoc]. *)
+let rec param params name =
+  match params with
+  | [] -> unbound name
+  | (p, v) :: rest -> if String.equal p name then v else param rest name
 
-(* Float evaluation of right-hand sides. *)
-let rec feval store ienv e =
-  match e with
-  | Ast.Int k -> float_of_int k
-  | Ast.Real r -> r
-  | Ast.Var v -> float_of_int (ienv v)
-  | Ast.Ref (a, subs) ->
-      Arrays.get store a (List.map (Loopir.Eval_int.eval ienv) subs)
-  | Ast.Bin (Ast.Add, a, b) -> feval store ienv a +. feval store ienv b
-  | Ast.Bin (Ast.Sub, a, b) -> feval store ienv a -. feval store ienv b
-  | Ast.Bin (Ast.Mul, a, b) -> feval store ienv a *. feval store ienv b
-  | Ast.Bin (Ast.Div, a, b) -> feval store ienv a /. feval store ienv b
-  | Ast.Un (Ast.Neg, a) -> -.feval store ienv a
-  | Ast.Un (Ast.Sqrt, a) -> sqrt (feval store ienv a)
-  | Ast.Un (Ast.Abs, a) -> Float.abs (feval store ienv a)
-  | Ast.Min es ->
-      List.fold_left (fun m e -> Float.min m (feval store ienv e)) infinity es
-  | Ast.Max es ->
-      List.fold_left
-        (fun m e -> Float.max m (feval store ienv e))
-        neg_infinity es
-  | Ast.Mod (a, b) ->
-      float_of_int
-        (Numeric.Safeint.emod (Loopir.Eval_int.eval ienv a)
-           (Loopir.Eval_int.eval ienv b))
-  | Ast.Pow (a, k) -> feval store ienv a ** float_of_int k
-
-(* Walk the whole program in source order, calling [visit] on each statement
-   instance's environment. *)
-let iterate t visit =
-  let rec run bindings stmt_counter = function
-    | Ast.Assign (lhs, rhs) ->
-        let id = !stmt_counter in
-        incr stmt_counter;
-        visit ~stmt:id ~bindings lhs rhs
-    | Ast.Loop l ->
-        let ienv = var_env t bindings in
-        let lo = Loopir.Eval_int.eval ienv l.Ast.lo
-        and hi = Loopir.Eval_int.eval ienv l.Ast.hi in
-        let saved = !stmt_counter in
-        if lo > hi then begin
-          (* Still advance the static statement numbering. *)
-          let rec count = function
-            | Ast.Assign _ -> incr stmt_counter
-            | Ast.Loop l -> List.iter count l.Ast.body
-          in
-          List.iter count l.Ast.body
-        end
-        else
-          for v = lo to hi do
-            stmt_counter := saved;
-            List.iter
-              (run ((l.Ast.index, v) :: bindings) stmt_counter)
-              l.Ast.body
-          done
-    in
-  let counter = ref 0 in
-  List.iter (run [] counter) t.prog.Ast.body
+(* ---- the dry scan ------------------------------------------------------ *)
 
 (* A subscript whose every subexpression is affine: its value, and the
    value of each subexpression, is linear in the innermost loop index.
@@ -98,60 +41,96 @@ let is_affine e =
   | Some _ -> true
   | None | (exception Numeric.Safeint.Overflow) -> false
 
+(* A reference compiled for the scan: its subscripts, and the scratch
+   array they are evaluated into. *)
+type sref = { name : string; subs : (int array -> int) array; idx : int array }
+
+let note store slots r =
+  for k = 0 to Array.length r.subs - 1 do
+    r.idx.(k) <- r.subs.(k) slots
+  done;
+  Arrays.note_index store r.name r.idx
+
+let note_all store slots rs =
+  for i = 0 to Array.length rs - 1 do
+    note store slots rs.(i)
+  done
+
 (* Note the extents of one statement's references by walking its own
    enclosing loops.  Loop bounds are evaluated at every point of the outer
    loops.  Inside the innermost loop, a reference with all-affine
    subscripts is evaluated only at the two ends, where each subscript
    takes its minimum and maximum; the others at every point.  At each
-   evaluated point the references are noted in source order. *)
+   evaluated point the references are noted in source order.
+
+   Bounds and subscripts are compiled once ({!Loopir.Eval_int.compile})
+   over one slot array: loop [k]'s bounds see the slots below [k], the
+   subscripts all of them; the innermost binding of a name wins, then the
+   first binding of a parameter, folded in as a constant.  A name bound by
+   neither raises when it is evaluated, so a loop that never runs never
+   fails. *)
 let scan_stmt t store (info : Prog.stmt_info) =
   let loops = Array.of_list info.Prog.loops in
   let depth = Array.length loops in
   let names = Array.map (fun (l : Prog.loop_ctx) -> l.Prog.index) loops in
-  let slots = Array.make depth 0 in
-  (* Slots [0 .. !bound-1] are bound; the innermost binding wins. *)
-  let bound = ref 0 in
-  let env name =
-    let rec find k =
-      if k < 0 then param t name
-      else if String.equal names.(k) name then slots.(k)
-      else find (k - 1)
-    in
-    find (!bound - 1)
+  let cint ~visible =
+    Loopir.Eval_int.compile ~var:(fun name ->
+        let rec find k =
+          if k < 0 then
+            match List.assoc_opt name t.params with
+            | Some v -> fun _ -> v
+            | None -> fun _ -> unbound name
+          else if String.equal names.(k) name then fun slots -> slots.(k)
+          else find (k - 1)
+        in
+        find (visible - 1))
+  in
+  let bounds =
+    Array.mapi
+      (fun k (l : Prog.loop_ctx) ->
+        (cint ~visible:k l.Prog.lo, cint ~visible:k l.Prog.hi))
+      loops
+  in
+  let sref (name, subs, _) =
+    {
+      name;
+      subs = Array.of_list (List.map (cint ~visible:depth) subs);
+      idx = Array.make (List.length subs) 0;
+    }
   in
   let refs = Prog.refs_of info in
+  let all = Array.of_list (List.map sref refs) in
   let general =
-    List.filter (fun (_, subs, _) -> not (List.for_all is_affine subs)) refs
+    Array.of_list
+      (List.filter_map
+         (fun ((_, subs, _) as r) ->
+           if List.for_all is_affine subs then None else Some (sref r))
+         refs)
   in
-  let note (a, subs, _) =
-    Arrays.note_bounds store a (List.map (Loopir.Eval_int.eval env) subs)
-  in
-  let at k v rs =
-    slots.(k) <- v;
-    List.iter note rs
-  in
+  let slots = Array.make depth 0 in
   let rec walk k =
-    bound := k;
-    let lo = Loopir.Eval_int.eval env loops.(k).Prog.lo
-    and hi = Loopir.Eval_int.eval env loops.(k).Prog.hi in
+    let lo, hi = bounds.(k) in
+    let lo = lo slots and hi = hi slots in
     if k < depth - 1 then
       for v = lo to hi do
         slots.(k) <- v;
         walk (k + 1)
       done
     else if lo <= hi then begin
-      bound := depth;
-      at k lo refs;
+      slots.(k) <- lo;
+      note_all store slots all;
       if hi > lo then begin
-        if general <> [] then
+        if Array.length general > 0 then
           for v = lo + 1 to hi - 1 do
-            at k v general
+            slots.(k) <- v;
+            note_all store slots general
           done;
-        at k hi refs
+        slots.(k) <- hi;
+        note_all store slots all
       end
     end
   in
-  if depth = 0 then List.iter note refs else walk 0
+  if depth = 0 then note_all store slots all else walk 0
 
 let scan_bounds t =
   let store = Arrays.create () in
@@ -159,30 +138,148 @@ let scan_bounds t =
   Arrays.freeze store;
   store
 
-let exec_assign t store bindings (a, subs) rhs =
-  let ienv = var_env t bindings in
-  let v = feval store ienv rhs in
-  Arrays.set store a (List.map (Loopir.Eval_int.eval ienv) subs) v
+(* ---- the reference interpreter --------------------------------------- *)
 
-let run_sequential t =
-  let store = scan_bounds t in
-  iterate t (fun ~stmt:_ ~bindings lhs rhs ->
-      exec_assign t store bindings lhs rhs);
+(* The indices of the enclosing loops, bound by depth in one int array:
+   a name is looked up innermost first, then among the parameters.  The
+   lookup closure is made once per run, and a statement instance binds
+   its scope by pointing [vals] at its iteration vector. *)
+type scope = {
+  mutable names : string array;
+  mutable vals : int array;
+  mutable depth : int;  (** depths [0 .. depth-1] are bound *)
+  params : (string * int) list;
+}
+
+let lookup sc name =
+  let rec find k =
+    if k < 0 then param sc.params name
+    else if String.equal sc.names.(k) name then sc.vals.(k)
+    else find (k - 1)
+  in
+  find (sc.depth - 1)
+
+(* One run's state.  [scratch.(r)] receives the subscripts of a rank-[r]
+   reference: subscripts are integer expressions, so evaluating one
+   reference's never starts another's, and no {!Arrays} call retains the
+   index. *)
+type machine = {
+  store : Arrays.t;
+  sc : scope;
+  ienv : string -> int;
+  scratch : int array array;
+}
+
+let machine t store =
+  let max_rank =
+    Array.fold_left
+      (fun m info ->
+        List.fold_left
+          (fun m (_, subs, _) -> max m (List.length subs))
+          m (Prog.refs_of info))
+      0 t.stmts
+  in
+  let depth = Prog.max_depth t.prog in
+  let sc =
+    {
+      names = Array.make depth "";
+      vals = Array.make depth 0;
+      depth = 0;
+      params = t.params;
+    }
+  in
+  {
+    store;
+    sc;
+    ienv = lookup sc;
+    scratch = Array.init (max_rank + 1) (fun r -> Array.make r 0);
+  }
+
+(* A reference's subscripts, left to right, into its scratch array. *)
+let index m subs =
+  let idx = m.scratch.(List.length subs) in
+  let rec fill k = function
+    | [] -> idx
+    | e :: rest ->
+        idx.(k) <- Loopir.Eval_int.eval m.ienv e;
+        fill (k + 1) rest
+  in
+  fill 0 subs
+
+(* Float evaluation of right-hand sides: a tree walk through
+   {!Loopir.Eval_int.eval}, independent of the compiled kernels it
+   checks. *)
+let rec feval m e =
+  match e with
+  | Ast.Int k -> float_of_int k
+  | Ast.Real r -> r
+  | Ast.Var v -> float_of_int (m.ienv v)
+  | Ast.Ref (a, subs) -> Arrays.get_index m.store a (index m subs)
+  | Ast.Bin (Ast.Add, a, b) -> feval m a +. feval m b
+  | Ast.Bin (Ast.Sub, a, b) -> feval m a -. feval m b
+  | Ast.Bin (Ast.Mul, a, b) -> feval m a *. feval m b
+  | Ast.Bin (Ast.Div, a, b) -> feval m a /. feval m b
+  | Ast.Un (Ast.Neg, a) -> -.feval m a
+  | Ast.Un (Ast.Sqrt, a) -> sqrt (feval m a)
+  | Ast.Un (Ast.Abs, a) -> Float.abs (feval m a)
+  | Ast.Min es -> List.fold_left (fun x e -> Float.min x (feval m e)) infinity es
+  | Ast.Max es ->
+      List.fold_left (fun x e -> Float.max x (feval m e)) neg_infinity es
+  | Ast.Mod (a, b) ->
+      float_of_int
+        (Numeric.Safeint.emod
+           (Loopir.Eval_int.eval m.ienv a)
+           (Loopir.Eval_int.eval m.ienv b))
+  | Ast.Pow (a, k) -> feval m a ** float_of_int k
+
+(* The right-hand side is evaluated before the left-hand subscripts. *)
+let exec_assign m (a, subs) rhs =
+  let v = feval m rhs in
+  Arrays.set_index m.store a (index m subs) v
+
+let run_sequential ?store t =
+  let store = match store with Some s -> s | None -> scan_bounds t in
+  let m = machine t store in
+  let sc = m.sc in
+  let rec run = function
+    | Ast.Assign (lhs, rhs) -> exec_assign m lhs rhs
+    | Ast.Loop l ->
+        let lo = Loopir.Eval_int.eval m.ienv l.Ast.lo
+        and hi = Loopir.Eval_int.eval m.ienv l.Ast.hi in
+        let d = sc.depth in
+        sc.names.(d) <- l.Ast.index;
+        sc.depth <- d + 1;
+        for v = lo to hi do
+          sc.vals.(d) <- v;
+          List.iter run l.Ast.body
+        done;
+        sc.depth <- d
+  in
+  List.iter run t.prog.Ast.body;
   store
 
-let exec_instance t store (inst : Sched.instance) =
+(* Executes one instance in a scope bound to its iteration vector;
+   [vars.(s)] are statement [s]'s loop indices, outermost first. *)
+let exec_in m t vars (inst : Sched.instance) =
   let info = t.stmts.(inst.Sched.stmt) in
-  let vars = Prog.loop_vars info in
-  if List.length vars <> Array.length inst.Sched.iter then
+  let names = vars.(inst.Sched.stmt) in
+  if Array.length names <> Array.length inst.Sched.iter then
     failwith "Interp.exec_instance: iteration arity mismatch";
-  let bindings = List.mapi (fun k v -> (v, inst.Sched.iter.(k))) vars in
-  exec_assign t store bindings info.Prog.lhs info.Prog.rhs
+  m.sc.names <- names;
+  m.sc.vals <- inst.Sched.iter;
+  m.sc.depth <- Array.length names;
+  exec_assign m info.Prog.lhs info.Prog.rhs
+
+let loop_vars t =
+  Array.map (fun info -> Array.of_list (Prog.loop_vars info)) t.stmts
+
+let exec_instance t store inst = exec_in (machine t store) t (loop_vars t) inst
 
 let run_schedule t (s : Sched.t) =
   let store = scan_bounds t in
+  let m = machine t store and vars = loop_vars t in
   List.iter
-    (fun phase ->
-      Array.iter (exec_instance t store) (Sched.phase_instances phase))
+    (fun phase -> Array.iter (exec_in m t vars) (Sched.phase_instances phase))
     s.Sched.phases;
   store
 

@@ -1,7 +1,21 @@
 (** Reference interpreter for the mini-Fortran programs over the dense
     array store, plus schedule execution — the semantic ground truth used to
     validate every partitioning scheme: a legal schedule must leave the
-    arrays exactly as the sequential run does. *)
+    arrays exactly as the sequential run does.
+
+    The interpreter stays a tree walker: every statement instance walks
+    the AST through {!Loopir.Eval_int.eval}, never through
+    {!Runtime.Compile} or {!Loopir.Eval_int.compile}, so the oracle shares
+    no code path with the kernels it checks.  What it does resolve once
+    per run is the scope: loop indices are bound by depth in one int array
+    and looked up innermost first with [String.equal], then among the
+    parameters (the first binding wins); subscripts are evaluated left to
+    right into a scratch int array.  No assoc list or closure is built per
+    instance.
+
+    The dry scan ({!scan_bounds}) is the one compiled part: it evaluates
+    bounds and subscripts at the points the endpoint rule picks, through
+    closures compiled once per statement. *)
 
 type env = {
   prog : Loopir.Ast.program;  (** normalized *)
@@ -29,16 +43,28 @@ val scan_bounds : env -> Arrays.t
     O(outer iterations) for affine nests.  An array touched only inside
     empty loops stays absent.
 
-    Every bound and subscript goes through the checked
-    {!Loopir.Eval_int.eval}, and an affine subexpression that would
-    overflow at an inner point overflows at an end too.  So a program a
-    per-point scan rejects is rejected here, with the same exception
-    unless it holds two different failures: statements are scanned one
-    after another in textual order, not interleaved as they execute.
-    Loops that enclose no statement are not visited. *)
+    Bounds and subscripts are compiled once per statement with
+    {!Loopir.Eval_int.compile} over one slot array: the bounds of loop [k]
+    see only the slots below [k], the innermost binding of a name wins,
+    and parameters are folded in as constants.  A name bound by neither
+    raises [Failure] when it is evaluated, so a loop that never runs
+    never fails.  Extents are noted from a scratch int array per
+    reference.
 
-val run_sequential : env -> Arrays.t
-(** Executes the program in source order on a fresh store. *)
+    The arithmetic is {!Loopir.Eval_int.eval}'s, checked, and an affine
+    subexpression that would overflow at an inner point overflows at an
+    end too.  So a program a per-point scan rejects is rejected here, with
+    the same exception unless it holds two different failures: statements
+    are scanned one after another in textual order, not interleaved as
+    they execute.  Loops that enclose no statement are not visited. *)
+
+val run_sequential : ?store:Arrays.t -> env -> Arrays.t
+(** Executes the program in source order and returns the store: [store]
+    when given — a frozen {!scan_bounds} of [env], or an {!Arrays.copy}
+    of one, which the run overwrites — else a fresh scan.  The right-hand
+    side is evaluated before the left-hand subscripts; a read outside the
+    scanned extent yields {!Arrays.initial_value}, a write outside it
+    raises [Invalid_argument]. *)
 
 val exec_instance : env -> Arrays.t -> Sched.instance -> unit
 (** Executes one statement instance (used by the executors). *)

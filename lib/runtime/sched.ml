@@ -124,7 +124,7 @@ let check_legal s (tr : Depend.Trace.t) =
      what the edges name.  Each scheduled instance's position (phase,
      task, index-in-task) is recorded by id; DOALL instances get distinct
      task ids so only phase order counts.  Scheduled instances the trace
-     lacks are only counted. *)
+     lacks are counted, and the first of them is kept for the report. *)
   let insts = tr.Depend.Trace.instances in
   let n = Array.length insts in
   let ids = Ids.create n in
@@ -135,7 +135,7 @@ let check_legal s (tr : Depend.Trace.t) =
   let phase_of = Array.make n (-1) and task_of = Array.make n 0
   and index_of = Array.make n 0 in
   let extra = Ids.create 8 in
-  let placed = ref 0 and dup = ref None in
+  let placed = ref 0 and dup = ref None and foreign = ref None in
   let note inst pi ti k =
     let key = (inst.stmt, inst.iter) in
     match Ids.find_opt ids key with
@@ -147,7 +147,12 @@ let check_legal s (tr : Depend.Trace.t) =
           index_of.(id) <- k;
           incr placed
         end
-    | None -> if Ids.mem extra key then dup := Some key else Ids.add extra key ()
+    | None ->
+        if Ids.mem extra key then dup := Some key
+        else begin
+          if Option.is_none !foreign then foreign := Some key;
+          Ids.add extra key ()
+        end
   in
   List.iteri
     (fun pi phase ->
@@ -164,21 +169,29 @@ let check_legal s (tr : Depend.Trace.t) =
       Error
         (Printf.sprintf "instance S%d%s scheduled twice" stmt
            (Linalg.Ivec.to_string iter))
-  | None ->
+  | None -> (
       let scheduled = !placed + Ids.length extra in
-      if scheduled <> n then
-        Error
-          (Printf.sprintf "schedule has %d instances, trace has %d" scheduled n)
-      else begin
-        (* The first edge, in trace order, that the schedule breaks. *)
-        let src = tr.Depend.Trace.edge_src and dst = tr.Depend.Trace.edge_dst in
-        let rec check e =
-          if e = Array.length src then Ok ()
-          else
-            let a = src.(e) and b = dst.(e) in
-            let pa = phase_of.(a) and pb = phase_of.(b) in
-            if pa < 0 || pb < 0 then Error "instance missing from schedule"
+      match !foreign with
+      | _ when scheduled <> n ->
+          Error
+            (Printf.sprintf "schedule has %d instances, trace has %d"
+               scheduled n)
+      (* As many instances as the trace, one of them swapped for an
+         instance the trace lacks. *)
+      | Some (stmt, iter) ->
+          Error
+            (Printf.sprintf "instance S%d%s is not in the trace" stmt
+               (Linalg.Ivec.to_string iter))
+      | None ->
+          (* Every trace instance is placed.  The first edge, in trace
+             order, that the schedule breaks. *)
+          let src = tr.Depend.Trace.edge_src
+          and dst = tr.Depend.Trace.edge_dst in
+          let rec check e =
+            if e = Array.length src then Ok ()
             else
+              let a = src.(e) and b = dst.(e) in
+              let pa = phase_of.(a) and pb = phase_of.(b) in
               let ta = task_of.(a) and ka = index_of.(a)
               and tb = task_of.(b) and kb = index_of.(b) in
               if pa < pb || (pa = pb && ta = tb && ka < kb) then check (e + 1)
@@ -188,6 +201,5 @@ let check_legal s (tr : Depend.Trace.t) =
                      "dependence %d→%d not respected (phase %d task %d idx \
                       %d vs phase %d task %d idx %d)"
                      a b pa ta ka pb tb kb)
-        in
-        check 0
-      end
+          in
+          check 0)

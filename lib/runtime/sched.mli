@@ -51,8 +51,9 @@ val check_legal : t -> Depend.Trace.t -> (unit, string) result
     the same phase at a smaller index) and every instance appears exactly
     once.  Checks run in this order, each reporting one [Error]: an instance
     scheduled twice (the last such in schedule order); a schedule whose
-    instance count differs from the trace's; then the first edge, in trace
-    order, with an endpoint missing from the schedule or not respected.
+    instance count differs from the trace's; an instance the trace lacks
+    (the first in schedule order), even when the counts match; then the
+    first edge, in trace order, not respected.
 
     Each trace instance is hashed once, to its id (its index in the trace,
     which is what edges name); scheduled positions are recorded in arrays

@@ -253,6 +253,102 @@ let test_metrics_diff () =
   let empty = Obs.Metrics.diff ~before:d ~after:d in
   Alcotest.(check bool) "self-diff is empty" true (Obs.Metrics.is_empty empty)
 
+(* [Metrics.diff] as it was, one [List.assoc_opt] per name: the merge
+   pass must give the same output on every pair of sorted snapshots. *)
+let reference_diff ~(before : Obs.Metrics.t) ~(after : Obs.Metrics.t) :
+    Obs.Metrics.t =
+  let counters =
+    List.filter_map
+      (fun (name, v) ->
+        let v0 =
+          Option.value ~default:0
+            (List.assoc_opt name before.Obs.Metrics.counters)
+        in
+        if v - v0 = 0 then None else Some (name, v - v0))
+      after.Obs.Metrics.counters
+  in
+  let hist_diff (a : Obs.Histogram.snap) (b : Obs.Histogram.snap) :
+      Obs.Histogram.snap =
+    let bucket (ub, n) =
+      let n0 = Option.value ~default:0 (List.assoc_opt ub b.buckets) in
+      if n - n0 = 0 then None else Some (ub, n - n0)
+    in
+    {
+      Obs.Histogram.count = a.Obs.Histogram.count - b.Obs.Histogram.count;
+      sum = a.Obs.Histogram.sum - b.Obs.Histogram.sum;
+      buckets = List.filter_map bucket a.Obs.Histogram.buckets;
+    }
+  in
+  let histograms =
+    List.filter_map
+      (fun (name, h) ->
+        let d =
+          match List.assoc_opt name before.Obs.Metrics.histograms with
+          | Some h0 -> hist_diff h h0
+          | None -> h
+        in
+        if d.Obs.Histogram.count = 0 then None else Some (name, d))
+      after.Obs.Metrics.histograms
+  in
+  { Obs.Metrics.counters; histograms }
+
+(* Random snapshot pairs: names drawn from a small pool so that some sit
+   on one side only, values from a small range so that some deltas are
+   zero, histogram buckets likewise. *)
+let gen_snapshot =
+  let open QCheck2.Gen in
+  (* A sorted sub-list of [keys], each kept key with a value of [g]. *)
+  let sublist keys g =
+    map (List.filter_map Fun.id)
+      (flatten_l (List.map (fun k -> opt (map (fun v -> (k, v)) g)) keys))
+  in
+  let names = [ "a.x"; "a.y"; "b"; "b.z"; "c"; "d.q"; "e" ] in
+  let snap =
+    map3
+      (fun count sum buckets -> { Obs.Histogram.count; sum; buckets })
+      (int_range 0 4) (int_range 0 20)
+      (sublist [ 1; 2; 4; 8; 16; 32 ] (int_range 0 3))
+  in
+  map2
+    (fun counters histograms -> { Obs.Metrics.counters; histograms })
+    (sublist names (int_range 0 3))
+    (sublist names snap)
+
+let prop_metrics_diff_matches_reference =
+  QCheck2.Test.make ~name:"diff = reference on random snapshot pairs"
+    ~count:500 (QCheck2.Gen.pair gen_snapshot gen_snapshot)
+    (fun (before, after) ->
+      Obs.Metrics.diff ~before ~after = reference_diff ~before ~after)
+
+(* Exact per-domain word counts: a 1,000-cons list is 3,000 minor words,
+   a 10,000-element array 10,001 major words (allocated directly in the
+   major heap).  [Gc.quick_stat] read 0 for both on OCaml 5.1.1. *)
+let test_gcstats_exact () =
+  let within what want got =
+    if Float.abs (got -. want) > 64.0 then
+      Alcotest.failf "%s: %.0f words, want %.0f (within 64)" what got want
+  in
+  let p = Obs.Gcstats.start () in
+  let l = ref [] in
+  for i = 1 to 1000 do
+    l := i :: !l
+  done;
+  let d = Obs.Gcstats.since p in
+  ignore (Sys.opaque_identity !l);
+  within "list: minor words" 3000.0 d.Obs.Gcstats.minor_words;
+  let p = Obs.Gcstats.start () in
+  let a = Sys.opaque_identity (Array.make 10_000 0) in
+  let d = Obs.Gcstats.since p in
+  ignore (Sys.opaque_identity a);
+  within "array: major words" 10_001.0 d.Obs.Gcstats.major_words;
+  within "array: allocated words" 10_001.0 (Obs.Gcstats.allocated_words d);
+  (* The O(1) reading the executor takes per drain counts the same. *)
+  let m = Obs.Gcstats.mark () in
+  let l = List.init 1000 Fun.id in
+  let w = Obs.Gcstats.words_since m in
+  ignore (Sys.opaque_identity l);
+  within "list: words_since" 3000.0 w
+
 (* ------------------------------------------------------------------ *)
 (* Decision events                                                      *)
 
@@ -700,6 +796,9 @@ let () =
           Alcotest.test_case "histogram snap under 4-domain load" `Quick
             test_histogram_snap_stress_4_domains;
           Alcotest.test_case "snapshot diff" `Quick test_metrics_diff;
+          QCheck_alcotest.to_alcotest prop_metrics_diff_matches_reference;
+          Alcotest.test_case "exact allocation counters" `Quick
+            test_gcstats_exact;
         ] );
       ( "events",
         [

@@ -93,6 +93,60 @@ let test_arrays_seeding () =
   if distinct < 900 then
     Alcotest.failf "64x64 array takes only %d distinct initial values" distinct
 
+(* Equality is bit for bit over equal extents: a NaN cell differs from a
+   value (a tolerance test reads |NaN - x| > m as false), -0.0 differs
+   from 0.0, and equal data lengths over different extents differ. *)
+let test_arrays_equal_bits () =
+  let mk lo hi =
+    let s = Arrays.create () in
+    Arrays.note_bounds s "x" [ lo ];
+    Arrays.note_bounds s "x" [ hi ];
+    Arrays.freeze s;
+    s
+  in
+  let a = mk 0 4 and b = mk 0 4 in
+  Arrays.set a "x" [ 2 ] Float.nan;
+  Arrays.set b "x" [ 2 ] 1.0;
+  Alcotest.(check bool) "NaN against a value" false (Arrays.equal a b);
+  Arrays.set b "x" [ 2 ] Float.nan;
+  Alcotest.(check bool) "the same NaN" true (Arrays.equal a b);
+  Arrays.set a "x" [ 2 ] (-0.0);
+  Arrays.set b "x" [ 2 ] 0.0;
+  Alcotest.(check bool) "-0.0 against 0.0" false (Arrays.equal a b);
+  let zeroed lo hi =
+    let s = mk lo hi in
+    Array.fill (Option.get (Arrays.view s "x")).Arrays.v_data 0 5 0.0;
+    s
+  in
+  Alcotest.(check bool) "same cells, same extents" true
+    (Arrays.equal (zeroed 0 4) (zeroed 0 4));
+  Alcotest.(check bool) "same cells, shifted extents" false
+    (Arrays.equal (zeroed 0 4) (zeroed 1 5));
+  (* A run that writes NaN everywhere differs from its untouched store. *)
+  let env =
+    Interp.prepare
+      (Loopir.Parser.parse ~name:"nan"
+         "DO i = 1, n\n  a(i) = SQRT(-1.0) + b(i)\nENDDO")
+      ~params:[ ("n", 3) ]
+  in
+  Alcotest.(check bool) "NaN run against the initial store" false
+    (Arrays.equal (Interp.run_sequential env) (Interp.scan_bounds env))
+
+let test_arrays_copy () =
+  let s = Arrays.create () in
+  Arrays.note_bounds s "x" [ -2; 0 ];
+  Arrays.note_bounds s "x" [ 3; 4 ];
+  Arrays.freeze s;
+  let c = Arrays.copy s in
+  Alcotest.(check bool) "a copy is equal" true (Arrays.equal s c);
+  Arrays.set c "x" [ 1; 1 ] 42.0;
+  Alcotest.(check bool) "writes to the copy stay there" false
+    (Arrays.equal s c);
+  Alcotest.(check (float 0.0))
+    "original cell untouched"
+    (Arrays.initial_value "x" [ 1; 1 ])
+    (Arrays.get s "x" [ 1; 1 ])
+
 (* ------------------------------------------------------------------ *)
 (* Dry scan: exact extents                                              *)
 
@@ -250,6 +304,371 @@ let test_prepare_rejects_reused_index () =
     (Invalid_argument
        "Interp.prepare: loop index i reuses an enclosing loop's index")
     (fun () -> ignore (Interp.prepare prog ~params:[]))
+
+(* ------------------------------------------------------------------ *)
+(* The reference interpreter                                            *)
+
+(* The interpreter as it was before its scope moved into a slot array
+   and its scan was compiled, kept verbatim: bindings in an assoc list
+   per instance, every name looked up through closures, index tuples as
+   lists, the endpoint scan walked through [Eval_int.eval].
+   [Interp.run_sequential], [scan_bounds], [exec_instance] and
+   [run_schedule] must match it bit for bit, and raise what it raises. *)
+module Reference = struct
+  module Ast = Loopir.Ast
+  module Prog = Loopir.Prog
+
+  let param (t : Interp.env) name =
+    match List.assoc_opt name t.params with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "Interp: unbound variable %s" name)
+
+  let var_env (t : Interp.env) bindings name =
+    match List.assoc_opt name bindings with Some v -> v | None -> param t name
+
+  (* Float evaluation of right-hand sides. *)
+  let rec feval store ienv e =
+    match e with
+    | Ast.Int k -> float_of_int k
+    | Ast.Real r -> r
+    | Ast.Var v -> float_of_int (ienv v)
+    | Ast.Ref (a, subs) ->
+        Arrays.get store a (List.map (Loopir.Eval_int.eval ienv) subs)
+    | Ast.Bin (Ast.Add, a, b) -> feval store ienv a +. feval store ienv b
+    | Ast.Bin (Ast.Sub, a, b) -> feval store ienv a -. feval store ienv b
+    | Ast.Bin (Ast.Mul, a, b) -> feval store ienv a *. feval store ienv b
+    | Ast.Bin (Ast.Div, a, b) -> feval store ienv a /. feval store ienv b
+    | Ast.Un (Ast.Neg, a) -> -.feval store ienv a
+    | Ast.Un (Ast.Sqrt, a) -> sqrt (feval store ienv a)
+    | Ast.Un (Ast.Abs, a) -> Float.abs (feval store ienv a)
+    | Ast.Min es ->
+        List.fold_left (fun m e -> Float.min m (feval store ienv e)) infinity es
+    | Ast.Max es ->
+        List.fold_left
+          (fun m e -> Float.max m (feval store ienv e))
+          neg_infinity es
+    | Ast.Mod (a, b) ->
+        float_of_int
+          (Numeric.Safeint.emod (Loopir.Eval_int.eval ienv a)
+             (Loopir.Eval_int.eval ienv b))
+    | Ast.Pow (a, k) -> feval store ienv a ** float_of_int k
+
+  (* Walk the whole program in source order, calling [visit] on each statement
+     instance's environment. *)
+  let iterate (t : Interp.env) visit =
+    let rec run bindings stmt_counter = function
+      | Ast.Assign (lhs, rhs) ->
+          let id = !stmt_counter in
+          incr stmt_counter;
+          visit ~stmt:id ~bindings lhs rhs
+      | Ast.Loop l ->
+          let ienv = var_env t bindings in
+          let lo = Loopir.Eval_int.eval ienv l.Ast.lo
+          and hi = Loopir.Eval_int.eval ienv l.Ast.hi in
+          let saved = !stmt_counter in
+          if lo > hi then begin
+            (* Still advance the static statement numbering. *)
+            let rec count = function
+              | Ast.Assign _ -> incr stmt_counter
+              | Ast.Loop l -> List.iter count l.Ast.body
+            in
+            List.iter count l.Ast.body
+          end
+          else
+            for v = lo to hi do
+              stmt_counter := saved;
+              List.iter
+                (run ((l.Ast.index, v) :: bindings) stmt_counter)
+                l.Ast.body
+            done
+      in
+    let counter = ref 0 in
+    List.iter (run [] counter) t.prog.Ast.body
+
+  (* A subscript whose every subexpression is affine: its value, and the
+     value of each subexpression, is linear in the innermost loop index.
+     [Affine.of_expr] itself may overflow on huge constants; such a
+     subscript is treated as non-affine and evaluated at every point. *)
+  let is_affine e =
+    match Loopir.Affine.of_expr e with
+    | Some _ -> true
+    | None | (exception Numeric.Safeint.Overflow) -> false
+
+  (* Note the extents of one statement's references by walking its own
+     enclosing loops.  Loop bounds are evaluated at every point of the outer
+     loops.  Inside the innermost loop, a reference with all-affine
+     subscripts is evaluated only at the two ends, where each subscript
+     takes its minimum and maximum; the others at every point.  At each
+     evaluated point the references are noted in source order. *)
+  let scan_stmt (t : Interp.env) store (info : Prog.stmt_info) =
+    let loops = Array.of_list info.Prog.loops in
+    let depth = Array.length loops in
+    let names = Array.map (fun (l : Prog.loop_ctx) -> l.Prog.index) loops in
+    let slots = Array.make depth 0 in
+    (* Slots [0 .. !bound-1] are bound; the innermost binding wins. *)
+    let bound = ref 0 in
+    let env name =
+      let rec find k =
+        if k < 0 then param t name
+        else if String.equal names.(k) name then slots.(k)
+        else find (k - 1)
+      in
+      find (!bound - 1)
+    in
+    let refs = Prog.refs_of info in
+    let general =
+      List.filter (fun (_, subs, _) -> not (List.for_all is_affine subs)) refs
+    in
+    let note (a, subs, _) =
+      Arrays.note_bounds store a (List.map (Loopir.Eval_int.eval env) subs)
+    in
+    let at k v rs =
+      slots.(k) <- v;
+      List.iter note rs
+    in
+    let rec walk k =
+      bound := k;
+      let lo = Loopir.Eval_int.eval env loops.(k).Prog.lo
+      and hi = Loopir.Eval_int.eval env loops.(k).Prog.hi in
+      if k < depth - 1 then
+        for v = lo to hi do
+          slots.(k) <- v;
+          walk (k + 1)
+        done
+      else if lo <= hi then begin
+        bound := depth;
+        at k lo refs;
+        if hi > lo then begin
+          if general <> [] then
+            for v = lo + 1 to hi - 1 do
+              at k v general
+            done;
+          at k hi refs
+        end
+      end
+    in
+    if depth = 0 then List.iter note refs else walk 0
+
+  let scan_bounds (t : Interp.env) =
+    let store = Arrays.create () in
+    Array.iter (scan_stmt t store) t.stmts;
+    Arrays.freeze store;
+    store
+
+  let exec_assign t store bindings (a, subs) rhs =
+    let ienv = var_env t bindings in
+    let v = feval store ienv rhs in
+    Arrays.set store a (List.map (Loopir.Eval_int.eval ienv) subs) v
+
+  let run_sequential t =
+    let store = scan_bounds t in
+    iterate t (fun ~stmt:_ ~bindings lhs rhs ->
+        exec_assign t store bindings lhs rhs);
+    store
+
+  let exec_instance (t : Interp.env) store (inst : Sched.instance) =
+    let info = t.stmts.(inst.Sched.stmt) in
+    let vars = Prog.loop_vars info in
+    if List.length vars <> Array.length inst.Sched.iter then
+      failwith "Interp.exec_instance: iteration arity mismatch";
+    let bindings = List.mapi (fun k v -> (v, inst.Sched.iter.(k))) vars in
+    exec_assign t store bindings info.Prog.lhs info.Prog.rhs
+end
+
+let reference_run = Reference.run_sequential
+
+(* A store, or the exception raised on the way to it. *)
+let outcome f =
+  match f () with
+  | store -> Ok store
+  | exception e -> Error (Printexc.to_string e)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Arrays.equal x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let show_outcome = function
+  | Ok _ -> "a store"
+  | Error e -> "exception " ^ e
+
+(* [Interp.run_sequential] against the reference on one program. *)
+let check_run_matches label env =
+  let want = outcome (fun () -> reference_run env)
+  and got = outcome (fun () -> Interp.run_sequential env) in
+  if not (same_outcome want got) then
+    Alcotest.failf "%s: reference gave %s, run_sequential %s" label
+      (show_outcome want) (show_outcome got)
+
+(* The compiled scan against the reference's endpoint scan on random
+   imperfect nests: the same extents and seeded cells, or the same
+   exception. *)
+let prop_scan_matches_reference ~count =
+  QCheck2.Test.make ~name:"scan_bounds = reference on random imperfect nests"
+    ~count
+    ~print:(fun seed ->
+      Loopir.Pretty.program_to_string
+        (Nests.random_nest (Random.State.make [| seed |])))
+    QCheck2.Gen.int
+    (fun seed ->
+      let env =
+        Interp.prepare (Nests.random_nest (Random.State.make [| seed |]))
+          ~params:[]
+      in
+      same_outcome
+        (outcome (fun () -> Reference.scan_bounds env))
+        (outcome (fun () -> Interp.scan_bounds env)))
+
+(* The sequential schedule of [env]'s program, when its trace builds. *)
+let sequential_schedule (env : Interp.env) =
+  match Trace.build env.Interp.prog ~params:env.Interp.params with
+  | tr -> Some (Sched.sequential_of_trace tr)
+  | exception _ -> None
+
+let test_run_matches_reference_builtins () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun v ->
+          let params = List.map (fun p -> (p, v)) prog.Loopir.Ast.params in
+          let label = Printf.sprintf "%s@%d" name v in
+          let env = Interp.prepare prog ~params in
+          check_run_matches label env;
+          match sequential_schedule env with
+          | None -> Alcotest.failf "%s: no trace" label
+          | Some s ->
+              Alcotest.(check bool)
+                (label ^ ": run_schedule (sequential) = reference")
+                true
+                (same_outcome
+                   (outcome (fun () -> reference_run env))
+                   (outcome (fun () -> Interp.run_schedule env s))))
+        [ 1; 2; 3; 5; 8; 13 ])
+    Loopir.Builtin.all
+
+(* One rank per array name, so most nests run to the end; the scan
+   property above covers the rank mismatches. *)
+let prop_run_matches_reference ~count =
+  let nest seed =
+    Nests.random_nest ~mixed_ranks:false (Random.State.make [| seed |])
+  in
+  QCheck2.Test.make
+    ~name:"run_sequential = reference on random imperfect nests" ~count
+    ~print:(fun seed -> Loopir.Pretty.program_to_string (nest seed))
+    QCheck2.Gen.int
+    (fun seed ->
+      let env = Interp.prepare (nest seed) ~params:[] in
+      let want = outcome (fun () -> reference_run env) in
+      same_outcome want (outcome (fun () -> Interp.run_sequential env))
+      &&
+      match sequential_schedule env with
+      | None -> true
+      | Some s -> same_outcome want (outcome (fun () -> Interp.run_schedule env s)))
+
+let test_run_reference_hand_cases () =
+  let parse ?(params = []) src =
+    Interp.prepare
+      { (Loopir.Parser.parse ~name:"hand" src) with Loopir.Ast.params = [] }
+      ~params
+  in
+  (* [q] is left out of the parameters: only evaluating it can notice. *)
+  let dead = parse "DO i = 1, 0\n  a(i + q) = a(i) + q\nENDDO" in
+  check_run_matches "unbound name in a loop that never runs" dead;
+  Alcotest.(check (list string))
+    "nothing noted" []
+    (Arrays.arrays (Interp.run_sequential dead));
+  (* Each failure once in a subscript, which the scan meets first, and
+     once in the right-hand side, which only the interpreter evaluates. *)
+  let raises label exn ?params src =
+    let env = parse ?params src in
+    check_run_matches label env;
+    Alcotest.check_raises label exn (fun () ->
+        ignore (Interp.run_sequential env))
+  in
+  let unbound = Failure "Interp: unbound variable q" in
+  raises "unbound name (subscript)" unbound
+    "DO i = 1, 3\n  a(i + q) = a(i) + 1.0\nENDDO";
+  raises "unbound name (right-hand side)" unbound
+    "DO i = 1, 3\n  a(i) = a(i) + q\nENDDO";
+  raises "real subscript"
+    (Loopir.Eval_int.Not_integer "1.5")
+    "DO i = 1, 3\n  a(i) = a(i * 1.5) + 1.0\nENDDO";
+  raises "real MOD operand"
+    (Loopir.Eval_int.Not_integer "1.5")
+    "DO i = 1, 3\n  a(i) = MOD(i, 1.5)\nENDDO";
+  raises "overflowing product (subscript)" Numeric.Safeint.Overflow
+    ~params:[ ("p", 1 lsl 40) ]
+    "DO i = 1, 3\n  a(p * p * i) = a(i) + 1.0\nENDDO";
+  raises "overflowing product (right-hand side)" Numeric.Safeint.Overflow
+    ~params:[ ("p", 1 lsl 40) ]
+    "DO i = 1, 3\n  a(i) = MOD(p * p * i, 7)\nENDDO";
+  (* Outside the scanned extent a read falls back to the initial value
+     and a write raises, in both interpreters. *)
+  let env = parse "DO i = 1, 2\n  DO j = 1, 2\n    a(i) = b(j) + 1.0\n  ENDDO\nENDDO" in
+  let run exec scan iter =
+    outcome (fun () ->
+        let store = scan env in
+        exec env store { Sched.stmt = 0; iter };
+        store)
+  in
+  let both label iter =
+    let want = run Reference.exec_instance Reference.scan_bounds iter
+    and got = run Interp.exec_instance Interp.scan_bounds iter in
+    if not (same_outcome want got) then
+      Alcotest.failf "%s: reference gave %s, exec_instance %s" label
+        (show_outcome want) (show_outcome got);
+    got
+  in
+  (match both "out-of-extent read" [| 1; 5 |] with
+  | Ok store ->
+      Alcotest.(check (float 0.0))
+        "read falls back to initial_value"
+        (Arrays.initial_value "b" [ 5 ] +. 1.0)
+        (Arrays.get store "a" [ 1 ])
+  | Error e -> Alcotest.failf "out-of-extent read raised %s" e);
+  (match both "out-of-extent write" [| 5; 1 |] with
+  | Error e ->
+      Alcotest.(check string) "write raises"
+        (Printexc.to_string
+           (Invalid_argument "Arrays.set: a index out of scanned bounds"))
+        e
+  | Ok _ -> Alcotest.fail "out-of-extent write did not raise");
+  (* Evaluation order, at points outside the scanned space (inside it the
+     scan meets every failing subscript first): the right-hand side
+     before the left-hand subscripts, and subscripts left to right. *)
+  let env =
+    parse
+      "DO i = 1, 1\n\
+      \  a(6 / (i - 5)) = MOD(i * 2305843009213693952, 7) + 1.0\n\
+      \  b(6 / (i - 5), i * 2305843009213693952) = 1.0\n\
+       ENDDO"
+  in
+  let order label stmt exn =
+    let run exec scan =
+      outcome (fun () ->
+          let store = scan env in
+          exec env store { Sched.stmt; iter = [| 5 |] };
+          store)
+    in
+    let want = run Reference.exec_instance Reference.scan_bounds
+    and got = run Interp.exec_instance Interp.scan_bounds in
+    Alcotest.(check string) (label ^ ": reference") (show_outcome want)
+      ("exception " ^ Printexc.to_string exn);
+    Alcotest.(check string) label (show_outcome want) (show_outcome got)
+  in
+  order "right-hand side first" 0 Numeric.Safeint.Overflow;
+  order "subscripts left to right" 1 Division_by_zero;
+  (* A duplicated parameter: the first binding wins, as in the scan. *)
+  let dup =
+    parse ~params:[ ("n", 3); ("n", 5) ] "DO i = 1, n\n  a(i) = n + 0.5\nENDDO"
+  in
+  check_run_matches "duplicated parameter" dup;
+  let store = Interp.run_sequential dup in
+  Alcotest.(check (float 0.0)) "a(3) = n + 0.5 with n = 3" 3.5
+    (Arrays.get store "a" [ 3 ]);
+  Alcotest.(check (array int)) "extent 1..3" [| 3 |]
+    (Option.get (Arrays.view store "a")).Arrays.v_hi
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                          *)
@@ -421,6 +840,21 @@ let test_missing_and_foreign_instances_detected () =
   Alcotest.(check (result unit string))
     "instance the trace lacks" (Error "schedule has 6 instances, trace has 5")
     (Sched.check_legal (sequential foreign) tr)
+
+(* A schedule with as many instances as the trace, one of them swapped
+   for an instance the trace lacks: the totals agree and vecadd has no
+   edge, so only the membership check can catch it. *)
+let test_swapped_instance_detected () =
+  let prog = List.assoc "vecadd" Loopir.Builtin.corpus in
+  let tr = Trace.build prog ~params:[ ("n", 3) ] in
+  let inst k = { Sched.stmt = 0; iter = [| k |] } in
+  let bad =
+    Sched.of_phases
+      [ Sched.Doall { label = "swap"; instances = [| inst 1; inst 2; inst 9 |] } ]
+  in
+  Alcotest.(check (result unit string))
+    "swapped instance detected" (Error "instance S0(9) is not in the trace")
+    (Sched.check_legal bad tr)
 
 (* ------------------------------------------------------------------ *)
 (* Simulator                                                            *)
@@ -878,6 +1312,9 @@ let () =
           Alcotest.test_case "equality" `Quick test_arrays_equal;
           Alcotest.test_case "seeding = initial_value" `Quick
             test_arrays_seeding;
+          Alcotest.test_case "bit-for-bit equality" `Quick
+            test_arrays_equal_bits;
+          Alcotest.test_case "copy is independent" `Quick test_arrays_copy;
         ] );
       ( "scan",
         [
@@ -887,6 +1324,7 @@ let () =
             test_scan_bounds_hand_written;
           Alcotest.test_case "overflow raises as before" `Quick
             test_scan_bounds_overflow;
+          QCheck_alcotest.to_alcotest (prop_scan_matches_reference ~count:300);
         ] );
       ( "interp",
         [
@@ -896,6 +1334,13 @@ let () =
             test_prepare_rejects_reused_index;
           Alcotest.test_case "sequential schedule ≡ program" `Quick
             test_interp_schedule_equivalence_fig2;
+          Alcotest.test_case "run_sequential = reference (builtins, 6 sizes)"
+            `Quick test_run_matches_reference_builtins;
+          QCheck_alcotest.to_alcotest (prop_run_matches_reference ~count:300);
+          Alcotest.test_case "run_sequential = reference (hand cases)" `Quick
+            test_run_reference_hand_cases;
+          Alcotest.test_case "swapped instance detected" `Quick
+            test_swapped_instance_detected;
         ] );
       ( "schedules",
         [
