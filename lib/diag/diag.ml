@@ -24,6 +24,7 @@ type error =
   | Illegal_schedule of string
   | Semantic_mismatch of string
   | Invalid_thread_count of int
+  | Extent_overflow of string
 
 exception Error of error
 
@@ -45,6 +46,8 @@ let to_string = function
   | Illegal_schedule m -> "illegal schedule: " ^ m
   | Semantic_mismatch m -> "semantic mismatch: " ^ m
   | Invalid_thread_count n -> Printf.sprintf "invalid thread count %d" n
+  | Extent_overflow a ->
+      Printf.sprintf "the extent of array %s has more cells than a store can address" a
 
 let label = function
   | Unsupported _ -> "unsupported"
@@ -60,6 +63,7 @@ let label = function
   | Illegal_schedule _ -> "illegal-schedule"
   | Semantic_mismatch _ -> "semantic-mismatch"
   | Invalid_thread_count _ -> "invalid-thread-count"
+  | Extent_overflow _ -> "extent-overflow"
 
 let fail e = raise (Error e)
 let result f = match f () with v -> Ok v | exception Error e -> Error e

@@ -52,6 +52,10 @@ type error =
   | Semantic_mismatch of string
       (** executed arrays differ from the sequential run *)
   | Invalid_thread_count of int  (** thread count ≤ 0 where not permitted *)
+  | Extent_overflow of string
+      (** the named array's scanned extent has more cells than the
+          execution store can address: the count overflows the native
+          integer, or its pages would exceed the store's largest page *)
 
 exception Error of error
 

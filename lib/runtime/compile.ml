@@ -114,12 +114,24 @@ let fuse_offset ctx (view : Arrays.view) affs =
   Array.iteri (fun j m -> if m <> 0 then nz := (j, m) :: !nz) ms;
   (!c, List.rev !nz)
 
+(* A fused access reads slab cell [table.(off lsr shift) + (off land
+   mask)].  The scan marked the cell of every instance of the statement,
+   so its page is present; an offset outside the scanned space meets an
+   absent page's negative entry or the table's end, and raises. *)
 let fused_load view c nz =
-  let data = view.Arrays.v_data in
+  let table = view.Arrays.v_table and slab = view.Arrays.v_slab in
+  let sh = view.Arrays.v_shift in
+  let mask = (1 lsl sh) - 1 in
   match nz with
-  | [] -> fun _ -> data.(c)
-  | [ (j0, m0) ] -> fun it -> data.(c + (m0 * it.(j0)))
-  | [ (j0, m0); (j1, m1) ] -> fun it -> data.(c + (m0 * it.(j0)) + (m1 * it.(j1)))
+  | [] -> fun _ -> slab.(table.(c lsr sh) + (c land mask))
+  | [ (j0, m0) ] ->
+      fun it ->
+        let off = c + (m0 * it.(j0)) in
+        slab.(table.(off lsr sh) + (off land mask))
+  | [ (j0, m0); (j1, m1) ] ->
+      fun it ->
+        let off = c + (m0 * it.(j0)) + (m1 * it.(j1)) in
+        slab.(table.(off lsr sh) + (off land mask))
   | pairs ->
       let slots = Array.of_list (List.map fst pairs) in
       let ms = Array.of_list (List.map snd pairs) in
@@ -129,15 +141,22 @@ let fused_load view c nz =
         for j = 0 to n - 1 do
           off := !off + (ms.(j) * it.(slots.(j)))
         done;
-        data.(!off)
+        slab.(table.(!off lsr sh) + (!off land mask))
 
 let fused_store view c nz =
-  let data = view.Arrays.v_data in
+  let table = view.Arrays.v_table and slab = view.Arrays.v_slab in
+  let sh = view.Arrays.v_shift in
+  let mask = (1 lsl sh) - 1 in
   match nz with
-  | [] -> fun _ v -> data.(c) <- v
-  | [ (j0, m0) ] -> fun it v -> data.(c + (m0 * it.(j0))) <- v
+  | [] -> fun _ v -> slab.(table.(c lsr sh) + (c land mask)) <- v
+  | [ (j0, m0) ] ->
+      fun it v ->
+        let off = c + (m0 * it.(j0)) in
+        slab.(table.(off lsr sh) + (off land mask)) <- v
   | [ (j0, m0); (j1, m1) ] ->
-      fun it v -> data.(c + (m0 * it.(j0)) + (m1 * it.(j1))) <- v
+      fun it v ->
+        let off = c + (m0 * it.(j0)) + (m1 * it.(j1)) in
+        slab.(table.(off lsr sh) + (off land mask)) <- v
   | pairs ->
       let slots = Array.of_list (List.map fst pairs) in
       let ms = Array.of_list (List.map snd pairs) in
@@ -147,7 +166,7 @@ let fused_store view c nz =
         for j = 0 to n - 1 do
           off := !off + (ms.(j) * it.(slots.(j)))
         done;
-        data.(!off) <- v
+        slab.(table.(!off lsr sh) + (!off land mask)) <- v
 
 (* The affine views of a subscript list, when every subscript is affine
    and the array has a raw view (it was noted during the dry scan). *)
@@ -167,16 +186,17 @@ let fused_of ctx name subs =
         Option.map (fun affs -> (view, fuse_offset ctx view affs)) (all [] subs)
 
 (* Non-affine (or unscanned-array) references keep the exact interpreter
-   semantics, including the [initial_value] fallback of {!Arrays.get}. *)
+   semantics, including the [initial_value] fallback of {!Arrays.read},
+   through a handle resolved once. *)
 let general_load ctx name subs =
   let fs = Array.of_list (List.map (cint_value ctx) subs) in
-  let store = ctx.store in
-  fun it -> Arrays.get_index store name (Array.map (fun f -> f it) fs)
+  let h = Arrays.handle ctx.store name in
+  fun it -> Arrays.read h (Array.map (fun f -> f it) fs)
 
 let general_store ctx name subs =
   let fs = Array.of_list (List.map (cint_value ctx) subs) in
-  let store = ctx.store in
-  fun it v -> Arrays.set_index store name (Array.map (fun f -> f it) fs) v
+  let h = Arrays.handle ctx.store name in
+  fun it v -> Arrays.write h (Array.map (fun f -> f it) fs) v
 
 (* ---- float expressions ----------------------------------------------- *)
 

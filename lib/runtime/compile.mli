@@ -4,23 +4,27 @@
     Each statement's LHS/RHS is translated once into an OCaml closure over
     the [int array] iteration vector: loop variables become vector slots,
     parameter values are folded in as constants, array references resolve
-    to the raw backing store of a frozen {!Arrays.t}, and affine
+    to the page table and slab of a frozen {!Arrays.t}, and affine
     subscripts (recognized via {!Loopir.Affine}) are pre-lowered into a
-    single fused linear offset [c + Σ mⱼ·iterⱼ] — so the per-instance hot
-    loop performs no list traversal, no string lookup and no AST matching.
+    single fused linear offset [o = c + Σ mⱼ·iterⱼ], read as slab cell
+    [table.(o lsr shift) + (o land mask)] — so the per-instance hot loop
+    performs one page-table read, and no list traversal, no string lookup
+    and no AST matching.
 
     Semantics match {!Interp.exec_instance} for every instance of the
     program's own iteration space.  The dry scan ({!Interp.scan_bounds})
     evaluated every affine subscript with checked arithmetic at both ends
     of its innermost loop and noted its extent; each of its subexpressions
     is linear in that index, so at every point in between it neither
-    overflows nor leaves the noted extent.  Fused offsets are therefore
-    always in bounds for scheduled instances.  Feeding iteration vectors
-    from outside the scanned space is a programming error: fused accesses
-    then raise [Invalid_argument] (the OCaml array bounds check) instead
-    of falling back to {!Arrays.initial_value}.  Non-affine subscripts
-    keep the exact interpreter semantics (they go through
-    {!Arrays.get}/{!Arrays.set}).
+    overflows nor leaves the noted extent, and the scan marked the page of
+    every cell of that run.  Fused offsets therefore always land on a
+    present page for scheduled instances.  Feeding iteration vectors from
+    outside the scanned space is a programming error: a fused access that
+    leaves the extent or meets an absent page then raises
+    [Invalid_argument] (the OCaml array bounds check) instead of falling
+    back to {!Arrays.initial_value}.  Non-affine subscripts keep the exact
+    interpreter semantics (they go through {!Arrays.read}/{!Arrays.write},
+    on a handle resolved once).
 
     {!Interp} remains the reference oracle: [Exec.check] compares a
     compiled run against [Interp.run_sequential] bit-for-bit. *)

@@ -41,27 +41,29 @@ let is_affine e =
   | Some _ -> true
   | None | (exception Numeric.Safeint.Overflow) -> false
 
-(* A reference compiled for the scan: its subscripts, and the scratch
-   array they are evaluated into. *)
-type sref = { name : string; subs : (int array -> int) array; idx : int array }
+(* A reference compiled for the scan: its array's handle, its
+   subscripts, and the index tuples at the low and the high end of the
+   innermost loop. *)
+type sref = {
+  h : Arrays.handle;
+  subs : (int array -> int) array;
+  affine : bool;
+  first : int array;
+  last : int array;
+}
 
-let note store slots r =
+let eval_into slots r idx =
   for k = 0 to Array.length r.subs - 1 do
-    r.idx.(k) <- r.subs.(k) slots
-  done;
-  Arrays.note_index store r.name r.idx
-
-let note_all store slots rs =
-  for i = 0 to Array.length rs - 1 do
-    note store slots rs.(i)
+    idx.(k) <- r.subs.(k) slots
   done
 
 (* Note the extents of one statement's references by walking its own
    enclosing loops.  Loop bounds are evaluated at every point of the outer
    loops.  Inside the innermost loop, a reference with all-affine
    subscripts is evaluated only at the two ends, where each subscript
-   takes its minimum and maximum; the others at every point.  At each
-   evaluated point the references are noted in source order.
+   takes its minimum and maximum, and noted as the run between them; the
+   others at every point, each point noted as a cell.  At each evaluated
+   point the references are evaluated and noted in source order.
 
    Bounds and subscripts are compiled once ({!Loopir.Eval_int.compile})
    over one slot array: loop [k]'s bounds see the slots below [k], the
@@ -92,22 +94,28 @@ let scan_stmt t store (info : Prog.stmt_info) =
       loops
   in
   let sref (name, subs, _) =
+    let rank = List.length subs in
     {
-      name;
+      h = Arrays.handle store name;
       subs = Array.of_list (List.map (cint ~visible:depth) subs);
-      idx = Array.make (List.length subs) 0;
+      affine = List.for_all is_affine subs;
+      first = Array.make rank 0;
+      last = Array.make rank 0;
     }
   in
-  let refs = Prog.refs_of info in
-  let all = Array.of_list (List.map sref refs) in
+  let all = Array.of_list (List.map sref (Prog.refs_of info)) in
   let general =
-    Array.of_list
-      (List.filter_map
-         (fun ((_, subs, _) as r) ->
-           if List.for_all is_affine subs then None else Some (sref r))
-         refs)
+    Array.of_list (List.filter (fun r -> not r.affine) (Array.to_list all))
   in
   let slots = Array.make depth 0 in
+  (* Each reference at a single point. *)
+  let note_points rs =
+    Array.iter
+      (fun r ->
+        eval_into slots r r.first;
+        Arrays.note r.h r.first)
+      rs
+  in
   let rec walk k =
     let lo, hi = bounds.(k) in
     let lo = lo slots and hi = hi slots in
@@ -116,21 +124,33 @@ let scan_stmt t store (info : Prog.stmt_info) =
         slots.(k) <- v;
         walk (k + 1)
       done
-    else if lo <= hi then begin
+    else if lo = hi then begin
       slots.(k) <- lo;
-      note_all store slots all;
-      if hi > lo then begin
-        if Array.length general > 0 then
-          for v = lo + 1 to hi - 1 do
-            slots.(k) <- v;
-            note_all store slots general
-          done;
-        slots.(k) <- hi;
-        note_all store slots all
-      end
+      note_points all
+    end
+    else if lo < hi then begin
+      slots.(k) <- lo;
+      Array.iter
+        (fun r ->
+          eval_into slots r r.first;
+          if r.affine then Arrays.extend r.h r.first
+          else Arrays.note r.h r.first)
+        all;
+      if Array.length general > 0 then
+        for v = lo + 1 to hi - 1 do
+          slots.(k) <- v;
+          note_points general
+        done;
+      slots.(k) <- hi;
+      Array.iter
+        (fun r ->
+          eval_into slots r r.last;
+          if r.affine then Arrays.note_run r.h r.first r.last (hi - lo + 1)
+          else Arrays.note r.h r.last)
+        all
     end
   in
-  if depth = 0 then note_all store slots all else walk 0
+  if depth = 0 then note_points all else walk 0
 
 let scan_bounds t =
   let store = Arrays.create () in
@@ -159,18 +179,48 @@ let lookup sc name =
   in
   find (sc.depth - 1)
 
+(* A right-hand side with each array reference resolved to its handle,
+   once per run; everything else is evaluated as the AST node it
+   mirrors. *)
+type fexpr =
+  | Num of float  (** [Int] and [Real] *)
+  | Var of string
+  | Load of Arrays.handle * Ast.expr list
+  | Bin of Ast.binop * fexpr * fexpr
+  | Un of Ast.unop * fexpr
+  | Min of fexpr list
+  | Max of fexpr list
+  | Mod of Ast.expr * Ast.expr
+  | Pow of fexpr * int
+
+type assign = { lhs : Arrays.handle; subs : Ast.expr list; rhs : fexpr }
+
+let rec resolve store = function
+  | Ast.Int k -> Num (float_of_int k)
+  | Ast.Real r -> Num r
+  | Ast.Var v -> Var v
+  | Ast.Ref (a, subs) -> Load (Arrays.handle store a, subs)
+  | Ast.Bin (op, a, b) -> Bin (op, resolve store a, resolve store b)
+  | Ast.Un (op, a) -> Un (op, resolve store a)
+  | Ast.Min es -> Min (List.map (resolve store) es)
+  | Ast.Max es -> Max (List.map (resolve store) es)
+  | Ast.Mod (a, b) -> Mod (a, b)
+  | Ast.Pow (a, k) -> Pow (resolve store a, k)
+
+let assign store (a, subs) rhs =
+  { lhs = Arrays.handle store a; subs; rhs = resolve store rhs }
+
 (* One run's state.  [scratch.(r)] receives the subscripts of a rank-[r]
    reference: subscripts are integer expressions, so evaluating one
    reference's never starts another's, and no {!Arrays} call retains the
    index. *)
 type machine = {
-  store : Arrays.t;
   sc : scope;
   ienv : string -> int;
   scratch : int array array;
 }
 
-let machine t store =
+let machine t =
   let max_rank =
     Array.fold_left
       (fun m info ->
@@ -189,7 +239,6 @@ let machine t store =
     }
   in
   {
-    store;
     sc;
     ienv = lookup sc;
     scratch = Array.init (max_rank + 1) (fun r -> Array.make r 0);
@@ -211,39 +260,44 @@ let index m subs =
    checks. *)
 let rec feval m e =
   match e with
-  | Ast.Int k -> float_of_int k
-  | Ast.Real r -> r
-  | Ast.Var v -> float_of_int (m.ienv v)
-  | Ast.Ref (a, subs) -> Arrays.get_index m.store a (index m subs)
-  | Ast.Bin (Ast.Add, a, b) -> feval m a +. feval m b
-  | Ast.Bin (Ast.Sub, a, b) -> feval m a -. feval m b
-  | Ast.Bin (Ast.Mul, a, b) -> feval m a *. feval m b
-  | Ast.Bin (Ast.Div, a, b) -> feval m a /. feval m b
-  | Ast.Un (Ast.Neg, a) -> -.feval m a
-  | Ast.Un (Ast.Sqrt, a) -> sqrt (feval m a)
-  | Ast.Un (Ast.Abs, a) -> Float.abs (feval m a)
-  | Ast.Min es -> List.fold_left (fun x e -> Float.min x (feval m e)) infinity es
-  | Ast.Max es ->
-      List.fold_left (fun x e -> Float.max x (feval m e)) neg_infinity es
-  | Ast.Mod (a, b) ->
+  | Num x -> x
+  | Var v -> float_of_int (m.ienv v)
+  | Load (h, subs) -> Arrays.read h (index m subs)
+  | Bin (Ast.Add, a, b) -> feval m a +. feval m b
+  | Bin (Ast.Sub, a, b) -> feval m a -. feval m b
+  | Bin (Ast.Mul, a, b) -> feval m a *. feval m b
+  | Bin (Ast.Div, a, b) -> feval m a /. feval m b
+  | Un (Ast.Neg, a) -> -.feval m a
+  | Un (Ast.Sqrt, a) -> sqrt (feval m a)
+  | Un (Ast.Abs, a) -> Float.abs (feval m a)
+  | Min es -> List.fold_left (fun x e -> Float.min x (feval m e)) infinity es
+  | Max es -> List.fold_left (fun x e -> Float.max x (feval m e)) neg_infinity es
+  | Mod (a, b) ->
       float_of_int
         (Numeric.Safeint.emod
            (Loopir.Eval_int.eval m.ienv a)
            (Loopir.Eval_int.eval m.ienv b))
-  | Ast.Pow (a, k) -> feval m a ** float_of_int k
+  | Pow (a, k) -> feval m a ** float_of_int k
 
 (* The right-hand side is evaluated before the left-hand subscripts. *)
-let exec_assign m (a, subs) rhs =
-  let v = feval m rhs in
-  Arrays.set_index m.store a (index m subs) v
+let exec_assign m a =
+  let v = feval m a.rhs in
+  Arrays.write a.lhs (index m a.subs) v
+
+(* The program body with its assignments resolved. *)
+type stmt = Assign of assign | Loop of Ast.loop * stmt list
+
+let rec resolve_stmt store = function
+  | Ast.Assign (lhs, rhs) -> Assign (assign store lhs rhs)
+  | Ast.Loop l -> Loop (l, List.map (resolve_stmt store) l.Ast.body)
 
 let run_sequential ?store t =
   let store = match store with Some s -> s | None -> scan_bounds t in
-  let m = machine t store in
+  let m = machine t in
   let sc = m.sc in
   let rec run = function
-    | Ast.Assign (lhs, rhs) -> exec_assign m lhs rhs
-    | Ast.Loop l ->
+    | Assign a -> exec_assign m a
+    | Loop (l, body) ->
         let lo = Loopir.Eval_int.eval m.ienv l.Ast.lo
         and hi = Loopir.Eval_int.eval m.ienv l.Ast.hi in
         let d = sc.depth in
@@ -251,35 +305,39 @@ let run_sequential ?store t =
         sc.depth <- d + 1;
         for v = lo to hi do
           sc.vals.(d) <- v;
-          List.iter run l.Ast.body
+          List.iter run body
         done;
         sc.depth <- d
   in
-  List.iter run t.prog.Ast.body;
+  List.iter run (List.map (resolve_stmt store) t.prog.Ast.body);
   store
 
 (* Executes one instance in a scope bound to its iteration vector;
-   [vars.(s)] are statement [s]'s loop indices, outermost first. *)
-let exec_in m t vars (inst : Sched.instance) =
-  let info = t.stmts.(inst.Sched.stmt) in
+   [vars.(s)] are statement [s]'s loop indices, outermost first, and
+   [stmts.(s)] its resolved assignment. *)
+let exec_in m vars stmts (inst : Sched.instance) =
   let names = vars.(inst.Sched.stmt) in
   if Array.length names <> Array.length inst.Sched.iter then
     failwith "Interp.exec_instance: iteration arity mismatch";
   m.sc.names <- names;
   m.sc.vals <- inst.Sched.iter;
   m.sc.depth <- Array.length names;
-  exec_assign m info.Prog.lhs info.Prog.rhs
+  exec_assign m stmts.(inst.Sched.stmt)
 
 let loop_vars t =
   Array.map (fun info -> Array.of_list (Prog.loop_vars info)) t.stmts
 
-let exec_instance t store inst = exec_in (machine t store) t (loop_vars t) inst
+let assigns t store =
+  Array.map (fun info -> assign store info.Prog.lhs info.Prog.rhs) t.stmts
+
+let exec_instance t store inst =
+  exec_in (machine t) (loop_vars t) (assigns t store) inst
 
 let run_schedule t (s : Sched.t) =
   let store = scan_bounds t in
-  let m = machine t store and vars = loop_vars t in
+  let m = machine t and vars = loop_vars t and stmts = assigns t store in
   List.iter
-    (fun phase -> Array.iter (exec_in m t vars) (Sched.phase_instances phase))
+    (fun phase -> Array.iter (exec_in m vars stmts) (Sched.phase_instances phase))
     s.Sched.phases;
   store
 

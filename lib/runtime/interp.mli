@@ -1,4 +1,4 @@
-(** Reference interpreter for the mini-Fortran programs over the dense
+(** Reference interpreter for the mini-Fortran programs over the paged
     array store, plus schedule execution — the semantic ground truth used to
     validate every partitioning scheme: a legal schedule must leave the
     arrays exactly as the sequential run does.
@@ -10,8 +10,10 @@
     per run is the scope: loop indices are bound by depth in one int array
     and looked up innermost first with [String.equal], then among the
     parameters (the first binding wins); subscripts are evaluated left to
-    right into a scratch int array.  No assoc list or closure is built per
-    instance.
+    right into a scratch int array, and each array reference is resolved
+    to its {!Arrays.handle} once per run, in a copy of the right-hand
+    side that mirrors the AST node for node.  No assoc list or closure is
+    built, and no array name hashed, per instance.
 
     The dry scan ({!scan_bounds}) is the one compiled part: it evaluates
     bounds and subscripts at the points the endpoint rule picks, through
@@ -30,15 +32,18 @@ val prepare : Loopir.Ast.program -> params:(string * int) list -> env
     parameter. *)
 
 val scan_bounds : env -> Arrays.t
-(** Records the exact extent of every array the program touches, then
-    freezes the store (initial values seeded).
+(** Records the exact extent of every array the program touches and marks
+    the cells its references reach, then freezes the store: only the pages
+    holding a marked cell are allocated and seeded.
 
     The scan walks each statement's own enclosing loops, evaluating loop
     bounds at every point of its outer loops.  Inside the innermost loop, a
     reference whose subscripts are all affine ({!Loopir.Affine.of_expr})
     is evaluated only at the two ends: each of its subexpressions is
     linear in the innermost index, so its minimum and maximum over the
-    loop are end values.  Other references are evaluated at every point.
+    loop are end values, and it is noted as the run between them
+    ({!Arrays.note_run}), whose pages freeze finds from the two ends.
+    Other references are evaluated, and noted, at every point.
     The extents therefore equal a per-point scan's, at a cost of
     O(outer iterations) for affine nests.  An array touched only inside
     empty loops stays absent.
@@ -48,8 +53,8 @@ val scan_bounds : env -> Arrays.t
     see only the slots below [k], the innermost binding of a name wins,
     and parameters are folded in as constants.  A name bound by neither
     raises [Failure] when it is evaluated, so a loop that never runs
-    never fails.  Extents are noted from a scratch int array per
-    reference.
+    never fails.  Each reference holds its array's handle and two
+    scratch int arrays, for its tuples at the low and the high end.
 
     The arithmetic is {!Loopir.Eval_int.eval}'s, checked, and an affine
     subexpression that would overflow at an inner point overflows at an
@@ -63,8 +68,9 @@ val run_sequential : ?store:Arrays.t -> env -> Arrays.t
     when given — a frozen {!scan_bounds} of [env], or an {!Arrays.copy}
     of one, which the run overwrites — else a fresh scan.  The right-hand
     side is evaluated before the left-hand subscripts; a read outside the
-    scanned extent yields {!Arrays.initial_value}, a write outside it
-    raises [Invalid_argument]. *)
+    scanned extent or on an absent page yields {!Arrays.initial_value}, a
+    write there raises [Invalid_argument] (the program's own instances
+    only touch marked cells). *)
 
 val exec_instance : env -> Arrays.t -> Sched.instance -> unit
 (** Executes one statement instance (used by the executors). *)

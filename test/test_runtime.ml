@@ -1,4 +1,4 @@
-(* Tests for the execution substrate: dense array store, interpreter,
+(* Tests for the execution substrate: paged array store, interpreter,
    schedules (legality + semantics), cost simulator, domain executor. *)
 
 module Sched = Runtime.Sched
@@ -9,6 +9,239 @@ module Exec = Runtime.Exec
 module Trace = Depend.Trace
 module Partition = Core.Partition
 module Dataflow = Core.Dataflow
+
+(* ------------------------------------------------------------------ *)
+(* The dense store, kept as the paged store's reference                *)
+
+(* [Runtime.Arrays] as it was before its pages, kept verbatim: one dense
+   [float array] per array over the scanned extent, every cell seeded at
+   freeze.  [Reference] runs on it, and every paged store must equal it
+   on every cell of every extent, touched or not. *)
+module Dense = struct
+  type extent = { mutable lo : int array; mutable hi : int array }
+
+  type store = {
+    ext : extent;
+    mutable data : float array;  (** row-major with offsets from [ext] *)
+  }
+
+  type t = {
+    tbl : (string, store) Hashtbl.t;
+    mutable frozen : bool;
+  }
+
+  let create () = { tbl = Hashtbl.create 8; frozen = false }
+
+  let note_index t name idx =
+    if t.frozen then invalid_arg "Arrays.note_bounds: already frozen";
+    match Hashtbl.find_opt t.tbl name with
+    | None ->
+        Hashtbl.add t.tbl name
+          { ext = { lo = Array.copy idx; hi = Array.copy idx }; data = [||] }
+    | Some s ->
+        let lo = s.ext.lo and hi = s.ext.hi in
+        if Array.length idx <> Array.length lo then
+          invalid_arg ("Arrays: rank mismatch for " ^ name);
+        for k = 0 to Array.length idx - 1 do
+          let v = idx.(k) in
+          if v < lo.(k) then lo.(k) <- v;
+          if v > hi.(k) then hi.(k) <- v
+        done
+
+  let note_bounds t name idx = note_index t name (Array.of_list idx)
+
+  (* Initial cell values: a per-array name hash mixed with the indices,
+     outermost first.  [freeze] carries the mix of an index prefix down a
+     row-major pass, so seeding a cell costs one [mix] and allocates
+     nothing. *)
+  let[@inline] mix h v =
+    let h = (h lxor v) * 0x3c79ac492ba7b653 in
+    h lxor (h lsr 29)
+
+  let[@inline] value_of_hash h =
+    float_of_int ((h land max_int) mod 1000) /. 97.0
+
+  let initial_value_index name idx =
+    value_of_hash (Array.fold_left mix (Hashtbl.hash name) idx)
+
+  let initial_value name idx = initial_value_index name (Array.of_list idx)
+
+  let cell_count ext =
+    Array.fold_left ( * ) 1
+      (Array.mapi (fun k lo -> ext.hi.(k) - lo + 1) ext.lo)
+
+  (* The flat offset of an index tuple; -1 outside the extent. *)
+  let offset ext idx =
+    let lo = ext.lo and hi = ext.hi in
+    let rec go k acc =
+      if k = Array.length idx then acc
+      else
+        let v = idx.(k) in
+        if v < lo.(k) || v > hi.(k) then -1
+        else go (k + 1) ((acc * (hi.(k) - lo.(k) + 1)) + (v - lo.(k)))
+    in
+    go 0 0
+
+  let seed name ext =
+    let rank = Array.length ext.lo in
+    let data = Array.create_float (cell_count ext) in
+    let off = ref 0 in
+    let rec fill k h =
+      if k = rank - 1 then
+        for v = ext.lo.(k) to ext.hi.(k) do
+          data.(!off) <- value_of_hash (mix h v);
+          incr off
+        done
+      else
+        for v = ext.lo.(k) to ext.hi.(k) do
+          fill (k + 1) (mix h v)
+        done
+    in
+    let h = Hashtbl.hash name in
+    if rank = 0 then data.(0) <- value_of_hash h else fill 0 h;
+    data
+
+  let freeze t =
+    if not t.frozen then begin
+      Hashtbl.iter (fun name s -> s.data <- seed name s.ext) t.tbl;
+      t.frozen <- true
+    end
+
+  let get_index t name idx =
+    match Hashtbl.find_opt t.tbl name with
+    | None -> initial_value_index name idx
+    | Some s ->
+        let off = offset s.ext idx in
+        if off < 0 then initial_value_index name idx else s.data.(off)
+
+  let set_index t name idx v =
+    if not t.frozen then invalid_arg "Arrays.set: freeze first";
+    match Hashtbl.find_opt t.tbl name with
+    | None -> invalid_arg ("Arrays.set: unknown array " ^ name)
+    | Some s ->
+        let off = offset s.ext idx in
+        if off < 0 then
+          invalid_arg
+            (Printf.sprintf "Arrays.set: %s index out of scanned bounds" name)
+        else s.data.(off) <- v
+
+  let get t name idx = get_index t name (Array.of_list idx)
+  let set t name idx v = set_index t name (Array.of_list idx) v
+
+  let copy t =
+    let tbl = Hashtbl.create (Hashtbl.length t.tbl) in
+    Hashtbl.iter
+      (fun name s ->
+        Hashtbl.add tbl name
+          {
+            ext = { lo = Array.copy s.ext.lo; hi = Array.copy s.ext.hi };
+            data = Array.copy s.data;
+          })
+      t.tbl;
+    { tbl; frozen = t.frozen }
+
+  type view = {
+    v_lo : int array;
+    v_hi : int array;
+    v_strides : int array;
+    v_data : float array;
+  }
+
+  let view t name =
+    if not t.frozen then invalid_arg "Arrays.view: freeze first";
+    match Hashtbl.find_opt t.tbl name with
+    | None -> None
+    | Some s ->
+        let n = Array.length s.ext.lo in
+        let strides = Array.make n 1 in
+        for k = n - 2 downto 0 do
+          strides.(k) <- strides.(k + 1) * (s.ext.hi.(k + 1) - s.ext.lo.(k + 1) + 1)
+        done;
+        Some
+          {
+            v_lo = Array.copy s.ext.lo;
+            v_hi = Array.copy s.ext.hi;
+            v_strides = strides;
+            v_data = s.data;
+          }
+
+  let arrays t =
+    Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl [] |> List.sort compare
+
+  let max_abs_diff a b =
+    List.fold_left
+      (fun acc name ->
+        match (Hashtbl.find_opt a.tbl name, Hashtbl.find_opt b.tbl name) with
+        | Some sa, Some sb when Array.length sa.data = Array.length sb.data ->
+            let m = ref acc in
+            Array.iteri
+              (fun k v ->
+                let d = Float.abs (v -. sb.data.(k)) in
+                if d > !m then m := d)
+              sa.data;
+            !m
+        | _ -> infinity)
+      0.0 (arrays a)
+
+  (* Bit for bit: a NaN cell differs from every other value, and -0.0
+     from 0.0, which a tolerance test would both miss. *)
+  let same_cells x y =
+    let n = Array.length x in
+    n = Array.length y
+    &&
+    let rec go k =
+      k = n
+      || Int64.bits_of_float x.(k) = Int64.bits_of_float y.(k) && go (k + 1)
+    in
+    go 0
+
+  let equal a b =
+    arrays a = arrays b
+    && List.for_all
+         (fun name ->
+           let sa = Hashtbl.find a.tbl name and sb = Hashtbl.find b.tbl name in
+           sa.ext.lo = sb.ext.lo && sa.ext.hi = sb.ext.hi
+           && same_cells sa.data sb.data)
+         (arrays a)
+end
+
+(* Row-major successor of an index tuple within [lo, hi]. *)
+let advance lo hi idx =
+  let rec go d =
+    if d >= 0 then
+      if idx.(d) < hi.(d) then idx.(d) <- idx.(d) + 1
+      else begin
+        idx.(d) <- lo.(d);
+        go (d - 1)
+      end
+  in
+  go (Array.length idx - 1)
+
+(* The paged store [p] against the dense store [d]: the same arrays and
+   extents, and every cell of every extent, touched or not, the same bit
+   for bit, a cell of an absent page read as its initial value. *)
+let matches_dense d p =
+  Dense.arrays d = Arrays.arrays p
+  && List.for_all
+       (fun name ->
+         let dv = Option.get (Dense.view d name)
+         and pv = Option.get (Arrays.view p name) in
+         dv.Dense.v_lo = pv.Arrays.v_lo
+         && dv.Dense.v_hi = pv.Arrays.v_hi
+         &&
+         let h = Arrays.handle p name and data = dv.Dense.v_data in
+         let idx = Array.copy dv.Dense.v_lo in
+         let rec go o =
+           o = Array.length data
+           || Int64.bits_of_float data.(o)
+              = Int64.bits_of_float (Arrays.read h idx)
+              && begin
+                   advance dv.Dense.v_lo dv.Dense.v_hi idx;
+                   go (o + 1)
+                 end
+         in
+         go 0)
+       (Dense.arrays d)
 
 (* ------------------------------------------------------------------ *)
 (* Arrays                                                               *)
@@ -86,9 +319,11 @@ let test_arrays_seeding () =
   Arrays.note_bounds s "a" [ 63; 63 ];
   Arrays.freeze s;
   let seen = Hashtbl.create 1000 in
-  Array.iter
-    (fun x -> Hashtbl.replace seen x ())
-    (Option.get (Arrays.view s "a")).Arrays.v_data;
+  for i = 0 to 63 do
+    for j = 0 to 63 do
+      Hashtbl.replace seen (Arrays.get s "a" [ i; j ]) ()
+    done
+  done;
   let distinct = Hashtbl.length seen in
   if distinct < 900 then
     Alcotest.failf "64x64 array takes only %d distinct initial values" distinct
@@ -115,7 +350,9 @@ let test_arrays_equal_bits () =
   Alcotest.(check bool) "-0.0 against 0.0" false (Arrays.equal a b);
   let zeroed lo hi =
     let s = mk lo hi in
-    Array.fill (Option.get (Arrays.view s "x")).Arrays.v_data 0 5 0.0;
+    for i = lo to hi do
+      Arrays.set s "x" [ i ] 0.0
+    done;
     s
   in
   Alcotest.(check bool) "same cells, same extents" true
@@ -146,6 +383,100 @@ let test_arrays_copy () =
     "original cell untouched"
     (Arrays.initial_value "x" [ 1; 1 ])
     (Arrays.get s "x" [ 1; 1 ])
+
+(* The seeding table holds, for every residue, the value the dense
+   store's formula computes: [value_of_hash] reduces a hash modulo 1000
+   and divides by 97. *)
+let test_arrays_seed_table () =
+  for k = 0 to 999 do
+    List.iter
+      (fun h ->
+        let want = Dense.value_of_hash h in
+        if
+          Int64.bits_of_float (Arrays.seed_value k) <> Int64.bits_of_float want
+          || Int64.bits_of_float want
+             <> Int64.bits_of_float (float_of_int k /. 97.0)
+        then Alcotest.failf "residue %d (hash %d)" k h)
+      [ k; k + 1000; k + (1000 * 7919) ]
+  done
+
+(* Random paged stores against dense mirrors built from the same notes
+   and writes.  [b] marks a subset of [a]'s cells, so it holds fewer
+   pages, and one store in eight has a wider extent; writes go to cells
+   marked in both, and sometimes to one only [a] marked.  [equal] and [max_abs_diff] must agree with the dense
+   store's, every cell must match its mirror, and a copy must equal its
+   source and take writes apart from it. *)
+let prop_equal_copy_match_dense ~count =
+  QCheck2.Test.make ~name:"equal and copy = dense on random stores" ~count
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n in
+      let rank = 1 + int 2 in
+      let lo = Array.init rank (fun _ -> int 41 - 20) in
+      let len =
+        Array.init rank (fun _ -> 1 + int (if rank = 1 then 600 else 40))
+      in
+      let point () = Array.init rank (fun k -> lo.(k) + int len.(k)) in
+      let corners = [ lo; Array.init rank (fun k -> lo.(k) + len.(k) - 1) ] in
+      let points = List.init (int 10) (fun _ -> point ()) in
+      let shared = List.filter (fun _ -> int 2 = 0) points in
+      let wider =
+        if int 8 = 0 then [ Array.map (fun v -> v + 1) (List.nth corners 1) ]
+        else []
+      in
+      let build marks =
+        let p = Arrays.create () and d = Dense.create () in
+        List.iter
+          (fun idx ->
+            Arrays.note_index p "x" idx;
+            Dense.note_index d "x" idx)
+          marks;
+        Arrays.freeze p;
+        Dense.freeze d;
+        (p, d)
+      in
+      let a, da = build (corners @ points)
+      and b, db = build (corners @ shared @ wider) in
+      let writable = Array.of_list (corners @ shared) in
+      let value idx =
+        match int 5 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | 2 -> Float.nan
+        | 3 -> 1.5
+        | _ -> Dense.initial_value "x" (Array.to_list idx)
+      in
+      let write stores idx v =
+        List.iter (fun (p, d) ->
+            Arrays.set_index p "x" idx v;
+            Dense.set_index d "x" idx v)
+          stores
+      in
+      for _ = 1 to int 6 do
+        let idx = writable.(int (Array.length writable)) in
+        write [ (a, da); (b, db) ] idx (value idx)
+      done;
+      if int 2 = 0 then begin
+        let idx = writable.(int (Array.length writable)) in
+        write [ (b, db) ] idx (value idx)
+      end;
+      (* A cell [a] alone marked, often on a page [b] lacks. *)
+      if points <> [] && int 2 = 0 then begin
+        let idx = List.nth points (int (List.length points)) in
+        write [ (a, da) ] idx (value idx)
+      end;
+      let c = Arrays.copy a and dc = Dense.copy da in
+      let idx = writable.(int (Array.length writable)) in
+      let old = Arrays.get_index a "x" idx in
+      let fresh = if Float.is_nan old then 2.5 else Float.nan in
+      let copy_equal = Arrays.equal c a && matches_dense da c in
+      write [ (c, dc) ] idx fresh;
+      matches_dense da a && matches_dense db b && matches_dense dc c
+      && Arrays.equal a b = Dense.equal da db
+      && Float.equal (Arrays.max_abs_diff a b) (Dense.max_abs_diff da db)
+      && copy_equal
+      && (not (Arrays.equal c a))
+      && matches_dense da a)
 
 (* ------------------------------------------------------------------ *)
 (* Dry scan: exact extents                                              *)
@@ -305,15 +636,104 @@ let test_prepare_rejects_reused_index () =
        "Interp.prepare: loop index i reuses an enclosing loop's index")
     (fun () -> ignore (Interp.prepare prog ~params:[]))
 
+(* Pages follow the touched cells: example1 at 200×300 touches 104,322
+   of the 417,404 cells of [a]'s extent, and 64-cell pages hold under
+   40% of the extent. *)
+let test_seeded_cells_example1 () =
+  let env =
+    Interp.prepare Loopir.Builtin.example1 ~params:[ ("n1", 200); ("n2", 300) ]
+  in
+  let store = Interp.scan_bounds env in
+  let v = Option.get (Arrays.view store "a") in
+  let extent =
+    Array.fold_left ( * ) 1
+      (Array.mapi (fun k lo -> v.Arrays.v_hi.(k) - lo + 1) v.Arrays.v_lo)
+  in
+  Alcotest.(check int) "extent of a" 417_404 extent;
+  Alcotest.(check int) "64-cell pages" 6 v.Arrays.v_shift;
+  let seeded = Arrays.seeded_cells store in
+  if seeded > 167_000 then
+    Alcotest.failf "example1 200x300 seeds %d cells (limit 167000)" seeded;
+  Alcotest.(check int) "a copy holds the same pages" seeded
+    (Arrays.seeded_cells (Arrays.copy store))
+
+(* Three cells 10^8 apart: the extent of [a] is 3×10^8 + 1 cells, so its
+   pages grow to 2^13 cells and its table stops at 36,622 entries; the
+   scan and the oracle allocate a few pages, where a dense store took
+   3×10^8 words. *)
+let test_sparse_store_cheap () =
+  let env =
+    scan_src
+      "DO i = 1, 3\n\
+      \  a(100000000*i) = a(100000000*i - 100000000) + 1\n\
+      \  b(i) = a(100000000*i)\n\
+       ENDDO"
+  in
+  let probe = Obs.Gcstats.mark () in
+  let store = Interp.scan_bounds env in
+  let store = Interp.run_sequential ~store env in
+  let words = Obs.Gcstats.words_since probe in
+  if words >= 1_000_000.0 then
+    Alcotest.failf "scan + run_sequential allocated %.0f words (limit 1000000)"
+      words;
+  let v = Option.get (Arrays.view store "a") in
+  Alcotest.(check (array int)) "extent" [| 300_000_000 |] v.Arrays.v_hi;
+  Alcotest.(check int) "page size 2^13" 13 v.Arrays.v_shift;
+  Alcotest.(check int) "page table" 36_622 (Array.length v.Arrays.v_table);
+  (* Three whole pages of [a], its last page's 769 cells, and [b]'s
+     three. *)
+  Alcotest.(check int) "seeded cells"
+    ((3 * 8192) + 769 + 3)
+    (Arrays.seeded_cells store);
+  Alcotest.(check (float 0.0))
+    "b(3) = a(3e8) = a(2e8) + 1 = a(1e8) + 2 = a(0) + 3"
+    (Arrays.initial_value "a" [ 0 ] +. 3.0)
+    (Arrays.get store "b" [ 3 ])
+
+(* An extent whose cell count overflows fails typed, naming the array:
+   2^63 + 1 cells wrapped to 1 in the dense store, whose seeding then
+   ran off its one-cell array.  A count that fits but needs pages over
+   2^20 cells fails the same way. *)
+let test_extent_overflow_typed () =
+  let fails label src =
+    let env = scan_src src in
+    let e = Diag.Error (Diag.Extent_overflow "a") in
+    Alcotest.check_raises (label ^ ": scan_bounds") e (fun () ->
+        ignore (Interp.scan_bounds env));
+    Alcotest.check_raises (label ^ ": run_sequential") e (fun () ->
+        ignore (Interp.run_sequential env));
+    match
+      Pipeline.Driver.run ~name:"overflow" ~params:[]
+        (Loopir.Parser.parse ~name:"overflow" src)
+    with
+    | Error { Pipeline.Driver.stage = Diag.Execute; error; _ } ->
+        Alcotest.(check string) (label ^ ": driver") "extent-overflow"
+          (Diag.label error);
+        Alcotest.(check string)
+          (label ^ ": message")
+          "the extent of array a has more cells than a store can address"
+          (Diag.to_string error)
+    | Error e ->
+        Alcotest.failf "%s: driver failed at %s" label
+          (Pipeline.Driver.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: driver ran" label
+  in
+  Alcotest.(check int) "the unchecked count wraps" 1
+    (77158673929 * 119537721);
+  fails "2^63 + 1 cells"
+    "DO i = 0, 1\n  a(77158673928*i, 119537720*i) = a(0, 0) + 1.0\nENDDO";
+  fails "2^40 cells" "DO i = 0, 1\n  a(1099511627775*i) = 1.0\nENDDO"
+
 (* ------------------------------------------------------------------ *)
 (* The reference interpreter                                            *)
 
 (* The interpreter as it was before its scope moved into a slot array
-   and its scan was compiled, kept verbatim: bindings in an assoc list
-   per instance, every name looked up through closures, index tuples as
-   lists, the endpoint scan walked through [Eval_int.eval].
-   [Interp.run_sequential], [scan_bounds], [exec_instance] and
-   [run_schedule] must match it bit for bit, and raise what it raises. *)
+   and its scan was compiled, kept verbatim over the dense store
+   [Dense]: bindings in an assoc list per instance, every name looked up
+   through closures, index tuples as lists, the endpoint scan walked
+   through [Eval_int.eval].  [Interp.run_sequential], [scan_bounds],
+   [exec_instance] and [run_schedule] must match it bit for bit on every
+   cell, and raise what it raises. *)
 module Reference = struct
   module Ast = Loopir.Ast
   module Prog = Loopir.Prog
@@ -333,7 +753,7 @@ module Reference = struct
     | Ast.Real r -> r
     | Ast.Var v -> float_of_int (ienv v)
     | Ast.Ref (a, subs) ->
-        Arrays.get store a (List.map (Loopir.Eval_int.eval ienv) subs)
+        Dense.get store a (List.map (Loopir.Eval_int.eval ienv) subs)
     | Ast.Bin (Ast.Add, a, b) -> feval store ienv a +. feval store ienv b
     | Ast.Bin (Ast.Sub, a, b) -> feval store ienv a -. feval store ienv b
     | Ast.Bin (Ast.Mul, a, b) -> feval store ienv a *. feval store ienv b
@@ -420,7 +840,7 @@ module Reference = struct
       List.filter (fun (_, subs, _) -> not (List.for_all is_affine subs)) refs
     in
     let note (a, subs, _) =
-      Arrays.note_bounds store a (List.map (Loopir.Eval_int.eval env) subs)
+      Dense.note_bounds store a (List.map (Loopir.Eval_int.eval env) subs)
     in
     let at k v rs =
       slots.(k) <- v;
@@ -450,15 +870,15 @@ module Reference = struct
     if depth = 0 then List.iter note refs else walk 0
 
   let scan_bounds (t : Interp.env) =
-    let store = Arrays.create () in
+    let store = Dense.create () in
     Array.iter (scan_stmt t store) t.stmts;
-    Arrays.freeze store;
+    Dense.freeze store;
     store
 
   let exec_assign t store bindings (a, subs) rhs =
     let ienv = var_env t bindings in
     let v = feval store ienv rhs in
-    Arrays.set store a (List.map (Loopir.Eval_int.eval ienv) subs) v
+    Dense.set store a (List.map (Loopir.Eval_int.eval ienv) subs) v
 
   let run_sequential t =
     let store = scan_bounds t in
@@ -483,10 +903,46 @@ let outcome f =
   | store -> Ok store
   | exception e -> Error (Printexc.to_string e)
 
-let same_outcome a b =
-  match (a, b) with
-  | Ok x, Ok y -> Arrays.equal x y
-  | Error x, Error y -> String.equal x y
+(* The arrays of [env] whose per-point extent has more cells than the
+   paged store addresses (over 2^36, or an overflowing count).  There
+   the paged store fails typed, and the dense one wraps its count and
+   fails on the way to seeding it. *)
+let overflowing_arrays (env : Interp.env) =
+  let d = Dense.create () in
+  match Array.iter (Reference.scan_stmt env d) env.Interp.stmts with
+  | exception _ -> []
+  | () ->
+      Hashtbl.fold
+        (fun name (s : Dense.store) acc ->
+          let lo = s.Dense.ext.Dense.lo and hi = s.Dense.ext.Dense.hi in
+          let module S = Numeric.Safeint in
+          match
+            Array.fold_left
+              (fun c k -> S.mul c (S.add (S.sub hi.(k) lo.(k)) 1))
+              1
+              (Array.init (Array.length lo) Fun.id)
+          with
+          | cells -> if cells > 1 lsl 36 then name :: acc else acc
+          | exception S.Overflow -> name :: acc)
+        d.Dense.tbl []
+
+(* The reference's outcome against the paged one.  Given [env], a typed
+   extent overflow matches any failure of the reference on an array
+   whose extent overflows. *)
+let same_outcome ?env want got =
+  match (want, got) with
+  | Ok d, Ok p -> matches_dense d p
+  | Error x, Error y -> (
+      String.equal x y
+      ||
+      match env with
+      | None -> false
+      | Some env ->
+          List.exists
+            (fun a ->
+              String.equal y
+                (Printexc.to_string (Diag.Error (Diag.Extent_overflow a))))
+            (overflowing_arrays env))
   | _ -> false
 
 let show_outcome = function
@@ -516,7 +972,7 @@ let prop_scan_matches_reference ~count =
         Interp.prepare (Nests.random_nest (Random.State.make [| seed |]))
           ~params:[]
       in
-      same_outcome
+      same_outcome ~env
         (outcome (fun () -> Reference.scan_bounds env))
         (outcome (fun () -> Interp.scan_bounds env)))
 
@@ -560,11 +1016,93 @@ let prop_run_matches_reference ~count =
     (fun seed ->
       let env = Interp.prepare (nest seed) ~params:[] in
       let want = outcome (fun () -> reference_run env) in
-      same_outcome want (outcome (fun () -> Interp.run_sequential env))
+      same_outcome ~env want (outcome (fun () -> Interp.run_sequential env))
       &&
       match sequential_schedule env with
       | None -> true
-      | Some s -> same_outcome want (outcome (fun () -> Interp.run_schedule env s)))
+      | Some s ->
+          same_outcome ~env want
+            (outcome (fun () -> Interp.run_schedule env s)))
+
+(* [Exec.run_timed]'s store against the dense reference, on every cell,
+   at 1, 2 and 4 domains. *)
+let check_timed_matches label want env sched =
+  List.iter
+    (fun threads ->
+      let got =
+        outcome (fun () -> (Exec.run_timed env ~threads sched).Exec.store)
+      in
+      if not (same_outcome want got) then
+        Alcotest.failf "%s: reference gave %s, run_timed t=%d %s" label
+          (show_outcome want) threads (show_outcome got))
+    [ 1; 2; 4 ]
+
+let test_timed_matches_dense_builtins () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun v ->
+          let params = List.map (fun p -> (p, v)) prog.Loopir.Ast.params in
+          let label = Printf.sprintf "%s@%d" name v in
+          let env = Interp.prepare prog ~params in
+          match sequential_schedule env with
+          | None -> Alcotest.failf "%s: no trace" label
+          | Some s ->
+              check_timed_matches label
+                (outcome (fun () -> reference_run env))
+                env s)
+        [ 1; 2; 3; 5; 8; 13 ])
+    Loopir.Builtin.all
+
+(* A random nest whose rank-1 array [a] has every subscript multiplied
+   by [stride]: its touched cells spread over an extent up to 10^5 times
+   wider, so most of its pages stay absent.  [b], of rank 2, keeps its
+   subscripts, so the dense reference stays small enough to build. *)
+let strided_nest stride seed =
+  let open Loopir.Ast in
+  let scale subs =
+    if stride = 1 then subs else List.map (fun e -> Bin (Mul, Int stride, e)) subs
+  in
+  let rec stmt = function
+    | Assign ((a, subs), rhs) ->
+        Assign
+          ( (a, if a = "a" then scale subs else subs),
+            map_expr
+              (function Ref ("a", subs) -> Ref ("a", scale subs) | e -> e)
+              rhs )
+    | Loop l -> Loop { l with body = List.map stmt l.body }
+  in
+  let prog =
+    Nests.random_nest ~mixed_ranks:false (Random.State.make [| seed |])
+  in
+  { prog with body = List.map stmt prog.body }
+
+let strides = [| 1; 7; 64; 1000; 100000 |]
+
+let prop_stores_match_dense_strided ~count =
+  let nest (stride, seed) = strided_nest stride seed in
+  QCheck2.Test.make
+    ~name:"every store = dense reference on strided random nests" ~count
+    ~print:(fun c -> Loopir.Pretty.program_to_string (nest c))
+    QCheck2.Gen.(pair (map (fun k -> strides.(k)) (int_bound 4)) int)
+    (fun c ->
+      let env = Interp.prepare (nest c) ~params:[] in
+      let want = outcome (fun () -> reference_run env) in
+      same_outcome ~env want (outcome (fun () -> Interp.run_sequential env))
+      &&
+      (* The kernels compile every statement, so they refuse an unbound
+         name or an overflowing constant in a statement that never runs,
+         which the interpreter never evaluates. *)
+      let compiles () =
+        match Runtime.Compile.program env (Interp.scan_bounds env) with
+        | _ -> true
+        | exception _ -> false
+      in
+      match (want, sequential_schedule env) with
+      | Ok _, Some s when compiles () ->
+          check_timed_matches "strided nest" want env s;
+          true
+      | _ -> true)
 
 let test_run_reference_hand_cases () =
   let parse ?(params = []) src =
@@ -1315,6 +1853,9 @@ let () =
           Alcotest.test_case "bit-for-bit equality" `Quick
             test_arrays_equal_bits;
           Alcotest.test_case "copy is independent" `Quick test_arrays_copy;
+          Alcotest.test_case "seed table = formula (1,000 residues)" `Quick
+            test_arrays_seed_table;
+          QCheck_alcotest.to_alcotest (prop_equal_copy_match_dense ~count:300);
         ] );
       ( "scan",
         [
@@ -1325,6 +1866,12 @@ let () =
           Alcotest.test_case "overflow raises as before" `Quick
             test_scan_bounds_overflow;
           QCheck_alcotest.to_alcotest (prop_scan_matches_reference ~count:300);
+          Alcotest.test_case "pages follow the touched cells (example1)"
+            `Quick test_seeded_cells_example1;
+          Alcotest.test_case "sparse subscripts stay cheap" `Quick
+            test_sparse_store_cheap;
+          Alcotest.test_case "extent overflow fails typed" `Quick
+            test_extent_overflow_typed;
         ] );
       ( "interp",
         [
@@ -1341,6 +1888,10 @@ let () =
             test_run_reference_hand_cases;
           Alcotest.test_case "swapped instance detected" `Quick
             test_swapped_instance_detected;
+          Alcotest.test_case
+            "run_timed = dense reference (builtins, 6 sizes, 1/2/4 domains)"
+            `Quick test_timed_matches_dense_builtins;
+          QCheck_alcotest.to_alcotest (prop_stores_match_dense_strided ~count:100);
         ] );
       ( "schedules",
         [
