@@ -253,13 +253,17 @@ let analyze_cmd =
                (Depend.Distance.classify a.Depend.Solve.rd
                   ~phi:a.Depend.Solve.phi ~params))
         end
-    | Error (Diag.Unsupported _) ->
-        let u = Depend.Solve.analyze_unified prog in
-        Printf.printf
-          "imperfect nest / multiple statements: unified space depth %d, %d \
-           dependence disjuncts\n"
-          u.Depend.Solve.unified.Depend.Space.depth
-          (List.length (Presburger.Rel.polys u.Depend.Solve.urd))
+    | Error (Diag.Unsupported _) -> (
+        match
+          Pipeline.Driver.guarded (fun () -> Depend.Solve.analyze_unified prog)
+        with
+        | Ok u ->
+            Printf.printf
+              "imperfect nest / multiple statements: unified space depth %d, \
+               %d dependence disjuncts\n"
+              u.Depend.Solve.unified.Depend.Space.depth
+              (List.length (Presburger.Rel.polys u.Depend.Solve.urd))
+        | Error e -> die "recpart: analysis failed: %s" (Diag.to_string e))
     | Error e -> die "recpart: analysis failed: %s" (Diag.to_string e)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Exact dependence analysis")

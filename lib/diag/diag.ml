@@ -25,6 +25,7 @@ type error =
   | Semantic_mismatch of string
   | Invalid_thread_count of int
   | Extent_overflow of string
+  | Int_overflow
 
 exception Error of error
 
@@ -48,6 +49,9 @@ let to_string = function
   | Invalid_thread_count n -> Printf.sprintf "invalid thread count %d" n
   | Extent_overflow a ->
       Printf.sprintf "the extent of array %s has more cells than a store can address" a
+  | Int_overflow ->
+      "integer overflow: a subscript, loop bound or dependence coefficient \
+       leaves the native integer range"
 
 let label = function
   | Unsupported _ -> "unsupported"
@@ -64,6 +68,7 @@ let label = function
   | Semantic_mismatch _ -> "semantic-mismatch"
   | Invalid_thread_count _ -> "invalid-thread-count"
   | Extent_overflow _ -> "extent-overflow"
+  | Int_overflow -> "int-overflow"
 
 let fail e = raise (Error e)
 let result f = match f () with v -> Ok v | exception Error e -> Error e

@@ -56,6 +56,10 @@ type error =
       (** the named array's scanned extent has more cells than the
           execution store can address: the count overflows the native
           integer, or its pages would exceed the store's largest page *)
+  | Int_overflow
+      (** checked integer arithmetic on the program (a subscript, a loop
+          bound or a dependence coefficient) left the native integer
+          range *)
 
 exception Error of error
 

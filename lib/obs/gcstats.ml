@@ -44,6 +44,19 @@ let mark () =
   read_words p;
   p
 
+(* One reading that closes a window and opens the next: the minor-word
+   counter is read first for the closing window and again, after
+   [Gc.counters]'s triple is allocated, for the opening one, so that
+   allocation falls in neither. *)
+let lap p =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  let w = minor -. p.minor +. (major -. p.major) -. (promoted -. p.promoted) in
+  p.promoted <- promoted;
+  p.major <- major;
+  p.minor <- Gc.minor_words ();
+  w
+
 let start () =
   let p = fresh () in
   let s = Gc.quick_stat () in

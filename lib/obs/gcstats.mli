@@ -39,6 +39,14 @@ val words_since : probe -> float
 (** Fresh words the calling domain allocated since the probe was taken
     (minor + major − promoted, so a promoted word counts once). *)
 
+val lap : probe -> float
+(** {!words_since} the probe, and the probe re-armed at the same
+    reading: consecutive laps measure back-to-back windows (the phases
+    of a run, each closing where the next opens) with one
+    [Gc.counters] call per boundary.  The reading's own allocation falls
+    in neither window; the returned float is boxed after it, in the
+    window the lap opens. *)
+
 val start : unit -> probe
 (** Word counters and the collection counts of [Gc.quick_stat]; pair
     with {!since}. *)

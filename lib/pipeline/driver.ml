@@ -19,7 +19,8 @@ let error_to_string { stage; error; _ } =
   Printf.sprintf "%s: %s" (Diag.stage_name stage) (Diag.to_string error)
 
 (* Runs [f], threading typed failures and the known library exceptions
-   (symbolic blowup, dataflow step limit) into the result. *)
+   (symbolic blowup, dataflow step limit, unsupported shapes, checked
+   arithmetic overflow) into the result. *)
 let guarded f =
   match f () with
   | v -> Ok v
@@ -29,17 +30,20 @@ let guarded f =
       Error (Diag.Dataflow_step_limit n)
   | exception Invalid_argument m -> Error (Diag.Unsupported m)
   | exception Depend.Space.Unsupported m -> Error (Diag.Unsupported m)
+  | exception Numeric.Safeint.Overflow -> Error Diag.Int_overflow
 
 (* ---- individual stages ---------------------------------------------- *)
 
 let analyze = Strategy.analyze_simple
 
 let classify ?strategy prog =
-  match strategy with
-  | None -> Strategy.auto prog
-  | Some s ->
-      let (module M : Strategy.S) = Strategy.find s in
-      M.plan prog
+  Result.join
+    (guarded (fun () ->
+         match strategy with
+         | None -> Strategy.auto prog
+         | Some s ->
+             let (module M : Strategy.S) = Strategy.find s in
+             M.plan prog))
 
 let check_params prog ~params =
   List.iter

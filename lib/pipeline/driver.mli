@@ -33,6 +33,14 @@ type error = {
 
 val error_to_string : error -> string
 
+val guarded : (unit -> 'a) -> ('a, Diag.error) result
+(** Runs the thunk, turning {!Diag.Error} and the known library
+    exceptions into typed errors: set-algebra blowup ([Set_blowup]),
+    the dataflow step limit, unsupported shapes ([Unsupported]) and
+    checked-arithmetic overflow ([Int_overflow]).  Anything else
+    propagates.  Every stage of {!run} and every request of the
+    service goes through it. *)
+
 (* ---- individual stages ---------------------------------------------- *)
 
 val analyze :

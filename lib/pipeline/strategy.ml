@@ -6,6 +6,7 @@ let analyze_simple prog =
   | exception Invalid_argument m -> Error (Diag.Unsupported m)
   | exception Depend.Space.Unsupported m -> Error (Diag.Unsupported m)
   | exception Presburger.Omega.Blowup m -> Error (Diag.Set_blowup m)
+  | exception Numeric.Safeint.Overflow -> Error Diag.Int_overflow
 
 let rec_reject why =
   Obs.Event.emit ~scope:"strategy" ~name:"rec.reject" ~severity:Obs.Event.Warn
@@ -137,7 +138,6 @@ let auto prog =
   | Core.Partition.Pdm_fallback reason ->
       let simple = Result.to_option (analyze_simple prog) in
       selected (Plan.Pdm_fallback { simple; reason })
-  | exception Presburger.Omega.Blowup m -> Error (Diag.Set_blowup m)
 
 (* Cost-model prediction: the strategy layer consults {!Runtime.Sim}
    before execution so every run carries a predicted-vs-actual account

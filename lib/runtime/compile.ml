@@ -29,31 +29,40 @@ let param ctx name = List.assoc_opt name ctx.params
 (* ---- integer expressions --------------------------------------------- *)
 
 (* Affine form over iteration slots with parameters folded into the
-   constant: value(iter) = a_const + Σⱼ a_coefs.(j)·iter.(j). *)
+   constant: value(iter) = a_const + Σⱼ a_coefs.(j)·iter.(j).  A form
+   whose coefficients or folded constant overflow is not affine here, as
+   in {!Interp}'s scan: the statement gets the general kernel, whose
+   checked arithmetic raises only if it ever runs. *)
 type aff = { a_const : int; a_coefs : int array }
 
 let affine_of ctx e =
   match Affine.of_expr e with
-  | None -> None
-  | Some { Affine.terms; const } ->
+  | None | (exception S.Overflow) -> None
+  | Some { Affine.terms; const } -> (
       let coefs = Array.make (Array.length ctx.vars) 0 in
       let const = ref const in
-      let ok =
+      match
         List.for_all
           (fun (name, c) ->
             match slot ctx name with
             | Some j ->
-                coefs.(j) <- coefs.(j) + c;
+                coefs.(j) <- S.add coefs.(j) c;
                 true
             | None -> (
                 match param ctx name with
                 | Some v ->
-                    const := !const + (c * v);
+                    const := S.add !const (S.mul c v);
                     true
                 | None -> false))
           terms
-      in
-      if ok then Some { a_const = !const; a_coefs = coefs } else None
+      with
+      | true -> Some { a_const = !const; a_coefs = coefs }
+      | false | (exception S.Overflow) -> None)
+
+(* A name bound neither by a loop nor by a parameter fails when the
+   kernel that reads it first runs, as the interpreter fails when it
+   evaluates the name: a statement that never runs compiles. *)
+let unbound v _ = failwith (Printf.sprintf "Compile: unbound variable %s" v)
 
 (* General (non-affine) integer evaluation: {!Loopir.Eval_int.compile},
    with variable lookups resolved to slots/constants at compile time. *)
@@ -62,9 +71,7 @@ let cint ctx =
       match slot ctx v with
       | Some j -> fun it -> it.(j)
       | None -> (
-          match param ctx v with
-          | Some k -> fun _ -> k
-          | None -> failwith (Printf.sprintf "Compile: unbound variable %s" v)))
+          match param ctx v with Some k -> fun _ -> k | None -> unbound v))
 
 (* Integer evaluator with the affine fast path: affine expressions use raw
    machine arithmetic.  The dry scan evaluated each affine subscript with
@@ -214,8 +221,7 @@ let rec cfloat ctx e : int array -> float =
           | Some k ->
               let v = float_of_int k in
               fun _ -> v
-          | None ->
-              failwith (Printf.sprintf "Compile: unbound variable %s" v)))
+          | None -> fun it -> float_of_int (unbound v it)))
   | Ast.Ref (a, subs) -> (
       match fused_of ctx a subs with
       | Some (view, (c, nz)) -> fused_load view c nz

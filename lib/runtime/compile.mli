@@ -34,8 +34,12 @@ type t
 val program : Interp.env -> Arrays.t -> t
 (** [program env store] compiles every statement of [env] against the
     frozen [store] (from {!Interp.scan_bounds} on the same [env]).
-    Raises [Failure] on variables bound neither by a loop nor by a
-    parameter, like the interpreter would at execution time. *)
+    Compiling never fails on a statement's names or constants, so a
+    statement that never runs cannot fail the run, as in the
+    interpreter: a variable bound neither by a loop nor by a parameter
+    raises [Failure] when its kernel first runs, and a subscript whose
+    affine form overflows gets the general kernel, whose checked
+    arithmetic raises [Numeric.Safeint.Overflow] only when it runs. *)
 
 val exec_instance : t -> Sched.instance -> unit
 (** Runs one statement instance through its compiled kernel.  Raises

@@ -13,7 +13,7 @@ type timed = { store : Arrays.t; seconds : float; phase_stats : phase_stat list 
 let task_len_hist = Obs.Histogram.make "exec.task_len"
 let task_ns_hist = Obs.Histogram.make "exec.task_ns"
 
-(* ---- chunk building --------------------------------------------------- *)
+(* ---- chunks ----------------------------------------------------------- *)
 
 (* A chunk addresses a contiguous instance range — a DOALL block ([c_id]
    the block ordinal) or a whole sequential task ([c_id] the task index;
@@ -32,6 +32,26 @@ let doall_chunk_ranges ~chunks n =
     Array.init k (fun t ->
         let lo = t * n / k and hi = (t + 1) * n / k in
         { c_id = t; c_off = lo; c_len = hi - lo })
+
+let nonempty_tasks tasks =
+  let k = ref 0 in
+  for u = 0 to Array.length tasks - 1 do
+    if Array.length tasks.(u) > 0 then incr k
+  done;
+  !k
+
+(* The domains a phase engages: the chunks the cost model affords for
+   its instances ({!Sim.doall_chunk_count}: one below two affordable
+   chunks), at most one per non-empty task, at most [threads].  A phase
+   that engages one domain (or none: it is empty) runs on the caller. *)
+let engaged ~cost ~threads phase =
+  let k =
+    min threads
+      (Sim.doall_chunk_count cost ~threads ~n:(Sched.phase_size phase))
+  in
+  match phase with
+  | Sched.Doall _ -> k
+  | Sched.Tasks { tasks; _ } -> min k (nonempty_tasks tasks)
 
 (* The chunk policy, in drain order.  DOALL blocks are sized
    cost-proportionally by {!Sim.doall_chunk_count} (a single block on one
@@ -58,104 +78,158 @@ let chunks_of ~cost ~threads = function
           chunks;
       chunks
 
-(* Executes one chunk's instances through the compiled kernels. *)
-let chunk_runner compiled = function
-  | Sched.Doall { instances; _ } ->
-      fun c ->
-        for i = c.c_off to c.c_off + c.c_len - 1 do
-          Compile.exec_instance compiled instances.(i)
-        done
-  | Sched.Tasks { tasks; _ } ->
-      fun c ->
-        let t = tasks.(c.c_id) in
-        for i = c.c_off to c.c_off + c.c_len - 1 do
-          Compile.exec_instance compiled t.(i)
-        done
+(* Runs instances [off, off + len) of [xs] through the compiled kernels. *)
+let exec_range compiled (xs : Sched.instance array) off len =
+  for i = off to off + len - 1 do
+    Compile.exec_instance compiled xs.(i)
+  done
 
-(* ---- instrumented chunk execution ------------------------------------ *)
+let run_chunk compiled phase c =
+  match phase with
+  | Sched.Doall { instances; _ } ->
+      exec_range compiled instances c.c_off c.c_len
+  | Sched.Tasks { tasks; _ } ->
+      exec_range compiled tasks.(c.c_id) c.c_off c.c_len
+
+let kind_of = function Sched.Doall _ -> "block" | Sched.Tasks _ -> "chain"
+
+(* One chunk inside a [task] span carrying the per-chunk sample
+   {!Obs.Critpath} consumes: [("phase", label)], [(kind, id)] and
+   [("len", points)]. *)
+let traced_chunk ~label compiled phase c =
+  let s0 = Obs.Clock.now_ns () in
+  Obs.Span.with_ ~name:"task"
+    ~args:
+      [
+        ("phase", label);
+        (kind_of phase, string_of_int c.c_id);
+        ("len", string_of_int c.c_len);
+      ]
+    (fun () -> run_chunk compiled phase c);
+  Obs.Histogram.observe task_len_hist c.c_len;
+  Obs.Histogram.observe task_ns_hist
+    (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) s0))
+
+(* ---- the phase runner ------------------------------------------------- *)
+
+(* The readings of one run, one slot per phase, turned into
+   [phase_stat]s after the last barrier.  Clock readings are nanoseconds
+   since the run's first boundary (a float computed in place allocates
+   less than a call returning one).  A phase's own bookkeeping is a few
+   stores into these arrays, so the words a phase on the caller reports
+   are its loop's, not the statistics of the phase before it. *)
+type readings = {
+  bound : float array;  (** clock at each phase boundary; [n + 1] slots *)
+  start : float array;  (** clock when the phase's loop started *)
+  words : float array;  (** words allocated between the phase's boundaries *)
+  units : int array;  (** chunks or non-empty tasks executed *)
+  pooled : (float * float * int) array array;
+      (** per-domain [(busy, words, load)] of a phase handed to the
+          pool; [[||]] for a phase run on the caller *)
+}
 
 (* Runs the chunks [iter_chunks] yields to this domain and returns the
    seconds it was busy, the words it allocated (an {!Obs.Gcstats.mark}
    reading taken inside the executing domain: O(1) and exact for this
    domain's work) and the instances it executed.  With a log attached
-   each chunk gets a span carrying the per-chunk sample {!Obs.Critpath}
-   consumes: [("phase", label)], [(kind, id)] and [("len", points)]. *)
-let run_chunks ~label ~kind run iter_chunks =
+   the chunks run inside a bucket span and their task spans. *)
+let drain_chunks ~logged ~label compiled phase iter_chunks =
   let gc0 = Obs.Gcstats.mark () in
   let t0 = Obs.Clock.now_ns () in
   let load = ref 0 in
-  if not (Obs.Event.enabled (Obs.Event.ambient ())) then
+  if not logged then
     iter_chunks (fun c ->
         load := !load + c.c_len;
-        run c)
+        run_chunk compiled phase c)
   else
     Obs.Span.with_ ~name:("bucket:" ^ label) (fun () ->
         iter_chunks (fun c ->
             load := !load + c.c_len;
-            let s0 = Obs.Clock.now_ns () in
-            Obs.Span.with_ ~name:"task"
-              ~args:
-                [
-                  ("phase", label);
-                  (kind, string_of_int c.c_id);
-                  ("len", string_of_int c.c_len);
-                ]
-              (fun () -> run c);
-            Obs.Histogram.observe task_len_hist c.c_len;
-            Obs.Histogram.observe task_ns_hist
-              (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) s0))));
+            traced_chunk ~label compiled phase c));
   let busy = Obs.Clock.elapsed_s t0 in
   let words = Obs.Gcstats.words_since gc0 in
   (busy, words, !load)
 
-(* The single execution path: every phase, sequential or parallel, goes
-   through here, so instrumentation (per-phase wall time and per-domain
-   load/busy time) is measured on exactly the code that runs.  Every
-   executing domain drains one atomic cursor over the phase's chunk
-   array, so a late-waking or straggling domain simply takes fewer
-   chunks.  Sequential runs ([pool] = [None]) drain it on the calling
-   domain; parallel work is handed to the persistent [pool], and the
-   return from {!Workers.run} is the inter-phase barrier. *)
-let run_phase_timed ~pool ~cost compiled ~threads phase =
-  let label = Sched.phase_label phase in
-  let kind =
-    match phase with Sched.Doall _ -> "block" | Sched.Tasks _ -> "chain"
-  in
-  let run = chunk_runner compiled phase in
-  let t0 = Obs.Clock.now_ns () in
-  let chunks = chunks_of ~cost ~threads phase in
-  let n_chunks = Array.length chunks in
-  let next = Atomic.make 0 in
-  let drain () =
-    run_chunks ~label ~kind run (fun f ->
-        let rec go () =
-          let k = Atomic.fetch_and_add next 1 in
-          if k < n_chunks then begin
-            f chunks.(k);
-            go ()
-          end
-        in
-        go ())
-  in
-  let stats =
-    match pool with
-    | None -> [| drain () |]
-    (* Hand the pool only domains that will find work: an idle drainer
-       would pay the queue round-trip for nothing. *)
-    | Some _ when n_chunks = 0 -> [||]
-    | Some pool ->
-        Workers.run pool (Array.make (min threads n_chunks) drain)
-  in
-  {
-    label;
-    n_instances = Sched.phase_size phase;
-    n_units = n_chunks;
-    loads = Array.map (fun (_, _, l) -> l) stats;
-    busy = Array.map (fun (b, _, _) -> b) stats;
-    alloc = Array.map (fun (_, w, _) -> w) stats;
-    seconds = Obs.Clock.elapsed_s t0;
-  }
+(* The one phase runner.  A phase that engages one domain runs on the
+   calling domain: a plain loop over its instances, tasks in index
+   order, with no chunk array, closure or cursor — the path a sequential
+   run takes.  With a log attached the same instances run as the same
+   chunks inside the bucket and task spans.  A phase that engages
+   several domains is cut into chunks that those domains drain through
+   one atomic cursor on the pool, so a late-waking or straggling domain
+   simply takes fewer chunks; the return from {!Workers.run} is the
+   barrier. *)
+let run_phase ~logged ~cost ~threads ~pool compiled ~t0 r k ~domains phase =
+  match pool with
+  | Some pool when domains > 1 ->
+      let label = Sched.phase_label phase in
+      let chunks = chunks_of ~cost ~threads phase in
+      let n_chunks = Array.length chunks in
+      let next = Atomic.make 0 in
+      let drain () =
+        drain_chunks ~logged ~label compiled phase (fun f ->
+            let rec go () =
+              let c = Atomic.fetch_and_add next 1 in
+              if c < n_chunks then begin
+                f chunks.(c);
+                go ()
+              end
+            in
+            go ())
+      in
+      r.units.(k) <- n_chunks;
+      r.pooled.(k) <- Workers.run pool (Array.make domains drain)
+  | _ when logged ->
+      let label = Sched.phase_label phase in
+      let chunks = chunks_of ~cost ~threads:1 phase in
+      r.units.(k) <- Array.length chunks;
+      r.start.(k) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
+      Obs.Span.with_ ~name:("bucket:" ^ label) (fun () ->
+          Array.iter (traced_chunk ~label compiled phase) chunks)
+  | _ -> (
+      r.start.(k) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
+      match phase with
+      | Sched.Doall { instances; _ } ->
+          let n = Array.length instances in
+          r.units.(k) <- min 1 n;
+          exec_range compiled instances 0 n
+      | Sched.Tasks { tasks; _ } ->
+          r.units.(k) <- nonempty_tasks tasks;
+          for u = 0 to Array.length tasks - 1 do
+            exec_range compiled tasks.(u) 0 (Array.length tasks.(u))
+          done)
 
+let phase_stat r k phase =
+  let label = Sched.phase_label phase and n_instances = Sched.phase_size phase in
+  let seconds = (r.bound.(k + 1) -. r.bound.(k)) *. 1e-9 in
+  match r.pooled.(k) with
+  | [||] ->
+      {
+        label;
+        n_instances;
+        n_units = r.units.(k);
+        loads = [| n_instances |];
+        busy = [| (r.bound.(k + 1) -. r.start.(k)) *. 1e-9 |];
+        alloc = [| r.words.(k) |];
+        seconds;
+      }
+  | st ->
+      {
+        label;
+        n_instances;
+        n_units = r.units.(k);
+        loads = Array.map (fun (_, _, l) -> l) st;
+        busy = Array.map (fun (b, _, _) -> b) st;
+        alloc = Array.map (fun (_, w, _) -> w) st;
+        seconds;
+      }
+
+(* The clock and the allocation counters are read once at each phase
+   boundary: a phase closes where the next one opens.  A phase on the
+   caller adds one clock reading, at the start of its loop, so [busy] is
+   the loop's time and [seconds] the boundary-to-boundary wall.  The
+   domains each phase engages are settled before the timed region, and
+   a transient pool is made there only when some phase engages two. *)
 let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   let threads = max 1 threads in
   let store =
@@ -166,25 +240,48 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   let compiled =
     Obs.Span.with_ ~name:"compile" (fun () -> Compile.program env store)
   in
+  let phases = Array.of_list s.Sched.phases in
+  let domains = Array.map (engaged ~cost ~threads) phases in
   let pool, owned =
-    if threads = 1 then (None, false)
-    else
-      match workers with
-      | Some w -> (Some w, false)
-      | None -> (Some (Workers.create ~domains:threads), true)
+    match workers with
+    | Some w -> (Some w, false)
+    | None when Array.exists (fun d -> d > 1) domains ->
+        (Some (Workers.create ~domains:threads), true)
+    | None -> (None, false)
   in
   Fun.protect
     ~finally:(fun () -> if owned then Option.iter Workers.shutdown pool)
     (fun () ->
-      let t0 = Obs.Clock.now_ns () in
-      let phase_stats =
-        List.map
-          (fun phase ->
-            Obs.Span.with_ ~name:("phase:" ^ Sched.phase_label phase)
-              (fun () -> run_phase_timed ~pool ~cost compiled ~threads phase))
-          s.Sched.phases
+      let n = Array.length phases in
+      let r =
+        {
+          bound = Array.make (n + 1) 0.0;
+          start = Array.make n 0.0;
+          words = Array.make n 0.0;
+          units = Array.make n 0;
+          pooled = Array.make n [||];
+        }
       in
-      { store; seconds = Obs.Clock.elapsed_s t0; phase_stats })
+      let logged = Obs.Event.enabled (Obs.Event.ambient ()) in
+      let spans = logged || Obs.Flight.enabled () in
+      let probe = Obs.Gcstats.mark () in
+      let t0 = Obs.Clock.now_ns () in
+      for k = 0 to n - 1 do
+        let phase = phases.(k) and domains = domains.(k) in
+        if spans then
+          Obs.Span.with_ ~name:("phase:" ^ Sched.phase_label phase) (fun () ->
+              run_phase ~logged ~cost ~threads ~pool compiled ~t0 r k ~domains
+                phase)
+        else
+          run_phase ~logged ~cost ~threads ~pool compiled ~t0 r k ~domains phase;
+        r.bound.(k + 1) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
+        r.words.(k) <- Obs.Gcstats.lap probe
+      done;
+      {
+        store;
+        seconds = r.bound.(n) *. 1e-9;
+        phase_stats = List.init n (fun k -> phase_stat r k phases.(k));
+      })
 
 let run ?cost env ~threads s = (run_timed ?cost env ~threads s).store
 

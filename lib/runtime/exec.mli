@@ -9,24 +9,36 @@
     boxed float its right-hand side returns, ~2 words per instance.
     {!Interp.run_sequential} remains the reference oracle ({!check}).
 
-    Phases are separated by barriers.  Within a phase, work is addressed
-    as [(unit, offset, length)] chunks — descriptors over the phase's
-    instance arrays, so chunk setup copies no instance data.  One chunk
-    policy, driven by the {!Sim} cost model: DOALL blocks are sized
-    cost-proportionally via {!Sim.doall_chunk_count} (several chunks per
-    domain when per-chunk work dwarfs scheduling overhead), non-empty
-    tasks are sorted longest-first, and all domains drain the chunks
-    through one atomic cursor — dynamic self-scheduling, so a straggling
-    domain simply takes fewer chunks and per-barrier idle time shrinks.
+    Phases are separated by barriers.  The {!Sim} cost model decides
+    how many domains each phase engages: as many as the chunks its work
+    affords ({!Sim.doall_chunk_count}: each chunk worth 4× the modelled
+    fork + barrier), at most one per non-empty task and at most
+    [threads].  With {!Sim.base_seconds} a phase engages a second
+    domain only from 400 instances.
 
-    Chunks of the same phase execute concurrently on a persistent
-    {!Workers.t} pool: pass [?workers] to reuse one pool across many runs
-    (the analysis service does), or let {!run_timed} create a transient
-    pool — domains are then spawned once per run, not once per phase.
+    A phase that engages one domain runs on the calling domain, in a
+    plain loop over its instances (tasks in index order): no chunk
+    array, no closure, no cursor and no {!Workers.run} round trip.  A
+    [threads ≤ 1] run takes this same path for every phase.  A phase
+    that engages several domains is addressed as [(unit, offset,
+    length)] chunks — descriptors over the phase's instance arrays, so
+    chunk setup copies no instance data.  DOALL blocks are sized
+    cost-proportionally (several chunks per domain when per-chunk work
+    dwarfs scheduling overhead), non-empty tasks are sorted
+    longest-first, and the engaged domains drain the chunks through one
+    atomic cursor — dynamic self-scheduling, so a straggling domain
+    simply takes fewer chunks and per-barrier idle time shrinks.  Only
+    those domains are handed to the pool, which runs them on a
+    persistent {!Workers.t}: pass [?workers] to reuse one pool across
+    many runs (the analysis service does), or let {!run_timed} create a
+    transient pool at the first phase that needs one — domains are then
+    spawned once per run, not once per phase, and not at all when no
+    phase engages a second domain.
 
-    All entry points accept any thread count: values ≤ 1 run sequentially
-    on the calling domain (never raise), and only domains that will find
-    a chunk are handed to the pool.
+    The clock and the exact {!Obs.Gcstats} counters are read once per
+    phase boundary: one phase closes where the next opens.  All entry
+    points accept any thread count: values ≤ 1 run sequentially on the
+    calling domain (never raise).
 
     Every run goes through one instrumented path ({!run_timed}); {!run}
     and {!check} are thin views of it, and the pipeline layer turns the
@@ -35,7 +47,10 @@
     additionally becomes a span on the executing domain's timeline in
     the ambient {!Obs.Event} log when a top-level command attached one
     (with no log attached, the bucket and chunk spans are not even
-    opened).  Per-chunk [task] spans carry the sample
+    opened, and with the {!Obs.Flight} recorder off too, not even a
+    phase span's name is built).  Tracing never changes which domains run a phase: on the
+    calling domain the same instances run as the same chunks inside the
+    bucket and task spans.  Per-chunk [task] spans carry the sample
     {!Obs.Critpath} consumes — [("phase", label)], [("chain", id)] (task
     phases; the REC chain index) or [("block", id)] (DOALL blocks), and
     [("len", points)] — so every barrier's straggler is attributable to
@@ -44,18 +59,23 @@
 type phase_stat = {
   label : string;  (** the phase's {!Sched.phase_label} *)
   n_instances : int;  (** statement instances executed in the phase *)
-  n_units : int;  (** non-empty chunks (DOALL) or tasks executed *)
+  n_units : int;
+      (** non-empty chunks (DOALL; one for a non-empty DOALL phase on the
+          calling domain) or non-empty tasks executed *)
   loads : int array;
-      (** instances executed per domain (length = executing domain count
-          for parallel runs, [[| n |]] for sequential runs) *)
+      (** instances executed per domain (length = the domains the phase
+          engaged, [[| n |]] for a phase on the calling domain) *)
   busy : float array;
       (** seconds each domain spent executing its chunks, aligned with
           [loads]; the gap to [seconds] is barrier idle time *)
   alloc : float array;
-      (** words each domain allocated while executing its chunks (an
-          {!Obs.Gcstats.mark} reading taken inside the domain: O(1) and
-          exact for that domain), aligned with [busy] *)
-  seconds : float;  (** wall time of the phase, barrier included *)
+      (** words each domain allocated while executing its chunks (exact
+          {!Obs.Gcstats} readings: taken inside each engaged domain, or
+          at the phase's boundaries for a phase on the calling domain),
+          aligned with [busy] *)
+  seconds : float;
+      (** wall time of the phase from its opening to its closing
+          boundary, barrier included *)
 }
 
 type timed = {
@@ -73,11 +93,13 @@ val run_timed :
   threads:int ->
   Sched.t ->
   timed
-(** Executes the schedule on [threads] domains (sequential on the calling
-    domain when [threads ≤ 1]) and records per-phase wall time and
-    per-domain load/busy time.  [cost] (default {!Sim.base_seconds})
-    sizes the DOALL chunks; [workers] (default: a transient pool created
-    and shut down inside this call) supplies a persistent executor pool.
+(** Executes the schedule on up to [threads] domains (sequential on the
+    calling domain when [threads ≤ 1]) and records per-phase wall time
+    and per-domain load/busy time.  [cost] (default {!Sim.base_seconds})
+    decides the domains each phase engages and sizes the DOALL chunks;
+    [workers] (default: a transient pool created at the first phase that
+    engages a second domain and shut down inside this call) supplies a
+    persistent executor pool.
     [store] (default: a fresh {!Interp.scan_bounds} of [env]) is the
     frozen store the run writes into and returns; a caller that scanned
     already passes its store, or an {!Arrays.copy} of it.

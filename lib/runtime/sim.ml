@@ -51,12 +51,13 @@ let phase_time c ~threads phase =
   in
   c.fork +. (c.bound_eval *. float_of_int threads) +. work +. c.barrier
 
-(* How many blocks a DOALL phase of [n] iterations should be split into
-   so that dynamic self-scheduling can absorb wake-up jitter and
-   stragglers: as many as the work can amortize (each chunk must be worth
-   several times the per-phase fork+barrier overhead), floored at
-   [threads] (every domain gets work) and capped at [8 × threads] (queue
-   traffic stays negligible).  Sequential runs get a single block. *)
+(* How many blocks a DOALL phase of [n] iterations should be split into:
+   as many as the work can amortize (each chunk must be worth several
+   times the per-phase fork+barrier overhead), capped at [8 × threads]
+   (queue traffic stays negligible) and at [n].  The floor is one block:
+   a phase too small to pay for a second chunk is not split, and
+   {!Exec} runs it on the calling domain.  Sequential runs get a single
+   block. *)
 let doall_chunk_count c ~threads ~n =
   if n <= 0 then 0
   else if threads <= 1 || n = 1 then 1
@@ -64,9 +65,11 @@ let doall_chunk_count c ~threads ~n =
     let per_iter = c.w_iter *. c.code_factor in
     let overhead = Float.max 1e-12 (c.fork +. c.barrier) in
     let affordable =
-      int_of_float (float_of_int n *. per_iter /. (4.0 *. overhead))
+      Float.min
+        (float_of_int (8 * threads))
+        (float_of_int n *. per_iter /. (4.0 *. overhead))
     in
-    min n (max threads (min (8 * threads) affordable))
+    min n (max 1 (int_of_float affordable))
   end
 
 let time c ~threads s =

@@ -43,9 +43,18 @@ val doall_chunk_count : cost -> threads:int -> n:int -> int
 (** Cost-proportional block count for an [n]-iteration DOALL phase on
     [threads] domains: as many blocks as the modelled work can amortize
     against the per-phase fork+barrier overhead (each block ≥ 4× the
-    overhead), floored at [threads], capped at [8 × threads] and at [n].
-    [threads ≤ 1] yields one block ([0] for an empty phase) — sequential
-    execution never splits.  {!Exec} sizes its DOALL chunks with it. *)
+    overhead), floored at 1, capped at [8 × threads] and at [n].  So a
+    phase whose work affords fewer than two blocks gets one: with
+    {!base_seconds} that is every phase under 400 iterations.  The
+    count is monotone in [n] and in [w_iter].  [threads ≤ 1] yields one
+    block ([0] for an empty phase) — sequential execution never splits.
+
+    {!Exec} sizes its DOALL chunks with it, and engages
+    [min threads (doall_chunk_count …)] domains for a phase (a task
+    phase also at most one per non-empty task); a phase that engages
+    one domain runs on the calling domain.  {!phase_time} is not
+    affected: it charges every phase a fork and a barrier, as the
+    paper's OpenMP code pays them. *)
 
 val seq_time : cost -> int -> float
 (** Sequential execution of [n] iterations of the {e original} code

@@ -132,19 +132,6 @@ let shutdown t =
   Runtime.Workers.shutdown t.pool;
   Option.iter Store.close t.store
 
-(* Same exception → Diag mapping as Pipeline.Driver.guarded: the known
-   library exceptions become typed errors; anything else escapes to the
-   per-request panic isolation in [process]. *)
-let guarded f =
-  match f () with
-  | v -> Ok v
-  | exception Diag.Error e -> Error e
-  | exception Presburger.Omega.Blowup m -> Error (Diag.Set_blowup m)
-  | exception Core.Dataflow.Did_not_terminate n ->
-      Error (Diag.Dataflow_step_limit n)
-  | exception Invalid_argument m -> Error (Diag.Unsupported m)
-  | exception Depend.Space.Unsupported m -> Error (Diag.Unsupported m)
-
 let pipeline_failure stage e =
   Proto.Pipeline_error
     {
@@ -165,7 +152,7 @@ let survey_of prog ~params =
   let classified =
     match Pipeline.Driver.analyze prog with
     | Ok a ->
-        guarded (fun () ->
+        Pipeline.Driver.guarded (fun () ->
             let arr =
               Array.map
                 (fun n ->
@@ -186,7 +173,7 @@ let survey_of prog ~params =
     | Error (Diag.Unsupported _) ->
         (* Imperfect nest / multiple statements: classify on the exact
            instance graph, like Algorithm 1's fallback. *)
-        guarded (fun () ->
+        Pipeline.Driver.guarded (fun () ->
             List.iter
               (fun p ->
                 if not (List.mem_assoc p params) then
@@ -218,7 +205,7 @@ let compute t (req : Proto.request) prog ~threads =
       | Ok s ->
           let strategy =
             match
-              guarded (fun () ->
+              Pipeline.Driver.guarded (fun () ->
                   Pipeline.Driver.classify ?strategy:req.strategy prog)
             with
             | Ok (Ok plan) ->

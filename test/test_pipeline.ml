@@ -247,6 +247,115 @@ let test_materialize_result_param_arity () =
       | Ok _ -> Alcotest.fail "arity mismatch not reported")
   | _ -> Alcotest.fail "example1 REC expected"
 
+(* A nest whose never-executed statement has a subscript whose affine
+   form overflows (2 × 4611686018427387903 leaves the native range):
+   every layer must answer with a typed error or a result, never with
+   the bare [Numeric.Safeint.Overflow]. *)
+let overflow_src =
+  "DO i = 1, 3\n\
+  \  a(i) = a(i) + 1.0\n\
+   ENDDO\n\
+   DO j = 1, 0\n\
+  \  b(4611686018427387903*j*2) = 1.0\n\
+   ENDDO\n"
+
+let overflow1_src =
+  "DO j = 1, 0\n  b(4611686018427387903*j*2) = b(j) + 1.0\nENDDO\n"
+
+(* The recpart binary next to this test's build directory. *)
+let recpart_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "recpart.exe" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_overflowing_subscript_typed () =
+  let prog = Loopir.Parser.parse ~name:"overflow" overflow_src in
+  (* The statement never runs, so the compiled run agrees with the
+     oracle. *)
+  (match Driver.run ~name:"overflow" ~params:[] prog with
+  | Ok { report; _ } ->
+      Alcotest.(check string) "legality" "ok"
+        (Report.check_result_string report.Report.legality);
+      Alcotest.(check string) "semantics" "ok"
+        (Report.check_result_string report.Report.semantics)
+  | Error e -> Alcotest.fail ("run: " ^ Driver.error_to_string e));
+  (* The analysis reads the subscript and fails typed. *)
+  (match Driver.guarded (fun () -> Depend.Solve.analyze_unified prog) with
+  | Error Diag.Int_overflow -> ()
+  | Error e -> Alcotest.fail ("unified analysis: " ^ Diag.to_string e)
+  | Ok _ -> Alcotest.fail "unified analysis: overflow not reported");
+  (* Alone, the statement is the nest the analysis must classify: the
+     run fails typed at classify. *)
+  let single = Loopir.Parser.parse ~name:"overflow1" overflow1_src in
+  (match Driver.analyze single with
+  | Error Diag.Int_overflow -> ()
+  | Error e -> Alcotest.fail ("analyze: " ^ Diag.to_string e)
+  | Ok _ -> Alcotest.fail "analyze: overflow not reported");
+  (match Driver.run ~name:"overflow1" ~params:[] single with
+  | Error { Driver.stage = Diag.Classify; error = Diag.Int_overflow; _ } -> ()
+  | Error e -> Alcotest.fail ("run: " ^ Driver.error_to_string e)
+  | Ok _ -> Alcotest.fail "run: overflow not reported");
+  Alcotest.(check string) "label" "int-overflow" (Diag.label Diag.Int_overflow);
+  (* Served: a typed pipeline error, not a panic. *)
+  let svc =
+    Svc.Service.create
+      ~config:{ Svc.Service.default_config with domains = 1; threads = 1 }
+      ()
+  in
+  let reply =
+    Fun.protect
+      ~finally:(fun () -> Svc.Service.shutdown svc)
+      (fun () ->
+        Svc.Service.run_one svc
+          (Svc.Proto.request ~id:"overflow" ~name:"overflow"
+             ~mode:Svc.Proto.Classify (Svc.Proto.Src overflow_src)))
+  in
+  (match reply.Svc.Proto.body with
+  | Svc.Proto.Failed (Svc.Proto.Pipeline_error { label; _ }) ->
+      Alcotest.(check string) "served label" "int-overflow" label
+  | Svc.Proto.Failed f ->
+      Alcotest.failf "served: %s %s" (Svc.Proto.failure_kind f)
+        (Svc.Proto.failure_message f)
+  | _ -> Alcotest.fail "served: overflow not reported");
+  (* The CLI exits 1 with the typed message, as on the other typed
+     errors: [analyze] on both nests, [run] on the single statement; [run]
+     on the whole nest succeeds. *)
+  let src = Filename.temp_file "overflow" ".f" in
+  let src1 = Filename.temp_file "overflow1" ".f" in
+  let err = Filename.temp_file "overflow" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; src1; err ])
+    (fun () ->
+      List.iter
+        (fun (path, text) ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc text))
+        [ (src, overflow_src); (src1, overflow1_src) ];
+      let recpart cmd path =
+        let code =
+          Sys.command
+            (Filename.quote_command recpart_exe [ cmd; path ]
+               ~stdout:Filename.null ~stderr:err)
+        in
+        (code, read_file err)
+      in
+      List.iter
+        (fun (cmd, path, label) ->
+          let code, msg = recpart cmd path in
+          Alcotest.(check int) (label ^ " exits 1") 1 code;
+          Alcotest.(check bool) (label ^ " prints the typed error: " ^ msg)
+            true
+            (contains ~needle:"integer overflow" msg
+            && not (contains ~needle:"uncaught exception" msg)))
+        [
+          ("analyze", src, "recpart analyze");
+          ("analyze", src1, "recpart analyze (single statement)");
+          ("run", src1, "recpart run (single statement)");
+        ];
+      Alcotest.(check int) "recpart run exits 0" 0 (fst (recpart "run" src)))
+
 let test_error_labels_stable () =
   (* Kebab-case labels are part of the tooling interface. *)
   List.iter
@@ -258,6 +367,7 @@ let test_error_labels_stable () =
       (Diag.Singular_recurrence "t", "singular-recurrence");
       (Diag.Set_blowup "b", "set-blowup");
       (Diag.Invalid_thread_count 0, "invalid-thread-count");
+      (Diag.Int_overflow, "int-overflow");
     ];
   (* Every stage has a printable name. *)
   List.iter
@@ -894,6 +1004,8 @@ let () =
             test_trace_unbound_parameter_result;
           Alcotest.test_case "materialize arity" `Quick
             test_materialize_result_param_arity;
+          Alcotest.test_case "overflowing subscript fails typed" `Quick
+            test_overflowing_subscript_typed;
           Alcotest.test_case "stable error labels" `Quick
             test_error_labels_stable;
           Alcotest.test_case "errors carry stage timings" `Quick

@@ -1090,16 +1090,11 @@ let prop_stores_match_dense_strided ~count =
       let want = outcome (fun () -> reference_run env) in
       same_outcome ~env want (outcome (fun () -> Interp.run_sequential env))
       &&
-      (* The kernels compile every statement, so they refuse an unbound
-         name or an overflowing constant in a statement that never runs,
-         which the interpreter never evaluates. *)
-      let compiles () =
-        match Runtime.Compile.program env (Interp.scan_bounds env) with
-        | _ -> true
-        | exception _ -> false
-      in
+      (* Every nest the oracle runs, the kernels run too: an unbound name
+         or an overflowing constant fails only in a statement that
+         runs. *)
       match (want, sequential_schedule env) with
-      | Ok _, Some s when compiles () ->
+      | Ok _, Some s ->
           check_timed_matches "strided nest" want env s;
           true
       | _ -> true)
@@ -1584,31 +1579,57 @@ let test_compiled_general_path_nonaffine () =
        (Interp.run_sequential env))
 
 let test_doall_chunk_count_bounds () =
-  (* The chunk policy: nothing for empty phases, one chunk sequentially,
-     never fewer chunks than domains (work exists), never more than
-     8×domains or the instance count. *)
+  (* The chunk policy: nothing for empty phases, one chunk sequentially
+     and below two affordable chunks, never more than 8×domains or the
+     instance count, and monotone in the instance count and in the
+     per-iteration cost. *)
   let c = Sim.base_seconds in
-  Alcotest.(check int) "empty phase" 0 (Sim.doall_chunk_count c ~threads:4 ~n:0);
-  Alcotest.(check int) "sequential" 1
-    (Sim.doall_chunk_count c ~threads:1 ~n:5000);
+  let count ?(c = c) ~threads n = Sim.doall_chunk_count c ~threads ~n in
+  Alcotest.(check int) "empty phase" 0 (count ~threads:4 0);
+  Alcotest.(check int) "sequential" 1 (count ~threads:1 5000);
+  (* Each chunk must be worth 4 × (fork + barrier) = 200 µs, and an
+     iteration is modelled at 1 µs: two chunks from 400 iterations. *)
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check int) (Printf.sprintf "n=%d at 2 domains" n) want
+        (count ~threads:2 n))
+    [
+      (1, 1); (4, 1); (265, 1); (399, 1); (400, 2); (766, 3); (1000, 5);
+      (6400, 16);
+    ];
   Alcotest.(check int) "capped by n" 2
-    (Sim.doall_chunk_count c ~threads:4 ~n:2);
+    (count ~c:{ c with Sim.w_iter = 1.0 } ~threads:4 2);
+  List.iter
+    (fun threads ->
+      let prev = ref 0 in
+      List.iter
+        (fun n ->
+          let k = count ~threads n in
+          Alcotest.(check bool)
+            (Printf.sprintf "t=%d n=%d: 1 <= k <= min n (8*t)" threads n)
+            true
+            (k >= 1 && k <= 8 * threads && k <= n);
+          Alcotest.(check bool)
+            (Printf.sprintf "t=%d n=%d: monotone in n" threads n)
+            true (k >= !prev);
+          prev := k)
+        [ 1; 2; 10; 399; 400; 1000; 6400; 100_000; 10_000_000 ])
+    [ 2; 4; 8 ];
+  (* Monotone in the per-iteration cost. *)
   List.iter
     (fun n ->
-      let k = Sim.doall_chunk_count c ~threads:4 ~n in
-      Alcotest.(check bool)
-        (Printf.sprintf "n=%d: threads <= k <= 8*threads" n)
-        true
-        (k >= 4 && k <= 32 && k <= n))
-    [ 10; 1000; 100_000; 10_000_000 ];
-  (* Cheap iterations afford fewer chunks than expensive ones. *)
-  let cheap = Sim.doall_chunk_count c ~threads:4 ~n:1000 in
-  let expensive =
-    Sim.doall_chunk_count
-      { c with Sim.w_iter = c.Sim.w_iter *. 100.0 }
-      ~threads:4 ~n:1000
-  in
-  Alcotest.(check bool) "cost-proportional" true (expensive >= cheap)
+      let prev = ref 0 in
+      List.iter
+        (fun f ->
+          let k =
+            count ~c:{ c with Sim.w_iter = c.Sim.w_iter *. f } ~threads:4 n
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d w_iter×%g: monotone in w_iter" n f)
+            true (k >= !prev);
+          prev := k)
+        [ 0.01; 0.5; 1.0; 2.0; 100.0; 1e6 ])
+    [ 10; 400; 1000 ]
 
 let test_doall_chunk_ranges () =
   (* Chunk ranges tile [0, n) exactly, in order, with no empty chunk. *)
@@ -1840,6 +1861,244 @@ let test_run_timed_busy_arrays () =
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* Domains engaged per phase                                            *)
+
+(* A schedule as the pipeline builds it (exec-paper builds its cases the
+   same way). *)
+let driver_schedule ?strategy prog params =
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s" (Diag.to_string e)
+  in
+  let plan = ok (Pipeline.Driver.classify ?strategy prog) in
+  let m = ok (Pipeline.Driver.materialize plan ~prog ~params) in
+  (Interp.prepare prog ~params, ok (Pipeline.Driver.schedule m))
+
+let with_pool domains f =
+  let w = Workers.create ~domains in
+  Fun.protect ~finally:(fun () -> Workers.shutdown w) (fun () -> f w)
+
+(* The workers counters a thunk moves: [(jobs, jobs_stolen, queued)],
+   [queued] the count of the queue-wait histogram. *)
+let pool_traffic f =
+  let before = Obs.Metrics.snapshot () in
+  let v = f () in
+  let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+  let c name =
+    Option.value ~default:0 (List.assoc_opt name d.Obs.Metrics.counters)
+  in
+  let queued =
+    match
+      List.assoc_opt "runtime.workers.queue_wait_us" d.Obs.Metrics.histograms
+    with
+    | Some h -> h.Obs.Histogram.count
+    | None -> 0
+  in
+  (v, (c "runtime.workers.jobs", c "runtime.workers.jobs_stolen", queued))
+
+let test_small_phases_enqueue_nothing () =
+  (* exec-paper's mindist schedule: 3,876 phases of 1–4 instances, none
+     worth a second domain, so the 2-domain pool sees no job at all. *)
+  let env, sched =
+    driver_schedule ~strategy:Pipeline.Plan.Mindist Loopir.Builtin.example1
+      [ ("n1", 100); ("n2", 150) ]
+  in
+  Alcotest.(check int) "mindist phases" 3876 (Sched.n_phases sched);
+  let oracle = Interp.run_sequential env in
+  with_pool 2 (fun w ->
+      let tmd, (jobs, stolen, queued) =
+        pool_traffic (fun () -> Exec.run_timed ~workers:w env ~threads:2 sched)
+      in
+      Alcotest.(check (triple int int int))
+        "jobs, jobs_stolen, queue waits" (0, 0, 0) (jobs, stolen, queued);
+      List.iter
+        (fun (ps : Exec.phase_stat) ->
+          Alcotest.(check int) (ps.Exec.label ^ ": one unit") 1 ps.Exec.n_units;
+          Alcotest.(check int) (ps.Exec.label ^ ": one domain") 1
+            (Array.length ps.Exec.loads))
+        tmd.Exec.phase_stats;
+      Alcotest.(check bool) "store = run_sequential" true
+        (Arrays.equal tmd.Exec.store oracle));
+  (* example1-rec at 200×300: each of its 3 phases has ≥ 766 instances
+     and still engages both domains. *)
+  let env, sched =
+    driver_schedule ~strategy:Pipeline.Plan.Rec Loopir.Builtin.example1
+      [ ("n1", 200); ("n2", 300) ]
+  in
+  let oracle = Interp.run_sequential env in
+  with_pool 2 (fun w ->
+      let tmd, (jobs, _, _) =
+        pool_traffic (fun () -> Exec.run_timed ~workers:w env ~threads:2 sched)
+      in
+      Alcotest.(check int) "three phases" 3 (List.length tmd.Exec.phase_stats);
+      Alcotest.(check int) "two drainers per phase" 6 jobs;
+      List.iter
+        (fun (ps : Exec.phase_stat) ->
+          Alcotest.(check int) (ps.Exec.label ^ ": two domains") 2
+            (Array.length ps.Exec.loads))
+        tmd.Exec.phase_stats;
+      Alcotest.(check bool) "store = run_sequential" true
+        (Arrays.equal tmd.Exec.store oracle))
+
+let test_small_task_phases_inline () =
+  (* Task phases under 400 instances at t = 4 (REC chains of example2,
+     PDM cosets of example1) run on the caller, one unit per non-empty
+     task, and leave the store bit for bit equal to run_sequential. *)
+  List.iter
+    (fun (name, strategy, prog, params) ->
+      let env, sched = driver_schedule ~strategy prog params in
+      let tasks =
+        List.filter
+          (function Sched.Tasks _ -> true | Sched.Doall _ -> false)
+          sched.Sched.phases
+      in
+      Alcotest.(check bool) (name ^ ": has a task phase") true (tasks <> []);
+      let tmd, (jobs, _, _) =
+        pool_traffic (fun () -> Exec.run_timed env ~threads:4 sched)
+      in
+      Alcotest.(check int) (name ^ ": no pool job") 0 jobs;
+      List.iter2
+        (fun phase (ps : Exec.phase_stat) ->
+          Alcotest.(check int) (ps.Exec.label ^ ": one domain") 1
+            (Array.length ps.Exec.loads);
+          match phase with
+          | Sched.Tasks { tasks; _ } ->
+              Alcotest.(check int)
+                (ps.Exec.label ^ ": one unit per non-empty task")
+                (List.length
+                   (List.filter (fun t -> Array.length t > 0)
+                      (Array.to_list tasks)))
+                ps.Exec.n_units
+          | Sched.Doall _ -> ())
+        sched.Sched.phases tmd.Exec.phase_stats;
+      Alcotest.(check bool) (name ^ ": store = run_sequential") true
+        (Arrays.equal tmd.Exec.store (Interp.run_sequential env)))
+    [
+      ("example2-rec", Pipeline.Plan.Rec, Loopir.Builtin.example2, [ ("n", 12) ]);
+      ( "example1-pdm",
+        Pipeline.Plan.Pdm,
+        Loopir.Builtin.example1,
+        [ ("n1", 12); ("n2", 16) ] );
+    ]
+
+let test_traced_units_match_untraced () =
+  (* Tracing never changes which domains run a phase, nor its units. *)
+  List.iter
+    (fun (name, strategy, prog, params, threads) ->
+      let env, sched = driver_schedule ~strategy prog params in
+      with_pool threads (fun w ->
+          let units () =
+            List.map
+              (fun (ps : Exec.phase_stat) ->
+                (ps.Exec.n_units, Array.length ps.Exec.loads))
+              (Exec.run_timed ~workers:w env ~threads sched).Exec.phase_stats
+          in
+          let untraced = units () in
+          let log = Obs.Event.make () in
+          let traced = Obs.Event.with_ambient log units in
+          Alcotest.(check bool) (name ^ ": spans recorded") true
+            (Obs.Event.spans log <> []);
+          Alcotest.(check (list (pair int int)))
+            (name ^ ": units and domains per phase") untraced traced))
+    [
+      ( "example1-mindist",
+        Pipeline.Plan.Mindist,
+        Loopir.Builtin.example1,
+        [ ("n1", 20); ("n2", 30) ],
+        4 );
+      ("example2-rec", Pipeline.Plan.Rec, Loopir.Builtin.example2, [ ("n", 12) ], 4);
+      ( "example1-rec",
+        Pipeline.Plan.Rec,
+        Loopir.Builtin.example1,
+        [ ("n1", 200); ("n2", 300) ],
+        2 );
+    ]
+
+let test_mindist_phase_allocation () =
+  (* A phase on the caller costs its kernels' ~2 words per instance and a
+     few dozen words of bookkeeping, nearly all the returned statistics
+     (exact counters; all of mindist's phases run on the caller, at one
+     thread and on exec-paper's 2-domain pool alike). *)
+  let env, sched =
+    driver_schedule ~strategy:Pipeline.Plan.Mindist Loopir.Builtin.example1
+      [ ("n1", 100); ("n2", 150) ]
+  in
+  let store = Interp.scan_bounds env in
+  let oracle = Interp.run_sequential env in
+  with_pool 2 (fun w ->
+      List.iter
+        (fun (label, workers, threads) ->
+          let run st = Exec.run_timed ?workers ~store:st env ~threads sched in
+          ignore (run (Arrays.copy store));
+          let st = Arrays.copy store in
+          let p = Obs.Gcstats.mark () in
+          let tmd = run st in
+          let words = Obs.Gcstats.words_since p in
+          let phases = float_of_int (Sched.n_phases sched)
+          and instances = float_of_int (Sched.n_instances sched) in
+          let per_phase = (words -. (2.0 *. instances)) /. phases in
+          if per_phase > 48.0 then
+            Alcotest.failf
+              "%s: run_timed allocated %.0f words, %.1f per phase beyond 2 \
+               per instance (limit 48)"
+              label words per_phase;
+          Alcotest.(check bool) (label ^ ": store = run_sequential") true
+            (Arrays.equal tmd.Exec.store oracle))
+        [ ("t=1", None, 1); ("t=2 on a 2-domain pool", Some w, 2) ])
+
+let test_pool_path_matches_sequential () =
+  (* With a per-iteration cost of a second every phase of two or more
+     instances affords a chunk per instance, so every phase goes to the
+     pool: the chunked path must still land on the sequential store. *)
+  let split = { Sim.base_seconds with Sim.w_iter = 1.0 } in
+  List.iter
+    (fun (name, prog) ->
+      let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
+      let sched =
+        Sched.sequential_of_trace (Trace.build prog ~params)
+      in
+      let env = Interp.prepare prog ~params in
+      let oracle = Interp.run_sequential env in
+      List.iter
+        (fun threads ->
+          let tmd = Exec.run_timed ~cost:split env ~threads sched in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s t=%d: store = run_sequential" name threads)
+            true
+            (Arrays.equal tmd.Exec.store oracle))
+        [ 2; 4 ])
+    Loopir.Builtin.corpus;
+  (* REC schedules split into chunks on both domain counts. *)
+  let env, sched =
+    rec_schedule Loopir.Builtin.example2 [ ("n", 12) ] [| 12 |]
+  in
+  List.iter
+    (fun threads ->
+      let tmd = Exec.run_timed ~cost:split env ~threads sched in
+      List.iter2
+        (fun phase (ps : Exec.phase_stat) ->
+          let pieces =
+            match phase with
+            | Sched.Doall { instances; _ } -> Array.length instances
+            | Sched.Tasks { tasks; _ } ->
+                List.length
+                  (List.filter
+                     (fun t -> Array.length t > 0)
+                     (Array.to_list tasks))
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s t=%d: one domain per piece" ps.Exec.label
+               threads)
+            (min threads pieces)
+            (Array.length ps.Exec.loads))
+        sched.Sched.phases tmd.Exec.phase_stats;
+      Alcotest.(check bool)
+        (Printf.sprintf "example2-rec t=%d: store = run_sequential" threads)
+        true
+        (Arrays.equal tmd.Exec.store (Interp.run_sequential env)))
+    [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "runtime"
@@ -1943,6 +2202,16 @@ let () =
           Alcotest.test_case "thread_loads overflow folding" `Quick
             test_thread_loads_overflow;
           Alcotest.test_case "busy arrays" `Quick test_run_timed_busy_arrays;
+          Alcotest.test_case "small phases enqueue no job (mindist, 2 domains)"
+            `Quick test_small_phases_enqueue_nothing;
+          Alcotest.test_case "small task phases run inline (t=4)" `Quick
+            test_small_task_phases_inline;
+          Alcotest.test_case "traced and untraced runs report the same units"
+            `Quick test_traced_units_match_untraced;
+          Alcotest.test_case "mindist phase allocation (exact counters)" `Quick
+            test_mindist_phase_allocation;
+          Alcotest.test_case "pool path = sequential (every phase split)"
+            `Quick test_pool_path_matches_sequential;
         ] );
       ( "workers",
         [
