@@ -779,25 +779,6 @@ let prediction_entry () =
               p.Pipeline.Report.rel_error
         | None -> None)
   in
-  let samples_of o =
-    let r = o.Pipeline.Driver.report in
-    match o.Pipeline.Driver.sched with
-    | None -> []
-    | Some s ->
-        let shapes = Runtime.Sim.abstract s in
-        let phases = r.Pipeline.Report.phases in
-        if List.length shapes <> List.length phases then []
-        else
-          List.map2
-            (fun shape (p : Pipeline.Report.phase_profile) ->
-              {
-                Runtime.Sim.s_threads = 1;
-                s_shape = shape;
-                s_busy = p.Pipeline.Report.busy_seconds;
-                s_wall = p.Pipeline.Report.seconds;
-              })
-            shapes phases
-  in
   let mean = function
     | [] -> 0.0
     | l ->
@@ -805,7 +786,9 @@ let prediction_entry () =
         /. float_of_int (List.length l)
   in
   let pre = List.filter_map (fun p -> run_one p) programs in
-  let samples = List.concat_map (fun (_, _, o) -> samples_of o) pre in
+  let samples =
+    List.concat_map (fun (_, _, o) -> Pipeline.Driver.calibration_samples o) pre
+  in
   let post =
     match Runtime.Sim.calibrate samples with
     | None ->

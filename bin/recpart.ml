@@ -582,24 +582,6 @@ let critpath_json (cp : Obs.Critpath.t) ~theorem_bound =
 (* Calibration samples: the schedule's size structure zipped positionally
    with the executor's measured per-phase busy/wall profile (both walk the
    same phase list). *)
-let samples_of_run ~threads sched (report : Pipeline.Report.t) =
-  match sched with
-  | None -> []
-  | Some s ->
-      let shapes = Runtime.Sim.abstract s in
-      let phases = report.Pipeline.Report.phases in
-      if List.length shapes <> List.length phases then []
-      else
-        List.map2
-          (fun shape (p : Pipeline.Report.phase_profile) ->
-            {
-              Runtime.Sim.s_threads = threads;
-              s_shape = shape;
-              s_busy = p.Pipeline.Report.busy_seconds;
-              s_wall = p.Pipeline.Report.seconds;
-            })
-          shapes phases
-
 let profile_cmd =
   let html_arg =
     let doc =
@@ -666,7 +648,7 @@ let profile_cmd =
         write_trace log trace;
         write_html ();
         die "recpart: %s" (Pipeline.Driver.error_to_string e)
-    | Ok { report; sched; _ } ->
+    | Ok ({ report; _ } as outcome) ->
         print_string (Obs.Trace.to_text log);
         print_newline ();
         print_string (Pipeline.Report.to_text report);
@@ -698,7 +680,7 @@ let profile_cmd =
         end;
         if calibrate then begin
           match
-            Runtime.Sim.calibrate (samples_of_run ~threads sched report)
+            Runtime.Sim.calibrate (Pipeline.Driver.calibration_samples outcome)
           with
           | None ->
               prerr_endline

@@ -15,6 +15,20 @@
 
 let default_n = 10
 
+(* A reply's survey block (class, coupled), read back from the JSONL
+   line the service would send. *)
+let survey_of r =
+  let module J = Pipeline.Json in
+  match J.parse (Svc.Proto.response_to_line r) with
+  | Error _ -> None
+  | Ok j -> (
+      match J.member "survey" j with
+      | None -> None
+      | Some s -> (
+          match (J.member "class" s, J.member "coupled" s) with
+          | Some (J.Str cls), Some (J.Bool coupled) -> Some (cls, coupled)
+          | _ -> None))
+
 let () =
   let config =
     {
@@ -44,19 +58,21 @@ let () =
     List.filter_map
       (fun (r : Svc.Proto.response) ->
         match r.Svc.Proto.body with
-        | Svc.Proto.Done { survey = Some s; _ } ->
-            Printf.printf "%-22s %-14s %s\n" r.Svc.Proto.id s.Svc.Proto.cls
-              (if s.Svc.Proto.coupled then "yes" else "no");
-            Some s
-        | Svc.Proto.Done _ | Svc.Proto.Stats _ | Svc.Proto.Healthy _ ->
-            Printf.printf "%-22s (response carried no survey block)\n"
-              r.Svc.Proto.id;
-            None
         | Svc.Proto.Failed f ->
             Printf.printf "%-22s !%s: %s\n" r.Svc.Proto.id
               (Svc.Proto.failure_kind f)
               (Svc.Proto.failure_message f);
-            None)
+            None
+        | Svc.Proto.Done _ | Svc.Proto.Stats _ | Svc.Proto.Healthy _ -> (
+            match survey_of r with
+            | Some (cls, coupled) ->
+                Printf.printf "%-22s %-14s %s\n" r.Svc.Proto.id cls
+                  (if coupled then "yes" else "no");
+                Some (cls, coupled)
+            | None ->
+                Printf.printf "%-22s (response carried no survey block)\n"
+                  r.Svc.Proto.id;
+                None))
       responses
   in
   let total = List.length surveys in
@@ -65,10 +81,10 @@ let () =
     Depend.Distance.class_to_string Depend.Distance.Non_uniform
   in
   let count f = List.length (List.filter f surveys) in
-  let nonuni = count (fun (s : Svc.Proto.survey) -> s.Svc.Proto.cls = non_uniform) in
-  let coupled = count (fun s -> s.Svc.Proto.coupled) in
+  let nonuni = count (fun (cls, _) -> cls = non_uniform) in
+  let coupled = count snd in
   let coupled_nonuni =
-    count (fun s -> s.Svc.Proto.coupled && s.Svc.Proto.cls = non_uniform)
+    count (fun (cls, coupled) -> coupled && cls = non_uniform)
   in
   Printf.printf "%s\n" (String.make 55 '-');
   if errors > 0 then

@@ -4,7 +4,6 @@ type snap = { count : int; sum : int; buckets : (int * int) list }
 
 type t = {
   name : string;
-  count : int Atomic.t;
   sum : int Atomic.t;
   buckets : int Atomic.t array;  (* bucket k: 2^(k-1) < v <= 2^k *)
 }
@@ -20,7 +19,6 @@ let make name =
         let h =
           {
             name;
-            count = Atomic.make 0;
             sum = Atomic.make 0;
             buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
           }
@@ -36,65 +34,48 @@ let bucket_of v =
     let rec go k x = if x = 0 then k else go (k + 1) (x lsr 1) in
     min (n_buckets - 1) (go 0 (v - 1))
 
-(* Negative samples are clamped to 0 *before* anything records, so count,
-   sum and the bucket all see the same value (previously sum clamped but
-   count/bucket recorded the raw sample). *)
+(* Negative samples are clamped to 0 *before* anything records, so sum
+   and the bucket see the same value. *)
 let observe t v =
   let v = if v < 0 then 0 else v in
-  ignore (Atomic.fetch_and_add t.count 1);
   ignore (Atomic.fetch_and_add t.sum v);
   ignore (Atomic.fetch_and_add t.buckets.(bucket_of v) 1)
 
-(* Reads are not atomic as a group, so a snapshot taken while other
-   domains observe could tear.  Two mitigations: retry while the count
-   moved during the read, and read [count] *after* the buckets — every
-   bucket increment is preceded (same domain, seq_cst atomics) by its
-   count increment, so the returned count always covers the bucket total
-   even when the retry budget runs out. *)
+(* The count is the bucket total, so a snapshot's count and buckets agree
+   even when other domains observe during the read; only [sum] may lead
+   or trail them by the samples in flight. *)
 let snap t : snap =
-  let read () =
-    let c0 = Atomic.get t.count in
-    let sum = Atomic.get t.sum in
-    let buckets = ref [] in
-    for k = n_buckets - 1 downto 0 do
-      let n = Atomic.get t.buckets.(k) in
-      if n > 0 then buckets := ((1 lsl k), n) :: !buckets
-    done;
-    let c1 = Atomic.get t.count in
-    (c0 = c1, { count = c1; sum; buckets = !buckets })
-  in
-  let rec go attempts =
-    let stable, s = read () in
-    if stable || attempts = 0 then s else go (attempts - 1)
-  in
-  go 8
+  let sum = Atomic.get t.sum in
+  let count = ref 0 and buckets = ref [] in
+  for k = n_buckets - 1 downto 0 do
+    let n = Atomic.get t.buckets.(k) in
+    if n > 0 then begin
+      count := !count + n;
+      buckets := (1 lsl k, n) :: !buckets
+    end
+  done;
+  { count = !count; sum; buckets = !buckets }
 
 (* Quantile estimate from the power-of-two buckets: find the bucket
    holding the q-th sample and interpolate linearly inside its
    (lower, upper] range.  The estimate is always inside the true sample's
-   bucket, so the worst-case error is the bucket width (a factor of 2). *)
+   bucket, so the worst-case error is the bucket width (a factor of 2).
+   [count] is the bucket total, so the walk ends inside a bucket unless
+   there are none. *)
 let percentile (s : snap) q =
-  if s.count <= 0 then 0.0
-  else begin
-    let q = Float.max 0.0 (Float.min 1.0 q) in
-    let target = q *. float_of_int s.count in
-    let rec go cum = function
-      | [] -> (
-          (* count outran the buckets (torn snapshot): report the top
-             observed bound *)
-          match List.rev s.buckets with
-          | (ub, _) :: _ -> float_of_int ub
-          | [] -> 0.0)
-      | (ub, n) :: rest ->
-          let cum' = cum + n in
-          if float_of_int cum' >= target then
-            let lo = if ub <= 1 then 0.0 else float_of_int (ub / 2) in
-            let frac = (target -. float_of_int cum) /. float_of_int n in
-            lo +. (frac *. (float_of_int ub -. lo))
-          else go cum' rest
-    in
-    go 0 s.buckets
-  end
+  let q = Float.max 0.0 (Float.min 1.0 q) in
+  let target = q *. float_of_int s.count in
+  let rec go cum = function
+    | [] -> 0.0
+    | (ub, n) :: rest ->
+        let cum' = cum + n in
+        if float_of_int cum' >= target then
+          let lo = if ub <= 1 then 0.0 else float_of_int (ub / 2) in
+          let frac = (target -. float_of_int cum) /. float_of_int n in
+          lo +. (frac *. (float_of_int ub -. lo))
+        else go cum' rest
+  in
+  go 0 s.buckets
 
 let snapshot () =
   Atomic.get registry
@@ -104,7 +85,6 @@ let snapshot () =
 let reset_all () =
   List.iter
     (fun h ->
-      Atomic.set h.count 0;
       Atomic.set h.sum 0;
       Array.iter (fun b -> Atomic.set b 0) h.buckets)
     (Atomic.get registry)

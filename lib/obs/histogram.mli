@@ -1,12 +1,13 @@
 (** Process-wide named histograms over non-negative integers, with
     power-of-two buckets: bucket [k] counts observations [v] with
     [2^(k-1) < v ≤ 2^k] (bucket 0 counts [v ≤ 0 or v = 1]).  Observation
-    is one atomic fetch-and-add per sample plus two for count/sum. *)
+    is two atomic fetch-and-adds: the sample's bucket and the sum.  A
+    histogram keeps no separate count: the count is the bucket total. *)
 
 type t
 
 type snap = {
-  count : int;
+  count : int;  (** the bucket total *)
   sum : int;
   buckets : (int * int) list;
       (** (inclusive upper bound of the bucket, samples in it); empty
@@ -18,17 +19,14 @@ val make : string -> t
 
 val observe : t -> int -> unit
 (** Records one sample.  Negative values are clamped to 0 before
-    anything is updated, so [count], [sum] and the bucket counters always
-    describe the same (clamped) sample. *)
+    anything is updated, so [sum] and the bucket counters always describe
+    the same (clamped) sample. *)
 
 val snap : t -> snap
 (** Point-in-time snapshot.  The counters are read individually, so a
     snapshot taken while other domains observe is not a single atomic
-    cut; [snap] retries a bounded number of times until [count] is
-    stable across the read.  Even when concurrent observations keep it
-    unstable, the returned [count] is read {e after} the buckets — and
-    since {!observe} bumps [count] before the bucket, the reported
-    bucket totals never exceed the reported [count]. *)
+    cut, but its [count] is always the total of its [buckets]; only
+    [sum] may lead or trail them by the samples in flight. *)
 
 val percentile : snap -> float -> float
 (** [percentile s q] estimates the [q]-quantile ([q ∈ [0,1]], clamped) of

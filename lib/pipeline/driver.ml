@@ -453,3 +453,20 @@ let run ?(options = default_options) ~name ~params prog =
     in
     Ok { plan; concrete; sched; report }
   end
+
+let calibration_samples { sched; report; _ } =
+  match sched with
+  | None -> []
+  | Some s ->
+      let shapes = Runtime.Sim.abstract s in
+      if List.length shapes <> List.length report.Report.phases then []
+      else
+        List.map2
+          (fun shape (p : Report.phase_profile) ->
+            {
+              Runtime.Sim.s_threads = report.Report.threads;
+              s_shape = shape;
+              s_busy = p.Report.busy_seconds;
+              s_wall = p.Report.seconds;
+            })
+          shapes report.Report.phases

@@ -125,3 +125,8 @@ val run :
     stage could not run at all).  [run] reads the ambient log and never
     swaps it, so concurrent runs on several domains all record into the
     one attached log. *)
+
+val calibration_samples : outcome -> Runtime.Sim.sample list
+(** The run's measured phases as {!Runtime.Sim.calibrate} samples, at
+    the report's thread count; [[]] when the run built no schedule or
+    its phase profile does not line up with the schedule's phases. *)

@@ -38,18 +38,29 @@ let lpt_makespan p durations =
     sorted;
   Array.fold_left Float.max 0.0 loads
 
-let phase_time c ~threads phase =
+type aphase = ADoall of int | ATasks of int array
+
+type asched = aphase list
+
+let abstract_phase = function
+  | Sched.Doall { instances; _ } -> ADoall (Array.length instances)
+  | Sched.Tasks { tasks; _ } -> ATasks (Array.map Array.length tasks)
+
+let abstract (s : Sched.t) = List.map abstract_phase s.Sched.phases
+
+let aphase_time c ~threads shape =
   let per_iter = c.w_iter *. c.code_factor in
   let work =
-    match phase with
-    | Sched.Doall { instances; _ } ->
-        let n = Array.length instances in
-        float_of_int ((n + threads - 1) / threads) *. per_iter
-    | Sched.Tasks { tasks; _ } ->
+    match shape with
+    | ADoall n -> float_of_int ((n + threads - 1) / threads) *. per_iter
+    | ATasks sizes ->
         lpt_makespan threads
-          (Array.map (fun t -> float_of_int (Array.length t) *. per_iter) tasks)
+          (Array.map (fun n -> float_of_int n *. per_iter) sizes)
   in
   c.fork +. (c.bound_eval *. float_of_int threads) +. work +. c.barrier
+
+let phase_time c ~threads phase =
+  aphase_time c ~threads (abstract_phase phase)
 
 (* How many blocks a DOALL phase of [n] iterations should be split into:
    as many as the work can amortize (each chunk must be worth several
@@ -78,32 +89,6 @@ let time c ~threads s =
 let seq_time c n = float_of_int n *. c.w_iter
 
 let speedup c ~threads ~n_seq s = seq_time c n_seq /. time c ~threads s
-
-type aphase = ADoall of int | ATasks of int array
-
-type asched = aphase list
-
-let abstract (s : Sched.t) =
-  List.map
-    (function
-      | Sched.Doall { instances; _ } -> ADoall (Array.length instances)
-      | Sched.Tasks { tasks; _ } -> ATasks (Array.map Array.length tasks))
-    s.Sched.phases
-
-let aphase_time c ~threads = function
-  | ADoall n ->
-      let per_iter = c.w_iter *. c.code_factor in
-      c.fork
-      +. (c.bound_eval *. float_of_int threads)
-      +. (float_of_int ((n + threads - 1) / threads) *. per_iter)
-      +. c.barrier
-  | ATasks sizes ->
-      let per_iter = c.w_iter *. c.code_factor in
-      c.fork
-      +. (c.bound_eval *. float_of_int threads)
-      +. lpt_makespan threads
-           (Array.map (fun n -> float_of_int n *. per_iter) sizes)
-      +. c.barrier
 
 let time_abstract c ~threads s =
   List.fold_left (fun acc p -> acc +. aphase_time c ~threads p) 0.0 s

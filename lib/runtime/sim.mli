@@ -37,6 +37,11 @@ val base_seconds : cost
     comparable to measured wall seconds. *)
 
 val phase_time : cost -> threads:int -> Sched.phase -> float
+(** One phase's modelled time: a fork, bound evaluation on every domain,
+    the phase's work (a DOALL's ⌈n/threads⌉ iterations, a task phase's
+    {!lpt_makespan}) and a barrier.  {!time_abstract} prices a phase's
+    abstract shape with this same formula. *)
+
 val time : cost -> threads:int -> Sched.t -> float
 
 val doall_chunk_count : cost -> threads:int -> n:int -> int

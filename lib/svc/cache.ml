@@ -1,19 +1,12 @@
-(* Optional durable second tier: a memory miss falls through to the
-   store, a decoded payload is promoted into memory, and every insert is
-   written behind to the log.  The codec lives with the tier because the
-   cache is polymorphic and the store speaks strings. *)
-type 'v tier = {
-  t_store : Store.t;
-  t_encode : 'v -> string;
-  t_decode : string -> 'v option;
-}
-
-type 'v t = {
-  lru : (Key.t, 'v) Numeric.Lru.t;
+type t = {
+  lru : (Key.t, string) Numeric.Lru.t;
   hits : Obs.Counter.t;
   misses : Obs.Counter.t;
   evictions : Obs.Counter.t;
-  mutable tier : 'v tier option;
+  mutable store : Store.t option;
+      (* optional durable second tier: a memory miss falls through to
+         it, a stored payload is promoted into memory, and every insert
+         is written behind to its log *)
 }
 
 let create ?shards ~capacity ~name () =
@@ -22,15 +15,13 @@ let create ?shards ~capacity ~name () =
     hits = Obs.Counter.make (Printf.sprintf "svc.cache.%s.hits" name);
     misses = Obs.Counter.make (Printf.sprintf "svc.cache.%s.misses" name);
     evictions = Obs.Counter.make (Printf.sprintf "svc.cache.%s.evictions" name);
-    tier = None;
+    store = None;
   }
 
-let attach_store t ~store ~encode ~decode =
-  if Option.is_some t.tier then
+let attach_store t ~store =
+  if Option.is_some t.store then
     invalid_arg "Svc.Cache.attach_store: tier already attached";
-  t.tier <- Some { t_store = store; t_encode = encode; t_decode = decode }
-
-let store t = Option.map (fun tier -> tier.t_store) t.tier
+  t.store <- Some store
 
 (* Memory insert without touching the store tier — shared by [add] and
    the disk-hit promotion path (which must not re-append the record it
@@ -41,28 +32,25 @@ let add_mem t k v =
 let find t k =
   let in_mem = Numeric.Lru.find t.lru k in
   Obs.Counter.incr (if Option.is_some in_mem then t.hits else t.misses);
-  match (in_mem, t.tier) with
+  match (in_mem, t.store) with
   | (Some _ as hit), _ -> hit
   | None, None -> None
-  | None, Some tier -> (
+  | None, Some store -> (
       (* Read-through outside the shard lock: the store has its own
          locks and a disk read must not block the hot memory path. *)
-      match Option.bind (Store.find tier.t_store k) tier.t_decode with
+      match Store.find store k with
       | None -> None
       | Some v as hit ->
           add_mem t k v;
           hit)
 
+(* With a store attached, [add] follows a miss: the key was not on
+   disk, its record there was unreadable, or a concurrent miss raced
+   this one.  Appending in every case rewrites an unreadable record; a
+   duplicate append is harmless, since the last record wins. *)
 let add t k v =
   add_mem t k v;
-  match t.tier with
-  | None -> ()
-  | Some tier ->
-      (* Skip re-appending a key the log already holds (memory eviction
-         followed by recompute would otherwise grow the log forever); a
-         racing duplicate append is harmless — last record wins. *)
-      if not (Store.mem tier.t_store k) then
-        Store.add tier.t_store k (tier.t_encode v)
+  Option.iter (fun store -> Store.add store k v) t.store
 
 let length t = Numeric.Lru.length t.lru
 
@@ -74,7 +62,7 @@ type stats = {
   capacity : int;
 }
 
-let stats (t : 'v t) =
+let stats (t : t) =
   {
     hits = Obs.Counter.value t.hits;
     misses = Obs.Counter.value t.misses;

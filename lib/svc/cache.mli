@@ -1,4 +1,7 @@
-(** Sharded LRU cache over content-addressed {!Key}s.
+(** Sharded LRU cache of encoded replies over content-addressed
+    {!Key}s.  A value is a string: the service keeps the bytes
+    {!Proto.encode_done} produced, and the cache and its {!Store} tier
+    hold exactly the same bytes.
 
     Each shard owns a mutex, a hash table and an intrusive
     most-recently-used list; a lookup or insert locks exactly one shard,
@@ -8,51 +11,45 @@
     {!Obs.Metrics} snapshots and pipeline reports for free.
 
     Coherence model: the cache stores immutable analysis results keyed by
-    content hash, so there is nothing to invalidate — a key can only ever
-    map to one value.  Two domains missing on the same key concurrently
-    may both compute the result; the second {!add} simply overwrites the
-    (identical) first.  LRU order is per shard: eviction picks the least
+    content hash, so there is nothing to invalidate — a key maps to one
+    result for as long as the reply format lasts.  Two domains missing
+    on the same key concurrently may both compute it; the second {!add}
+    simply overwrites the first (the same result, with its own
+    timings).  LRU order is per shard: eviction picks the least
     recently used entry {e of the full shard}, which approximates global
     LRU the way sharded caches usually do. *)
 
-type 'v t
+type t
 
-val create : ?shards:int -> capacity:int -> name:string -> unit -> 'v t
+val create : ?shards:int -> capacity:int -> name:string -> unit -> t
 (** [create ~capacity ~name ()] holds at most [capacity] entries in
     total, split evenly over [shards] (default 8, clamped to ≥ 1; each
     shard gets at least one slot — the effective total is
     [shards × ⌈capacity/shards⌉ ≥ capacity]).  [name] scopes the metric
     counters; caches sharing a name share counters. *)
 
-val attach_store :
-  'v t ->
-  store:Store.t ->
-  encode:('v -> string) ->
-  decode:(string -> 'v option) ->
-  unit
+val attach_store : t -> store:Store.t -> unit
 (** Attach a durable {!Store} as a read-through / write-behind second
-    tier: {!find} falls through to the store on a memory miss (a decoded
-    payload is promoted into memory without re-appending it), and
-    {!add} also appends the encoded value to the log (skipped when the
-    key is already on disk).  [decode] returning [None] — a corrupt or
-    version-incompatible payload — degrades to a miss.  @raise
-    Invalid_argument if a tier is already attached. *)
+    tier: {!find} falls through to the store on a memory miss (a stored
+    payload is promoted into memory without re-appending it), and {!add}
+    also appends the value to the log.  The cache does not read the
+    bytes: a caller that finds a payload it cannot use treats it as a
+    miss and {!add}s the recomputed value, which replaces the promoted
+    copy and rewrites the record.  @raise Invalid_argument if a tier is
+    already attached. *)
 
-val store : 'v t -> Store.t option
-(** The attached second tier, if any. *)
-
-val find : 'v t -> Key.t -> 'v option
+val find : t -> Key.t -> string option
 (** Lookup; a hit refreshes the entry's recency.  With a store tier
     attached, a memory miss that hits the log counts as a
     [svc.store.hits] (the memory miss counter still moves — diff the
     two layers to separate warm from disk-warm traffic). *)
 
-val add : 'v t -> Key.t -> 'v -> unit
+val add : t -> Key.t -> string -> unit
 (** Insert (or overwrite) as most recently used, evicting the shard's LRU
-    entry when the shard is full; write-behind to the store tier when one
-    is attached. *)
+    entry when the shard is full; with a store tier attached, the value
+    is also appended to the log (write-behind). *)
 
-val length : 'v t -> int
+val length : t -> int
 
 type stats = {
   hits : int;
@@ -62,6 +59,6 @@ type stats = {
   capacity : int;  (** effective total capacity (see {!create}) *)
 }
 
-val stats : 'v t -> stats
+val stats : t -> stats
 (** Counter totals are cumulative for the process (they are shared
     metrics); diff two [stats] for a per-run view. *)

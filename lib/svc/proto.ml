@@ -56,12 +56,7 @@ let failure_message = function
   | Draining -> "server draining: not accepting new requests"
 
 type body =
-  | Done of {
-      strategy : string option;
-      describe : string option;
-      survey : survey option;
-      report : Pipeline.Report.t option;
-    }
+  | Done of { payload : string; name : string }
   | Stats of { prometheus : string; snapshot : Json.t }
   | Healthy of { ok : bool; detail : Json.t }
   | Failed of failure
@@ -216,53 +211,118 @@ let survey_json s =
       ("via", Json.Str s.via);
     ]
 
-let response_to_json r =
-  let common =
-    ("id", Json.Str r.id)
-    :: (if r.trace = "" then [] else [ ("trace", Json.Str r.trace) ])
-    @ [
-        ( "status",
-          Json.Str (match r.body with Failed _ -> "error" | _ -> "ok") );
-        ("cached", Json.Bool r.cached);
-        ("queue_seconds", Json.Float r.queue_s);
-        ("run_seconds", Json.Float r.run_s);
+(* ---- a Done body: encoded once, cached as bytes ---------------------- *)
+
+(* The tag in front of every cached body, naming the reply format:
+   change it whenever a body's bytes change, and an older build's
+   payloads read as misses and are rewritten. *)
+let payload_tag = "rpb1:"
+
+(* The body's last member is the report, whose first member, the program
+   name, is the one field that follows the requester.  The cached form
+   leaves that member out; a reply puts it back after the first
+   occurrence of this key (inside a JSON string every quote is escaped). *)
+let report_key = "\"report\":{"
+
+(* The substrings [(s, off, len)] concatenated in one allocation: a body
+   runs to tens of kilobytes, and every copy is a major-heap block. *)
+let concat_subs parts =
+  let b = Bytes.create (List.fold_left (fun n (_, _, len) -> n + len) 0 parts) in
+  ignore
+    (List.fold_left
+       (fun at (s, off, len) ->
+         Bytes.blit_string s off b at len;
+         at + len)
+       0 parts);
+  Bytes.unsafe_to_string b
+
+let encode_done ?strategy ?describe ?survey ?report () =
+  let members =
+    List.filter_map
+      (fun x -> x)
+      [
+        Option.map (fun s -> ("strategy", Json.Str s)) strategy;
+        Option.map (fun d -> ("describe", Json.Str d)) describe;
+        Option.map (fun s -> ("survey", survey_json s)) survey;
+        Option.map
+          (fun rep ->
+            match Pipeline.Report.to_json rep with
+            | Json.Obj (("program", _) :: (_ :: _ as rest)) ->
+                ("report", Json.Obj rest)
+            | _ -> invalid_arg "Proto.encode_done: report layout")
+          report;
       ]
   in
-  let rest =
-    match r.body with
-    | Stats { prometheus; snapshot } ->
-        [ ("prometheus", Json.Str prometheus); ("metrics", snapshot) ]
-    | Healthy { ok; detail } ->
-        [ ("healthy", Json.Bool ok); ("health", detail) ]
-    | Done { strategy; describe; survey; report } ->
-        List.filter_map
-          (fun x -> x)
-          [
-            Option.map (fun s -> ("strategy", Json.Str s)) strategy;
-            Option.map (fun d -> ("describe", Json.Str d)) describe;
-            Option.map (fun s -> ("survey", survey_json s)) survey;
-            Option.map
-              (fun rep -> ("report", Pipeline.Report.to_json rep))
-              report;
-          ]
-    | Failed f ->
-        [
-          ("kind", Json.Str (failure_kind f));
-          ("error", Json.Str (failure_message f));
-        ]
-        @ (match f with
-          | Pipeline_error { stage; label; _ } ->
-              [ ("stage", Json.Str stage); ("label", Json.Str label) ]
-          | Overloaded { queue_depth; queue_capacity } ->
-              [
-                ("queue_depth", Json.Int queue_depth);
-                ("queue_capacity", Json.Int queue_capacity);
-              ]
-          | _ -> [])
-  in
-  Json.Obj (common @ rest)
+  (* The body follows the envelope in the reply line: the members' own
+     object with its opening brace turned into a comma. *)
+  match members with
+  | [] -> payload_tag ^ "}"
+  | _ ->
+      let s = Json.to_string (Json.Obj members) in
+      let tl = String.length payload_tag in
+      concat_subs [ (payload_tag, 0, tl); (",", 0, 1); (s, 1, String.length s - 1) ]
 
-let response_to_line r = Json.to_string (response_to_json r)
+let readable payload = String.starts_with ~prefix:payload_tag payload
+
+let find_from s ~from sub =
+  let n = String.length s and m = String.length sub in
+  let rec matches i k = k = m || (s.[i + k] = sub.[k] && matches i (k + 1)) in
+  let rec go i =
+    if i + m > n then None else if matches i 0 then Some i else go (i + 1)
+  in
+  go from
+
+(* A payload's body, as substrings, with the program member for [name]
+   spliced back in when the body has a report. *)
+let body_parts ~name payload =
+  let from = String.length payload_tag and len = String.length payload in
+  match find_from payload ~from report_key with
+  | None -> [ (payload, from, len - from) ]
+  | Some i ->
+      let at = i + String.length report_key in
+      let member = "\"program\":" ^ Json.to_string (Json.Str name) ^ "," in
+      let ml = String.length member in
+      [ (payload, from, at - from); (member, 0, ml); (payload, at, len - at) ]
+
+(* ---- the reply line -------------------------------------------------- *)
+
+let envelope r =
+  ("id", Json.Str r.id)
+  :: (if r.trace = "" then [] else [ ("trace", Json.Str r.trace) ])
+  @ [
+      ("status", Json.Str (match r.body with Failed _ -> "error" | _ -> "ok"));
+      ("cached", Json.Bool r.cached);
+      ("queue_seconds", Json.Float r.queue_s);
+      ("run_seconds", Json.Float r.run_s);
+    ]
+
+let response_to_line r =
+  let members rest = Json.to_string (Json.Obj (envelope r @ rest)) in
+  match r.body with
+  | Done { payload; name } ->
+      (* the envelope without its closing brace, then the body *)
+      let env = members [] in
+      concat_subs ((env, 0, String.length env - 1) :: body_parts ~name payload)
+  | Stats { prometheus; snapshot } ->
+      members [ ("prometheus", Json.Str prometheus); ("metrics", snapshot) ]
+  | Healthy { ok; detail } ->
+      members [ ("healthy", Json.Bool ok); ("health", detail) ]
+  | Failed f ->
+      members
+        ([
+           ("kind", Json.Str (failure_kind f));
+           ("error", Json.Str (failure_message f));
+         ]
+        @
+        match f with
+        | Pipeline_error { stage; label; _ } ->
+            [ ("stage", Json.Str stage); ("label", Json.Str label) ]
+        | Overloaded { queue_depth; queue_capacity } ->
+            [
+              ("queue_depth", Json.Int queue_depth);
+              ("queue_capacity", Json.Int queue_capacity);
+            ]
+        | _ -> [])
 
 let error_response ?(id = "?") ?(trace = "") ?(queue_s = 0.0) ?(run_s = 0.0) f
     =

@@ -13,7 +13,11 @@
     only [id].  One response per line: [{"id", "trace", "status": "ok" |
     "error", "cached", timing, …}] with the plan/report payload, the
     telemetry/health payload, or a typed error record — a malformed
-    request produces an error {e record}, never a crash. *)
+    request produces an error {e record}, never a crash.
+
+    A run or classify answer is encoded once, when it is computed
+    ({!encode_done}); the service caches those bytes, and every reply,
+    the first and each hit alike, writes them behind a fresh envelope. *)
 
 type source =
   | Src of string  (** mini-Fortran source text, parsed by the worker *)
@@ -91,12 +95,10 @@ val failure_kind : failure -> string
 val failure_message : failure -> string
 
 type body =
-  | Done of {
-      strategy : string option;
-      describe : string option;
-      survey : survey option;
-      report : Pipeline.Report.t option;  (** [None] in [Classify] mode *)
-    }
+  | Done of { payload : string; name : string }
+      (** a run or classify answer: a {!readable} {!encode_done}
+          payload, whose body the reply line carries with the report's
+          [program] member for [name] spliced back in *)
   | Stats of {
       prometheus : string;  (** {!Obs.Export.prometheus} text *)
       snapshot : Pipeline.Json.t;  (** parsed {!Obs.Export.json_string} *)
@@ -134,9 +136,29 @@ val request_to_json : request -> Pipeline.Json.t
 (** Inverse of {!request_of_line} for corpus generators and tests
     ([Prog] sources are pretty-printed into [src]). *)
 
-val response_to_json : response -> Pipeline.Json.t
 val response_to_line : response -> string
-(** Compact single-line rendering (the JSONL response format). *)
+(** Compact single-line rendering (the JSONL response format): the
+    envelope — [id], [trace], [status], [cached], [queue_seconds],
+    [run_seconds] — then the body's members. *)
+
+(* ---- cached Done bodies ----------------------------------------------- *)
+
+val encode_done :
+  ?strategy:string ->
+  ?describe:string ->
+  ?survey:survey ->
+  ?report:Pipeline.Report.t ->
+  unit ->
+  string
+(** The cached form of a [Done] body, what {!Cache} and {!Store} keep:
+    the body's bytes, with the report's [program] member left out,
+    behind a tag that names the reply format.  A reply splices the
+    member back in as the report's first, the requester's name escaped
+    as {!Pipeline.Json} escapes a string. *)
+
+val readable : string -> bool
+(** [true] when a payload carries this build's tag.  Any other tag is a
+    stale reply format: the service reads it as a miss and overwrites it. *)
 
 val error_response :
   ?id:string ->

@@ -38,22 +38,9 @@ let default_config =
 let latency_us = Obs.Histogram.make "svc.request.latency_us"
 let queue_us = Obs.Histogram.make "svc.request.queue_us"
 
-(* The cached payload of one successful request: everything a warm
-   response needs except the requester's identity and timing.  The
-   durable store Marshals it, and Marshal does not check types: any
-   change to [value], [Proto.survey] or [Pipeline.Report.t] must bump
-   [value_tag] below, or a store written by an older binary decodes as
-   the wrong type. *)
-type value = {
-  v_strategy : string option;
-  v_describe : string option;
-  v_survey : Proto.survey option;
-  v_report : Pipeline.Report.t option;
-}
-
 type t = {
   config : config;
-  cache : value Cache.t;
+  cache : Cache.t;
   pool : Runtime.Workers.t;
       (* the one domain pool: its domains drain admitted requests and run
          their execution chunks and DNF disjuncts; spawned at service
@@ -66,22 +53,6 @@ type t = {
          layers above the service (the network server's connection
          counts live here — svc cannot depend on net) *)
 }
-
-(* The durable tier speaks strings: values are Marshal'd behind a
-   version tag so a payload written by an incompatible binary decodes as
-   a miss (recomputed and re-written), never a crash.  The store's
-   checksummed records already reject corruption below this layer. *)
-let value_tag = "rpv2:"
-
-let encode_value (v : value) = value_tag ^ Marshal.to_string v []
-
-let decode_value s : value option =
-  let tl = String.length value_tag in
-  if
-    String.length s > tl
-    && String.equal (String.sub s 0 tl) value_tag
-  then try Some (Marshal.from_string s tl) with _ -> None
-  else None
 
 let create ?(config = default_config) () =
   let store =
@@ -105,11 +76,7 @@ let create ?(config = default_config) () =
       gauge_providers = [];
     }
   in
-  Option.iter
-    (fun store ->
-      Cache.attach_store t.cache ~store ~encode:encode_value
-        ~decode:decode_value)
-    store;
+  Option.iter (fun store -> Cache.attach_store t.cache ~store) store;
   (* The pool doubles as the presburger layer's DNF-disjunct runner, so
      analysis-side set algebra parallelizes over the same domains. *)
   Runtime.Workers.install_dnf_runner t.pool;
@@ -119,7 +86,6 @@ let create ?(config = default_config) () =
 let cache_stats t = Cache.stats t.cache
 let pool t = t.pool
 let window t = t.window
-let store t = t.store
 
 let register_gauges t provider =
   t.gauge_providers <- provider :: t.gauge_providers
@@ -193,6 +159,8 @@ let survey_of prog ~params =
   in
   Result.map_error (fun e -> (Diag.Analyze, e)) classified
 
+(* A successful request's cached payload ({!Proto.encode_done}) and the
+   stage timings the slow-request log prints for it. *)
 let compute t (req : Proto.request) prog ~threads =
   match req.mode with
   | Proto.Metrics | Proto.Health ->
@@ -202,7 +170,7 @@ let compute t (req : Proto.request) prog ~threads =
   | Proto.Classify -> (
       match survey_of prog ~params:req.params with
       | Error (stage, e) -> Error (pipeline_failure stage e)
-      | Ok s ->
+      | Ok survey ->
           let strategy =
             match
               Pipeline.Driver.guarded (fun () ->
@@ -213,13 +181,7 @@ let compute t (req : Proto.request) prog ~threads =
                   (Pipeline.Plan.strategy_name (Pipeline.Plan.strategy plan))
             | Ok (Error _) | Error _ -> None
           in
-          Ok
-            {
-              v_strategy = strategy;
-              v_describe = None;
-              v_survey = Some s;
-              v_report = None;
-            })
+          Ok (Proto.encode_done ?strategy ~survey (), []))
   | Proto.Run -> (
       let options =
         {
@@ -234,7 +196,7 @@ let compute t (req : Proto.request) prog ~threads =
       match Pipeline.Driver.run ~options ~name:req.name ~params:req.params prog with
       | Error e ->
           Error (pipeline_failure e.Pipeline.Driver.stage e.Pipeline.Driver.error)
-      | Ok o ->
+      | Ok { plan; report; _ } ->
           let survey =
             if not req.survey then None
             else
@@ -243,29 +205,11 @@ let compute t (req : Proto.request) prog ~threads =
               | Error _ -> None
           in
           Ok
-            {
-              v_strategy =
-                Some
-                  (Pipeline.Plan.strategy_name
-                     (Pipeline.Plan.strategy o.Pipeline.Driver.plan));
-              v_describe = Some (Pipeline.Plan.describe o.Pipeline.Driver.plan);
-              v_survey = survey;
-              v_report = Some o.Pipeline.Driver.report;
-            })
-
-let done_of_value req v =
-  Proto.Done
-    {
-      strategy = v.v_strategy;
-      describe = v.v_describe;
-      survey = v.v_survey;
-      report =
-        (* A warm hit reuses the first computation's report; only the
-           requester-visible name is rebound. *)
-        Option.map
-          (fun r -> { r with Pipeline.Report.program = req.Proto.name })
-          v.v_report;
-    }
+            ( Proto.encode_done
+                ~strategy:
+                  (Pipeline.Plan.strategy_name (Pipeline.Plan.strategy plan))
+                ~describe:(Pipeline.Plan.describe plan) ?survey ~report (),
+              report.Pipeline.Report.timings ))
 
 (* ---- introspection ops ----------------------------------------------- *)
 
@@ -395,19 +339,21 @@ let dump_flight t (ctx : Obs.Ctx.t) (req : Proto.request) f =
       with Sys_error _ -> ())
   | Some _ -> ()
 
-let slow_log t (ctx : Obs.Ctx.t) (req : Proto.request) ~run_s ~memo0 body =
+let slow_log t (ctx : Obs.Ctx.t) (req : Proto.request) ~run_s ~memo0 ~cached
+    ~timings body =
   match t.config.slow_ms with
   | Some ms when run_s *. 1000.0 >= ms ->
       let memo1 = Presburger.Hc.totals () in
       let stages =
         match body with
-        | Proto.Done { report = Some r; _ } ->
-            r.Pipeline.Report.timings
+        | Proto.Failed f -> "failed:" ^ Proto.failure_kind f
+        | _ when cached -> "cached"
+        | _ when timings = [] -> "-"
+        | _ ->
+            timings
             |> List.map (fun (stage, s) ->
                    Printf.sprintf "%s=%.1fms" stage (s *. 1000.0))
             |> String.concat " "
-        | Proto.Failed f -> "failed:" ^ Proto.failure_kind f
-        | _ -> "-"
       in
       Printf.eprintf
         "slow-request: id=%s trace=%s run_ms=%.1f memo-hits=+%d \
@@ -462,7 +408,7 @@ let process t (req : Proto.request) ~submitted_ns =
         ("mode", Obs.Event.Str (Proto.mode_name req.Proto.mode));
       ]);
   let memo0 = Presburger.Hc.totals () in
-  let finish ~cached body =
+  let finish ?(timings = []) ~cached body =
     let run_s = Obs.Clock.elapsed_s dequeued_ns in
     Obs.Histogram.observe latency_us (int_of_float (run_s *. 1e6));
     Obs.Window.roll_if_due t.window;
@@ -476,7 +422,7 @@ let process t (req : Proto.request) ~submitted_ns =
     | Proto.Healthy _ ->
         ()
     | Proto.Failed f -> dump_flight t ctx req f);
-    slow_log t ctx req ~run_s ~memo0 body;
+    slow_log t ctx req ~run_s ~memo0 ~cached ~timings body;
     {
       Proto.id = req.Proto.id;
       trace = Obs.Ctx.id ctx;
@@ -550,12 +496,15 @@ let process t (req : Proto.request) ~submitted_ns =
               ~params:req.Proto.params prog
           in
           match Cache.find t.cache key with
-          | Some v ->
+          | Some payload when Proto.readable payload ->
               Obs.Event.emit ~severity:Obs.Event.Debug
                 ~scope:"svc" ~name:"cache.hit" (fun () ->
                   [ ("key", Obs.Event.Str (Key.to_string key)) ]);
-              finish ~cached:true (done_of_value req v)
-          | None -> (
+              finish ~cached:true
+                (Proto.Done { payload; name = req.Proto.name })
+          | Some _ | None -> (
+              (* A payload behind another build's tag is a miss; the
+                 recomputed one overwrites it, on disk too. *)
               Obs.Event.emit ~severity:Obs.Event.Debug
                 ~scope:"svc" ~name:"cache.miss" (fun () ->
                   [ ("key", Obs.Event.Str (Key.to_string key)) ]);
@@ -568,14 +517,16 @@ let process t (req : Proto.request) ~submitted_ns =
               in
               match outcome with
               | Error f -> finish ~cached:false (Proto.Failed f)
-              | Ok v -> (
-                  Cache.add t.cache key v;
+              | Ok (payload, timings) -> (
+                  Cache.add t.cache key payload;
                   (* The result is cached even when this requester ran past
                      its deadline: the work is done and the next hit is
                      free; only this response reports the overrun. *)
                   match overrun () with
                   | Some f -> finish ~cached:false (Proto.Failed f)
-                  | None -> finish ~cached:false (done_of_value req v)))))
+                  | None ->
+                      finish ~timings ~cached:false
+                        (Proto.Done { payload; name = req.Proto.name })))))
 
 let run_one t (req : Proto.request) =
   let submitted_ns = Obs.Clock.now_ns () in
@@ -585,6 +536,24 @@ let run_one t (req : Proto.request) =
 type admission =
   | Accepted
   | Shed of { queue_depth : int; queue_capacity : int }
+
+(* Hand one run/classify request to the pool: mint its context, note
+   the submission, and install the context around [enqueue], which
+   captures it with the job, so the dequeue event and every span/event of
+   the pooled run carry this trace id.  The job answers [k], a panic
+   included. *)
+let enqueue_request t (req : Proto.request) ~enqueue ~k =
+  let ctx = Obs.Ctx.make () in
+  Obs.Ctx.with_ctx ctx @@ fun () ->
+  Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"svc" ~name:"request.submit"
+    (fun () -> [ ("id", Obs.Event.Str req.Proto.id) ]);
+  let submitted_ns = Obs.Clock.now_ns () in
+  enqueue (fun () ->
+      k
+        (try process t req ~submitted_ns
+         with e ->
+           Proto.error_response ~id:req.Proto.id ~trace:(Obs.Ctx.id ctx)
+             (Proto.Panic (Printexc.to_string e))))
 
 (* Asynchronous admission for the network server: one request, one
    continuation, no blocking.  Introspective ops are answered inline on
@@ -597,32 +566,14 @@ let submit t (req : Proto.request) ~k =
     k (run_one t req);
     Accepted
   end
-  else begin
-    (* Same trace discipline as [batch]: mint the context at submit so
-       the pool job and every span/event it causes carry it. *)
-    let ctx = Obs.Ctx.make () in
-    Obs.Ctx.with_ctx ctx @@ fun () ->
-    Obs.Event.emit ~severity:Obs.Event.Debug ~scope:"svc"
-      ~name:"request.submit" (fun () ->
-        [ ("id", Obs.Event.Str req.Proto.id) ]);
-    let submitted_ns = Obs.Clock.now_ns () in
-    let job () =
-      let resp =
-        try process t req ~submitted_ns
-        with e ->
-          Proto.error_response ~id:req.Proto.id ~trace:(Obs.Ctx.id ctx)
-            (Proto.Panic (Printexc.to_string e))
-      in
-      k resp
-    in
-    if Runtime.Workers.try_submit t.pool job then Accepted
-    else
-      Shed
-        {
-          queue_depth = Runtime.Workers.queue_length t.pool;
-          queue_capacity = Runtime.Workers.capacity t.pool;
-        }
-  end
+  else if enqueue_request t req ~enqueue:(Runtime.Workers.try_submit t.pool) ~k
+  then Accepted
+  else
+    Shed
+      {
+        queue_depth = Runtime.Workers.queue_length t.pool;
+        queue_capacity = Runtime.Workers.capacity t.pool;
+      }
 
 let batch t reqs =
   let reqs = Array.of_list reqs in
@@ -638,29 +589,14 @@ let batch t reqs =
   in
   Array.iteri
     (fun i (req : Proto.request) ->
-      if pooled req then begin
-        (* Mint the request context here and install it around submit:
-           Workers.submit captures it with the job, so the dequeue event
-           and every span/event of the pooled run carry this trace id. *)
-        let ctx = Obs.Ctx.make () in
-        Obs.Ctx.with_ctx ctx @@ fun () ->
-        Obs.Event.emit ~severity:Obs.Event.Debug
-          ~scope:"svc" ~name:"request.submit" (fun () ->
-            [ ("id", Obs.Event.Str req.Proto.id) ]);
-        let submitted_ns = Obs.Clock.now_ns () in
-        Runtime.Workers.submit t.pool (fun () ->
-            let resp =
-              try process t req ~submitted_ns
-              with e ->
-                Proto.error_response ~id:req.Proto.id ~trace:(Obs.Ctx.id ctx)
-                  (Proto.Panic (Printexc.to_string e))
-            in
+      if pooled req then
+        enqueue_request t req ~enqueue:(Runtime.Workers.submit t.pool)
+          ~k:(fun resp ->
             out.(i) <- Some resp;
             Mutex.lock m;
             decr remaining;
             if !remaining = 0 then Condition.signal all_done;
-            Mutex.unlock m)
-      end)
+            Mutex.unlock m))
     reqs;
   Mutex.lock m;
   while !remaining > 0 do

@@ -2,8 +2,11 @@
     content-addressed result cache and a domain pool.
 
     Requests are keyed by {!Key.of_request} (canonicalized program +
-    bindings + strategy + execution facets); a hit returns the cached
-    plan/report payload without re-running any pipeline stage.  Worker
+    bindings + strategy + execution facets).  A miss computes the
+    answer and has {!Proto.encode_done} encode it once; the {!Cache}
+    (and its {!Store} tier) keeps those bytes, and a hit writes them
+    behind a fresh envelope without re-running any pipeline stage or
+    re-encoding the report.  Worker
     errors are isolated per request: parse failures, typed pipeline
     errors, deadline overruns and unexpected exceptions all become error
     {e records} in the response stream — a batch never dies on one bad
@@ -43,8 +46,9 @@ type config = {
   measure : bool;
   deadline_s : float option;  (** default per-request deadline *)
   slow_ms : float option;
-      (** log any request slower than this to stderr with stage timings
-          and the presburger-memo delta it caused *)
+      (** log any request slower than this to stderr with its stage
+          timings (a hit logs that it was cached) and the
+          presburger-memo delta it caused *)
   flight : bool;  (** enable the {!Obs.Flight} recorder at {!create} *)
   flight_dir : string option;
       (** where failed requests (deadline/pipeline/panic) dump their
@@ -97,9 +101,6 @@ val submit : t -> Proto.request -> k:(Proto.response -> unit) -> admission
     [runtime.workers.panics]. *)
 
 val cache_stats : t -> Cache.stats
-
-val store : t -> Store.t option
-(** The durable tier, when [config.store_dir] was set. *)
 
 val flush_store : t -> unit
 (** Force the store's write-behind buffers to disk (no-op without a

@@ -266,11 +266,6 @@ let find t k =
             None
           end)
 
-let mem t k =
-  check_open t;
-  let sh = shard_of t k in
-  locked sh (fun () -> Hashtbl.mem sh.tbl k)
-
 let flush t =
   check_open t;
   Array.iter (fun sh -> locked sh (fun () -> flush_shard sh)) t.shards

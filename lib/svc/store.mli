@@ -1,9 +1,10 @@
 (** Durable content-addressed payload store: an append-only,
     checksummed, per-shard log under one directory.
 
-    The store is the disk tier below {!Cache}: payloads (serialized
-    plan/report values) are keyed by {!Key} digest, appended to
-    [shard-NN.log] inside the store directory, and indexed in memory.
+    The store is the disk tier below {!Cache}: payloads (encoded reply
+    bodies behind {!Proto}'s format tag; the store itself never reads
+    them) are keyed by {!Key} digest, appended to [shard-NN.log] inside
+    the store directory, and indexed in memory.
     Because keys are content hashes there is nothing to invalidate — a
     key maps to one value forever; a duplicate append simply supersedes
     the earlier record (last record wins at recovery).  A store
@@ -53,9 +54,6 @@ val find : t -> Key.t -> string option
 val add : t -> Key.t -> string -> unit
 (** Buffer a record for append (write-behind); immediately visible to
     {!find}.  Re-adding a key supersedes the old payload. *)
-
-val mem : t -> Key.t -> bool
-(** Index probe without reading the payload (does not move counters). *)
 
 val flush : t -> unit
 (** Append every pending record to its shard log.  Not fsync'd — the

@@ -347,8 +347,7 @@ let test_four_domain_stress () =
   let essence (r : Proto.response) =
     ( r.Proto.id,
       match r.Proto.body with
-      | Proto.Done { strategy; survey; _ } ->
-          Ok (strategy, Option.map (fun s -> s.Proto.cls) survey)
+      | Proto.Done { payload; _ } -> Ok payload
       | Proto.Failed f -> Error (Proto.failure_kind f)
       | Proto.Stats _ | Proto.Healthy _ -> Error "introspective" )
   in

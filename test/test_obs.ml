@@ -192,9 +192,9 @@ let test_histogram_negative_clamp () =
     (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Obs.Histogram.buckets)
 
 let test_histogram_snap_stress_4_domains () =
-  (* snap under concurrent observation: the retry loop plus the
-     count-read-last ordering guarantee Σ bucket counts <= count on every
-     mid-flight snapshot, and exact totals once the writers join. *)
+  (* snap under concurrent observation: the count is the bucket total,
+     so Σ bucket counts <= count holds on every mid-flight snapshot, and
+     the totals are exact once the writers join. *)
   let h = Obs.Histogram.make "test.hist_snap_stress" in
   let per_domain = 50_000 in
   let done_count = Atomic.make 0 in

@@ -36,8 +36,8 @@ let test_roundtrip () =
   (* write-behind: visible before any flush *)
   Alcotest.(check (option string)) "mem-tier read" (Some "alpha")
     (Store.find s (key 1));
-  Alcotest.(check bool) "mem" true (Store.mem s (key 2));
-  Alcotest.(check bool) "absent" false (Store.mem s (key 9));
+  Alcotest.(check (option string)) "second key" (Some "beta")
+    (Store.find s (key 2));
   Alcotest.(check (option string)) "missing key" None (Store.find s (key 9));
   Store.flush s;
   Alcotest.(check (option string)) "disk-tier read" (Some "alpha")
@@ -202,9 +202,9 @@ let test_disk_warm_short_circuit () =
     (counter "svc.store.hits");
   Service.shutdown svc2
 
-(* A record behind another value tag (one an older binary wrote) must be
-   recomputed, never decoded: Marshal does not check types, so decoding
-   a value whose layout changed can crash the server. *)
+(* A record behind another payload tag (an older build's reply format)
+   must be recomputed, never replayed, and rewritten: the start after
+   the recompute answers from disk again. *)
 let test_foreign_tag_is_a_miss () =
   let dir = temp_dir "store-tag" in
   let svc = Service.create ~config:(service_config dir) () in
@@ -224,22 +224,36 @@ let test_foreign_tag_is_a_miss () =
         [ "mode=run"; "threads=1"; "check=false"; "measure=false"; "survey=false" ]
       ~params:req.Proto.params prog
   in
-  let s = Store.open_dir ~shards:Service.default_config.cache_shards dir in
-  (match Store.find s key with
-  | None -> Alcotest.fail "the run was not stored under its request key"
-  | Some payload ->
-      (* The same bytes behind the previous tag would unmarshal fine:
-         only the tag check may keep them out. *)
+  let with_record f =
+    let s = Store.open_dir ~shards:Service.default_config.cache_shards dir in
+    Fun.protect ~finally:(fun () -> Store.close s) (fun () ->
+        match Store.find s key with
+        | None -> Alcotest.fail "the run was not stored under its request key"
+        | Some payload -> f s payload)
+  in
+  with_record (fun s payload ->
+      (* The same bytes behind another tag: only the tag check may keep
+         them out. *)
       let body = String.index payload ':' + 1 in
       Store.add s key
         ("rpv1:" ^ String.sub payload body (String.length payload - body)));
-  Store.close s;
   let svc2 = Service.create ~config:(service_config dir) () in
   let r2 = Service.run_one svc2 (request ()) in
   Alcotest.(check bool) "foreign-tag run ok" true (Proto.ok r2);
-  Alcotest.(check bool) "foreign-tag record recomputed, not decoded" false
+  Alcotest.(check bool) "foreign-tag record recomputed, not replayed" false
     r2.Proto.cached;
-  Service.shutdown svc2
+  Service.shutdown svc2;
+  Alcotest.(check bool) "the recompute rewrote the record" true
+    (with_record (fun _ payload -> Proto.readable payload));
+  let hits0 = counter "svc.store.hits" in
+  let svc3 = Service.create ~config:(service_config dir) () in
+  let r3 = Service.run_one svc3 (request ()) in
+  Service.shutdown svc3;
+  Alcotest.(check bool) "rewritten run ok" true (Proto.ok r3);
+  Alcotest.(check bool) "the next start answers from disk" true
+    r3.Proto.cached;
+  Alcotest.(check bool) "store hit counter advanced" true
+    (counter "svc.store.hits" > hits0)
 
 let test_garbage_store_file_is_empty () =
   let dir = temp_dir "store-garbage" in

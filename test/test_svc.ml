@@ -283,7 +283,8 @@ let test_pool_shed_counts_admissions_only () =
   Alcotest.(check int) "every accepted job ran" 11 (Atomic.get ran)
 
 (* A pool of one domain must produce exactly what the calling domain
-   produces: same status, strategy and survey for every request. *)
+   produces: the same status, and for an answer the same encoded body
+   (strategy and survey, byte for byte). *)
 let test_pool_of_one_sequential () =
   let config =
     {
@@ -311,8 +312,7 @@ let test_pool_of_one_sequential () =
   let essence (r : Proto.response) =
     ( r.Proto.id,
       match r.Proto.body with
-      | Proto.Done { strategy; survey; _ } ->
-          Ok (strategy, Option.map (fun s -> s.Proto.cls) survey)
+      | Proto.Done { payload; _ } -> Ok payload
       | Proto.Failed f -> Error (Proto.failure_kind f)
       | Proto.Stats _ | Proto.Healthy _ -> Error "introspective" )
   in
@@ -759,6 +759,116 @@ let test_service_spans_carry_req () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* A hit replays the miss's bytes                                       *)
+
+let envelope_keys =
+  [ "id"; "trace"; "status"; "cached"; "queue_seconds"; "run_seconds" ]
+
+(* The bytes of a reply line after its envelope: the envelope is the
+   line's first six members, and everything after the last one's number
+   is the body. *)
+let body_bytes (r : Proto.response) =
+  let line = Proto.response_to_line r in
+  (match Pipeline.Json.parse line with
+  | Ok (Pipeline.Json.Obj fields) ->
+      Alcotest.(check (list string))
+        (r.Proto.id ^ ": the envelope leads the line")
+        envelope_keys
+        (List.filteri (fun i _ -> i < 6) (List.map fst fields))
+  | _ -> Alcotest.failf "%s: the reply line is not an object" r.Proto.id);
+  let key = "\"run_seconds\":" in
+  let rec find i =
+    if String.sub line i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let rec past_number j =
+    match line.[j] with ',' | '}' -> j | _ -> past_number (j + 1)
+  in
+  let j = past_number (find 0) in
+  String.sub line j (String.length line - j)
+
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in the body" sub
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+let report_program (r : Proto.response) =
+  match Pipeline.Json.parse (Proto.response_to_line r) with
+  | Ok j -> (
+      match Option.bind (Pipeline.Json.member "report" j) (Pipeline.Json.member "program") with
+      | Some (Pipeline.Json.Str p) -> Some p
+      | _ -> None)
+  | Error e -> Alcotest.failf "%s: %s" r.Proto.id e
+
+(* A memory hit, a disk-warm hit (a fresh service on the same store) and
+   a hit under another name write the bytes the miss wrote after the
+   envelope; under another name only the report's program differs, and
+   it is escaped as the encoder escapes a string. *)
+let test_service_hit_replays_miss () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "recpart-test-replay-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  let config =
+    {
+      (quiet_config ~domains:1) with
+      check = true;
+      measure = true;
+      store_dir = Some dir;
+    }
+  in
+  let other = "an \"other\"\\name\n" in
+  List.iter
+    (fun mode ->
+      let what = Proto.mode_name mode in
+      let req ?(name = "tri") id =
+        Proto.request ~id:(what ^ "-" ^ id) ~name ~mode
+          ~params:[ ("n", 12) ] (Proto.Src base_src)
+      in
+      let svc = Service.create ~config () in
+      let miss = Service.run_one svc (req "miss") in
+      let hit = Service.run_one svc (req "hit") in
+      let renamed = Service.run_one svc (req ~name:other "renamed") in
+      Service.shutdown svc;
+      let svc = Service.create ~config () in
+      let disk = Service.run_one svc (req "disk") in
+      Service.shutdown svc;
+      List.iter
+        (fun ((r : Proto.response), cached) ->
+          Alcotest.(check bool) (r.Proto.id ^ " ok") true (Proto.ok r);
+          Alcotest.(check bool) (r.Proto.id ^ " cached") cached r.Proto.cached)
+        [ (miss, false); (hit, true); (renamed, true); (disk, true) ];
+      let body = body_bytes miss in
+      Alcotest.(check string) (what ^ ": memory hit = miss") body
+        (body_bytes hit);
+      Alcotest.(check string) (what ^ ": disk-warm hit = miss") body
+        (body_bytes disk);
+      let member name =
+        "\"program\":" ^ Pipeline.Json.to_string (Pipeline.Json.Str name)
+      in
+      let renamed_body =
+        match mode with
+        | Proto.Run -> replace_first ~sub:(member "tri") ~by:(member other) body
+        | _ -> body
+      in
+      Alcotest.(check string) (what ^ ": hit under another name") renamed_body
+        (body_bytes renamed);
+      let program = match mode with Proto.Run -> Some "tri" | _ -> None in
+      Alcotest.(check (option string)) (what ^ ": miss names the requester")
+        program (report_program miss);
+      Alcotest.(check (option string)) (what ^ ": hit names its requester")
+        (Option.map (fun _ -> other) program)
+        (report_program renamed))
+    [ Proto.Run; Proto.Classify ];
+  rm_rf dir
+
 let () =
   Alcotest.run "svc"
     [
@@ -810,6 +920,8 @@ let () =
           Alcotest.test_case "deadline" `Quick test_service_deadline;
           Alcotest.test_case "reused loop index is a bad request" `Quick
             test_service_reused_index;
+          Alcotest.test_case "hit reply = miss reply" `Quick
+            test_service_hit_replays_miss;
         ] );
       ( "telemetry",
         [
