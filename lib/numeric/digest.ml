@@ -14,36 +14,37 @@ type t = { a : int64; b : int64 }
 let prime = 0x100000001b3L
 let seed = { a = 0xcbf29ce484222325L; b = 0x84222325cbf29ce4L }
 
-let add_byte t c =
-  let x = Int64.of_int (c land 0xff) in
+(* Each byte steps both lanes.  The [add_*] functions fold their bytes
+   over two local int64 accumulators, which the compiler keeps unboxed,
+   so a call allocates only its result, whatever its length. *)
+let add_char t c =
+  let x = Int64.of_int (Char.code c) in
   {
     a = Int64.mul (Int64.logxor t.a x) prime;
     b = Int64.mul (Int64.logxor t.b x) prime;
   }
 
-let add_char t c = add_byte t (Char.code c)
-let add_string t s = String.fold_left add_char t s
-
-(* Feed a native int as 8 little-endian bytes so negative values and
-   values sharing low bytes stay distinguishable. *)
-let add_int t n =
-  let x = Int64.of_int n in
-  let acc = ref t in
-  for i = 0 to 7 do
-    acc :=
-      add_byte !acc
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
+let add_string t s =
+  let a = ref t.a and b = ref t.b in
+  for i = 0 to String.length s - 1 do
+    let x = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    a := Int64.mul (Int64.logxor !a x) prime;
+    b := Int64.mul (Int64.logxor !b x) prime
   done;
-  !acc
+  { a = !a; b = !b }
 
-let add_int64 t x =
-  let acc = ref t in
+(* Feed 8 little-endian bytes, so negative values and values sharing
+   low bytes stay distinguishable. *)
+let add_int64 t v =
+  let a = ref t.a and b = ref t.b in
   for i = 0 to 7 do
-    acc :=
-      add_byte !acc
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
+    let x = Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL in
+    a := Int64.mul (Int64.logxor !a x) prime;
+    b := Int64.mul (Int64.logxor !b x) prime
   done;
-  !acc
+  { a = !a; b = !b }
+
+let add_int t n = add_int64 t (Int64.of_int n)
 
 (* Mix a sub-digest in by feeding its 16 bytes. *)
 let add_digest t d = add_int64 (add_int64 t d.a) d.b

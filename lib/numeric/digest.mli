@@ -3,7 +3,8 @@
     Shared by {!Svc.Key} (content-addressed result cache keys) and the
     presburger hash-cons/memo tables ({!Presburger.Hc}), so both layers
     use one digest discipline.  Digests are incremental: start from
-    {!seed} and feed bytes with the [add_*] functions. *)
+    {!seed} and feed bytes with the [add_*] functions, each of which
+    allocates only its result, however many bytes it feeds. *)
 
 type t = { a : int64; b : int64 }
 
@@ -15,6 +16,10 @@ val add_string : t -> string -> t
 
 val add_int : t -> int -> t
 (** Feeds the int as 8 little-endian bytes. *)
+
+val add_int64 : t -> int64 -> t
+(** Feeds the int64 as 8 little-endian bytes: [add_int t n] is
+    [add_int64 t (Int64.of_int n)]. *)
 
 val add_digest : t -> t -> t
 (** Mixes a sub-digest in by feeding its 16 bytes. *)

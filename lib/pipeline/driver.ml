@@ -280,7 +280,8 @@ let run ?(options = default_options) ~name ~params prog =
     in
     (* Execution: sequential ground truth + instrumented parallel run, or
        the DOACROSS cost model.  The store is scanned once: the oracle
-       runs on a copy of it, the schedule on the store itself. *)
+       runs on a copy of the env's image, the schedule on the store
+       itself. *)
     let* ( semantics,
            seq_seconds,
            par_seconds,
@@ -313,8 +314,7 @@ let run ?(options = default_options) ~name ~params prog =
                      let t0 = Obs.Clock.now_ns () in
                      let seq =
                        Obs.Span.with_ ~name:"seq-interp" (fun () ->
-                           Runtime.Interp.run_sequential
-                             ~store:(Runtime.Arrays.copy store) env)
+                           Runtime.Interp.run_sequential env)
                      in
                      let seq_s = Obs.Clock.elapsed_s t0 in
                      let tmd =

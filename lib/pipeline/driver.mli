@@ -119,8 +119,9 @@ val run :
     compared to the sequential interpreter.  A run builds that graph once:
     validate reuses the trace a [Fronts] materialization peeled, and
     builds it only for the other plans.  It scans the array store once
-    too: the interpreter runs on an {!Runtime.Arrays.copy} of it and the
-    schedule on the store itself.  Check failures are reported in
+    too: the schedule runs on the scanned store and the interpreter on a
+    copy of the image the scan left with the env
+    ({!Runtime.Interp.scan_bounds}).  Check failures are reported in
     {!Report.t} (the pipeline itself still succeeds — an [Error] means a
     stage could not run at all).  [run] reads the ambient log and never
     swaps it, so concurrent runs on several domains all record into the

@@ -19,8 +19,9 @@ type arr = {
   mutable cells : int;
   mutable shift : int;
   mutable table : int array;
-      (** page [k]'s first cell in [slab], or [absent]; shared by copies,
-          since no page appears after freeze *)
+      (** page [k]'s first cell in [slab], or [absent]; shared by the
+          stores made from an image, since no page appears after
+          freeze *)
   mutable slab : float array;
 }
 
@@ -362,20 +363,42 @@ let set_index t name idx v = write (handle t name) idx v
 let get t name idx = get_index t name (Array.of_list idx)
 let set t name idx v = set_index t name (Array.of_list idx) v
 
-let copy t =
-  let tbl = Hashtbl.create (Hashtbl.length t.tbl) in
-  Hashtbl.iter
-    (fun name h ->
-      Hashtbl.add tbl name
-        {
-          h with
-          lo = Array.copy h.lo;
-          hi = Array.copy h.hi;
-          log = Array.sub h.log 0 h.log_len;
-          slab = Array.copy h.slab;
-        })
-    t.tbl;
-  { tbl; frozen = t.frozen }
+(* ---- images ----------------------------------------------------------- *)
+
+type cells = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Each array's frozen record with an empty slab, beside its cells.  No
+   store changes a layout after freeze, so the records' extents, strides
+   and page tables are shared with every store made from the image; the
+   cells sit in one Float64 bigarray per array, off the OCaml heap, and
+   are copied both ways by plain unboxed loops. *)
+type image = (arr * cells) array
+
+let image t =
+  if not t.frozen then invalid_arg "Arrays.image: freeze first";
+  Hashtbl.fold
+    (fun _ h acc ->
+      let n = Array.length h.slab in
+      let cells = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set cells i (Array.unsafe_get h.slab i)
+      done;
+      ({ h with slab = [||] }, cells) :: acc)
+    t.tbl []
+  |> Array.of_list
+
+let of_image (img : image) =
+  let tbl = Hashtbl.create (Array.length img) in
+  Array.iter
+    (fun (h, (cells : cells)) ->
+      let n = Bigarray.Array1.dim cells in
+      let slab = Array.create_float n in
+      for i = 0 to n - 1 do
+        Array.unsafe_set slab i (Bigarray.Array1.unsafe_get cells i)
+      done;
+      Hashtbl.add tbl h.name { h with slab })
+    img;
+  { tbl; frozen = true }
 
 type view = {
   v_lo : int array;

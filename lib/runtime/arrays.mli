@@ -29,9 +29,10 @@
     lists (tests) or as arrays ([*_index] and the handle functions: the
     scan, the reference interpreter and the compiled kernels' general
     path evaluate subscripts into a scratch array, which no call
-    retains).  A checked run scans once and gives the oracle a {!copy},
-    which copies only the slab of present pages and shares the page
-    table.  {!equal} compares bit for bit. *)
+    retains).  A prepared program keeps an {!image} of its first scan's
+    store ({!Interp.scan_bounds}), and each later store is made from it
+    ({!of_image}) in one copy of the present pages' cells, sharing the
+    page table, without a scan.  {!equal} compares bit for bit. *)
 
 type t
 
@@ -89,9 +90,21 @@ val get_index : t -> string -> int array -> float
 val set_index : t -> string -> int array -> float -> unit
 (** {!read} and {!write} by name. *)
 
-val copy : t -> t
-(** An independent copy: same extents, frozen state, present pages and
-    cells. *)
+type image
+(** A frozen store's layout and seeded cells, from which stores like it
+    are made without a scan.  The layout is shared; the cells are a copy,
+    held off the OCaml heap in one Float64 bigarray per array. *)
+
+val image : t -> image
+(** The image of a frozen store as it is now: a later write to the store
+    does not reach the image.  Raises [Invalid_argument] before
+    {!freeze}. *)
+
+val of_image : image -> t
+(** A fresh frozen store with the image's extents and page tables, its
+    slabs copied from the image's cells at about a nanosecond a cell:
+    {!equal} to the imaged store at the time of {!image}.  It shares no
+    cell with the image or with another store. *)
 
 val initial_value : string -> int list -> float
 (** The deterministic initial cell value: the hash of the array name,
@@ -127,7 +140,7 @@ val view : t -> string -> view option
 
 val seeded_cells : t -> int
 (** The cells held by present pages, over every array: what freeze
-    seeded, and what {!copy} copies. *)
+    seeded, and what {!of_image} copies. *)
 
 val equal : t -> t -> bool
 (** Same arrays, same extents, and every cell the same bit for bit

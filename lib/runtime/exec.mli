@@ -35,6 +35,10 @@
     spawned once per run, not once per phase, and not at all when no
     phase engages a second domain.
 
+    Store set-up is one {!Interp.scan_bounds} of the env: a scan on its
+    first call, one copy of the env's image after that, so repeated runs
+    of one prepared program pay for their phases and one copy.
+
     The clock and the exact {!Obs.Gcstats} counters are read once per
     phase boundary: one phase closes where the next opens.  All entry
     points accept any thread count: values ≤ 1 run sequentially on the
@@ -100,9 +104,11 @@ val run_timed :
     [workers] (default: a transient pool created at the first phase that
     engages a second domain and shut down inside this call) supplies a
     persistent executor pool.
-    [store] (default: a fresh {!Interp.scan_bounds} of [env]) is the
-    frozen store the run writes into and returns; a caller that scanned
-    already passes its store, or an {!Arrays.copy} of it.
+    [store] (default: a fresh {!Interp.scan_bounds} of [env], a copy of
+    its image after the env's first scan) is the frozen store the run
+    writes into and returns; a caller that holds a fresh
+    {!Interp.scan_bounds} of [env] may pass it instead of paying a
+    copy.
     The compile, phase, bucket and task spans go to the ambient
     {!Obs.Event} log. *)
 

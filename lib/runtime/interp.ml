@@ -1,10 +1,13 @@
 module Ast = Loopir.Ast
 module Prog = Loopir.Prog
 
+type memo = Arrays.image option Atomic.t
+
 type env = {
   prog : Ast.program;
   params : (string * int) list;
   stmts : Prog.stmt_info array;
+  memo : memo;
 }
 
 let prepare prog ~params =
@@ -20,7 +23,12 @@ let prepare prog ~params =
       if not (List.mem_assoc p params) then
         failwith (Printf.sprintf "Interp: unbound parameter %s" p))
     prog.Ast.params;
-  { prog; params; stmts = Array.of_list (Prog.stmts_of prog) }
+  {
+    prog;
+    params;
+    stmts = Array.of_list (Prog.stmts_of prog);
+    memo = Atomic.make None;
+  }
 
 let unbound name = failwith (Printf.sprintf "Interp: unbound variable %s" name)
 
@@ -152,11 +160,23 @@ let scan_stmt t store (info : Prog.stmt_info) =
   in
   if depth = 0 then note_points all else walk 0
 
-let scan_bounds t =
+let scan t =
   let store = Arrays.create () in
   Array.iter (scan_stmt t store) t.stmts;
   Arrays.freeze store;
   store
+
+(* The first scan of an env records the image of its store; every later
+   call copies its store from the image.  Domains that race on a fresh
+   env each scan and keep their own store, and the first to finish
+   records its image.  A scan that raises records nothing. *)
+let scan_bounds t =
+  match Atomic.get t.memo with
+  | Some image -> Arrays.of_image image
+  | None ->
+      let store = scan t in
+      ignore (Atomic.compare_and_set t.memo None (Some (Arrays.image store)));
+      store
 
 (* ---- the reference interpreter --------------------------------------- *)
 
@@ -291,8 +311,8 @@ let rec resolve_stmt store = function
   | Ast.Assign (lhs, rhs) -> Assign (assign store lhs rhs)
   | Ast.Loop l -> Loop (l, List.map (resolve_stmt store) l.Ast.body)
 
-let run_sequential ?store t =
-  let store = match store with Some s -> s | None -> scan_bounds t in
+let run_sequential t =
+  let store = scan_bounds t in
   let m = machine t in
   let sc = m.sc in
   let rec run = function

@@ -19,22 +19,37 @@
     bounds and subscripts at the points the endpoint rule picks, through
     closures compiled once per statement. *)
 
-type env = {
+type memo
+(** An env's record of its first scan (see {!scan_bounds}). *)
+
+type env = private {
   prog : Loopir.Ast.program;  (** normalized *)
   params : (string * int) list;
   stmts : Loopir.Prog.stmt_info array;  (** indexed by statement id *)
+  memo : memo;  (** built and set only by this module *)
 }
 
 val prepare : Loopir.Ast.program -> params:(string * int) list -> env
-(** Normalizes the program and binds parameters.  Raises
+(** Normalizes the program and binds parameters; scans nothing.  Raises
     [Invalid_argument] when a loop reuses the index of an enclosing loop
     ({!Loopir.Ast.reused_index}), and [Failure] on an unbound
     parameter. *)
 
 val scan_bounds : env -> Arrays.t
-(** Records the exact extent of every array the program touches and marks
-    the cells its references reach, then freezes the store: only the pages
-    holding a marked cell are allocated and seeded.
+(** A fresh frozen store for [env]'s program, whose cells hold their
+    initial values.  The caller owns it: no other call returns it or
+    shares its cells.
+
+    The env's first successful call scans: it records the exact extent of
+    every array the program touches and marks the cells its references
+    reach, then freezes the store, so that only the pages holding a
+    marked cell are allocated and seeded.  It keeps an {!Arrays.image} of
+    that store with the env.  Every later call walks nothing: it returns
+    {!Arrays.of_image} of the image, equal bit for bit to a fresh scan,
+    in one copy of the seeded cells.  The image lives and dies with its
+    env.  Two domains may call this on one fresh env at once: both may
+    scan, each gets a store of its own, and the image is recorded once.
+    A scan that raises records nothing, so every call raises again.
 
     The scan walks each statement's own enclosing loops, evaluating loop
     bounds at every point of its outer loops.  Inside the innermost loop, a
@@ -63,21 +78,22 @@ val scan_bounds : env -> Arrays.t
     are scanned one after another in textual order, not interleaved as
     they execute.  Loops that enclose no statement are not visited. *)
 
-val run_sequential : ?store:Arrays.t -> env -> Arrays.t
-(** Executes the program in source order and returns the store: [store]
-    when given — a frozen {!scan_bounds} of [env], or an {!Arrays.copy}
-    of one, which the run overwrites — else a fresh scan.  The right-hand
-    side is evaluated before the left-hand subscripts; a read outside the
-    scanned extent or on an absent page yields {!Arrays.initial_value}, a
-    write there raises [Invalid_argument] (the program's own instances
-    only touch marked cells). *)
+val run_sequential : env -> Arrays.t
+(** Executes the program in source order on a fresh {!scan_bounds} of
+    [env] (a copy of its image after the env's first scan) and returns
+    that store.  The right-hand side is evaluated before the left-hand
+    subscripts; a read outside the scanned extent or on an absent page
+    yields {!Arrays.initial_value}, a write there raises
+    [Invalid_argument] (the program's own instances only touch marked
+    cells). *)
 
 val exec_instance : env -> Arrays.t -> Sched.instance -> unit
 (** Executes one statement instance (used by the executors). *)
 
 val run_schedule : env -> Sched.t -> Arrays.t
 (** Executes a schedule serially (phases in order, tasks in listed order) on
-    a fresh store. *)
+    a fresh {!scan_bounds} of [env]. *)
 
 val check_schedule : env -> Sched.t -> (unit, string) result
-(** [run_schedule] vs [run_sequential] array equality. *)
+(** [run_schedule] vs [run_sequential] array equality: one scan of [env],
+    and a copy of its image for the other run. *)

@@ -64,6 +64,120 @@ let test_digest_basics () =
     "compare consistent with equal" 0
     (D.compare (D.of_string "chain") (D.of_string "chain"))
 
+(* [Numeric.Digest] as it was before it folded bytes over local
+   accumulators, kept as its reference: one fresh record per byte. *)
+module Bytewise = struct
+  let prime = 0x100000001b3L
+
+  let add_byte (t : D.t) c =
+    let x = Int64.of_int (c land 0xff) in
+    {
+      D.a = Int64.mul (Int64.logxor t.D.a x) prime;
+      b = Int64.mul (Int64.logxor t.D.b x) prime;
+    }
+
+  let add_string t s =
+    String.fold_left (fun t c -> add_byte t (Char.code c)) t s
+
+  let add_int64 t x =
+    let acc = ref t in
+    for i = 0 to 7 do
+      acc :=
+        add_byte !acc
+          (Int64.to_int
+             (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
+    done;
+    !acc
+
+  let add_int t n = add_int64 t (Int64.of_int n)
+  let add_digest t (d : D.t) = add_int64 (add_int64 t d.D.a) d.D.b
+end
+
+(* Random strings, then ints with 0, -1, [min_int] and [max_int] among
+   them, fed to both implementations from one random start. *)
+let prop_digest_matches_bytewise =
+  let open QCheck2.Gen in
+  let special = oneofl [ 0; 1; -1; 255; 256; -256; min_int; max_int ] in
+  QCheck2.Test.make ~name:"digest = byte-at-a-time reference" ~count:500
+    (triple
+       (string_size (int_bound 600))
+       (list_size (int_bound 6) (oneof [ int; special ]))
+       (pair ui64 ui64))
+    (fun (s, ns, (a, b)) ->
+      let start = { D.a; b } in
+      let fold add_s add_i add_d =
+        let t = add_s start s in
+        let t = List.fold_left add_i t ns in
+        add_d t (add_s D.seed s)
+      in
+      D.equal
+        (fold D.add_string D.add_int D.add_digest)
+        (fold Bytewise.add_string Bytewise.add_int Bytewise.add_digest)
+      && D.equal
+           (String.fold_left D.add_char start s)
+           (Bytewise.add_string start s)
+      && D.equal
+           (List.fold_left (fun t n -> D.add_int64 t (Int64.of_int n)) start ns)
+           (List.fold_left
+              (fun t n -> Bytewise.add_int64 t (Int64.of_int n))
+              start ns))
+
+(* Hex values computed by the byte-at-a-time code: the cache keys, the
+   store's checksums and the memo keys all derive from these. *)
+let test_digest_pinned () =
+  List.iter
+    (fun (n, hex) ->
+      Alcotest.(check string)
+        (Printf.sprintf "add_int %d" n)
+        hex
+        (D.to_hex (D.add_int D.seed n)))
+    [
+      (0, "a8c7f832281a39c5e2f51678cc7c2164");
+      (1, "89cd31291d2aefa401efdd81d76b6b85");
+      (-1, "8cf51a8bfca3883d513e8a6455d57ddc");
+      (256, "e3757ca7d64666eaa84792031e4ff43f");
+      (-123456789, "b27a9f5f342245302ad54ae5fcfb0e85");
+      (min_int, "a8c7b8322819cd05e2f5d678cc7d67a4");
+      (max_int, "8cf55a8bfca3f4fd513e4a6455d5111c");
+    ];
+  List.iter
+    (fun (x, hex) ->
+      Alcotest.(check string)
+        (Printf.sprintf "add_int64 %Ld" x)
+        hex
+        (D.to_hex (D.add_int64 D.seed x)))
+    [
+      (0L, "a8c7f832281a39c5e2f51678cc7c2164");
+      (-1L, "8cf51a8bfca3883d513e8a6455d57ddc");
+      (Int64.min_int, "a8c7783228196045e2f59678cc7cfae4");
+      (Int64.max_int, "8cf59a8bfca461bd513e0a6455d4a45c");
+      (0x0123456789abcdefL, "37eb3f3347761c55e89e5fcb4f3289a4");
+    ];
+  Alcotest.(check string) "of_string" "22a69fe4e613649f622f8064d2d99c8a"
+    (D.to_hex (D.of_string "recurrence"));
+  Alcotest.(check string) "add_digest" "cee4ca0d8c2026fec3047d96c77c231f"
+    (D.to_hex (D.add_digest D.seed (D.of_string "recurrence")))
+
+(* A 3.4 KB string, the size of a served reply, costs one result (the
+   byte-at-a-time code allocated 9 words a byte, ~30,600 here): exact
+   per-domain counters. *)
+let test_digest_allocation () =
+  let s = String.init 3400 (fun i -> Char.chr (i * 7 land 0xff)) in
+  ignore (D.add_string D.seed s);
+  let p = Obs.Gcstats.mark () in
+  let d = D.add_string D.seed s in
+  let words = Obs.Gcstats.words_since p in
+  Alcotest.(check bool) "same digest" true
+    (D.equal d (Bytewise.add_string D.seed s));
+  if words > 32.0 then
+    Alcotest.failf "add_string on 3,400 bytes allocated %.0f words (limit 32)"
+      words;
+  let p = Obs.Gcstats.mark () in
+  ignore (D.add_int (D.add_digest D.seed d) max_int);
+  let words = Obs.Gcstats.words_since p in
+  if words > 32.0 then
+    Alcotest.failf "add_digest + add_int allocated %.0f words (limit 32)" words
+
 let test_poly_digest_syntactic () =
   let p1 = P.make 2 [ ge 2 [ 1; 2 ] 3; eq 2 [ 1; -1 ] 0 ] in
   let p2 = P.make 2 [ ge 2 [ 1; 2 ] 3; eq 2 [ 1; -1 ] 0 ] in
@@ -373,6 +487,11 @@ let () =
       ( "digest",
         [
           Alcotest.test_case "lanes and hex format" `Quick test_digest_basics;
+          QCheck_alcotest.to_alcotest prop_digest_matches_bytewise;
+          Alcotest.test_case "pinned add_int and add_int64 digests" `Quick
+            test_digest_pinned;
+          Alcotest.test_case "add_string allocates only its result" `Quick
+            test_digest_allocation;
           Alcotest.test_case "poly digests are syntactic" `Quick
             test_poly_digest_syntactic;
           Alcotest.test_case "interning shares structure" `Quick

@@ -374,7 +374,8 @@ let test_arrays_copy () =
   Arrays.note_bounds s "x" [ -2; 0 ];
   Arrays.note_bounds s "x" [ 3; 4 ];
   Arrays.freeze s;
-  let c = Arrays.copy s in
+  let img = Arrays.image s in
+  let c = Arrays.of_image img in
   Alcotest.(check bool) "a copy is equal" true (Arrays.equal s c);
   Arrays.set c "x" [ 1; 1 ] 42.0;
   Alcotest.(check bool) "writes to the copy stay there" false
@@ -382,7 +383,12 @@ let test_arrays_copy () =
   Alcotest.(check (float 0.0))
     "original cell untouched"
     (Arrays.initial_value "x" [ 1; 1 ])
-    (Arrays.get s "x" [ 1; 1 ])
+    (Arrays.get s "x" [ 1; 1 ]);
+  Arrays.set s "x" [ 2; 2 ] 7.0;
+  Alcotest.(check (float 0.0))
+    "writes to the original miss the image"
+    (Arrays.initial_value "x" [ 2; 2 ])
+    (Arrays.get (Arrays.of_image img) "x" [ 2; 2 ])
 
 (* The seeding table holds, for every residue, the value the dense
    store's formula computes: [value_of_hash] reduces a hash modulo 1000
@@ -465,7 +471,7 @@ let prop_equal_copy_match_dense ~count =
         let idx = List.nth points (int (List.length points)) in
         write [ (a, da) ] idx (value idx)
       end;
-      let c = Arrays.copy a and dc = Dense.copy da in
+      let c = Arrays.of_image (Arrays.image a) and dc = Dense.copy da in
       let idx = writable.(int (Array.length writable)) in
       let old = Arrays.get_index a "x" idx in
       let fresh = if Float.is_nan old then 2.5 else Float.nan in
@@ -655,7 +661,7 @@ let test_seeded_cells_example1 () =
   if seeded > 167_000 then
     Alcotest.failf "example1 200x300 seeds %d cells (limit 167000)" seeded;
   Alcotest.(check int) "a copy holds the same pages" seeded
-    (Arrays.seeded_cells (Arrays.copy store))
+    (Arrays.seeded_cells (Interp.scan_bounds env))
 
 (* Three cells 10^8 apart: the extent of [a] is 3×10^8 + 1 cells, so its
    pages grow to 2^13 cells and its table stops at 36,622 entries; the
@@ -670,8 +676,8 @@ let test_sparse_store_cheap () =
        ENDDO"
   in
   let probe = Obs.Gcstats.mark () in
-  let store = Interp.scan_bounds env in
-  let store = Interp.run_sequential ~store env in
+  ignore (Interp.scan_bounds env);
+  let store = Interp.run_sequential env in
   let words = Obs.Gcstats.words_since probe in
   if words >= 1_000_000.0 then
     Alcotest.failf "scan + run_sequential allocated %.0f words (limit 1000000)"
@@ -975,6 +981,163 @@ let prop_scan_matches_reference ~count =
       same_outcome ~env
         (outcome (fun () -> Reference.scan_bounds env))
         (outcome (fun () -> Interp.scan_bounds env)))
+
+(* ------------------------------------------------------------------ *)
+(* The scan's image                                                     *)
+
+(* Three scans of one env: the first walks the nest and records the
+   image, the others are copies of it.  Each equals the reference's
+   dense seeding, or raises what the reference raises. *)
+let repeated_scans_match ?env want (e : Interp.env) =
+  List.for_all
+    (fun _ -> same_outcome ?env want (outcome (fun () -> Interp.scan_bounds e)))
+    [ 1; 2; 3 ]
+
+(* Every cell of every present page of [store] set to NaN, through the
+   views the kernels write through. *)
+let poison store =
+  List.iter
+    (fun a ->
+      let v = Option.get (Arrays.view store a) in
+      Array.fill v.Arrays.v_slab 0 (Array.length v.Arrays.v_slab) Float.nan)
+    (Arrays.arrays store)
+
+let test_image_repeats_builtins () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun size ->
+          let params = List.map (fun p -> (p, size)) prog.Loopir.Ast.params in
+          let env = Interp.prepare prog ~params in
+          let want = outcome (fun () -> Reference.scan_bounds env) in
+          if not (repeated_scans_match want env) then
+            Alcotest.failf "%s@%d: a repeated scan differs from the reference"
+              name size;
+          let first = Interp.scan_bounds env and again = Interp.scan_bounds env in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s@%d: repeated scans equal" name size)
+            true (Arrays.equal first again);
+          Alcotest.(check int)
+            (Printf.sprintf "%s@%d: same pages" name size)
+            (Arrays.seeded_cells first) (Arrays.seeded_cells again))
+        [ 0; 1; 2; 5; 8; 16 ])
+    Loopir.Builtin.all
+
+let prop_image_repeats_random_nests ~count =
+  QCheck2.Test.make ~name:"repeated scans = reference on random strided nests"
+    ~count
+    ~print:(fun seed ->
+      Loopir.Pretty.program_to_string
+        (Nests.random_nest (Random.State.make [| seed |])))
+    QCheck2.Gen.int
+    (fun seed ->
+      let env =
+        Interp.prepare (Nests.random_nest (Random.State.make [| seed |]))
+          ~params:[]
+      in
+      repeated_scans_match ~env (outcome (fun () -> Reference.scan_bounds env)) env)
+
+(* No store the env hands out shares cells with its image: after the
+   runs have written their stores and the first store is poisoned, a
+   further scan equals a scan of a freshly prepared env. *)
+let test_image_not_aliased () =
+  List.iter
+    (fun (name, prog, params) ->
+      let fresh () = Interp.prepare prog ~params in
+      let env = fresh () in
+      let sched = Sched.sequential_of_trace (Trace.build prog ~params) in
+      let scanned = Interp.scan_bounds env in
+      let seq = Interp.run_sequential env in
+      let par = (Exec.run_timed env ~threads:2 sched).Exec.store in
+      Alcotest.(check bool) (name ^ ": the runs wrote") false
+        (Arrays.equal seq (Interp.scan_bounds (fresh ())));
+      Alcotest.(check bool) (name ^ ": the runs agree") true
+        (Arrays.equal seq par);
+      poison scanned;
+      let again = Interp.scan_bounds env in
+      Alcotest.(check bool) (name ^ ": a later scan = a fresh env's") true
+        (Arrays.equal again (Interp.scan_bounds (fresh ())));
+      Alcotest.(check bool) (name ^ ": = dense reference") true
+        (matches_dense (Reference.scan_bounds (fresh ())) again))
+    [
+      ("example1", Loopir.Builtin.example1, [ ("n1", 20); ("n2", 30) ]);
+      ("example2", Loopir.Builtin.example2, [ ("n", 12) ]);
+      ( "cholesky",
+        Loopir.Builtin.cholesky,
+        [ ("n", 6); ("m", 3); ("nmat", 2); ("nrhs", 2) ] );
+    ]
+
+(* Two domains scan one fresh env at once: both may walk the nest, each
+   gets its own store equal to the reference, and a later call copies
+   the one image recorded. *)
+let test_image_concurrent_first_scans () =
+  let progs =
+    Array.of_list
+      (List.map
+         (fun (name, prog) ->
+           let params = List.map (fun p -> (p, 6)) prog.Loopir.Ast.params in
+           (name, prog, params, Interp.scan_bounds (Interp.prepare prog ~params)))
+         Loopir.Builtin.corpus)
+  in
+  for round = 0 to 199 do
+    let name, prog, params, want = progs.(round mod Array.length progs) in
+    let env = Interp.prepare prog ~params in
+    let ready = Atomic.make 0 in
+    let scan () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Interp.scan_bounds env
+    in
+    let other = Domain.spawn scan in
+    let mine = scan () in
+    let theirs = Domain.join other in
+    List.iter
+      (fun (who, store) ->
+        if not (Arrays.equal store want) then
+          Alcotest.failf "round %d, %s: the %s store differs" round name who)
+      [ ("calling domain's", mine); ("second domain's", theirs);
+        ("later", Interp.scan_bounds env) ];
+    poison mine;
+    if not (Arrays.equal theirs want && Arrays.equal (Interp.scan_bounds env) want)
+    then Alcotest.failf "round %d, %s: the two stores share cells" round name
+  done
+
+(* A scan that raises records nothing: every call raises again. *)
+let test_image_failed_scan_records_nothing () =
+  let env = scan_src "DO i = 0, 1\n  a(1099511627775*i) = 1.0\nENDDO" in
+  let e = Diag.Error (Diag.Extent_overflow "a") in
+  for k = 1 to 3 do
+    Alcotest.check_raises (Printf.sprintf "scan_bounds, call %d" k) e (fun () ->
+        ignore (Interp.scan_bounds env))
+  done;
+  Alcotest.check_raises "run_sequential" e (fun () ->
+      ignore (Interp.run_sequential env));
+  Alcotest.check_raises "check_schedule" e (fun () ->
+      ignore (Interp.check_schedule env { Sched.phases = [] }))
+
+(* A repeated scan of example1 at 200×300 walks nothing: it allocates
+   its 123,516-cell slab and a few words per array, not a word per
+   iteration or per cell beyond the slab (exact per-domain counters). *)
+let test_image_scan_allocation () =
+  let env =
+    Interp.prepare Loopir.Builtin.example1 ~params:[ ("n1", 200); ("n2", 300) ]
+  in
+  let first = Interp.scan_bounds env in
+  let cells = float_of_int (Arrays.seeded_cells first) in
+  let p = Obs.Gcstats.start () in
+  let again = Interp.scan_bounds env in
+  let d = Obs.Gcstats.since p in
+  Alcotest.(check bool) "equal to the first scan" true (Arrays.equal first again);
+  if d.Obs.Gcstats.minor_words > 64.0 then
+    Alcotest.failf "a repeated scan allocated %.0f minor words (limit 64)"
+      d.Obs.Gcstats.minor_words;
+  let beyond = Obs.Gcstats.allocated_words d -. cells in
+  if beyond > 64.0 then
+    Alcotest.failf
+      "a repeated scan allocated %.0f words beyond its %.0f cells (limit 64)"
+      beyond cells
 
 (* The sequential schedule of [env]'s program, when its trace builds. *)
 let sequential_schedule (env : Interp.env) =
@@ -2023,14 +2186,13 @@ let test_mindist_phase_allocation () =
     driver_schedule ~strategy:Pipeline.Plan.Mindist Loopir.Builtin.example1
       [ ("n1", 100); ("n2", 150) ]
   in
-  let store = Interp.scan_bounds env in
   let oracle = Interp.run_sequential env in
   with_pool 2 (fun w ->
       List.iter
         (fun (label, workers, threads) ->
           let run st = Exec.run_timed ?workers ~store:st env ~threads sched in
-          ignore (run (Arrays.copy store));
-          let st = Arrays.copy store in
+          ignore (run (Interp.scan_bounds env));
+          let st = Interp.scan_bounds env in
           let p = Obs.Gcstats.mark () in
           let tmd = run st in
           let words = Obs.Gcstats.words_since p in
@@ -2131,6 +2293,20 @@ let () =
             test_sparse_store_cheap;
           Alcotest.test_case "extent overflow fails typed" `Quick
             test_extent_overflow_typed;
+        ] );
+      ( "image",
+        [
+          Alcotest.test_case "repeated scans = reference (builtins, 6 sizes)"
+            `Quick test_image_repeats_builtins;
+          QCheck_alcotest.to_alcotest (prop_image_repeats_random_nests ~count:200);
+          Alcotest.test_case "no store shares the image's cells" `Quick
+            test_image_not_aliased;
+          Alcotest.test_case "two domains scan one fresh env (200 rounds)"
+            `Quick test_image_concurrent_first_scans;
+          Alcotest.test_case "a failed scan records nothing" `Quick
+            test_image_failed_scan_records_nothing;
+          Alcotest.test_case "a repeated scan walks nothing (example1)" `Quick
+            test_image_scan_allocation;
         ] );
       ( "interp",
         [

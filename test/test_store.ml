@@ -154,6 +154,109 @@ let test_corrupt_record_rejected () =
   Alcotest.(check int) "file truncated to the last valid record" keep
     (Unix.stat shard).Unix.st_size
 
+(* Four records in a one-shard log, cut and flipped at every byte. *)
+let records =
+  [
+    (key 1, "alpha");
+    (key 2, "");
+    (key 3, "bytes \x00 and \xff and \n inside");
+    (key 4, String.make 70 'z');
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+
+(* Each record's end offset, read from the layout store.mli documents:
+   a 28-byte header with the key and payload lengths at bytes 4 and 8. *)
+let record_ends log =
+  let u32 o =
+    Char.code log.[o]
+    lor (Char.code log.[o + 1] lsl 8)
+    lor (Char.code log.[o + 2] lsl 16)
+    lor (Char.code log.[o + 3] lsl 24)
+  in
+  let rec go pos acc =
+    if pos >= String.length log then List.rev acc
+    else
+      let e = pos + 28 + u32 (pos + 4) + u32 (pos + 8) in
+      go e (e :: acc)
+  in
+  go 0 []
+
+let written_log () =
+  let dir = temp_dir "store-log" in
+  let s = Store.open_dir ~shards:1 dir in
+  List.iter (fun (k, p) -> Store.add s k p) records;
+  Store.close s;
+  let log = read_file (List.hd (data_shards dir)) in
+  let ends = record_ends log in
+  Alcotest.(check int) "one record per add" (List.length records)
+    (List.length ends);
+  Alcotest.(check int) "the records fill the log" (String.length log)
+    (List.nth ends (List.length ends - 1));
+  (log, ends)
+
+(* Reopen [bytes] as a one-shard log in [dir]: the first [kept] records
+   come back byte for byte, no later one comes back, and the bytes after
+   the last kept record are reported truncated and cut from the file. *)
+let recovers label dir bytes ~ends ~kept =
+  let path = Filename.concat dir "shard-00.log" in
+  write_file path bytes;
+  let s = Store.open_dir ~shards:1 dir in
+  let valid = if kept = 0 then 0 else List.nth ends (kept - 1) in
+  Alcotest.(check int) (label ^ ": recovered") kept
+    (Store.recovery s).Store.recovered;
+  Alcotest.(check int)
+    (label ^ ": truncated bytes")
+    (String.length bytes - valid)
+    (Store.recovery s).Store.truncated_bytes;
+  List.iteri
+    (fun i (k, p) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: record %d" label i)
+        (if i < kept then Some p else None)
+        (Store.find s k))
+    records;
+  s
+
+let test_cut_at_every_byte () =
+  let log, ends = written_log () in
+  let dir = temp_dir "store-cut" in
+  for cut = 0 to String.length log do
+    let label = Printf.sprintf "cut at %d" cut in
+    let kept = List.length (List.filter (fun e -> e <= cut) ends) in
+    let s = recovers label dir (String.sub log 0 cut) ~ends ~kept in
+    (* the recovered log keeps accepting appends *)
+    Store.add s (key 9) "after-recovery";
+    Store.close s;
+    let s = Store.open_dir ~shards:1 dir in
+    Alcotest.(check int) (label ^ ": append persisted") (kept + 1)
+      (Store.recovery s).Store.recovered;
+    Alcotest.(check int) (label ^ ": no torn tail after the append") 0
+      (Store.recovery s).Store.truncated_bytes;
+    Alcotest.(check (option string))
+      (label ^ ": appended record")
+      (Some "after-recovery")
+      (Store.find s (key 9));
+    Store.close s
+  done
+
+let test_flip_at_every_byte () =
+  let log, ends = written_log () in
+  let dir = temp_dir "store-flip" in
+  String.iteri
+    (fun at c ->
+      let bytes = Bytes.of_string log in
+      Bytes.set bytes at (Char.chr (Char.code c lxor 0xff));
+      let kept = List.length (List.filter (fun e -> e <= at) ends) in
+      Store.close
+        (recovers
+           (Printf.sprintf "flip at %d" at)
+           dir (Bytes.to_string bytes) ~ends ~kept))
+    log
+
 (* ------------------------------------------------------------------ *)
 (* service-level disk warmth                                            *)
 
@@ -289,6 +392,10 @@ let () =
             test_corrupt_record_rejected;
           Alcotest.test_case "garbage file treated as empty" `Quick
             test_garbage_store_file_is_empty;
+          Alcotest.test_case "log cut at every byte" `Quick
+            test_cut_at_every_byte;
+          Alcotest.test_case "byte flipped at every offset" `Quick
+            test_flip_at_every_byte;
         ] );
       ( "service",
         [
