@@ -892,17 +892,32 @@ let pipeline_json () =
   let sc = if quick then 1 else 2 in
   let programs = builtin_corpus sc in
   let thread_counts = [ 1; 2; 4 ] in
+  (* One pool per thread count, spawned before the corpus runs and shut
+     down after them, so [stage:execute] times the run and not a
+     transient pool's spawn and join. *)
+  let pools =
+    List.map (fun t -> (t, Runtime.Workers.create ~domains:t)) thread_counts
+  in
   (* One recording log attached across the corpus runs: the resulting
      BENCH_trace.json shows every program × thread-count run end to end. *)
   let log = Obs.Event.make () in
   let entries =
+    Fun.protect ~finally:(fun () ->
+        List.iter (fun (_, w) -> Runtime.Workers.shutdown w) pools)
+    @@ fun () ->
     Obs.Event.with_ambient log @@ fun () ->
     List.filter_map
       (fun (name, prog, params) ->
         let runs =
           List.filter_map
             (fun threads ->
-              let options = { Pipeline.Driver.default_options with threads } in
+              let options =
+                {
+                  Pipeline.Driver.default_options with
+                  threads;
+                  workers = Some (List.assoc threads pools);
+                }
+              in
               let name = Printf.sprintf "%s@t%d" name threads in
               match Pipeline.Driver.run ~options ~name ~params prog with
               | Ok o -> Some (threads, o.Pipeline.Driver.report)

@@ -25,14 +25,13 @@ let schedule (tr : Depend.Trace.t) =
           {
             label = Printf.sprintf "outer-%d-s%d" outer stmt;
             instances =
-              Array.of_list
-                (List.rev_map
-                   (fun (i : Depend.Trace.instance) ->
-                     {
-                       Runtime.Sched.stmt = i.Depend.Trace.stmt;
-                       iter = i.Depend.Trace.iter;
-                     })
-                   (Hashtbl.find groups key));
+              Runtime.Sched.instances_of_list
+                (fun (i : Depend.Trace.instance) ->
+                  {
+                    Runtime.Sched.stmt = i.Depend.Trace.stmt;
+                    iter = i.Depend.Trace.iter;
+                  })
+                (List.rev (Hashtbl.find groups key));
           })
       !order
   in

@@ -60,10 +60,9 @@ let schedule t ~stmt points =
           {
             label = Printf.sprintf "tile%s" (Ivec.to_string key);
             instances =
-              Array.of_list
-                (List.rev_map
-                   (fun iter -> { Runtime.Sched.stmt; iter })
-                   (Hashtbl.find tiles key));
+              Runtime.Sched.instances_of_list
+                (fun iter -> { Runtime.Sched.stmt; iter })
+                (List.rev (Hashtbl.find tiles key));
           })
       keys
   in

@@ -91,10 +91,9 @@ let schedule t ~stmt ~params =
       {
         label;
         instances =
-          Array.of_list
-            (List.map
-               (fun iter -> { Runtime.Sched.stmt; iter })
-               (Enum.points (Iset.bind_params set params)));
+          Runtime.Sched.instances_of_list
+            (fun iter -> { Runtime.Sched.stmt; iter })
+            (Enum.points (Iset.bind_params set params));
       }
   in
   let mid_task =
@@ -103,10 +102,9 @@ let schedule t ~stmt ~params =
         label = "unique-3-sequential";
         tasks =
           [|
-            Array.of_list
-              (List.map
-                 (fun iter -> { Runtime.Sched.stmt; iter })
-                 (Enum.points (Iset.bind_params t.mid params)));
+            Runtime.Sched.instances_of_list
+              (fun iter -> { Runtime.Sched.stmt; iter })
+              (Enum.points (Iset.bind_params t.mid params));
           |];
       }
   in

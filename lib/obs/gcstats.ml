@@ -7,10 +7,20 @@ type t = {
   compactions : int;
 }
 
+(* The calling domain's fresh words so far (minor + major − promoted),
+   read by a C stub that allocates nothing and returns an unboxed float,
+   so a reading is charged to neither window it bounds and a phase
+   boundary costs no minor-heap words.  It is not [noalloc]: the call
+   must publish the domain's allocation pointer, which the minor count
+   reads, as [Gc.minor_words]'s does. *)
+external fresh_words : unit -> (float[@unboxed])
+  = "obs_fresh_words_byte" "obs_fresh_words"
+
 (* All fields are floats, so the record is flat and a reading stores into
    it without boxing: the record is allocated before the counters are
    read.  Collection counts are exact in a float well past any run. *)
 type probe = {
+  mutable words : float;  (** {!fresh_words} at the probe *)
   mutable minor : float;
   mutable promoted : float;
   mutable major : float;
@@ -21,6 +31,7 @@ type probe = {
 
 let fresh () =
   {
+    words = 0.0;
     minor = 0.0;
     promoted = 0.0;
     major = 0.0;
@@ -29,50 +40,37 @@ let fresh () =
     compactions_ = 0.0;
   }
 
-(* The minor-word counter is read last, after everything the reading
-   allocates ([Gc.counters]'s triple), so none of it is charged to the
-   span the probe opens.  [Gc.counters]'s own minor count lags the minor
-   heap; its promoted and major counts are exact. *)
-let read_words p =
-  let _, promoted, major = Gc.counters () in
-  p.promoted <- promoted;
-  p.major <- major;
-  p.minor <- Gc.minor_words ()
-
 let mark () =
   let p = fresh () in
-  read_words p;
+  p.words <- fresh_words ();
   p
 
-(* One reading that closes a window and opens the next: the minor-word
-   counter is read first for the closing window and again, after
-   [Gc.counters]'s triple is allocated, for the opening one, so that
-   allocation falls in neither. *)
-let lap p =
-  let minor = Gc.minor_words () in
-  let _, promoted, major = Gc.counters () in
-  let w = minor -. p.minor +. (major -. p.major) -. (promoted -. p.promoted) in
-  p.promoted <- promoted;
-  p.major <- major;
-  p.minor <- Gc.minor_words ();
-  w
+let[@inline] words_since p = fresh_words () -. p.words
 
+let[@inline] lap p =
+  let w = fresh_words () in
+  let d = w -. p.words in
+  p.words <- w;
+  d
+
+(* [Gc.counters]'s triple and [Gc.quick_stat]'s record are allocated
+   before the minor-word counters are read, so neither is charged to the
+   span the probe opens. *)
 let start () =
   let p = fresh () in
   let s = Gc.quick_stat () in
   p.minor_gcs <- float_of_int s.Gc.minor_collections;
   p.major_gcs <- float_of_int s.Gc.major_collections;
   p.compactions_ <- float_of_int s.Gc.compactions;
-  read_words p;
+  let _, promoted, major = Gc.counters () in
+  p.promoted <- promoted;
+  p.major <- major;
+  p.minor <- Gc.minor_words ();
+  p.words <- fresh_words ();
   p
 
-(* Closing readings take the minor-word counter first, so their own
+(* A closing reading takes the minor-word counter first, so its own
    allocation falls after the span too. *)
-let words_since p =
-  let minor = Gc.minor_words () in
-  let _, promoted, major = Gc.counters () in
-  minor -. p.minor +. (major -. p.major) -. (promoted -. p.promoted)
-
 let since p =
   let minor = Gc.minor_words () in
   let _, promoted, major = Gc.counters () in

@@ -5,9 +5,13 @@
     one around each worker domain's drain, so per-domain allocation shows
     up next to per-domain busy time.
 
-    Word counts come from [Gc.minor_words] and [Gc.counters], which on
-    OCaml 5 are exact for the calling domain and cost ~30 ns together.
-    [Gc.quick_stat] is not used for words: on OCaml 5.1.1 its
+    Word counts come from the calling domain's counters behind
+    [Gc.minor_words] and [Gc.counters], which on OCaml 5 are exact for
+    that domain.  {!mark}, {!lap} and {!words_since} read their sum
+    through a C stub that allocates nothing, so a phase boundary costs
+    no words;
+    {!start} and {!since} read the two functions for the per-kind
+    record.  [Gc.quick_stat] is not used for words: on OCaml 5.1.1 its
     [minor_words] advances only at a minor collection and its
     [major_words] misses direct major allocations until then (a
     1,000-cons list reads 0 minor words there, 3,034 from
@@ -16,8 +20,8 @@
     {!start}, for the collection counts, which are process-global.
 
     A reading's own allocation is not charged to the span it measures:
-    an opening reading takes the minor-word counter last, a closing one
-    first. *)
+    {!mark}, {!lap} and {!words_since} allocate nothing while reading,
+    and {!start} takes the minor-word counter last, {!since} first. *)
 
 type t = {
   minor_words : float;  (** words allocated in the minor heap *)
@@ -43,9 +47,8 @@ val lap : probe -> float
 (** {!words_since} the probe, and the probe re-armed at the same
     reading: consecutive laps measure back-to-back windows (the phases
     of a run, each closing where the next opens) with one
-    [Gc.counters] call per boundary.  The reading's own allocation falls
-    in neither window; the returned float is boxed after it, in the
-    window the lap opens. *)
+    reading per boundary, which allocates nothing (the returned float is
+    boxed only where a caller keeps it boxed). *)
 
 val start : unit -> probe
 (** Word counters and the collection counts of [Gc.quick_stat]; pair

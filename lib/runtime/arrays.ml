@@ -370,9 +370,24 @@ type cells = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (* Each array's frozen record with an empty slab, beside its cells.  No
    store changes a layout after freeze, so the records' extents, strides
    and page tables are shared with every store made from the image; the
-   cells sit in one Float64 bigarray per array, off the OCaml heap, and
-   are copied both ways by plain unboxed loops. *)
+   cells sit in one Float64 bigarray per array, off the OCaml heap.  They
+   are copied in by a plain unboxed loop, once per image, and out by one
+   [memcpy] per array, once per store. *)
 type image = (arr * cells) array
+
+external unsafe_blit_cells :
+  cells -> int -> float array -> int -> int -> unit = "runtime_blit_cells"
+[@@noalloc]
+
+(* [len] cells of [src] from [src_off] into [dst] from [dst_off].  The
+   stub trusts its ranges, so they are checked here. *)
+let blit_cells (src : cells) src_off dst dst_off len =
+  if
+    len < 0 || src_off < 0 || dst_off < 0
+    || src_off > Bigarray.Array1.dim src - len
+    || dst_off > Array.length dst - len
+  then invalid_arg "Arrays.blit_cells";
+  if len > 0 then unsafe_blit_cells src src_off dst dst_off len
 
 let image t =
   if not t.frozen then invalid_arg "Arrays.image: freeze first";
@@ -393,9 +408,7 @@ let of_image (img : image) =
     (fun (h, (cells : cells)) ->
       let n = Bigarray.Array1.dim cells in
       let slab = Array.create_float n in
-      for i = 0 to n - 1 do
-        Array.unsafe_set slab i (Bigarray.Array1.unsafe_get cells i)
-      done;
+      blit_cells cells 0 slab 0 n;
       Hashtbl.add tbl h.name { h with slab })
     img;
   { tbl; frozen = true }

@@ -102,7 +102,8 @@ val image : t -> image
 
 val of_image : image -> t
 (** A fresh frozen store with the image's extents and page tables, its
-    slabs copied from the image's cells at about a nanosecond a cell:
+    slabs copied from the image's cells by one [memcpy] per array (a C
+    stub, called after the ranges are checked):
     {!equal} to the imaged store at the time of {!image}.  It shares no
     cell with the image or with another store. *)
 

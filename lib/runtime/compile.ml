@@ -3,8 +3,6 @@ module Prog = Loopir.Prog
 module Affine = Loopir.Affine
 module S = Numeric.Safeint
 
-type t = { kernels : (int array -> unit) array }
-
 (* Compilation of one statement happens in the context of its loop-variable
    slot mapping (outermost first, matching the [iter] vectors built by
    [Sched]) and the parameter values — both resolved exactly once. *)
@@ -121,24 +119,26 @@ let fuse_offset ctx (view : Arrays.view) affs =
   Array.iteri (fun j m -> if m <> 0 then nz := (j, m) :: !nz) ms;
   (!c, List.rev !nz)
 
-(* A fused access reads slab cell [table.(off lsr shift) + (off land
-   mask)].  The scan marked the cell of every instance of the statement,
-   so its page is present; an offset outside the scanned space meets an
-   absent page's negative entry or the table's end, and raises. *)
-let fused_load view c nz =
-  let table = view.Arrays.v_table and slab = view.Arrays.v_slab in
+(* The offset closure of a fused access: the slab cell [table.(off lsr
+   shift) + (off land mask)] of the instance, an int, so no float crosses
+   it.  The scan marked the cell of every instance of the statement, so
+   its page is present; an offset outside the scanned space meets an
+   absent page's negative entry or the table's end, and the access
+   raises. *)
+let fused_cell view c nz : int array -> int =
+  let table = view.Arrays.v_table in
   let sh = view.Arrays.v_shift in
   let mask = (1 lsl sh) - 1 in
   match nz with
-  | [] -> fun _ -> slab.(table.(c lsr sh) + (c land mask))
+  | [] -> fun _ -> table.(c lsr sh) + (c land mask)
   | [ (j0, m0) ] ->
       fun it ->
         let off = c + (m0 * it.(j0)) in
-        slab.(table.(off lsr sh) + (off land mask))
+        table.(off lsr sh) + (off land mask)
   | [ (j0, m0); (j1, m1) ] ->
       fun it ->
         let off = c + (m0 * it.(j0)) + (m1 * it.(j1)) in
-        slab.(table.(off lsr sh) + (off land mask))
+        table.(off lsr sh) + (off land mask)
   | pairs ->
       let slots = Array.of_list (List.map fst pairs) in
       let ms = Array.of_list (List.map snd pairs) in
@@ -148,122 +148,277 @@ let fused_load view c nz =
         for j = 0 to n - 1 do
           off := !off + (ms.(j) * it.(slots.(j)))
         done;
-        slab.(table.(!off lsr sh) + (!off land mask))
-
-let fused_store view c nz =
-  let table = view.Arrays.v_table and slab = view.Arrays.v_slab in
-  let sh = view.Arrays.v_shift in
-  let mask = (1 lsl sh) - 1 in
-  match nz with
-  | [] -> fun _ v -> slab.(table.(c lsr sh) + (c land mask)) <- v
-  | [ (j0, m0) ] ->
-      fun it v ->
-        let off = c + (m0 * it.(j0)) in
-        slab.(table.(off lsr sh) + (off land mask)) <- v
-  | [ (j0, m0); (j1, m1) ] ->
-      fun it v ->
-        let off = c + (m0 * it.(j0)) + (m1 * it.(j1)) in
-        slab.(table.(off lsr sh) + (off land mask)) <- v
-  | pairs ->
-      let slots = Array.of_list (List.map fst pairs) in
-      let ms = Array.of_list (List.map snd pairs) in
-      let n = Array.length slots in
-      fun it v ->
-        let off = ref c in
-        for j = 0 to n - 1 do
-          off := !off + (ms.(j) * it.(slots.(j)))
-        done;
-        slab.(table.(!off lsr sh) + (!off land mask)) <- v
-
-(* The affine views of a subscript list, when every subscript is affine
-   and the array has a raw view (it was noted during the dry scan). *)
-let fused_of ctx name subs =
-  match Arrays.view ctx.store name with
-  | None -> None
-  | Some view ->
-      if List.length subs <> Array.length view.Arrays.v_lo then None
-      else
-        let rec all acc = function
-          | [] -> Some (List.rev acc)
-          | s :: rest -> (
-              match affine_of ctx s with
-              | Some a -> all (a :: acc) rest
-              | None -> None)
-        in
-        Option.map (fun affs -> (view, fuse_offset ctx view affs)) (all [] subs)
+        table.(!off lsr sh) + (!off land mask)
 
 (* Non-affine (or unscanned-array) references keep the exact interpreter
-   semantics, including the [initial_value] fallback of {!Arrays.read},
-   through a handle resolved once. *)
-let general_load ctx name subs =
-  let fs = Array.of_list (List.map (cint_value ctx) subs) in
-  let h = Arrays.handle ctx.store name in
-  fun it -> Arrays.read h (Array.map (fun f -> f it) fs)
+   semantics through a handle resolved once.  Their cell is found from
+   the subscripts' values on the view's page table without building an
+   index tuple: -1 outside the extent or on an absent page, where only
+   then a tuple is built, for {!Arrays.read}'s initial value or
+   {!Arrays.write}'s error. *)
+let general_cell view fs : int array -> int =
+  match view with
+  | Some v when Array.length v.Arrays.v_lo = Array.length fs ->
+      let lo = v.Arrays.v_lo and hi = v.Arrays.v_hi in
+      let st = v.Arrays.v_strides and table = v.Arrays.v_table in
+      let sh = v.Arrays.v_shift in
+      let mask = (1 lsl sh) - 1 in
+      fun it ->
+        let off = ref 0 and inside = ref true in
+        for k = 0 to Array.length fs - 1 do
+          let x = fs.(k) it in
+          if x < lo.(k) || x > hi.(k) then inside := false
+          else off := !off + (st.(k) * (x - lo.(k)))
+        done;
+        if not !inside then -1
+        else
+          let base = table.(!off lsr sh) in
+          if base < 0 then -1 else base + (!off land mask)
+  | _ -> fun _ -> -1
 
-let general_store ctx name subs =
-  let fs = Array.of_list (List.map (cint_value ctx) subs) in
-  let h = Arrays.handle ctx.store name in
-  fun it v -> Arrays.write h (Array.map (fun f -> f it) fs) v
+(* A reference as the slab it reads and writes and the cell closure that
+   finds an instance's cell there: fused when every subscript is affine
+   and the array has a raw view (it was noted during the dry scan),
+   general otherwise. *)
+type reference =
+  | Fused of { slab : float array; cell : int array -> int }
+  | General of {
+      slab : float array;
+      cell : int array -> int;
+      h : Arrays.handle;
+      tuple : int array -> int array;
+    }
+
+let reference ctx name subs =
+  let view = Arrays.view ctx.store name in
+  let rec affine acc = function
+    | [] -> Some (List.rev acc)
+    | s :: rest -> (
+        match affine_of ctx s with
+        | Some a -> affine (a :: acc) rest
+        | None -> None)
+  in
+  let affs =
+    match view with
+    | Some v when List.length subs = Array.length v.Arrays.v_lo ->
+        affine [] subs
+    | _ -> None
+  in
+  match (view, affs) with
+  | Some v, Some affs ->
+      let c, nz = fuse_offset ctx v affs in
+      Fused { slab = v.Arrays.v_slab; cell = fused_cell v c nz }
+  | _ ->
+      let fs = Array.of_list (List.map (cint_value ctx) subs) in
+      General
+        {
+          slab = (match view with Some v -> v.Arrays.v_slab | None -> [||]);
+          cell = general_cell view fs;
+          h = Arrays.handle ctx.store name;
+          tuple = (fun it -> Array.map (fun f -> f it) fs);
+        }
 
 (* ---- float expressions ----------------------------------------------- *)
 
-let rec cfloat ctx e : int array -> float =
+(* A kernel takes the executing domain's scratch and the iteration
+   vector.  No float is returned from or passed to a closure: without
+   flambda such a float is boxed, ~2 words per instance.  A node of a
+   general tree writes its value into its scratch slot [s] and uses the
+   slots above [s] for its operands; the domains of a phase share one
+   compiled program, so each brings its own scratch. *)
+type kernel = float array -> int array -> unit
+
+(* [tree ctx need e s]: a node writing [e]'s value into scratch slot [s];
+   [need] records the slots the program's scratch must hold. *)
+let rec tree ctx need e s : kernel =
+  if s >= !need then need := s + 1;
+  let s1 = s + 1 in
   match e with
   | Ast.Int k ->
       let v = float_of_int k in
-      fun _ -> v
-  | Ast.Real r -> fun _ -> r
+      fun sc _ -> sc.(s) <- v
+  | Ast.Real v -> fun sc _ -> sc.(s) <- v
   | Ast.Var v -> (
       match slot ctx v with
-      | Some j -> fun it -> float_of_int it.(j)
+      | Some j -> fun sc it -> sc.(s) <- float_of_int it.(j)
       | None -> (
           match param ctx v with
           | Some k ->
               let v = float_of_int k in
-              fun _ -> v
-          | None -> fun it -> float_of_int (unbound v it)))
+              fun sc _ -> sc.(s) <- v
+          | None -> fun sc it -> sc.(s) <- float_of_int (unbound v it)))
   | Ast.Ref (a, subs) -> (
-      match fused_of ctx a subs with
-      | Some (view, (c, nz)) -> fused_load view c nz
-      | None -> general_load ctx a subs)
-  | Ast.Bin (Ast.Add, a, b) ->
-      let fa = cfloat ctx a and fb = cfloat ctx b in
-      fun it -> fa it +. fb it
-  | Ast.Bin (Ast.Sub, a, b) ->
-      let fa = cfloat ctx a and fb = cfloat ctx b in
-      fun it -> fa it -. fb it
-  | Ast.Bin (Ast.Mul, a, b) ->
-      let fa = cfloat ctx a and fb = cfloat ctx b in
-      fun it -> fa it *. fb it
-  | Ast.Bin (Ast.Div, a, b) ->
-      let fa = cfloat ctx a and fb = cfloat ctx b in
-      fun it -> fa it /. fb it
-  | Ast.Un (Ast.Neg, a) ->
-      let fa = cfloat ctx a in
-      fun it -> -.fa it
-  | Ast.Un (Ast.Sqrt, a) ->
-      let fa = cfloat ctx a in
-      fun it -> sqrt (fa it)
-  | Ast.Un (Ast.Abs, a) ->
-      let fa = cfloat ctx a in
-      fun it -> Float.abs (fa it)
+      match reference ctx a subs with
+      | Fused { slab; cell } -> fun sc it -> sc.(s) <- slab.(cell it)
+      | General { slab; cell; h; tuple } ->
+          fun sc it ->
+            let i = cell it in
+            sc.(s) <- (if i >= 0 then slab.(i) else Arrays.read h (tuple it)))
+  | Ast.Bin (op, a, b) -> (
+      let fa = tree ctx need a s and fb = tree ctx need b s1 in
+      match op with
+      | Ast.Add ->
+          fun sc it ->
+            fa sc it;
+            fb sc it;
+            sc.(s) <- sc.(s) +. sc.(s1)
+      | Ast.Sub ->
+          fun sc it ->
+            fa sc it;
+            fb sc it;
+            sc.(s) <- sc.(s) -. sc.(s1)
+      | Ast.Mul ->
+          fun sc it ->
+            fa sc it;
+            fb sc it;
+            sc.(s) <- sc.(s) *. sc.(s1)
+      | Ast.Div ->
+          fun sc it ->
+            fa sc it;
+            fb sc it;
+            sc.(s) <- sc.(s) /. sc.(s1))
+  | Ast.Un (op, a) -> (
+      let fa = tree ctx need a s in
+      match op with
+      | Ast.Neg ->
+          fun sc it ->
+            fa sc it;
+            sc.(s) <- -.sc.(s)
+      | Ast.Sqrt ->
+          fun sc it ->
+            fa sc it;
+            sc.(s) <- sqrt sc.(s)
+      | Ast.Abs ->
+          fun sc it ->
+            fa sc it;
+            sc.(s) <- Float.abs sc.(s))
   | Ast.Min es ->
-      let fs = List.map (cfloat ctx) es in
-      fun it -> List.fold_left (fun m f -> Float.min m (f it)) infinity fs
+      let fs = Array.of_list (List.map (fun e -> tree ctx need e s1) es) in
+      fun sc it ->
+        sc.(s) <- infinity;
+        for k = 0 to Array.length fs - 1 do
+          fs.(k) sc it;
+          sc.(s) <- Float.min sc.(s) sc.(s1)
+        done
   | Ast.Max es ->
-      let fs = List.map (cfloat ctx) es in
-      fun it -> List.fold_left (fun m f -> Float.max m (f it)) neg_infinity fs
+      let fs = Array.of_list (List.map (fun e -> tree ctx need e s1) es) in
+      fun sc it ->
+        sc.(s) <- neg_infinity;
+        for k = 0 to Array.length fs - 1 do
+          fs.(k) sc it;
+          sc.(s) <- Float.max sc.(s) sc.(s1)
+        done
   | Ast.Mod (a, b) ->
       let fa = cint_value ctx a and fb = cint_value ctx b in
-      fun it -> float_of_int (S.emod (fa it) (fb it))
+      fun sc it -> sc.(s) <- float_of_int (S.emod (fa it) (fb it))
   | Ast.Pow (a, k) ->
-      let fa = cfloat ctx a in
+      let fa = tree ctx need a s in
       let k = float_of_int k in
-      fun it -> fa it ** k
+      fun sc it ->
+        fa sc it;
+        sc.(s) <- sc.(s) ** k
 
 (* ---- statements ------------------------------------------------------ *)
 
-let compile_stmt env store (info : Prog.stmt_info) =
+(* An operand of the fused shapes: a constant or a fused load. *)
+type operand = Const of float | Load of float array * (int array -> int)
+
+let operand ctx e =
+  match e with
+  | Ast.Int k -> Some (Const (float_of_int k))
+  | Ast.Real v -> Some (Const v)
+  | Ast.Var v when slot ctx v = None -> (
+      match param ctx v with
+      | Some k -> Some (Const (float_of_int k))
+      | None -> None)
+  | Ast.Ref (a, subs) -> (
+      match reference ctx a subs with
+      | Fused { slab; cell } -> Some (Load (slab, cell))
+      | General _ -> None)
+  | _ -> None
+
+(* The common statements run as one closure each: a store of a constant
+   or of one load (a copy), or of one binary operator over loads and
+   constants.  The right-hand side is read before the left-hand cell is
+   found, as in the interpreter. *)
+let fused_kernel ctx dst dcell rhs : kernel option =
+  match rhs with
+  | Ast.Bin (op, a, b) -> (
+      match (op, operand ctx a, operand ctx b) with
+      | _, None, _ | _, _, None | _, Some (Const _), Some (Const _) -> None
+      | Ast.Add, Some (Load (x, xc)), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) +. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Add, Some (Load (x, xc)), Some (Const y) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) +. y in
+              dst.(dcell it) <- v)
+      | Ast.Add, Some (Const x), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x +. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Sub, Some (Load (x, xc)), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) -. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Sub, Some (Load (x, xc)), Some (Const y) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) -. y in
+              dst.(dcell it) <- v)
+      | Ast.Sub, Some (Const x), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x -. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Mul, Some (Load (x, xc)), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) *. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Mul, Some (Load (x, xc)), Some (Const y) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) *. y in
+              dst.(dcell it) <- v)
+      | Ast.Mul, Some (Const x), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x *. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Div, Some (Load (x, xc)), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) /. y.(yc it) in
+              dst.(dcell it) <- v)
+      | Ast.Div, Some (Load (x, xc)), Some (Const y) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) /. y in
+              dst.(dcell it) <- v)
+      | Ast.Div, Some (Const x), Some (Load (y, yc)) ->
+          Some
+            (fun _ it ->
+              let v = x /. y.(yc it) in
+              dst.(dcell it) <- v))
+  | _ -> (
+      match operand ctx rhs with
+      | Some (Load (x, xc)) ->
+          Some
+            (fun _ it ->
+              let v = x.(xc it) in
+              dst.(dcell it) <- v)
+      | Some (Const v) -> Some (fun _ it -> dst.(dcell it) <- v)
+      | None -> None)
+
+type t = { kernels : kernel array; depths : int array; slots : int }
+
+let compile_stmt env store need (info : Prog.stmt_info) : kernel =
   let ctx =
     {
       vars = Array.of_list (Prog.loop_vars info);
@@ -271,21 +426,40 @@ let compile_stmt env store (info : Prog.stmt_info) =
       store;
     }
   in
-  let depth = Array.length ctx.vars in
   let lhs_name, lhs_subs = info.Prog.lhs in
-  let set =
-    match fused_of ctx lhs_name lhs_subs with
-    | Some (view, (c, nz)) -> fused_store view c nz
-    | None -> general_store ctx lhs_name lhs_subs
-  in
-  let rhs = cfloat ctx info.Prog.rhs in
-  fun iter ->
-    if Array.length iter <> depth then
-      failwith "Compile.exec_instance: iteration arity mismatch";
-    set iter (rhs iter)
+  let rhs = info.Prog.rhs in
+  match reference ctx lhs_name lhs_subs with
+  | Fused { slab; cell } -> (
+      match fused_kernel ctx slab cell rhs with
+      | Some k -> k
+      | None ->
+          let f = tree ctx need rhs 0 in
+          fun sc it ->
+            f sc it;
+            slab.(cell it) <- sc.(0))
+  | General { slab; cell; h; tuple } ->
+      let f = tree ctx need rhs 0 in
+      fun sc it ->
+        f sc it;
+        let i = cell it in
+        if i >= 0 then slab.(i) <- sc.(0) else Arrays.write h (tuple it) sc.(0)
 
 let program (env : Interp.env) store =
-  { kernels = Array.map (compile_stmt env store) env.Interp.stmts }
+  let need = ref 0 in
+  let kernels = Array.map (compile_stmt env store need) env.Interp.stmts in
+  {
+    kernels;
+    depths =
+      Array.map (fun info -> List.length (Prog.loop_vars info)) env.Interp.stmts;
+    slots = !need;
+  }
 
-let exec_instance t (inst : Sched.instance) =
-  t.kernels.(inst.Sched.stmt) inst.Sched.iter
+type scratch = float array
+
+let scratch t = Array.make t.slots 0.0
+
+let[@inline] exec_instance t sc (inst : Sched.instance) =
+  let iter = inst.Sched.iter in
+  if Array.length iter <> t.depths.(inst.Sched.stmt) then
+    failwith "Compile.exec_instance: iteration arity mismatch";
+  t.kernels.(inst.Sched.stmt) sc iter

@@ -11,6 +11,16 @@
     performs one page-table read, and no list traversal, no string lookup
     and no AST matching.
 
+    A kernel allocates nothing per instance.  No float is returned from
+    or passed to a closure (without flambda such a float is boxed): an
+    affine reference becomes an offset closure that returns its slab
+    cell, an int.  The common statements — a copy, a constant, or one
+    binary operator over loads and constants — load, compute and store
+    in one closure.  Any other right-hand side is a tree of closures,
+    each writing its value into a slot of a float {!scratch}; the domains
+    of a phase share one compiled program, so each executing domain
+    brings its own scratch.
+
     Semantics match {!Interp.exec_instance} for every instance of the
     program's own iteration space.  The dry scan ({!Interp.scan_bounds})
     evaluated every affine subscript with checked arithmetic at both ends
@@ -23,8 +33,10 @@
     leaves the extent or meets an absent page then raises
     [Invalid_argument] (the OCaml array bounds check) instead of falling
     back to {!Arrays.initial_value}.  Non-affine subscripts keep the exact
-    interpreter semantics (they go through {!Arrays.read}/{!Arrays.write},
-    on a handle resolved once).
+    interpreter semantics: their cell is found from the subscripts'
+    values on the array's page table, and a cell off the scanned pages
+    goes through {!Arrays.read}/{!Arrays.write}, on a handle resolved
+    once.
 
     {!Interp} remains the reference oracle: [Exec.check] compares a
     compiled run against [Interp.run_sequential] bit-for-bit. *)
@@ -41,7 +53,14 @@ val program : Interp.env -> Arrays.t -> t
     affine form overflows gets the general kernel, whose checked
     arithmetic raises [Numeric.Safeint.Overflow] only when it runs. *)
 
-val exec_instance : t -> Sched.instance -> unit
-(** Runs one statement instance through its compiled kernel.  Raises
-    [Failure] on an iteration arity mismatch, like
-    {!Interp.exec_instance}. *)
+type scratch = float array
+(** The float slots a kernel's general tree evaluates into.  A scratch
+    belongs to one executing domain at a time. *)
+
+val scratch : t -> scratch
+(** A fresh scratch with room for every kernel of the program. *)
+
+val exec_instance : t -> scratch -> Sched.instance -> unit
+(** Runs one statement instance through its compiled kernel, with the
+    executing domain's scratch.  Raises [Failure] on an iteration arity
+    mismatch, like {!Interp.exec_instance}. *)

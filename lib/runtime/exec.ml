@@ -15,23 +15,44 @@ let task_ns_hist = Obs.Histogram.make "exec.task_ns"
 
 (* ---- chunks ----------------------------------------------------------- *)
 
-(* A chunk addresses a contiguous instance range — a DOALL block ([c_id]
-   the block ordinal) or a whole sequential task ([c_id] the task index;
-   for REC plans the recurrence-chain id, which the per-task spans carry
-   so barrier stragglers stay attributable to a chain).  Chunks are
-   descriptors over the phase's instance arrays: building them copies no
-   instance data. *)
-type chunk = { c_id : int; c_off : int; c_len : int }
+(* A phase split among domains is drained as chunks, each a contiguous
+   instance range: a DOALL block or a whole sequential task.  A chunk is
+   named by its place in the drain order and found from it in O(1), so
+   chunking builds no block per chunk.  No array on the run path starts
+   from a freshly allocated element: past 256 elements OCaml empties the
+   minor heap before it fills such an array ([Array.init], [Array.of_list]
+   and [Array.map] over fresh values all do), and with a helper domain
+   parked on the same CPU that collection costs ~190 µs (E21). *)
+type chunks =
+  | Blocks of { instances : Sched.instance array; k : int }
+      (** [k] near-equal contiguous blocks, block [c] being instances
+          [c·n/k, (c+1)·n/k) of the [n]; [k] is clamped to [1 … n], and
+          is 0 for an empty phase *)
+  | Chains of { tasks : Sched.instance array array; order : int array }
+      (** chunk [c] is the whole task [order.(c)]; empty tasks are left
+          out *)
 
-(* [k] near-equal contiguous ranges over [n] DOALL instances (never an
-   empty range: [k] is clamped to [n]). *)
-let doall_chunk_ranges ~chunks n =
-  if n <= 0 then [||]
-  else
-    let k = min (max 1 chunks) n in
-    Array.init k (fun t ->
-        let lo = t * n / k and hi = (t + 1) * n / k in
-        { c_id = t; c_off = lo; c_len = hi - lo })
+let n_chunks = function
+  | Blocks { k; _ } -> k
+  | Chains { order; _ } -> Array.length order
+
+(* The unit a chunk runs: its block ordinal, or its task index (for REC
+   plans the recurrence-chain id, which the per-task spans carry so
+   barrier stragglers stay attributable to a chain). *)
+let chunk_id chunks c =
+  match chunks with Blocks _ -> c | Chains { order; _ } -> order.(c)
+
+let block_lo ~k ~n c = c * n / k
+
+(* [chunks] clamped to [1 … n] blocks; none for an empty phase. *)
+let block_count ~chunks n = if n <= 0 then 0 else min n (max 1 chunks)
+
+let chunk_len chunks c =
+  match chunks with
+  | Blocks { instances; k } ->
+      let n = Array.length instances in
+      block_lo ~k ~n (c + 1) - block_lo ~k ~n c
+  | Chains { tasks; order } -> Array.length tasks.(order.(c))
 
 let nonempty_tasks tasks =
   let k = ref 0 in
@@ -39,6 +60,51 @@ let nonempty_tasks tasks =
     if Array.length tasks.(u) > 0 then incr k
   done;
   !k
+
+(* The non-empty tasks' indices in drain order: index order, or when
+   [longest_first] the longest first with ties by ascending index, so the
+   chain that bounds the barrier starts first.  The latter is a counting
+   sort over the task lengths, O(tasks + the longest task); both allocate
+   int arrays only. *)
+let drain_order ~longest_first tasks =
+  let n = Array.length tasks in
+  let order = Array.make (nonempty_tasks tasks) 0 in
+  if not longest_first then begin
+    let k = ref 0 in
+    for u = 0 to n - 1 do
+      if Array.length tasks.(u) > 0 then begin
+        order.(!k) <- u;
+        incr k
+      end
+    done
+  end
+  else begin
+    let longest = ref 0 in
+    for u = 0 to n - 1 do
+      longest := max !longest (Array.length tasks.(u))
+    done;
+    (* [next.(l)]: the count of tasks of length [l], then the next free
+       slot for one. *)
+    let next = Array.make (!longest + 1) 0 in
+    for u = 0 to n - 1 do
+      let l = Array.length tasks.(u) in
+      next.(l) <- next.(l) + 1
+    done;
+    let slot = ref 0 in
+    for l = !longest downto 1 do
+      let c = next.(l) in
+      next.(l) <- !slot;
+      slot := !slot + c
+    done;
+    for u = 0 to n - 1 do
+      let l = Array.length tasks.(u) in
+      if l > 0 then begin
+        order.(next.(l)) <- u;
+        next.(l) <- next.(l) + 1
+      end
+    done
+  end;
+  order
 
 (* The domains a phase engages: the chunks the cost model affords for
    its instances ({!Sim.doall_chunk_count}: one below two affordable
@@ -53,60 +119,55 @@ let engaged ~cost ~threads phase =
   | Sched.Doall _ -> k
   | Sched.Tasks { tasks; _ } -> min k (nonempty_tasks tasks)
 
-(* The chunk policy, in drain order.  DOALL blocks are sized
-   cost-proportionally by {!Sim.doall_chunk_count} (a single block on one
-   domain).  Empty tasks are dropped; when several domains share the
-   rest they are sorted longest first (ties by ascending id), so the
-   chain that bounds the barrier starts first. *)
+(* The chunk policy.  DOALL blocks are sized cost-proportionally by
+   {!Sim.doall_chunk_count} (a single block on one domain).  Empty tasks
+   are dropped; when several domains share the rest they drain them
+   longest first. *)
 let chunks_of ~cost ~threads = function
   | Sched.Doall { instances; _ } ->
       let n = Array.length instances in
-      doall_chunk_ranges ~chunks:(Sim.doall_chunk_count cost ~threads ~n) n
+      Blocks
+        {
+          instances;
+          k = block_count ~chunks:(Sim.doall_chunk_count cost ~threads ~n) n;
+        }
   | Sched.Tasks { tasks; _ } ->
-      let chunks =
-        Array.of_list
-          (List.filter
-             (fun c -> c.c_len > 0)
-             (List.init (Array.length tasks) (fun u ->
-                  { c_id = u; c_off = 0; c_len = Array.length tasks.(u) })))
-      in
-      if threads > 1 then
-        Array.sort
-          (fun a b ->
-            let c = compare b.c_len a.c_len in
-            if c <> 0 then c else compare a.c_id b.c_id)
-          chunks;
-      chunks
+      Chains { tasks; order = drain_order ~longest_first:(threads > 1) tasks }
 
-(* Runs instances [off, off + len) of [xs] through the compiled kernels. *)
-let exec_range compiled (xs : Sched.instance array) off len =
+(* Runs instances [off, off + len) of [xs] through the compiled kernels,
+   with the executing domain's scratch. *)
+let exec_range compiled sc (xs : Sched.instance array) off len =
   for i = off to off + len - 1 do
-    Compile.exec_instance compiled xs.(i)
+    Compile.exec_instance compiled sc xs.(i)
   done
 
-let run_chunk compiled phase c =
-  match phase with
-  | Sched.Doall { instances; _ } ->
-      exec_range compiled instances c.c_off c.c_len
-  | Sched.Tasks { tasks; _ } ->
-      exec_range compiled tasks.(c.c_id) c.c_off c.c_len
+let run_chunk compiled sc chunks c =
+  match chunks with
+  | Blocks { instances; k } ->
+      let n = Array.length instances in
+      let lo = block_lo ~k ~n c in
+      exec_range compiled sc instances lo (block_lo ~k ~n (c + 1) - lo)
+  | Chains { tasks; order } ->
+      let t = tasks.(order.(c)) in
+      exec_range compiled sc t 0 (Array.length t)
 
-let kind_of = function Sched.Doall _ -> "block" | Sched.Tasks _ -> "chain"
+let kind_of = function Blocks _ -> "block" | Chains _ -> "chain"
 
 (* One chunk inside a [task] span carrying the per-chunk sample
    {!Obs.Critpath} consumes: [("phase", label)], [(kind, id)] and
    [("len", points)]. *)
-let traced_chunk ~label compiled phase c =
+let traced_chunk ~label compiled sc chunks c =
   let s0 = Obs.Clock.now_ns () in
+  let len = chunk_len chunks c in
   Obs.Span.with_ ~name:"task"
     ~args:
       [
         ("phase", label);
-        (kind_of phase, string_of_int c.c_id);
-        ("len", string_of_int c.c_len);
+        (kind_of chunks, string_of_int (chunk_id chunks c));
+        ("len", string_of_int len);
       ]
-    (fun () -> run_chunk compiled phase c);
-  Obs.Histogram.observe task_len_hist c.c_len;
+    (fun () -> run_chunk compiled sc chunks c);
+  Obs.Histogram.observe task_len_hist len;
   Obs.Histogram.observe task_ns_hist
     (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) s0))
 
@@ -128,75 +189,74 @@ type readings = {
           pool; [[||]] for a phase run on the caller *)
 }
 
-(* Runs the chunks [iter_chunks] yields to this domain and returns the
-   seconds it was busy, the words it allocated (an {!Obs.Gcstats.mark}
-   reading taken inside the executing domain: O(1) and exact for this
-   domain's work) and the instances it executed.  With a log attached
-   the chunks run inside a bucket span and their task spans. *)
-let drain_chunks ~logged ~label compiled phase iter_chunks =
+(* Drains chunks through the cursor [next] on this domain, with a
+   scratch this domain owns, and returns the seconds it was busy, the
+   words it allocated (an {!Obs.Gcstats.mark} reading taken inside the
+   executing domain: O(1) and exact for this domain's work) and the
+   instances it executed.  With a log attached the chunks run inside a
+   bucket span and their task spans. *)
+let drain_chunks ~logged ~label compiled chunks next =
+  let sc = Compile.scratch compiled in
   let gc0 = Obs.Gcstats.mark () in
   let t0 = Obs.Clock.now_ns () in
+  let n = n_chunks chunks in
   let load = ref 0 in
-  if not logged then
-    iter_chunks (fun c ->
-        load := !load + c.c_len;
-        run_chunk compiled phase c)
+  let rec go run =
+    let c = Atomic.fetch_and_add next 1 in
+    if c < n then begin
+      load := !load + chunk_len chunks c;
+      run c;
+      go run
+    end
+  in
+  if not logged then go (run_chunk compiled sc chunks)
   else
     Obs.Span.with_ ~name:("bucket:" ^ label) (fun () ->
-        iter_chunks (fun c ->
-            load := !load + c.c_len;
-            traced_chunk ~label compiled phase c));
+        go (traced_chunk ~label compiled sc chunks));
   let busy = Obs.Clock.elapsed_s t0 in
   let words = Obs.Gcstats.words_since gc0 in
   (busy, words, !load)
 
 (* The one phase runner.  A phase that engages one domain runs on the
    calling domain: a plain loop over its instances, tasks in index
-   order, with no chunk array, closure or cursor — the path a sequential
+   order, with no chunk order, closure or cursor — the path a sequential
    run takes.  With a log attached the same instances run as the same
    chunks inside the bucket and task spans.  A phase that engages
    several domains is cut into chunks that those domains drain through
    one atomic cursor on the pool, so a late-waking or straggling domain
    simply takes fewer chunks; the return from {!Workers.run} is the
    barrier. *)
-let run_phase ~logged ~cost ~threads ~pool compiled ~t0 r k ~domains phase =
+let run_phase ~logged ~cost ~threads ~pool compiled sc ~t0 r k ~domains phase
+    =
   match pool with
   | Some pool when domains > 1 ->
       let label = Sched.phase_label phase in
       let chunks = chunks_of ~cost ~threads phase in
-      let n_chunks = Array.length chunks in
       let next = Atomic.make 0 in
-      let drain () =
-        drain_chunks ~logged ~label compiled phase (fun f ->
-            let rec go () =
-              let c = Atomic.fetch_and_add next 1 in
-              if c < n_chunks then begin
-                f chunks.(c);
-                go ()
-              end
-            in
-            go ())
-      in
-      r.units.(k) <- n_chunks;
+      let drain () = drain_chunks ~logged ~label compiled chunks next in
+      r.units.(k) <- n_chunks chunks;
       r.pooled.(k) <- Workers.run pool (Array.make domains drain)
   | _ when logged ->
       let label = Sched.phase_label phase in
       let chunks = chunks_of ~cost ~threads:1 phase in
-      r.units.(k) <- Array.length chunks;
+      let n = n_chunks chunks in
+      r.units.(k) <- n;
       r.start.(k) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
       Obs.Span.with_ ~name:("bucket:" ^ label) (fun () ->
-          Array.iter (traced_chunk ~label compiled phase) chunks)
+          for c = 0 to n - 1 do
+            traced_chunk ~label compiled sc chunks c
+          done)
   | _ -> (
       r.start.(k) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
       match phase with
       | Sched.Doall { instances; _ } ->
           let n = Array.length instances in
           r.units.(k) <- min 1 n;
-          exec_range compiled instances 0 n
+          exec_range compiled sc instances 0 n
       | Sched.Tasks { tasks; _ } ->
           r.units.(k) <- nonempty_tasks tasks;
           for u = 0 to Array.length tasks - 1 do
-            exec_range compiled tasks.(u) 0 (Array.length tasks.(u))
+            exec_range compiled sc tasks.(u) 0 (Array.length tasks.(u))
           done)
 
 let phase_stat r k phase =
@@ -240,7 +300,7 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   let compiled =
     Obs.Span.with_ ~name:"compile" (fun () -> Compile.program env store)
   in
-  let phases = Array.of_list s.Sched.phases in
+  let phases = Sched.phase_array s in
   let domains = Array.map (engaged ~cost ~threads) phases in
   let pool, owned =
     match workers with
@@ -264,16 +324,18 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
       in
       let logged = Obs.Event.enabled (Obs.Event.ambient ()) in
       let spans = logged || Obs.Flight.enabled () in
+      let sc = Compile.scratch compiled in
       let probe = Obs.Gcstats.mark () in
       let t0 = Obs.Clock.now_ns () in
       for k = 0 to n - 1 do
         let phase = phases.(k) and domains = domains.(k) in
         if spans then
           Obs.Span.with_ ~name:("phase:" ^ Sched.phase_label phase) (fun () ->
-              run_phase ~logged ~cost ~threads ~pool compiled ~t0 r k ~domains
-                phase)
+              run_phase ~logged ~cost ~threads ~pool compiled sc ~t0 r k
+                ~domains phase)
         else
-          run_phase ~logged ~cost ~threads ~pool compiled ~t0 r k ~domains phase;
+          run_phase ~logged ~cost ~threads ~pool compiled sc ~t0 r k ~domains
+            phase;
         r.bound.(k + 1) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
         r.words.(k) <- Obs.Gcstats.lap probe
       done;
@@ -310,5 +372,6 @@ let thread_loads timed ~threads =
 
 (* Exposed for tests. *)
 let doall_chunks ~chunks n =
-  Array.to_list
-    (Array.map (fun c -> (c.c_off, c.c_len)) (doall_chunk_ranges ~chunks n))
+  let k = block_count ~chunks n in
+  List.init k (fun c ->
+      (block_lo ~k ~n c, block_lo ~k ~n (c + 1) - block_lo ~k ~n c))

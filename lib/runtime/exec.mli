@@ -5,8 +5,11 @@
     wall-clock measurements.
 
     Every statement instance runs through its {!Compile} kernel — a
-    closure with fused affine offsets.  A kernel allocates only the
-    boxed float its right-hand side returns, ~2 words per instance.
+    closure with fused affine offsets that allocates nothing per
+    instance: no float crosses a closure, and a right-hand side that is
+    not a copy or one binary operator evaluates into a float scratch
+    owned by the executing domain (the run makes one for the calling
+    domain, each pooled drainer its own).
     {!Interp.run_sequential} remains the reference oracle ({!check}).
 
     Phases are separated by barriers.  The {!Sim} cost model decides
@@ -20,14 +23,20 @@
     plain loop over its instances (tasks in index order): no chunk
     array, no closure, no cursor and no {!Workers.run} round trip.  A
     [threads ≤ 1] run takes this same path for every phase.  A phase
-    that engages several domains is addressed as [(unit, offset,
-    length)] chunks — descriptors over the phase's instance arrays, so
-    chunk setup copies no instance data.  DOALL blocks are sized
+    that engages several domains is drained as chunks, each a DOALL
+    block or a whole task, named by its place in the drain order and
+    found from it in O(1): chunk setup copies no instance data and
+    builds no block per chunk.  DOALL blocks are sized
     cost-proportionally (several chunks per domain when per-chunk work
-    dwarfs scheduling overhead), non-empty tasks are sorted
-    longest-first, and the engaged domains drain the chunks through one
-    atomic cursor — dynamic self-scheduling, so a straggling domain
-    simply takes fewer chunks and per-barrier idle time shrinks.  Only
+    dwarfs scheduling overhead), non-empty tasks drain longest first
+    with ties by ascending index (a counting sort over the task lengths,
+    into an int array), and the engaged domains drain the chunks through
+    one atomic cursor — dynamic self-scheduling, so a straggling domain
+    simply takes fewer chunks and per-barrier idle time shrinks.  No
+    array on the run path starts from a freshly allocated element, so
+    a run forces no minor collection: past 256 elements OCaml empties
+    the minor heap before it fills such an array, which stops every
+    domain of the pool.  Only
     those domains are handed to the pool, which runs them on a
     persistent {!Workers.t}: pass [?workers] to reuse one pool across
     many runs (the analysis service does), or let {!run_timed} create a
@@ -135,3 +144,9 @@ val doall_chunks : chunks:int -> int -> (int * int) list
 (** Exposed for tests: [(offset, length)] of each cost-proportional DOALL
     chunk — [chunks] clamped to [1 …​ n], ranges contiguous, complete and
     never empty. *)
+
+val drain_order :
+  longest_first:bool -> Sched.instance array array -> int array
+(** Exposed for tests: the indices of the non-empty tasks in the order a
+    split task phase drains them — index order, or the longest first
+    with ties by ascending index (a counting sort over the lengths). *)

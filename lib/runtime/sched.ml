@@ -6,6 +6,29 @@ type phase =
 
 type t = { phases : phase list }
 
+(* Arrays of fresh blocks start from a constant element and are filled in
+   place: past 256 elements, [Array.init], [Array.of_list] or [Array.map]
+   over fresh values make OCaml empty the minor heap before it fills the
+   array.  These constants are static data, never in the minor heap. *)
+let no_instance = { stmt = -1; iter = [||] }
+let no_phase = Doall { label = ""; instances = [||] }
+
+let fill blank n f =
+  let a = Array.make n blank in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
+
+let fill_list blank f l =
+  let a = Array.make (List.length l) blank in
+  List.iteri (fun i x -> a.(i) <- f x) l;
+  a
+
+let instances n f = fill no_instance n f
+let instances_of_list f l = fill_list no_instance f l
+let phase_array s = fill_list no_phase Fun.id s.phases
+
 let phase_size = function
   | Doall { instances; _ } -> Array.length instances
   | Tasks { tasks; _ } ->
@@ -23,11 +46,10 @@ let of_phases phases =
   { phases = List.filter (fun p -> phase_size p > 0) phases }
 
 let sequential_of_trace (tr : Depend.Trace.t) =
+  let insts = tr.Depend.Trace.instances in
   let task =
-    Array.map
-      (fun (i : Depend.Trace.instance) ->
-        { stmt = i.Depend.Trace.stmt; iter = i.Depend.Trace.iter })
-      tr.Depend.Trace.instances
+    instances (Array.length insts) (fun k ->
+        { stmt = insts.(k).Depend.Trace.stmt; iter = insts.(k).Depend.Trace.iter })
   in
   of_phases [ Tasks { label = "sequential"; tasks = [| task |] } ]
 
@@ -37,7 +59,7 @@ let of_rec ~stmt (c : Core.Partition.concrete_rec) =
       {
         label;
         instances =
-          Array.init (Core.Points.length pts) (fun i ->
+          instances (Core.Points.length pts) (fun i ->
               { stmt; iter = Core.Points.get pts i });
       }
   in
@@ -50,38 +72,27 @@ let of_rec ~stmt (c : Core.Partition.concrete_rec) =
         tasks =
           (* Task index = chain id: chunk ids in spans and straggler
              tables name the paper's chains directly. *)
-          Array.init (Core.Chain.n_chains ch) (fun k ->
-              Array.init lens.(k) (fun i ->
-                  { stmt; iter = Core.Chain.get ch k i }));
+          fill [||] (Core.Chain.n_chains ch) (fun k ->
+              instances lens.(k) (fun i -> { stmt; iter = Core.Chain.get ch k i }));
       }
   in
   of_phases
     [ doall "P1" c.Core.Partition.p1_pts; chains; doall "P3" c.Core.Partition.p3_pts ]
 
 let of_fronts (c : Core.Dataflow.concrete) =
-  let phases =
-    Array.to_list
-      (Array.mapi
-         (fun k nodes ->
-           Doall
-             {
-               label = Printf.sprintf "front-%d" (k + 1);
-               instances =
-                 Array.of_list
-                   (List.map
-                      (fun node ->
-                        let i =
-                          c.Core.Dataflow.trace.Depend.Trace.instances.(node)
-                        in
-                        {
-                          stmt = i.Depend.Trace.stmt;
-                          iter = i.Depend.Trace.iter;
-                        })
-                      nodes);
-             })
-         c.Core.Dataflow.fronts)
+  let insts = c.Core.Dataflow.trace.Depend.Trace.instances in
+  let front k nodes =
+    Doall
+      {
+        label = Printf.sprintf "front-%d" (k + 1);
+        instances =
+          instances_of_list
+            (fun node ->
+              { stmt = insts.(node).Depend.Trace.stmt; iter = insts.(node).Depend.Trace.iter })
+            nodes;
+      }
   in
-  of_phases phases
+  of_phases (List.mapi front (Array.to_list c.Core.Dataflow.fronts))
 
 let of_task_groups ~label ~stmt groups =
   of_phases
@@ -90,11 +101,9 @@ let of_task_groups ~label ~stmt groups =
         {
           label;
           tasks =
-            Array.of_list
-              (List.map
-                 (fun g ->
-                   Array.of_list (List.map (fun iter -> { stmt; iter }) g))
-                 groups);
+            fill_list [||]
+              (instances_of_list (fun iter -> { stmt; iter }))
+              groups;
         };
     ]
 

@@ -16,6 +16,21 @@ type phase =
 
 type t = { phases : phase list }
 
+val instances : int -> (int -> instance) -> instance array
+(** [Array.init] for instances.  The array starts from a constant
+    instance and is filled in place: past 256 elements, an array made
+    from a fresh first element ([Array.init], [Array.of_list],
+    [Array.map]) makes OCaml empty the minor heap before it fills the
+    array, and with another domain parked on the CPU that costs
+    ~190 µs.  Every builder below fills its arrays this way. *)
+
+val instances_of_list : ('a -> instance) -> 'a list -> instance array
+(** The instances [f] makes from a list, in list order, filled like
+    {!instances}. *)
+
+val phase_array : t -> phase array
+(** The phases in order, filled like {!instances}. *)
+
 val n_instances : t -> int
 val n_phases : t -> int
 val phase_label : phase -> string

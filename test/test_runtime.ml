@@ -2178,8 +2178,8 @@ let test_traced_units_match_untraced () =
     ]
 
 let test_mindist_phase_allocation () =
-  (* A phase on the caller costs its kernels' ~2 words per instance and a
-     few dozen words of bookkeeping, nearly all the returned statistics
+  (* A phase on the caller costs a few dozen words of bookkeeping, nearly
+     all the returned statistics, and its kernels nothing per instance
      (exact counters; all of mindist's phases run on the caller, at one
      thread and on exec-paper's 2-domain pool alike). *)
   let env, sched =
@@ -2196,13 +2196,10 @@ let test_mindist_phase_allocation () =
           let p = Obs.Gcstats.mark () in
           let tmd = run st in
           let words = Obs.Gcstats.words_since p in
-          let phases = float_of_int (Sched.n_phases sched)
-          and instances = float_of_int (Sched.n_instances sched) in
-          let per_phase = (words -. (2.0 *. instances)) /. phases in
+          let per_phase = words /. float_of_int (Sched.n_phases sched) in
           if per_phase > 48.0 then
             Alcotest.failf
-              "%s: run_timed allocated %.0f words, %.1f per phase beyond 2 \
-               per instance (limit 48)"
+              "%s: run_timed allocated %.0f words, %.1f per phase (limit 48)"
               label words per_phase;
           Alcotest.(check bool) (label ^ ": store = run_sequential") true
             (Arrays.equal tmd.Exec.store oracle))
@@ -2259,6 +2256,227 @@ let test_pool_path_matches_sequential () =
         true
         (Arrays.equal tmd.Exec.store (Interp.run_sequential env)))
     [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Forced collections and boxed floats                                  *)
+
+(* Minor collections forced by filling a large array from a young
+   element ([caml_make_vect]), counted by the runtime events counter
+   EV_C_FORCE_MINOR_MAKE_VECT over every domain while [f] runs. *)
+let forced_minors f =
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let forced = ref 0 and lost = ref 0 in
+  let cb =
+    Runtime_events.Callbacks.create
+      ~runtime_counter:(fun _ _ c v ->
+        if c = Runtime_events.EV_C_FORCE_MINOR_MAKE_VECT then
+          forced := !forced + v)
+      ~lost_events:(fun _ k -> lost := !lost + k)
+      ()
+  in
+  ignore (Runtime_events.read_poll cursor cb None);
+  forced := 0;
+  let v = f () in
+  ignore (Runtime_events.read_poll cursor cb None);
+  Runtime_events.free_cursor cursor;
+  if !lost > 0 then Alcotest.failf "%d runtime events lost" !lost;
+  (v, !forced)
+
+(* exec-paper's seven schedules. *)
+let exec_paper_specs =
+  let open Loopir.Builtin in
+  let open Pipeline.Plan in
+  [
+    ("example1-rec", example1, [ ("n1", 200); ("n2", 300) ], Some Rec);
+    ("example1-pdm", example1, [ ("n1", 200); ("n2", 300) ], Some Pdm);
+    ("example1-mindist", example1, [ ("n1", 100); ("n2", 150) ], Some Mindist);
+    ("example2-rec", example2, [ ("n", 180) ], Some Rec);
+    ("example2-unique", example2, [ ("n", 180) ], Some Unique);
+    ("example3-auto", example3, [ ("n", 40) ], None);
+    ( "cholesky-auto",
+      cholesky,
+      [ ("n", 30); ("m", 8); ("nmat", 4); ("nrhs", 2) ],
+      None );
+  ]
+
+let test_run_path_forces_no_collection () =
+  (* The REC and PDM kinds split their phases on exec-paper's 2-domain
+     pool; 20 calls of each force no minor collection. *)
+  with_pool 2 (fun w ->
+      List.iter
+        (fun (name, prog, params, strategy) ->
+          if List.mem name [ "example1-rec"; "example1-pdm"; "example2-rec" ]
+          then begin
+            let env, sched = driver_schedule ?strategy prog params in
+            ignore (Exec.run_timed ~workers:w env ~threads:2 sched);
+            let pooled, forced =
+              forced_minors (fun () ->
+                  let pooled = ref 0 in
+                  for _ = 1 to 20 do
+                    let tmd = Exec.run_timed ~workers:w env ~threads:2 sched in
+                    List.iter
+                      (fun (ps : Exec.phase_stat) ->
+                        if Array.length ps.Exec.loads > 1 then incr pooled)
+                      tmd.Exec.phase_stats
+                  done;
+                  !pooled)
+            in
+            Alcotest.(check bool) (name ^ ": a phase ran on the pool") true
+              (pooled > 0);
+            Alcotest.(check int) (name ^ ": forced minor collections") 0 forced
+          end)
+        exec_paper_specs)
+
+let test_builders_force_no_collection () =
+  (* The materialize and schedule stages of exec-paper's seven set-ups
+     fill their instance and phase arrays without forcing a collection. *)
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s" (Diag.to_string e)
+  in
+  List.iter
+    (fun (name, prog, params, strategy) ->
+      let plan = ok (Pipeline.Driver.classify ?strategy prog) in
+      let m, forced =
+        forced_minors (fun () ->
+            ok (Pipeline.Driver.materialize plan ~prog ~params))
+      in
+      Alcotest.(check int) (name ^ ": forced in materialize") 0 forced;
+      let sched, forced =
+        forced_minors (fun () -> ok (Pipeline.Driver.schedule m))
+      in
+      Alcotest.(check int) (name ^ ": forced in schedule") 0 forced;
+      let _, forced = forced_minors (fun () -> Sched.phase_array sched) in
+      Alcotest.(check int) (name ^ ": forced in phase_array") 0 forced)
+    exec_paper_specs
+
+(* Each statement's instances, in trace order. *)
+let statement_instances prog ~params =
+  let tr = Trace.build prog ~params in
+  let by_stmt = Hashtbl.create 8 in
+  Array.iter
+    (fun (i : Trace.instance) ->
+      let l = Option.value ~default:[] (Hashtbl.find_opt by_stmt i.Trace.stmt) in
+      Hashtbl.replace by_stmt i.Trace.stmt
+        ({ Sched.stmt = i.Trace.stmt; iter = i.Trace.iter } :: l))
+    tr.Trace.instances;
+  Hashtbl.fold (fun s l acc -> (s, Array.of_list (List.rev l)) :: acc) by_stmt []
+  |> List.sort compare
+
+(* The words the kernels of instances [lo, hi) allocate on the calling
+   domain, with a scratch of its own (exact counters). *)
+let kernel_words compiled insts lo hi =
+  let sc = Runtime.Compile.scratch compiled in
+  let p = Obs.Gcstats.mark () in
+  for i = lo to hi - 1 do
+    Runtime.Compile.exec_instance compiled sc insts.(i)
+  done;
+  Obs.Gcstats.words_since p
+
+(* A nest whose right-hand sides use every expression form, and whose
+   quadratic subscripts take the general (non-affine) path. *)
+let every_form =
+  Loopir.Parser.parse ~name:"every-form"
+    {|DO i = 1, n
+  DO j = 1, n
+    a(i, j) = MIN(b(i, j), 2.5, -b(j, i)) + MAX(b(i, j), i*j)
+    c(i) = SQRT(ABS(a(i, j) - j)) / (1.0 + a(j, i)**2)
+    d(i*i, j) = d(i*i, j) * MOD(i + j, 3) - c(j)
+    e(i, j) = b(i, j)
+    f(i, j) = 0.5
+    g(i, j) = 3.0 - b(j, i)
+  ENDDO
+ENDDO|}
+
+let test_kernels_allocate_nothing () =
+  (* Every builtin statement's kernel, on the caller and on the two
+     domains of a pool, each running half of the statement's instances;
+     the every-form nest's kernels also match the interpreter. *)
+  let params = [ ("n", 8) ] in
+  let env = Interp.prepare every_form ~params in
+  let sched = Sched.sequential_of_trace (Trace.build every_form ~params) in
+  Alcotest.(check bool) "every form: compiled = interpreter" true
+    (Arrays.equal (Exec.run env ~threads:1 sched) (Interp.run_sequential env));
+  with_pool 2 (fun w ->
+      List.iter
+        (fun (name, prog) ->
+          let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
+          let env = Interp.prepare prog ~params in
+          let compiled = Runtime.Compile.program env (Interp.scan_bounds env) in
+          List.iter
+            (fun (s, insts) ->
+              let n = Array.length insts in
+              let label = Printf.sprintf "%s S%d (%d instances)" name s n in
+              Alcotest.(check (float 0.0))
+                (label ^ ": words on the caller") 0.0
+                (kernel_words compiled insts 0 n);
+              let halves =
+                Workers.run w
+                  [|
+                    (fun () -> kernel_words compiled insts 0 (n / 2));
+                    (fun () -> kernel_words compiled insts (n / 2) n);
+                  |]
+              in
+              Alcotest.(check (array (float 0.0)))
+                (label ^ ": words on each domain") [| 0.0; 0.0 |] halves)
+            (statement_instances prog ~params))
+        (("every expression form", every_form) :: Loopir.Builtin.all));
+  (* Through run_timed: at a modelled second per instance every phase
+     goes to the pool, and each domain's words stay bounded however many
+     instances it ran. *)
+  let split = { Sim.base_seconds with Sim.w_iter = 1.0 } in
+  with_pool 2 (fun w ->
+      List.iter
+        (fun (name, strategy, prog, params) ->
+          let env, sched = driver_schedule ~strategy prog params in
+          let tmd = Exec.run_timed ~cost:split ~workers:w env ~threads:2 sched in
+          List.iter
+            (fun (ps : Exec.phase_stat) ->
+              Array.iteri
+                (fun d words ->
+                  if words > 64.0 then
+                    Alcotest.failf
+                      "%s %s: domain %d allocated %.0f words for %d instances \
+                       (limit 64)"
+                      name ps.Exec.label d words ps.Exec.loads.(d))
+                ps.Exec.alloc)
+            tmd.Exec.phase_stats)
+        [
+          ( "example1-rec",
+            Pipeline.Plan.Rec,
+            Loopir.Builtin.example1,
+            [ ("n1", 40); ("n2", 60) ] );
+          ("example2-rec", Pipeline.Plan.Rec, Loopir.Builtin.example2, [ ("n", 40) ]);
+          ( "example1-pdm",
+            Pipeline.Plan.Pdm,
+            Loopir.Builtin.example1,
+            [ ("n1", 40); ("n2", 60) ] );
+        ])
+
+let prop_drain_order =
+  (* The counting sort's drain order is the old comparator's: longest
+     first, ties by ascending task index, empty tasks left out. *)
+  QCheck2.Test.make ~name:"drain order = longest-first comparator sort"
+    ~count:500
+    ~print:QCheck2.Print.(list int)
+    QCheck2.Gen.(list_size (int_bound 60) (frequency [ (1, pure 0); (4, int_bound 12) ]))
+    (fun lens ->
+      let inst = { Sched.stmt = 0; iter = [||] } in
+      let tasks = Array.of_list (List.map (fun l -> Array.make l inst) lens) in
+      let ids =
+        List.filter (fun u -> Array.length tasks.(u) > 0)
+          (List.init (Array.length tasks) Fun.id)
+      in
+      let sorted =
+        List.stable_sort
+          (fun a b ->
+            let c = compare (Array.length tasks.(b)) (Array.length tasks.(a)) in
+            if c <> 0 then c else compare a b)
+          ids
+      in
+      Array.to_list (Exec.drain_order ~longest_first:true tasks) = sorted
+      && Array.to_list (Exec.drain_order ~longest_first:false tasks) = ids)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2386,6 +2604,13 @@ let () =
             `Quick test_traced_units_match_untraced;
           Alcotest.test_case "mindist phase allocation (exact counters)" `Quick
             test_mindist_phase_allocation;
+          Alcotest.test_case "run path forces no collection (2 domains)"
+            `Quick test_run_path_forces_no_collection;
+          Alcotest.test_case "schedule builders force no collection" `Quick
+            test_builders_force_no_collection;
+          Alcotest.test_case "kernels allocate nothing per instance" `Quick
+            test_kernels_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_drain_order;
           Alcotest.test_case "pool path = sequential (every phase split)"
             `Quick test_pool_path_matches_sequential;
         ] );
