@@ -15,7 +15,6 @@
    regressed more than the gate percentage (see Pipeline.Gate). *)
 
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 module Rel = Presburger.Rel
 module Solve = Depend.Solve
 module Partition = Core.Partition
@@ -95,7 +94,7 @@ let fig1 () =
   section "E1 / Figure 1: non-uniform dependences of Example 1 (10×10)";
   let a = Solve.analyze_simple Loopir.Builtin.example1 in
   let pairs =
-    Enum.points (Iset.bind_params (Rel.to_set a.Solve.rd) [| 10; 10 |])
+    Iset.points (Iset.bind_params (Rel.to_set a.Solve.rd) [| 10; 10 |])
   in
   let by_d = Hashtbl.create 8 in
   List.iter
@@ -120,7 +119,7 @@ let fig2 () =
   let a = Solve.analyze_simple Loopir.Builtin.fig2 in
   let three = Threeset.compute ~phi:a.Solve.phi ~rd:a.Solve.rd in
   let ints set =
-    List.map (fun p -> string_of_int p.(0)) (Enum.points set)
+    List.map (fun p -> string_of_int p.(0)) (Iset.points set)
   in
   Printf.printf "P1 = %s\n" (String.concat " " (ints three.Threeset.p1));
   Printf.printf "     (paper: 1 2 3 4 5 6 7 12 14 16 18 20)\n";
@@ -163,7 +162,7 @@ let ex2 () =
   section "E4 / Example 2 (Ju et al): REC vs UNIQUE";
   let rp = rec_plan_exn "example2" Loopir.Builtin.example2 in
   let p2 =
-    Enum.points (Iset.bind_params rp.Partition.three.Threeset.p2 [| 12 |])
+    Iset.points (Iset.bind_params rp.Partition.three.Threeset.p2 [| 12 |])
   in
   Printf.printf "intermediate set at N=12: {%s}   (paper: {(2,6)})\n"
     (String.concat "; "
@@ -480,9 +479,7 @@ let ablation () =
       let c = Partition.materialize_rec_scan rp ~params:[| n |] in
       let rec_sched = Sched.of_rec ~stmt:0 c in
       let a = rp.Partition.simple in
-      let pts =
-        Depend.Scan.iter_space a.Solve.stmt ~params:[ ("n", n) ]
-      in
+      let pts = Iset.points (Iset.bind_params a.Solve.phi [| n |]) in
       let pdm = Baselines.Pdm.of_simple a ~params:[| n |] in
       let pdm_sched = Baselines.Pdm.schedule pdm ~stmt:0 pts in
       let md = Baselines.Mindist.of_simple a ~params:[| n |] in
@@ -1087,7 +1084,6 @@ let socket_bench () =
       domains = 4;
       threads = 1;
       check = false;
-      measure = false;
       (* nominal load: every pipelined request fits, shed must be 0 *)
       queue_capacity = (clients * l) + distinct + 8;
       store_dir = Some store_dir;
@@ -1311,7 +1307,6 @@ let service_bench () =
             domains;
             threads = 1;
             check = false;
-            measure = false;
             cache_capacity = 64;
           }
         in
@@ -1748,10 +1743,7 @@ let micro () =
              let rp = Lazy.force ex1_plan in
              let a = rp.Partition.simple in
              let pdm = Baselines.Pdm.of_simple a ~params:[| 60; 60 |] in
-             let pts =
-               Depend.Scan.iter_space a.Solve.stmt
-                 ~params:[ ("n1", 60); ("n2", 60) ]
-             in
+             let pts = Iset.points (Iset.bind_params a.Solve.phi [| 60; 60 |]) in
              ignore (Baselines.Pdm.cosets pdm pts)));
       Test.make ~name:"codegen: REC listing (ex1)"
         (Staged.stage (fun () ->

@@ -763,7 +763,6 @@ let svc_config ?store_dir ~domains ~cache ~threads ~deadline ~no_check
     cache_capacity = cache;
     threads;
     check = not no_check;
-    measure = not no_check;
     deadline_s = deadline;
     slow_ms;
     flight_dir;
@@ -1293,12 +1292,14 @@ let viz_cmd =
         match classify prog with
         | Pipeline.Plan.Rec_chains rp
           when Array.length rp.Core.Partition.simple.Depend.Solve.iters = 2 ->
-            let passoc = params_of_assoc prog passoc in
-            let params = Array.of_list (List.map snd passoc) in
-            (* Use the bounding box of the scanned space. *)
+            let params =
+              Array.of_list (List.map snd (params_of_assoc prog passoc))
+            in
+            (* Use the bounding box of the iteration space. *)
             let pts =
-              Depend.Scan.iter_space rp.Core.Partition.simple.Depend.Solve.stmt
-                ~params:passoc
+              Presburger.Iset.points
+                (Presburger.Iset.bind_params
+                   rp.Core.Partition.simple.Depend.Solve.phi params)
             in
             let xs = List.map (fun p -> p.(0)) pts
             and ys = List.map (fun p -> p.(1)) pts in

@@ -36,7 +36,6 @@ let () =
       domains = 4;
       threads = 1;
       check = false;
-      measure = false;
     }
   in
   let svc = Svc.Service.create ~config () in

@@ -6,7 +6,6 @@
    Run with:  dune exec examples/example1_rec.exe *)
 
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 module Rel = Presburger.Rel
 
 let () =
@@ -18,7 +17,7 @@ let () =
 
   (* Figure 1: dependence arrows at N1 = N2 = 10, grouped by distance. *)
   let pairs =
-    Enum.points (Iset.bind_params (Rel.to_set a.Depend.Solve.rd) [| 10; 10 |])
+    Iset.points (Iset.bind_params (Rel.to_set a.Depend.Solve.rd) [| 10; 10 |])
   in
   print_endline "\n=== Figure 1: direct dependences at N1 = N2 = 10 ===";
   let by_d = Hashtbl.create 8 in

@@ -7,7 +7,6 @@
    Run with:  dune exec examples/example2_unique.exe *)
 
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 
 let () =
   let prog = Loopir.Builtin.example2 in
@@ -17,7 +16,7 @@ let () =
   match Pipeline.Driver.classify prog with
   | Ok (Pipeline.Plan.Rec_chains rp) ->
       let three = rp.Core.Partition.three in
-      let p2_12 = Enum.points (Iset.bind_params three.Core.Threeset.p2 [| 12 |]) in
+      let p2_12 = Iset.points (Iset.bind_params three.Core.Threeset.p2 [| 12 |]) in
       Printf.printf "\nintermediate set at N=12: {%s}   (paper: {(2,6)})\n"
         (String.concat "; "
            (List.map (fun p -> Printf.sprintf "(%d,%d)" p.(0) p.(1)) p2_12));
@@ -41,7 +40,7 @@ let () =
       List.iter
         (fun (name, set) ->
           Printf.printf "  %-12s %3d iterations\n" name
-            (List.length (Enum.points (Iset.bind_params set [| 12 |]))))
+            (List.length (Iset.points (Iset.bind_params set [| 12 |]))))
         [
           ("head-flow", u.Baselines.Unique.head_flow);
           ("head-rest", u.Baselines.Unique.head_rest);

@@ -6,10 +6,9 @@
    Run with:  dune exec examples/fig2_chains.exe *)
 
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 module Rel = Presburger.Rel
 
-let ints set = List.map (fun p -> p.(0)) (Enum.points set)
+let ints set = List.map (fun p -> p.(0)) (Iset.points set)
 let show l = String.concat " " (List.map string_of_int l)
 
 let () =
@@ -22,7 +21,7 @@ let () =
   print_endline "\n=== forward dependence arrows (i ≺ j) ===";
   List.iter
     (fun p -> Printf.printf "  %d -> %d\n" p.(0) p.(1))
-    (Enum.points (Iset.bind_params (Rel.to_set rd) [||]));
+    (Iset.points (Iset.bind_params (Rel.to_set rd) [||]));
 
   print_endline "\nthe naive WHILE chain i' = 21 - 2i from 6 visits: 6 9 3 15";
   print_endline "(not lexicographically ordered — split into monotonic chains";

@@ -18,7 +18,7 @@ let () =
     | Error e -> failwith (Diag.to_string e)
   in
   let pairs =
-    Presburger.Enum.points
+    Presburger.Iset.points
       (Presburger.Iset.bind_params (Presburger.Rel.to_set a.Depend.Solve.rd) [||])
   in
   Printf.printf "\n=== direct dependences (%d, first 10) ===\n"

@@ -4,7 +4,6 @@ module Lex = Presburger.Lex
 module L = Presburger.Linexpr
 module C = Presburger.Constr
 module P = Presburger.Poly
-module Enum = Presburger.Enum
 module Solve = Depend.Solve
 module Affine = Loopir.Affine
 module Prog = Loopir.Prog
@@ -93,7 +92,7 @@ let schedule t ~stmt ~params =
         instances =
           Runtime.Sched.instances_of_list
             (fun iter -> { Runtime.Sched.stmt; iter })
-            (Enum.points (Iset.bind_params set params));
+            (Iset.points (Iset.bind_params set params));
       }
   in
   let mid_task =
@@ -104,7 +103,7 @@ let schedule t ~stmt ~params =
           [|
             Runtime.Sched.instances_of_list
               (fun iter -> { Runtime.Sched.stmt; iter })
-              (Enum.points (Iset.bind_params t.mid params));
+              (Iset.points (Iset.bind_params t.mid params));
           |];
       }
   in
@@ -120,5 +119,5 @@ let schedule t ~stmt ~params =
 let n_regions t ~params =
   List.length
     (List.filter
-       (fun s -> Enum.points (Iset.bind_params s params) <> [])
+       (fun s -> Iset.points (Iset.bind_params s params) <> [])
        [ t.head_flow; t.head_rest; t.mid; t.tail_anti; t.tail_rest ])

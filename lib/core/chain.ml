@@ -1,5 +1,4 @@
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 module Ivec = Linalg.Ivec
 
 type t = { dim : int; data : int array; offsets : int array; longest : int }
@@ -92,8 +91,10 @@ end)
 let decompose ~three ~rec_ ~phi ~params =
   let in_phi x = Iset.mem phi (Array.append x params) in
   let in_p2 x = Iset.mem three.Threeset.p2 (Array.append x params) in
-  let n_p2 = Enum.cardinal (Iset.bind_params three.Threeset.p2 params) in
-  let w_points = Enum.points (Iset.bind_params three.Threeset.w params) in
+  let n_p2 =
+    List.length (Iset.points (Iset.bind_params three.Threeset.p2 params))
+  in
+  let w_points = Iset.points (Iset.bind_params three.Threeset.w params) in
   let dim =
     match w_points with
     | x :: _ -> Array.length x

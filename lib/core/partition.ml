@@ -1,5 +1,4 @@
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 module Solve = Depend.Solve
 module Depeq = Depend.Depeq
 
@@ -71,52 +70,61 @@ let record_concrete (c : concrete_rec) =
 
 let reject_rec why =
   Obs.Event.emit ~scope:"partition" ~name:"choose.reject_rec" (fun () ->
-      [ ("why", Obs.Event.Str why) ]);
-  None
+      [ ("why", Obs.Event.Str why) ])
+
+let lemma1 (a : Solve.simple) =
+  let reject why =
+    reject_rec why;
+    Error (Diag.Unsupported why)
+  in
+  match a.Solve.pair with
+  | Some p when Depeq.full_rank p -> (
+      match Threeset.compute ~phi:a.Solve.phi ~rd:a.Solve.rd with
+      | three ->
+          Obs.Event.emit ~scope:"partition" ~name:"choose.rec" (fun () ->
+              [
+                ("array", Obs.Event.Str p.Depeq.arr);
+                ("det_a", Obs.Event.Int (Depeq.det_a p));
+                ("det_b", Obs.Event.Int (Depeq.det_b p));
+                ( "why",
+                  Obs.Event.Str
+                    (Printf.sprintf
+                       "Lemma 1 preconditions hold: single coupled reference \
+                        pair on %s with full-rank A (det %d) and full-rank B \
+                        (det %d)"
+                       p.Depeq.arr (Depeq.det_a p) (Depeq.det_b p)) );
+              ]);
+          Ok { simple = a; pair = p; three }
+      | exception Presburger.Omega.Blowup m ->
+          reject_rec "three-set computation hit a set-algebra blowup";
+          Error (Diag.Set_blowup m))
+  | Some p ->
+      reject
+        (Printf.sprintf
+           "coupled pair coefficient matrices are not full rank (det A = %d, \
+            det B = %d)"
+           (Depeq.det_a p) (Depeq.det_b p))
+  | None -> reject "no single coupled reference pair"
 
 let choose prog =
-  let single_pair () =
+  let rec_plan =
     match Solve.analyze_simple prog with
-    | a -> (
-        match a.Solve.pair with
-        | Some p when Depeq.full_rank p -> (
-            match Threeset.compute ~phi:a.Solve.phi ~rd:a.Solve.rd with
-            | three ->
-                Obs.Event.emit ~scope:"partition" ~name:"choose.rec" (fun () ->
-                    [
-                      ("array", Obs.Event.Str p.Depeq.arr);
-                      ("det_a", Obs.Event.Int (Depeq.det_a p));
-                      ("det_b", Obs.Event.Int (Depeq.det_b p));
-                      ( "why",
-                        Obs.Event.Str
-                          (Printf.sprintf
-                             "Lemma 1 preconditions hold: single coupled \
-                              reference pair on %s with full-rank A (det %d) \
-                              and full-rank B (det %d)"
-                             p.Depeq.arr (Depeq.det_a p) (Depeq.det_b p)) );
-                    ]);
-                Some (Rec_chains { simple = a; pair = p; three })
-            | exception Presburger.Omega.Blowup _ ->
-                (* Set algebra too expensive symbolically: degrade to the
-                   dataflow / PDM branches rather than fail. *)
-                reject_rec
-                  "three-set computation hit a set-algebra blowup; degrading")
-        | Some p ->
-            reject_rec
-              (Printf.sprintf
-                 "coupled pair coefficient matrices are not full rank (det A \
-                  = %d, det B = %d)"
-                 (Depeq.det_a p) (Depeq.det_b p))
-        | None -> reject_rec "no single coupled reference pair")
+    | a ->
+        (* A failed gate (a blowup included) degrades to the dataflow and
+           PDM branches rather than failing. *)
+        Result.to_option (lemma1 a)
     | exception Invalid_argument msg ->
-        reject_rec ("program outside the single-statement fast path: " ^ msg)
+        reject_rec ("program outside the single-statement fast path: " ^ msg);
+        None
     | exception Depend.Space.Unsupported msg ->
-        reject_rec ("unsupported loop structure: " ^ msg)
+        reject_rec ("unsupported loop structure: " ^ msg);
+        None
     | exception Presburger.Omega.Blowup _ ->
-        reject_rec "dependence analysis hit a set-algebra blowup"
+        reject_rec "dependence analysis hit a set-algebra blowup";
+        None
   in
-  match single_pair () with
-  | Some plan -> plan
+  match rec_plan with
+  | Some rp -> Rec_chains rp
   | None ->
       if prog.Loopir.Ast.params = [] then begin
         Obs.Event.emit ~scope:"partition" ~name:"choose.dataflow" (fun () ->
@@ -168,10 +176,10 @@ let materialize_rec rp ~params =
   in
   let dim = iter_dim rp in
   let p1_pts =
-    Points.of_list ~dim (Enum.points (Iset.bind_params rp.three.Threeset.p1 params))
+    Points.of_list ~dim (Iset.points (Iset.bind_params rp.three.Threeset.p1 params))
   in
   let p3_pts =
-    Points.of_list ~dim (Enum.points (Iset.bind_params rp.three.Threeset.p3 params))
+    Points.of_list ~dim (Iset.points (Iset.bind_params rp.three.Threeset.p3 params))
   in
   let growth = Recurrence.growth rec_ in
   let diameter = Theorem.diameter rp.simple.Solve.phi ~params in
@@ -180,10 +188,7 @@ let materialize_rec rp ~params =
 
 let materialize_rec_scan rp ~params =
   let _, rec_ = bind_recurrence rp ~params in
-  let passoc =
-    Array.to_list (Array.mapi (fun k n -> (n, params.(k))) rp.simple.Solve.params)
-  in
-  let pts = Depend.Scan.iter_space rp.simple.Solve.stmt ~params:passoc in
+  let pts = Iset.points (Iset.bind_params rp.simple.Solve.phi params) in
   let dim = iter_dim rp in
   let p1 = Points.Builder.create ~dim
   and p3 = Points.Builder.create ~dim

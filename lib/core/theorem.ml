@@ -1,8 +1,7 @@
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 
 let diameter set ~params =
-  let pts = Enum.points (Iset.bind_params set params) in
+  let pts = Iset.points (Iset.bind_params set params) in
   match pts with
   | [] -> 0.0
   | p0 :: _ ->

@@ -1,21 +1,17 @@
 module Rel = Presburger.Rel
 module Iset = Presburger.Iset
-module Bounds = Presburger.Bounds
 module Ivec = Linalg.Ivec
 
 type class_ = No_dependence | Uniform | Non_uniform
 
-let scan_bound set ~params =
-  let b = Iset.bind_params set params in
-  Bounds.points (Iset.dim b) (Iset.polys b)
-
-let distances rd ~params = scan_bound (Rel.deltas rd) ~params
+let distances rd ~params =
+  Iset.points (Iset.bind_params (Rel.deltas rd) params)
 
 let classify rd ~phi ~params =
   match distances rd ~params with
   | [] -> No_dependence
   | ds ->
-      let phi_pts = scan_bound phi ~params in
+      let phi_pts = Iset.points (Iset.bind_params phi params) in
       let in_phi = Hashtbl.create (List.length phi_pts) in
       List.iter (fun i -> Hashtbl.replace in_phi i ()) phi_pts;
       let uniform =

@@ -8,7 +8,7 @@ val distances :
   Presburger.Rel.t -> params:int array -> Linalg.Ivec.t list
 (** Distinct distance vectors [j - i] of the concrete dependence relation,
     lexicographically sorted: the points of {!Presburger.Rel.deltas} at the
-    bound parameters, scanned by {!Presburger.Bounds.points}.  The cost
+    bound parameters, scanned by {!Presburger.Iset.points}.  The cost
     follows the size of the distance set and its projection, not the
     number of dependence pairs. *)
 

@@ -80,7 +80,10 @@ let materialize plan ~prog ~params =
       | Plan.Pdm_fallback { simple = Some a; _ } ->
           let arr = param_array ~names:a.Depend.Solve.params ~params in
           let pdm = Baselines.Pdm.of_simple a ~params:arr in
-          let pts = Depend.Scan.iter_space a.Depend.Solve.stmt ~params in
+          let pts =
+            Presburger.Iset.points
+              (Presburger.Iset.bind_params a.Depend.Solve.phi arr)
+          in
           let stmt = a.Depend.Solve.stmt.Loopir.Prog.id in
           Tasks { sched = Baselines.Pdm.schedule pdm ~stmt pts }
       | Plan.Pdm_fallback { simple = None; _ } ->
@@ -99,7 +102,10 @@ let materialize plan ~prog ~params =
       | Plan.Mindist_tiles { simple = a } ->
           let arr = param_array ~names:a.Depend.Solve.params ~params in
           let md = Baselines.Mindist.of_simple a ~params:arr in
-          let pts = Depend.Scan.iter_space a.Depend.Solve.stmt ~params in
+          let pts =
+            Presburger.Iset.points
+              (Presburger.Iset.bind_params a.Depend.Solve.phi arr)
+          in
           let stmt = a.Depend.Solve.stmt.Loopir.Prog.id in
           Tasks { sched = Baselines.Mindist.schedule md ~stmt pts }
       | Plan.Doacross_model _ -> Model { tr = Depend.Trace.build prog ~params })

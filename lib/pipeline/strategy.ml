@@ -8,40 +8,9 @@ let analyze_simple prog =
   | exception Presburger.Omega.Blowup m -> Error (Diag.Set_blowup m)
   | exception Numeric.Safeint.Overflow -> Error Diag.Int_overflow
 
-let rec_reject why =
-  Obs.Event.emit ~scope:"strategy" ~name:"rec.reject" ~severity:Obs.Event.Warn
-    (fun () -> [ ("why", Obs.Event.Str why) ]);
-  Error (Diag.Unsupported why)
-
-(* The REC hypotheses (Lemma 1): a single coupled reference pair whose
-   coefficient matrices are both full rank. *)
 let rec_plan_of prog =
   let* a = analyze_simple prog in
-  match a.Depend.Solve.pair with
-  | Some p when Depend.Depeq.full_rank p -> (
-      match
-        Core.Threeset.compute ~phi:a.Depend.Solve.phi ~rd:a.Depend.Solve.rd
-      with
-      | three ->
-          Obs.Event.emit ~scope:"strategy" ~name:"rec.accept" (fun () ->
-              [
-                ("array", Obs.Event.Str p.Depend.Depeq.arr);
-                ("det_a", Obs.Event.Int (Depend.Depeq.det_a p));
-                ("det_b", Obs.Event.Int (Depend.Depeq.det_b p));
-                ( "why",
-                  Obs.Event.Str
-                    "Lemma 1 preconditions hold: single coupled reference \
-                     pair with full-rank A and B" );
-              ]);
-          Ok { Core.Partition.simple = a; pair = p; three }
-      | exception Presburger.Omega.Blowup m -> Error (Diag.Set_blowup m))
-  | Some p ->
-      rec_reject
-        (Printf.sprintf
-           "coupled pair coefficient matrices are not full rank (det A = %d, \
-            det B = %d)"
-           (Depend.Depeq.det_a p) (Depend.Depeq.det_b p))
-  | None -> rec_reject "no single coupled reference pair"
+  Core.Partition.lemma1 a
 
 module type S = sig
   val strategy : Plan.strategy

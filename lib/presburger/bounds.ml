@@ -228,6 +228,21 @@ let scan nest =
   go 0;
   List.rev !pts
 
+(* Merges two increasing, duplicate-free point lists, keeping one copy of
+   the points they share: a disjunct's scan is increasing and
+   duplicate-free, so a union needs no sort. *)
+let merge a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+        let c = Linalg.Ivec.compare_lex x y in
+        if c < 0 then go (x :: acc) a' b
+        else if c > 0 then go (y :: acc) a b'
+        else go (x :: acc) a' b'
+  in
+  go [] a b
+
 let points n polys =
   List.iter
     (fun p ->
@@ -237,5 +252,6 @@ let points n polys =
   if n = 0 then
     if List.exists (fun p -> P.normalize p <> None) polys then [ [||] ] else []
   else
-    List.concat_map (fun p -> scan (with_strides (of_poly ~n_iters:n p))) polys
-    |> List.sort_uniq Linalg.Ivec.compare_lex
+    List.fold_left
+      (fun pts p -> merge pts (scan (with_strides (of_poly ~n_iters:n p))))
+      [] polys

@@ -1,6 +1,7 @@
 (** Loop-bound extraction from convex integer sets (Fourier–Motzkin, as in
     the DOALLCodeGeneration step of Algorithm 1 [3,13]), and the scanner
-    that enumerates a bounded set by running those loops.
+    that enumerates a bounded set by running those loops: the library's
+    one point enumerator ({!points}).
 
     For each nesting level the variable's lower bounds are ceiling
     divisions [⌈e/c⌉] and its upper bounds floor divisions [⌊e/c⌋] of
@@ -50,6 +51,10 @@ val scan : nest -> int array list
 val points : int -> Poly.t list -> int array list
 (** [points n polys] is the set of integer points of the union of [polys]
     (each of dimension [n], parameters already bound), lexicographically
-    sorted and duplicate-free: {!scan} over each disjunct's strided nest.
-    Raises {!Unbounded} when a disjunct's rational relaxation is unbounded
-    and [Invalid_argument] when a disjunct has another dimension. *)
+    sorted and duplicate-free: {!scan} over each disjunct's strided nest,
+    the scans (each already increasing and duplicate-free) merged with
+    the points shared by overlapping disjuncts kept once.  This is the
+    library's one point enumerator ({!Iset.points} reads a set through
+    it).  Raises {!Unbounded} when a disjunct's rational relaxation is
+    unbounded and [Invalid_argument] when a disjunct has another
+    dimension. *)

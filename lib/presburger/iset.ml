@@ -120,6 +120,11 @@ let bind_params s values =
   in
   { iters = s.iters; params = [||]; polys }
 
+let points s =
+  if Array.length s.params <> 0 then
+    invalid_arg "Iset.points: parameters must be bound first";
+  Bounds.points (n_iters s) s.polys
+
 let digest s =
   let feed_names d ns =
     Array.fold_left

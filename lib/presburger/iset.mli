@@ -31,6 +31,12 @@ val subset : t -> t -> bool
 val equal : t -> t -> bool
 val simplify : ?aggressive:bool -> t -> t
 
+val points : t -> int array list
+(** [points s] is every integer point of a parameter-free set (bind the
+    parameters first with {!bind_params}), in lexicographic order without
+    duplicates: {!Bounds.points} runs each disjunct's loop nest and merges
+    the scans.  Raises [Invalid_argument] when parameters are left. *)
+
 val digest : t -> Numeric.Digest.t
 (** Content digest of the space names and (order-sensitive) disjunct
     digests; used as a memo key by {!Rel} and callers. *)

@@ -240,7 +240,8 @@ let bind_point r ~params i =
       !p)
     r.polys
 
-let image r ~params i = Enum.points_polys (Array.length r.out) (bind_point r ~params i)
+let image r ~params i =
+  Bounds.points (Array.length r.out) (bind_point r ~params i)
 
 let preimage r ~params j = image (inverse r) ~params j
 

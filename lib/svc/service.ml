@@ -2,18 +2,12 @@ type config = {
   domains : int;
   queue_capacity : int;
   cache_capacity : int;
-  cache_shards : int;
   threads : int;
   check : bool;
-  measure : bool;
   deadline_s : float option;
   slow_ms : float option;
-  flight : bool;
   flight_dir : string option;
-  window_s : float;
-  windows : int;
   store_dir : string option;
-  store_flush_every : int;
 }
 
 let default_config =
@@ -21,18 +15,12 @@ let default_config =
     domains = 4;
     queue_capacity = 64;
     cache_capacity = 512;
-    cache_shards = 8;
     threads = 2;
     check = true;
-    measure = true;
     deadline_s = None;
     slow_ms = None;
-    flight = true;
     flight_dir = None;
-    window_s = 1.0;
-    windows = 60;
     store_dir = None;
-    store_flush_every = 32;
   }
 
 let latency_us = Obs.Histogram.make "svc.request.latency_us"
@@ -55,23 +43,15 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  let store =
-    Option.map
-      (fun dir ->
-        Store.open_dir ~shards:config.cache_shards
-          ~flush_every:config.store_flush_every dir)
-      config.store_dir
-  in
+  let store = Option.map Store.open_dir config.store_dir in
   let t =
     {
       config;
-      cache =
-        Cache.create ~shards:config.cache_shards
-          ~capacity:config.cache_capacity ~name:"results" ();
+      cache = Cache.create ~capacity:config.cache_capacity ~name:"results" ();
       pool =
         Runtime.Workers.spawn ~queue_capacity:config.queue_capacity
           ~domains:config.domains ();
-      window = Obs.Window.create ~windows:config.windows ~period_s:config.window_s ();
+      window = Obs.Window.create ~period_s:1.0 ();
       store;
       gauge_providers = [];
     }
@@ -80,7 +60,7 @@ let create ?(config = default_config) () =
   (* The pool doubles as the presburger layer's DNF-disjunct runner, so
      analysis-side set algebra parallelizes over the same domains. *)
   Runtime.Workers.install_dnf_runner t.pool;
-  if config.flight then Obs.Flight.enable ();
+  Obs.Flight.enable ();
   t
 
 let cache_stats t = Cache.stats t.cache
@@ -94,7 +74,7 @@ let flush_store t = Option.iter Store.flush t.store
 
 let shutdown t =
   Runtime.Workers.uninstall_dnf_runner ();
-  if t.config.flight then Obs.Flight.disable ();
+  Obs.Flight.disable ();
   Runtime.Workers.shutdown t.pool;
   Option.iter Store.close t.store
 
@@ -188,7 +168,7 @@ let compute t (req : Proto.request) prog ~threads =
           Pipeline.Driver.default_options with
           threads;
           check = t.config.check;
-          measure = t.config.measure;
+          measure = t.config.check;
           strategy = req.strategy;
           workers = Some t.pool;
         }
@@ -490,7 +470,7 @@ let process t (req : Proto.request) ~submitted_ns =
                   "mode=" ^ Proto.mode_name req.Proto.mode;
                   Printf.sprintf "threads=%d" threads;
                   Printf.sprintf "check=%b" t.config.check;
-                  Printf.sprintf "measure=%b" t.config.measure;
+                  Printf.sprintf "measure=%b" t.config.check;
                   Printf.sprintf "survey=%b" req.Proto.survey;
                 ]
               ~params:req.Proto.params prog

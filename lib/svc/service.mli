@@ -37,36 +37,35 @@ type config = {
       (** pool domains: they drain the request queue and run the
           requests' execution chunks and DNF disjuncts *)
   queue_capacity : int;  (** bounded request queue (backpressure) *)
-  cache_capacity : int;  (** total cached results (see {!Cache.create}) *)
-  cache_shards : int;
+  cache_capacity : int;
+      (** total cached results, over 8 shards (see {!Cache.create}) *)
   threads : int;
       (** default chunk drainers per request execution (a cache-key
           facet; the drainers run on the pool's domains) *)
-  check : bool;  (** validate legality + sequential equivalence *)
-  measure : bool;
+  check : bool;
+      (** validate legality + sequential equivalence, and time the runs
+          ({!Pipeline.Driver.options.measure}); the key's [measure]
+          facet prints this value *)
   deadline_s : float option;  (** default per-request deadline *)
   slow_ms : float option;
       (** log any request slower than this to stderr with its stage
           timings (a hit logs that it was cached) and the
           presburger-memo delta it caused *)
-  flight : bool;  (** enable the {!Obs.Flight} recorder at {!create} *)
   flight_dir : string option;
       (** where failed requests (deadline/pipeline/panic) dump their
           flight-recorder JSONL postmortems; [None] = no dumps *)
-  window_s : float;  (** aggregation window period (see {!Obs.Window}) *)
-  windows : int;  (** retained windows *)
   store_dir : string option;
-      (** durable second cache tier: a {!Store} opened under this
-          directory at {!create} and attached below the in-memory
-          {!Cache} (read-through / write-behind); [None] = memory only *)
-  store_flush_every : int;
-      (** write-behind threshold forwarded to {!Store.open_dir} *)
+      (** durable second cache tier: a {!Store} of 8 shards, flushed
+          every 32 pending records, opened under this directory at
+          {!create} and attached below the in-memory {!Cache}
+          (read-through / write-behind); [None] = memory only *)
 }
+(** The {!Obs.Flight} recorder is on from {!create} to {!shutdown}, and
+    {!Proto.Metrics} reads a rolling window of 60 one-second periods. *)
 
 val default_config : config
-(** 4 domains, queue 64, cache 512 over 8 shards, 2 threads, check and
-    measure on, no deadline; flight recorder on (no dump dir), no
-    slow-request log, 60 windows of 1s; no store. *)
+(** 4 domains, queue 64, cache 512, 2 threads, check on, no deadline, no
+    dump dir, no slow-request log, no store. *)
 
 type t
 

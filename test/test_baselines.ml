@@ -12,13 +12,12 @@ module Sched = Runtime.Sched
 module Interp = Runtime.Interp
 module Solve = Depend.Solve
 module Trace = Depend.Trace
-module Enum = Presburger.Enum
 module Iset = Presburger.Iset
 module Ivec = Linalg.Ivec
 
 let phi_points prog params =
   let a = Solve.analyze_simple prog in
-  (a, Enum.points (Iset.bind_params a.Solve.phi params))
+  (a, Iset.points (Iset.bind_params a.Solve.phi params))
 
 (* ------------------------------------------------------------------ *)
 (* PDM                                                                  *)
@@ -208,7 +207,7 @@ let test_mindist_schedule_legal_semantic () =
     let a = Solve.analyze_simple prog in
     let t = Mindist.of_simple a ~params:params_arr in
     let pts =
-      Enum.points (Iset.bind_params a.Solve.phi params_arr)
+      Iset.points (Iset.bind_params a.Solve.phi params_arr)
     in
     let sched = Mindist.schedule t ~stmt:0 pts in
     let tr = Trace.build prog ~params in

@@ -4,7 +4,6 @@
 
 module Iset = Presburger.Iset
 module Rel = Presburger.Rel
-module Enum = Presburger.Enum
 module Ivec = Linalg.Ivec
 module Solve = Depend.Solve
 module Threeset = Core.Threeset
@@ -14,7 +13,7 @@ module Dataflow = Core.Dataflow
 module Recurrence = Core.Recurrence
 
 let points1 set params =
-  Enum.points (Iset.bind_params set params) |> List.map (fun v -> v.(0))
+  Iset.points (Iset.bind_params set params) |> List.map (fun v -> v.(0))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: the paper's worked 1-D example                             *)
@@ -103,7 +102,7 @@ let test_ex2_intermediate_single () =
   match Partition.choose Loopir.Builtin.example2 with
   | Partition.Rec_chains rp ->
       let pts =
-        Enum.points (Iset.bind_params rp.Partition.three.Threeset.p2 [| 12 |])
+        Iset.points (Iset.bind_params rp.Partition.three.Threeset.p2 [| 12 |])
       in
       (match pts with
       | [ p ] -> Alcotest.check (Alcotest.array Alcotest.int) "(2,6)" [| 2; 6 |] p
@@ -265,7 +264,7 @@ let legal_schedule_prop (alpha, beta, gamma, delta, n) =
       Core.Points.iter (fun p -> Hashtbl.replace pos p.(0) (max_int, 0)) c.Partition.p3_pts;
       (* all dependences respect the phase/chain order *)
       let dep_pairs =
-        Enum.points (Iset.bind_params (Rel.to_set rp.Partition.simple.Solve.rd) [||])
+        Iset.points (Iset.bind_params (Rel.to_set rp.Partition.simple.Solve.rd) [||])
       in
       List.for_all
         (fun xy ->

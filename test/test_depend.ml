@@ -9,7 +9,6 @@ module Graph = Depend.Graph
 module Space = Depend.Space
 module Rel = Presburger.Rel
 module Iset = Presburger.Iset
-module Enum = Presburger.Enum
 module Ivec = Linalg.Ivec
 
 let ivec = Alcotest.testable Ivec.pp Ivec.equal
@@ -33,7 +32,7 @@ let test_example1_pair_count () =
   (* Figure 1 shows 8 arrows of distance (2,2), 6 of (4,4), 4 of (6,6). *)
   let a = Solve.analyze_simple Loopir.Builtin.example1 in
   let set = Iset.bind_params (Rel.to_set a.Solve.rd) [| 10; 10 |] in
-  Alcotest.(check int) "18 direct dependences" 18 (Enum.cardinal set)
+  Alcotest.(check int) "18 direct dependences" 18 (List.length (Iset.points set))
 
 let test_example1_classify () =
   let a = Solve.analyze_simple Loopir.Builtin.example1 in
@@ -64,8 +63,8 @@ let test_example1_pair_matrices () =
 
 let test_fig2_sets () =
   let a = Solve.analyze_simple Loopir.Builtin.fig2 in
-  let dom = Enum.points (Rel.dom a.Solve.rd) |> List.map (fun v -> v.(0)) in
-  let ran = Enum.points (Rel.ran a.Solve.rd) |> List.map (fun v -> v.(0)) in
+  let dom = Iset.points (Rel.dom a.Solve.rd) |> List.map (fun v -> v.(0)) in
+  let ran = Iset.points (Rel.ran a.Solve.rd) |> List.map (fun v -> v.(0)) in
   Alcotest.(check (list int)) "dom = initial candidates" [ 1; 2; 3; 4; 5; 6 ] dom;
   Alcotest.(check (list int)) "ran" [ 8; 9; 10; 11; 13; 15; 17; 19 ] ran
 
@@ -155,7 +154,7 @@ let test_unified_space_example3 () =
   Alcotest.(check int) "7 unified dims" 7 (Array.length u.Space.dims);
   Alcotest.(check int) "two disjuncts" 2 (List.length (Iset.polys phi));
   (* At n = 3: S1 instances: Σ_i Σ_{j≤i} (i-j+1) = 10; S2: Σ_i i = 6. *)
-  let pts = Enum.points (Iset.bind_params phi [| 3 |]) in
+  let pts = Iset.points (Iset.bind_params phi [| 3 |]) in
   Alcotest.(check int) "16 instances at n=3" 16 (List.length pts)
 
 let test_unified_vector () =
@@ -318,7 +317,7 @@ let oracle_pairs rd ~params =
   let m = Iset.dim set / 2 in
   List.map
     (fun xy -> (Array.sub xy 0 m, Array.sub xy m m))
-    (Enum.points set)
+    (Iset.points set)
 
 let oracle_distances rd ~params =
   oracle_pairs rd ~params
@@ -331,7 +330,7 @@ let oracle_classify rd ~phi ~params =
   | pairs ->
       let pair_set = Hashtbl.create 64 in
       List.iter (fun p -> Hashtbl.replace pair_set p ()) pairs;
-      let phi_pts = Enum.points (Iset.bind_params phi params) in
+      let phi_pts = Iset.points (Iset.bind_params phi params) in
       let in_phi = Hashtbl.create 64 in
       List.iter (fun i -> Hashtbl.replace in_phi i ()) phi_pts;
       let uniform =

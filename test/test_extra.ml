@@ -7,7 +7,6 @@ module C = Presburger.Constr
 module P = Presburger.Poly
 module Iset = Presburger.Iset
 module Rel = Presburger.Rel
-module Enum = Presburger.Enum
 module Ivec = Linalg.Ivec
 
 (* ------------------------------------------------------------------ *)
@@ -40,7 +39,7 @@ let gen_rel_poly =
 let mk_rel p = Rel.make ~inn:[| "x" |] ~out:[| "y" |] ~params:[||] [ p ]
 
 let pairs_of r =
-  Enum.points (Rel.to_set r) |> List.map (fun a -> (a.(0), a.(1)))
+  Iset.points (Rel.to_set r) |> List.map (fun a -> (a.(0), a.(1)))
 
 let prop_inverse_swaps =
   QCheck2.Test.make ~name:"inverse swaps pairs" ~count:150 gen_rel_poly
@@ -72,9 +71,9 @@ let prop_dom_ran_match =
       let r = mk_rel p in
       let prs = pairs_of r in
       let dom =
-        Enum.points (Rel.dom r) |> List.map (fun a -> a.(0)) |> List.sort_uniq compare
+        Iset.points (Rel.dom r) |> List.map (fun a -> a.(0)) |> List.sort_uniq compare
       and ran =
-        Enum.points (Rel.ran r) |> List.map (fun a -> a.(0)) |> List.sort_uniq compare
+        Iset.points (Rel.ran r) |> List.map (fun a -> a.(0)) |> List.sort_uniq compare
       in
       dom = List.sort_uniq compare (List.map fst prs)
       && ran = List.sort_uniq compare (List.map snd prs))
@@ -83,7 +82,7 @@ let prop_deltas_match =
   QCheck2.Test.make ~name:"deltas = differences of pairs" ~count:150
     gen_rel_poly (fun p ->
       let r = mk_rel p in
-      Enum.points (Rel.deltas r) |> List.map (fun a -> a.(0))
+      Iset.points (Rel.deltas r) |> List.map (fun a -> a.(0))
       = List.sort_uniq compare (List.map (fun (x, y) -> y - x) (pairs_of r)))
 
 let prop_lex_forward_subset =
@@ -213,7 +212,7 @@ let test_large_coefficient_loop () =
   in
   let a = Depend.Solve.analyze_simple prog in
   let pairs =
-    Enum.points (Iset.bind_params (Rel.to_set a.Depend.Solve.rd) [||])
+    Iset.points (Iset.bind_params (Rel.to_set a.Depend.Solve.rd) [||])
   in
   (* 97 i + 1000 = 89 j: brute-force count. *)
   let expected = ref 0 in

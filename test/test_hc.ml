@@ -447,8 +447,7 @@ let test_four_domain_stress () =
              Loopir.Builtin.corpus))
   in
   let config domains =
-    { Service.default_config with domains; threads = 1; check = false;
-      measure = false }
+    { Service.default_config with domains; threads = 1; check = false }
   in
   let before = Hc.totals () in
   let pooled = Service.create ~config:(config 4) () in

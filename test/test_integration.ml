@@ -54,16 +54,61 @@ let test_scan_vs_enum_ex2 () =
         true (same_concrete a b))
     [ 8; 12; 25 ]
 
-let test_scan_iter_space () =
-  (* Triangular nest: scan order and content match the exact enumerator. *)
-  let prog =
-    Loopir.Parser.parse ~name:"t"
-      "DO i = 1, 6\n  DO j = i, MIN(6, i + 2)\n    a(i, j) = b(i, j)\n  ENDDO\nENDDO"
-  in
-  let a = Depend.Solve.analyze_simple prog in
-  let scan = Depend.Scan.iter_space a.Depend.Solve.stmt ~params:[] in
-  let enum = Presburger.Enum.points a.Depend.Solve.phi in
-  Alcotest.(check bool) "same points in same order" true (scan = enum)
+(* Φ is the source iteration space: materialization, PDM and mindist take
+   a statement's instances from the points of the bound Φ, so those must
+   be the instances [Trace.build] meets walking the source loops, in the
+   same order.  [None] when the nest is not a single-statement nest the
+   analysis accepts, or its walk stops at a subscript that fails (an
+   undeclared name, a division by zero, an overflow). *)
+let phi_matches_trace prog ~params =
+  match Depend.Solve.analyze_simple prog with
+  | exception _ -> None
+  | a -> (
+      match Depend.Trace.build prog ~params with
+      | exception _ -> None
+      | tr ->
+          let values =
+            Array.map (fun p -> List.assoc p params) a.Depend.Solve.params
+          in
+          let phi =
+            Presburger.Iset.points
+              (Presburger.Iset.bind_params a.Depend.Solve.phi values)
+          in
+          Some
+            (phi
+            = Array.to_list
+                (Array.map
+                   (fun (i : Depend.Trace.instance) -> i.Depend.Trace.iter)
+                   tr.Depend.Trace.instances)))
+
+let test_phi_is_trace () =
+  let builtins = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun v ->
+          let params = List.map (fun p -> (p, v)) prog.Loopir.Ast.params in
+          match phi_matches_trace prog ~params with
+          | None -> ()
+          | Some same ->
+              incr builtins;
+              Alcotest.(check bool) (Printf.sprintf "%s@%d" name v) true same)
+        [ 4; 8; 16 ])
+    Loopir.Builtin.all;
+  Alcotest.(check bool) "single-statement builtins checked" true
+    (!builtins >= 80);
+  (* Random nests: steps of ±1/±2, MIN/MAX and floor-division bounds. *)
+  let accepted = ref 0 in
+  for seed = 0 to 2999 do
+    match
+      phi_matches_trace (Nests.random_nest (Random.State.make [| seed |])) ~params:[]
+    with
+    | None -> ()
+    | Some same ->
+        incr accepted;
+        Alcotest.(check bool) (Printf.sprintf "random nest seed %d" seed) true same
+  done;
+  Alcotest.(check bool) "random nests checked" true (!accepted >= 90)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract simulator agrees with the concrete one                       *)
@@ -210,7 +255,8 @@ let () =
             test_scan_vs_enum_ex1;
           Alcotest.test_case "scan ≡ enum materialization (ex2)" `Quick
             test_scan_vs_enum_ex2;
-          Alcotest.test_case "scan iter space" `Quick test_scan_iter_space;
+          Alcotest.test_case "phi points = trace instances" `Quick
+            test_phi_is_trace;
           Alcotest.test_case "abstract ≡ concrete simulator" `Quick
             test_abstract_sim_consistent;
           Alcotest.test_case "doacross pipeline sanity" `Quick

@@ -149,7 +149,6 @@ let service_config =
     domains = 2;
     threads = 1;
     check = false;
-    measure = false;
   }
 
 let with_server ?(service_config = service_config) ?server_config f =

@@ -699,8 +699,8 @@ let test_explain_example1_cites_lemma1 () =
       Alcotest.(check bool) "selected strategy named" true
         (List.assoc_opt "strategy" e.Event.fields = Some (Event.Str "rec"))
   | None -> Alcotest.fail "no auto.selected event");
-  (* forcing the strategy goes through the strategy layer's own check,
-     which logs its acceptance too *)
+  (* forcing the strategy goes through the same Lemma 1 gate, which logs
+     its acceptance too *)
   let forced = Event.make () in
   (match
      Event.with_ambient forced (fun () ->
@@ -708,12 +708,12 @@ let test_explain_example1_cites_lemma1 () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Diag.to_string e));
-  match find_event ~name:"rec.accept" (Event.events forced) with
+  match find_event ~name:"choose.rec" (Event.events forced) with
   | Some e ->
-      Alcotest.(check string) "strategy scope" "strategy" e.Event.scope;
+      Alcotest.(check string) "partition scope" "partition" e.Event.scope;
       Alcotest.(check bool) "acceptance cites Lemma 1" true
         (contains ~needle:"Lemma 1" (why_of e))
-  | None -> Alcotest.fail "no rec.accept event"
+  | None -> Alcotest.fail "no choose.rec event"
 
 let test_rejection_provenance_example3 () =
   (* Example 3 has no full-rank coupled pair: the log must say why REC

@@ -10,7 +10,7 @@ module Dnf = Presburger.Dnf
 module Iset = Presburger.Iset
 module Rel = Presburger.Rel
 module Lexo = Presburger.Lex
-module Enum = Presburger.Enum
+module Bounds = Presburger.Bounds
 
 (* Convenient constraint builders; the first argument documents the
    dimension at call sites. *)
@@ -267,11 +267,11 @@ let prop_diff_pointwise =
           Dnf.mem d xs = (P.mem a xs && not (P.mem b xs)))
         (box_points 2 (-11) 11))
 
-let prop_enum_matches_brute =
-  QCheck2.Test.make ~name:"Enum.points_polys = brute force" ~count:150
+let prop_points_match_brute =
+  QCheck2.Test.make ~name:"Bounds.points = brute force" ~count:150
     QCheck2.Gen.(pair (gen_poly 2) (gen_poly 2))
     (fun (a, b) ->
-      let got = Enum.points_polys 2 [ a; b ] in
+      let got = Bounds.points 2 [ a; b ] in
       let expected =
         sorted_points (brute_points 2 a @ brute_points 2 b)
       in
@@ -306,7 +306,7 @@ let test_iset_ops () =
   Alcotest.(check bool) "diff not mem (4,4)" false (Iset.mem d [| 4; 4 |]);
   Alcotest.(check bool) "union = s1 when subset" true
     (Iset.subset (Iset.inter s1 s2) s1);
-  Alcotest.(check int) "cardinal 5x5" 25 (Enum.cardinal s1)
+  Alcotest.(check int) "cardinal 5x5" 25 (List.length (Iset.points s1))
 
 let test_iset_params () =
   (* { i | 1 ≤ i ≤ N } with parameter N bound to 7. *)
@@ -323,38 +323,44 @@ let test_iset_params () =
   let s = Iset.make ~iters ~params [ p ] in
   Alcotest.(check bool) "nonempty symbolically" false (Iset.is_empty s);
   let b = Iset.bind_params s [| 7 |] in
-  Alcotest.(check int) "7 points" 7 (Enum.cardinal b);
+  Alcotest.(check int) "7 points" 7 (List.length (Iset.points b));
   Alcotest.(check bool) "mem 7" true (Iset.mem b [| 7 |]);
   Alcotest.(check bool) "not mem 8" false (Iset.mem b [| 8 |])
 
-let test_cardinal_matches_points () =
-  (* cardinal counts during the projection recursion without building the
-     point lists; it must agree with the enumeration on overlapping
-     unions, intersections and differences. *)
-  let mk cons = P.make 2 cons in
-  let s1 = Iset.make ~iters:iters2 ~params:no_params [ mk (box 2 1 5) ] in
-  let s2 = Iset.make ~iters:iters2 ~params:no_params [ mk (box 2 3 8) ] in
-  List.iter
-    (fun (label, s) ->
-      Alcotest.(check int) label
-        (List.length (Enum.points s))
-        (Enum.cardinal s))
-    [
-      ("box", s1);
-      ("union", Iset.union s1 s2);
-      ("inter", Iset.inter s1 s2);
-      ("diff", Iset.diff s1 s2);
-      ("empty", Iset.empty ~iters:iters2 ~params:no_params);
-    ]
+(* Unions of one to three overlapping disjuncts in the box [-4,4]³, each
+   cut by a few random constraints: the points must be exactly the box
+   points some disjunct holds, strictly increasing, so the merge of the
+   disjuncts' scans has to drop the points they share. *)
+let gen_union_3d =
+  QCheck2.Gen.(
+    let disjunct =
+      let* k = int_range 0 2 in
+      let* cs = list_size (pure k) (gen_constr 3) in
+      pure (P.make 3 (cs @ box 3 (-4) 4))
+    in
+    list_size (int_range 1 3) disjunct)
 
-let prop_cardinal_matches_enum =
-  QCheck2.Test.make ~name:"Enum.cardinal = |Enum.points|" ~count:100
-    QCheck2.Gen.(pair (gen_poly 2) (gen_poly 2))
-    (fun (a, b) ->
-      let s = Iset.make ~iters:iters2 ~params:no_params [ a; b ] in
-      Enum.cardinal s = List.length (Enum.points s))
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) ->
+      Linalg.Ivec.compare_lex a b < 0 && strictly_increasing rest
+  | [ _ ] | [] -> true
 
-let test_values_1d_eq_negative_coef () =
+let prop_points_union_3d =
+  QCheck2.Test.make ~name:"points = brute force, increasing (3D unions)"
+    ~count:200 gen_union_3d (fun ps ->
+      let got =
+        Iset.points (Iset.make ~iters:[| "i"; "j"; "k" |] ~params:no_params ps)
+      in
+      let expected =
+        List.filter_map
+          (fun l ->
+            let xs = Array.of_list l in
+            if List.exists (fun p -> P.mem p xs) ps then Some xs else None)
+          (box_points 3 (-4) 4)
+      in
+      got = expected && strictly_increasing got)
+
+let test_eq_negative_coef () =
   (* -3i + 12 = 0 has the single solution i = 4 whatever the sign of the
      leading coefficient; -3i + 7 = 0 has no integer solution. *)
   let iters = [| "i" |] in
@@ -362,14 +368,13 @@ let test_values_1d_eq_negative_coef () =
     Iset.make ~iters ~params:no_params
       [ P.make 1 [ eq 1 [ -3 ] 12; ge 1 [ 1 ] 0 ] ]
   in
-  Alcotest.(check int) "one solution" 1 (Enum.cardinal solvable);
-  Alcotest.(check bool) "it is 4" true (Enum.points solvable = [ [| 4 |] ]);
+  Alcotest.(check bool) "it is 4" true (Iset.points solvable = [ [| 4 |] ]);
   let unsolvable =
     Iset.make ~iters ~params:no_params
       [ P.make 1 [ eq 1 [ -3 ] 7; ge 1 [ 1 ] 0 ] ]
   in
-  Alcotest.(check int) "no integer solution" 0 (Enum.cardinal unsolvable);
-  Alcotest.(check bool) "empty" true (Enum.points unsolvable = [])
+  Alcotest.(check bool) "no integer solution" true
+    (Iset.points unsolvable = [])
 
 (* The figure-2 relation of the paper: pairs (i,j) with 2i = 21 - j over
    1..20, oriented forward. *)
@@ -403,8 +408,8 @@ let test_rel_fig2 () =
   Alcotest.(check bool) "no self-dep (7,7)" false
     (Rel.mem rd ~params:[||] [| 7 |] [| 7 |]);
   (* dom and ran as point sets *)
-  let dom_pts = Enum.points (Rel.dom rd) in
-  let ran_pts = Enum.points (Rel.ran rd) in
+  let dom_pts = Iset.points (Rel.dom rd) in
+  let ran_pts = Iset.points (Rel.ran rd) in
   let to_list pts = List.map (fun a -> a.(0)) pts in
   Alcotest.(check (list int)) "dom" [ 1; 2; 3; 4; 5; 6 ] (to_list dom_pts);
   Alcotest.(check (list int))
@@ -473,18 +478,16 @@ let () =
       ( "dnf",
         [
           QCheck_alcotest.to_alcotest prop_diff_pointwise;
-          QCheck_alcotest.to_alcotest prop_enum_matches_brute;
+          QCheck_alcotest.to_alcotest prop_points_match_brute;
           QCheck_alcotest.to_alcotest prop_simplify_preserves;
         ] );
       ( "iset",
         [
           Alcotest.test_case "set algebra" `Quick test_iset_ops;
           Alcotest.test_case "parameters" `Quick test_iset_params;
-          Alcotest.test_case "cardinal = |points|" `Quick
-            test_cardinal_matches_points;
-          QCheck_alcotest.to_alcotest prop_cardinal_matches_enum;
+          QCheck_alcotest.to_alcotest prop_points_union_3d;
           Alcotest.test_case "1-D equality, negative coefficient" `Quick
-            test_values_1d_eq_negative_coef;
+            test_eq_negative_coef;
         ] );
       ( "rel",
         [

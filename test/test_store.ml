@@ -275,7 +275,6 @@ let service_config dir =
     domains = 1;
     threads = 1;
     check = false;
-    measure = false;
     store_dir = Some dir;
   }
 
@@ -328,7 +327,7 @@ let test_foreign_tag_is_a_miss () =
       ~params:req.Proto.params prog
   in
   let with_record f =
-    let s = Store.open_dir ~shards:Service.default_config.cache_shards dir in
+    let s = Store.open_dir dir in
     Fun.protect ~finally:(fun () -> Store.close s) (fun () ->
         match Store.find s key with
         | None -> Alcotest.fail "the run was not stored under its request key"

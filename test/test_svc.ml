@@ -292,7 +292,6 @@ let test_pool_of_one_sequential () =
       domains = 1;
       threads = 1;
       check = false;
-      measure = false;
     }
   in
   let requests =
@@ -421,7 +420,6 @@ let quiet_config ~domains =
     domains;
     threads = 1;
     check = false;
-    measure = false;
   }
 
 (* With one worker the batch is sequential, so every duplicate after the
@@ -820,7 +818,6 @@ let test_service_hit_replays_miss () =
     {
       (quiet_config ~domains:1) with
       check = true;
-      measure = true;
       store_dir = Some dir;
     }
   in
