@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 4) and then times the analysis pipeline with
-   bechamel.  See DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-   for recorded paper-vs-measured values.
+   evaluation (Section 4), then writes the pipeline, service and
+   execution reports the regression gate reads.  See DESIGN.md §4 for the
+   experiment index and EXPERIMENTS.md for recorded paper-vs-measured
+   values.
 
    Usage:  dune exec bench/main.exe            (full: paper parameters)
            dune exec bench/main.exe -- --quick (reduced sizes)
@@ -547,17 +548,20 @@ let stages_json (r : Pipeline.Report.t) =
 
 let phase_profile_json (r : Pipeline.Report.t) =
   Pipeline.Json.List
-    (List.map
+    (List.filter_map
        (fun (p : Pipeline.Report.phase_profile) ->
-         Pipeline.Json.Obj
-           [
-             ("label", Pipeline.Json.Str p.Pipeline.Report.label);
-             ("instances", Pipeline.Json.Int p.Pipeline.Report.instances);
-             ("units", Pipeline.Json.Int p.Pipeline.Report.units);
-             ("seconds", Pipeline.Json.Float p.Pipeline.Report.seconds);
-             ( "alloc_words",
-               Pipeline.Json.Float p.Pipeline.Report.alloc_words );
-           ])
+         Option.map
+           (fun (x : Pipeline.Report.phase_run) ->
+             Pipeline.Json.Obj
+               [
+                 ("label", Pipeline.Json.Str p.Pipeline.Report.label);
+                 ("instances", Pipeline.Json.Int p.Pipeline.Report.instances);
+                 ("units", Pipeline.Json.Int x.Pipeline.Report.units);
+                 ("seconds", Pipeline.Json.Float x.Pipeline.Report.seconds);
+                 ( "alloc_words",
+                   Pipeline.Json.Float x.Pipeline.Report.alloc_words );
+               ])
+           p.Pipeline.Report.run)
        r.Pipeline.Report.phases)
 
 let gc_json (r : Pipeline.Report.t) =
@@ -619,13 +623,13 @@ let metrics_json (m : Obs.Metrics.t) =
     ]
 
 (* E13 — analyze-stage memoization: cold vs memo-warm classification over
-   the builtin corpus, per worker-pool size.  The memo tables are cleared
-   before the cold pass, so "cold" really recomputes every set-algebra
-   result and "warm" answers from the {!Presburger.Hc} tables; the warm
-   time is the median of [warm_reps] passes.  Timings (and the hit counts,
-   which depend on scheduling at t > 1) are plain fields; the gate-checked
-   counters are only emitted for the t = 1 run, where sequential execution
-   makes omega call counts and memo miss counts exactly reproducible. *)
+   the builtin corpus.  The memo tables are cleared before the cold pass,
+   so "cold" really recomputes every set-algebra result and "warm" answers
+   from the {!Presburger.Hc} tables; the warm time is the median of
+   [warm_reps] passes.  Classification runs on the calling domain, so the
+   omega call counts and memo miss counts are exactly reproducible and
+   are the gate-checked counters; timings and hit counts are plain
+   fields. *)
 let warm_reps = 9
 
 let analyze_entry () =
@@ -641,7 +645,7 @@ let analyze_entry () =
     "  analyze-stage memoization (classify over %d nests, cold vs warm; warm \
      = median of %d passes):\n"
     (List.length corpus) warm_reps;
-  Printf.printf "  domains    cold s     warm s  speedup  warm hits/misses\n";
+  Printf.printf "    cold s     warm s  speedup  warm hits/misses\n";
   let omega_calls (m : Obs.Metrics.t) =
     List.fold_left
       (fun acc (name, v) ->
@@ -652,88 +656,79 @@ let analyze_entry () =
         | _ -> acc)
       0 m.Obs.Metrics.counters
   in
-  let runs =
-    List.map
-      (fun domains ->
-        let pool = Runtime.Workers.create ~domains in
-        Runtime.Workers.install_dnf_runner pool;
-        (* cold-run isolation: zero every registry (and clear the memo
-           tables) so counts accumulated by earlier sections or pool
-           sizes cannot leak into this run's diffs *)
-        Obs.Metrics.reset_all ();
-        Presburger.Hc.clear_all ();
-        let pass () =
-          let before = Obs.Metrics.snapshot () in
-          let t0 = Obs.Clock.now_ns () in
-          List.iter
-            (fun (name, prog) ->
-              match Pipeline.Driver.classify prog with
-              | Ok _ -> ()
-              | Error e ->
-                  failwith
-                    (Printf.sprintf "analyze bench: %s: %s" name
-                       (Diag.to_string e)))
-            corpus;
-          let dt = Obs.Clock.elapsed_s t0 in
-          (dt, Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()))
-        in
-        let m0 = Presburger.Hc.totals () in
-        let cold_s, cold_m = pass () in
-        let m1 = Presburger.Hc.totals () in
-        let warm_s, warm_m = pass () in
-        let m2 = Presburger.Hc.totals () in
-        (* One warm pass is ~0.35 ms, too short to time alone: the speedup
-           uses the median of [warm_reps] passes, the counters and hit
-           counts the first. *)
-        let warm_s =
-          let times =
-            Array.init warm_reps (fun k ->
-                if k = 0 then warm_s else fst (pass ()))
-          in
-          Array.sort compare times;
-          times.(warm_reps / 2)
-        in
-        Runtime.Workers.uninstall_dnf_runner ();
-        Runtime.Workers.shutdown pool;
-        let open Presburger.Hc in
-        let cold_hits = m1.hits - m0.hits
-        and cold_misses = m1.misses - m0.misses
-        and warm_hits = m2.hits - m1.hits
-        and warm_misses = m2.misses - m1.misses in
-        Printf.printf "     %d    %8.4f   %8.4f   %5.1fx  %d/%d\n" domains
-          cold_s warm_s (cold_s /. warm_s) warm_hits warm_misses;
-        let gated =
-          if domains <> 1 then []
-          else
-            [
-              ("omega_calls_cold", Pipeline.Json.Int (omega_calls cold_m));
-              ("omega_calls_warm", Pipeline.Json.Int (omega_calls warm_m));
-              ("memo_misses_cold", Pipeline.Json.Int cold_misses);
-              ("memo_misses_warm", Pipeline.Json.Int warm_misses);
-            ]
-        in
-        ( cold_s /. warm_s,
+  (* cold-run isolation: zero every registry (and clear the memo tables)
+     so counts accumulated by earlier sections cannot leak into this
+     run's diffs *)
+  Obs.Metrics.reset_all ();
+  Presburger.Hc.clear_all ();
+  let pass () =
+    let before = Obs.Metrics.snapshot () in
+    let t0 = Obs.Clock.now_ns () in
+    List.iter
+      (fun (name, prog) ->
+        match Pipeline.Driver.classify prog with
+        | Ok _ -> ()
+        | Error e ->
+            failwith
+              (Printf.sprintf "analyze bench: %s: %s" name (Diag.to_string e)))
+      corpus;
+    let dt = Obs.Clock.elapsed_s t0 in
+    (dt, Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()))
+  in
+  let m0 = Presburger.Hc.totals () in
+  let cold_s, cold_m = pass () in
+  let m1 = Presburger.Hc.totals () in
+  let warm_s, warm_m = pass () in
+  let m2 = Presburger.Hc.totals () in
+  (* One warm pass is ~0.35 ms, too short to time alone: the speedup uses
+     the median of [warm_reps] passes, the counters and hit counts the
+     first. *)
+  let warm_s =
+    let times =
+      Array.init warm_reps (fun k -> if k = 0 then warm_s else fst (pass ()))
+    in
+    Array.sort compare times;
+    times.(warm_reps / 2)
+  in
+  let open Presburger.Hc in
+  let cold_hits = m1.hits - m0.hits
+  and cold_misses = m1.misses - m0.misses
+  and warm_hits = m2.hits - m1.hits
+  and warm_misses = m2.misses - m1.misses in
+  let speedup = cold_s /. warm_s in
+  Printf.printf "  %8.4f   %8.4f   %5.1fx  %d/%d\n" cold_s warm_s speedup
+    warm_hits warm_misses;
+  Printf.printf "  memo-warm analyze speedup: %.1fx%s\n" speedup
+    (if speedup >= 2.0 then "" else "  (below the 2x target!)");
+  let run =
+    Pipeline.Json.Obj
+      [
+        ("threads", Pipeline.Json.Int 1);
+        ("cold_seconds", Pipeline.Json.Float cold_s);
+        ("warm_seconds", Pipeline.Json.Float warm_s);
+        ("warm_speedup", Pipeline.Json.Float speedup);
+        ("memo_hits_cold", Pipeline.Json.Int cold_hits);
+        ("memo_hits_warm", Pipeline.Json.Int warm_hits);
+        ( "metrics",
           Pipeline.Json.Obj
             [
-              ("threads", Pipeline.Json.Int domains);
-              ("cold_seconds", Pipeline.Json.Float cold_s);
-              ("warm_seconds", Pipeline.Json.Float warm_s);
-              ("warm_speedup", Pipeline.Json.Float (cold_s /. warm_s));
-              ("memo_hits_cold", Pipeline.Json.Int cold_hits);
-              ("memo_hits_warm", Pipeline.Json.Int warm_hits);
-              ( "metrics",
-                Pipeline.Json.Obj [ ("counters", Pipeline.Json.Obj gated) ] );
-            ] ))
-      [ 1; 2; 4 ]
+              ( "counters",
+                Pipeline.Json.Obj
+                  [
+                    ( "omega_calls_cold",
+                      Pipeline.Json.Int (omega_calls cold_m) );
+                    ( "omega_calls_warm",
+                      Pipeline.Json.Int (omega_calls warm_m) );
+                    ("memo_misses_cold", Pipeline.Json.Int cold_misses);
+                    ("memo_misses_warm", Pipeline.Json.Int warm_misses);
+                  ] );
+            ] );
+      ]
   in
-  let worst = List.fold_left (fun m (s, _) -> min m s) infinity runs in
-  Printf.printf "  memo-warm analyze speedup (worst over pool sizes): %.1fx%s\n"
-    worst
-    (if worst >= 2.0 then "" else "  (below the 2x target!)");
   Pipeline.Json.Obj
     [
       ("program", Pipeline.Json.Str "analyze-memo");
-      ("runs", Pipeline.Json.List (List.map snd runs));
+      ("runs", Pipeline.Json.List [ run ]);
     ]
 
 (* The E10/E14 program set: the paper's examples plus a tiled kernel. *)
@@ -916,8 +911,15 @@ let pipeline_json () =
                 }
               in
               let name = Printf.sprintf "%s@t%d" name threads in
+              (* One run at a time, so the metrics diff around it is the
+                 run's own. *)
+              let before = Obs.Metrics.snapshot () in
               match Pipeline.Driver.run ~options ~name ~params prog with
-              | Ok o -> Some (threads, o.Pipeline.Driver.report)
+              | Ok o ->
+                  let m =
+                    Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ())
+                  in
+                  Some (threads, (o.Pipeline.Driver.report, m))
               | Error e ->
                   Printf.printf "  %s (t=%d): %s\n" name threads
                     (Pipeline.Driver.error_to_string e);
@@ -926,12 +928,12 @@ let pipeline_json () =
         in
         match runs with
         | [] -> None
-        | (_, r0) :: _ ->
+        | (_, (r0, _)) :: _ ->
             let open Pipeline in
             Printf.printf "  %-10s %-9s %s\n" name r0.Report.strategy
               (String.concat "  "
                  (List.map
-                    (fun (t, r) ->
+                    (fun (t, (r, _)) ->
                       Printf.sprintf "t=%d %s/%s" t
                         (Report.check_result_string r.Report.legality)
                         (Report.check_result_string r.Report.semantics))
@@ -955,7 +957,7 @@ let pipeline_json () =
                    ( "runs",
                      Json.List
                        (List.map
-                          (fun (t, r) ->
+                          (fun (t, (r, m)) ->
                             Json.Obj
                               [
                                 ("threads", Json.Int t);
@@ -984,9 +986,8 @@ let pipeline_json () =
                                       Json.Float b.Report.idle_fraction
                                   | None -> Json.Null );
                                 ( "metrics",
-                                  match r.Report.metrics with
-                                  | Some m -> metrics_json m
-                                  | None -> Json.Null );
+                                  if Obs.Metrics.is_empty m then Json.Null
+                                  else metrics_json m );
                               ])
                           runs) );
                  ]))
@@ -1510,7 +1511,9 @@ let exec_bench () =
   let phase_alloc (r : Pipeline.Report.t) =
     List.fold_left
       (fun acc (p : Pipeline.Report.phase_profile) ->
-        acc +. p.Pipeline.Report.alloc_words)
+        match p.Pipeline.Report.run with
+        | Some x -> acc +. x.Pipeline.Report.alloc_words
+        | None -> acc)
       0.0 r.Pipeline.Report.phases
   in
   Printf.printf
@@ -1595,16 +1598,19 @@ let exec_bench () =
              (Pipeline.Driver.error_to_string e))
     | Ok o ->
         let r = o.Pipeline.Driver.report in
-        (match r.Pipeline.Report.balance with
-        | Some b ->
-            let idle lbl =
-              match List.assoc_opt lbl b.Pipeline.Report.per_phase_idle with
-              | Some f -> 100.0 *. f
-              | None -> 0.0
-            in
-            p1 := idle "P1" :: !p1;
-            p3 := idle "P3" :: !p3
-        | None -> ());
+        let idle lbl =
+          match
+            List.find_opt
+              (fun (p : Pipeline.Report.phase_profile) ->
+                p.Pipeline.Report.label = lbl)
+              r.Pipeline.Report.phases
+          with
+          | Some { Pipeline.Report.run = Some x; _ } ->
+              100.0 *. Pipeline.Report.phase_idle x
+          | _ -> 0.0
+        in
+        p1 := idle "P1" :: !p1;
+        p3 := idle "P3" :: !p3;
         walls := Option.value r.Pipeline.Report.par_seconds ~default:nan :: !walls
   done;
   let p1, p3, wall = (median !p1, median !p3, median !walls) in
@@ -1694,98 +1700,6 @@ let run_gate ~current = function
           print_string (Pipeline.Gate.to_text ~threshold_pct outcome);
           outcome.Pipeline.Gate.regressions = [])
 
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel)                                          *)
-
-let micro () =
-  section "micro-benchmarks (bechamel, estimated time per run)";
-  let open Bechamel in
-  let open Toolkit in
-  let pugh_poly =
-    let ge coef const =
-      Presburger.Constr.Ge (Presburger.Linexpr.make (Array.of_list coef) const)
-    in
-    Presburger.Poly.make 2
-      [ ge [ 11; 13 ] (-27); ge [ -11; -13 ] 45; ge [ 7; -9 ] 10; ge [ -7; 9 ] 4 ]
-  in
-  let tests =
-    [
-      Test.make ~name:"E1: solve Rd (example1)"
-        (Staged.stage (fun () ->
-             ignore (Solve.analyze_simple Loopir.Builtin.example1)));
-      Test.make ~name:"omega: Pugh dark-shadow emptiness"
-        (Staged.stage (fun () -> ignore (Presburger.Omega.is_empty pugh_poly)));
-      Test.make ~name:"E2: three-set partition (fig2)"
-        (Staged.stage (fun () ->
-             let a = Solve.analyze_simple Loopir.Builtin.fig2 in
-             ignore (Threeset.compute ~phi:a.Solve.phi ~rd:a.Solve.rd)));
-      Test.make ~name:"E3: materialize REC (ex1, 30x40)"
-        (Staged.stage (fun () ->
-             let rp = Lazy.force ex1_plan in
-             ignore (Partition.materialize_rec_scan rp ~params:[| 30; 40 |])));
-      Test.make ~name:"E4: REC+chains (ex2, n=64)"
-        (Staged.stage (fun () ->
-             match Partition.choose Loopir.Builtin.example2 with
-             | Partition.Rec_chains rp ->
-                 ignore (Partition.materialize_rec_scan rp ~params:[| 64 |])
-             | _ -> ()));
-      Test.make ~name:"E5: unified Rd + three sets (ex3)"
-        (Staged.stage (fun () ->
-             let u = Solve.analyze_unified Loopir.Builtin.example3 in
-             ignore (Threeset.compute ~phi:u.Solve.uphi ~rd:u.Solve.urd)));
-      Test.make ~name:"E6: trace+levels (cholesky small)"
-        (Staged.stage (fun () ->
-             ignore
-               (Dataflow.peel_concrete Loopir.Builtin.cholesky
-                  ~params:[ ("nmat", 4); ("m", 2); ("n", 8); ("nrhs", 1) ])));
-      Test.make ~name:"E7: PDM cosets (ex1, 60x60)"
-        (Staged.stage (fun () ->
-             let rp = Lazy.force ex1_plan in
-             let a = rp.Partition.simple in
-             let pdm = Baselines.Pdm.of_simple a ~params:[| 60; 60 |] in
-             let pts = Iset.points (Iset.bind_params a.Solve.phi [| 60; 60 |]) in
-             ignore (Baselines.Pdm.cosets pdm pts)));
-      Test.make ~name:"codegen: REC listing (ex1)"
-        (Staged.stage (fun () ->
-             ignore (Codegen.Emit.rec_partitioning (Lazy.force ex1_plan))));
-      Test.make ~name:"parser: cholesky source"
-        (Staged.stage (fun () ->
-             ignore
-               (Loopir.Parser.parse ~name:"c"
-                  (Loopir.Pretty.program_to_string Loopir.Builtin.cholesky))));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.25 else 0.5))
-      ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg
-      [ Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"recpart" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        match Analyze.OLS.estimates res with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> (name, nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns >= 1e9 then Printf.printf "  %-44s %10.2f s\n" name (ns /. 1e9)
-      else if ns >= 1e6 then Printf.printf "  %-44s %10.2f ms\n" name (ns /. 1e6)
-      else if ns >= 1e3 then Printf.printf "  %-44s %10.2f us\n" name (ns /. 1e3)
-      else Printf.printf "  %-44s %10.0f ns\n" name ns)
-    rows
-
 let () =
   Printf.printf "recurrence-chain partitioning — evaluation harness%s\n"
     (if quick then " [--quick]" else " (paper parameters)");
@@ -1811,7 +1725,6 @@ let () =
   let current = pipeline_json () in
   let service_current = service_bench () in
   let exec_current = exec_bench () in
-  micro ();
   let gate_ok = run_gate ~current baseline in
   let service_gate_ok =
     run_gate ~current:service_current service_baseline

@@ -148,6 +148,18 @@ let write_trace ?metrics log = function
       write_file path (Obs.Trace.to_chrome_json ?metrics log);
       Printf.eprintf "trace written to %s (open in ui.perfetto.dev)\n" path
 
+(* One pipeline run with [log] attached, and the process-wide metrics it
+   moved: the command runs nothing else meanwhile, so the diff around
+   the call is this run's.  [None] when nothing moved. *)
+let run_pipeline log ~options ~name ~params prog =
+  let before = Obs.Metrics.snapshot () in
+  let r =
+    Obs.Event.with_ambient log (fun () ->
+        Pipeline.Driver.run ~options ~name ~params prog)
+  in
+  let m = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+  (r, if Obs.Metrics.is_empty m then None else Some m)
+
 (* The JSON shape for a failed run: the stage that died, the structured
    error, and the wall time of every stage that completed first. *)
 let error_json (e : Pipeline.Driver.error) =
@@ -358,11 +370,8 @@ let run_cmd =
     let params = params_of_assoc prog passoc in
     let log = if trace = None then Obs.Event.null else Obs.Event.make () in
     let options = { Pipeline.Driver.default_options with threads; strategy } in
-    match
-      Obs.Event.with_ambient log (fun () ->
-          Pipeline.Driver.run ~options ~name:spec ~params prog)
-    with
-    | Error e ->
+    match run_pipeline log ~options ~name:spec ~params prog with
+    | Error e, _ ->
         (* The partial trace still shows where time went before the
            failure. *)
         write_trace log trace;
@@ -371,12 +380,13 @@ let run_cmd =
           exit 1
         end
         else die "recpart: %s" (Pipeline.Driver.error_to_string e)
-    | Ok { report; _ } ->
-        write_trace ?metrics:report.Pipeline.Report.metrics log trace;
+    | Ok { report; _ }, metrics ->
+        write_trace ?metrics log trace;
         if json then
           print_endline
-            (Pipeline.Json.to_string_pretty (Pipeline.Report.to_json report))
-        else print_string (Pipeline.Report.to_text report);
+            (Pipeline.Json.to_string_pretty
+               (Pipeline.Report.to_json ?metrics report))
+        else print_string (Pipeline.Report.to_text ?metrics report);
         (match report.Pipeline.Report.legality with
         | Pipeline.Report.Failed _ -> exit 1
         | _ -> ());
@@ -640,18 +650,15 @@ let profile_cmd =
             (Obs.Html.render ?metrics ~title:("recpart profile: " ^ spec) log);
           Printf.eprintf "HTML report written to %s\n" path
     in
-    match
-      Obs.Event.with_ambient log (fun () ->
-          Pipeline.Driver.run ~options ~name:spec ~params prog)
-    with
-    | Error e ->
+    match run_pipeline log ~options ~name:spec ~params prog with
+    | Error e, _ ->
         write_trace log trace;
         write_html ();
         die "recpart: %s" (Pipeline.Driver.error_to_string e)
-    | Ok ({ report; _ } as outcome) ->
+    | Ok ({ report; _ } as outcome), metrics ->
         print_string (Obs.Trace.to_text log);
         print_newline ();
-        print_string (Pipeline.Report.to_text report);
+        print_string (Pipeline.Report.to_text ?metrics report);
         let theorem_bound =
           Option.bind report.Pipeline.Report.stats (fun st ->
               st.Pipeline.Report.theorem_bound)
@@ -674,7 +681,7 @@ let profile_cmd =
                       [
                         ("program", Pipeline.Json.Str spec);
                         ("critpath", critpath_json cp ~theorem_bound);
-                        ("report", Pipeline.Report.to_json report);
+                        ("report", Pipeline.Report.to_json ?metrics report);
                       ]));
               Printf.eprintf "scheduler profile written to %s\n" path
         end;
@@ -700,8 +707,8 @@ let profile_cmd =
                     (Pipeline.Json.to_string_pretty (cost_to_json c));
                   Printf.eprintf "cost constants written to %s\n" path)
         end;
-        write_trace ?metrics:report.Pipeline.Report.metrics log trace;
-        write_html ?metrics:report.Pipeline.Report.metrics ()
+        write_trace ?metrics log trace;
+        write_html ?metrics ()
   in
   Cmd.v
     (Cmd.info "profile"

@@ -13,11 +13,6 @@ let get t k i =
     invalid_arg "Chain.get: point out of range";
   Array.sub t.data ((t.offsets.(k) + i) * t.dim) t.dim
 
-let iter_chain t k f =
-  for i = t.offsets.(k) to t.offsets.(k + 1) - 1 do
-    f (Array.sub t.data (i * t.dim) t.dim)
-  done
-
 let lengths t =
   Array.init (n_chains t) (fun k -> t.offsets.(k + 1) - t.offsets.(k))
 

@@ -30,9 +30,6 @@ val get : t -> int -> int -> Linalg.Ivec.t
 (** [get t k i] is a fresh copy of point [i] of chain [k] (points are in
     lexicographic execution order within the chain). *)
 
-val iter_chain : t -> int -> (Linalg.Ivec.t -> unit) -> unit
-(** Iterates chain [k] in execution order; fresh copies. *)
-
 val lengths : t -> int array
 (** Per-chain point counts, indexed by chain id — the measured chain
     lengths the scheduler orders P2 work by (Theorem 1 bounds their

@@ -33,5 +33,3 @@ let of_trace (tr : Trace.t) =
   let level_sizes = Array.make (max n_levels 0) 0 in
   Array.iter (fun l -> level_sizes.(l - 1) <- level_sizes.(l - 1) + 1) level;
   { n; level; n_levels; level_sizes }
-
-let critical_path_length t = t.n_levels

@@ -15,5 +15,3 @@ val levels : n:int -> (int * int) list -> t
     depend on some level-[k] node. *)
 
 val of_trace : Trace.t -> t
-val critical_path_length : t -> int
-(** Equals [n_levels]. *)

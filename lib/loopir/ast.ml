@@ -85,8 +85,3 @@ let rec map_expr_stmt f = function
           hi = map_expr f l.hi;
           body = List.map (map_expr_stmt f) l.body;
         }
-
-let subst_var v r e =
-  map_expr (function Var v' when v' = v -> r | e -> e) e
-
-let expr_equal a b = a = b

@@ -55,8 +55,3 @@ val map_expr : (expr -> expr) -> expr -> expr
 val map_expr_stmt : (expr -> expr) -> stmt -> stmt
 (** Applies a function to every expression of a statement (subscripts,
     bounds, right-hand sides), recursing into loop bodies. *)
-
-val subst_var : string -> expr -> expr -> expr
-(** [subst_var v r e] replaces every [Var v] by [r] in [e]. *)
-
-val expr_equal : expr -> expr -> bool

@@ -12,7 +12,6 @@ let make n d =
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 let num q = q.num
 let den q = q.den
 

@@ -21,6 +21,4 @@ let fallback_now_ns () =
   bump (Int64.of_float (Unix.gettimeofday () *. 1e9))
 
 let[@inline] now_ns () = if stub_works then Monotonic_clock.now () else fallback_now_ns ()
-let now_s () = Int64.to_float (now_ns ()) *. 1e-9
 let[@inline] elapsed_s t0 = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9
-let wall_s = Unix.gettimeofday

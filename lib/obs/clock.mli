@@ -10,13 +10,6 @@ val now_ns : unit -> int64
 (** Nanoseconds on a monotonic timeline.  The origin is unspecified (boot
     time on Linux); only differences are meaningful. *)
 
-val now_s : unit -> float
-(** [now_ns] in seconds. *)
-
 val elapsed_s : int64 -> float
 (** [elapsed_s t0] is the seconds elapsed since the earlier reading
     [t0]. *)
-
-val wall_s : unit -> float
-(** Wall-clock epoch seconds ({!Unix.gettimeofday}) — for timestamps
-    meant to be correlated with the outside world, never for durations. *)

@@ -41,9 +41,7 @@ let classify ?strategy prog =
     (guarded (fun () ->
          match strategy with
          | None -> Strategy.auto prog
-         | Some s ->
-             let (module M : Strategy.S) = Strategy.find s in
-             M.plan prog))
+         | Some s -> Strategy.plan s prog))
 
 let check_params prog ~params =
   List.iter
@@ -233,7 +231,6 @@ let run ?(options = default_options) ~name ~params prog =
           { stage; error; timings = List.rev !timings })
         r
     in
-    let metrics_before = Obs.Metrics.snapshot () in
     Obs.Span.with_ ~name:("run:" ^ name) @@ fun () ->
     let* plan =
       at Diag.Classify
@@ -273,28 +270,19 @@ let run ?(options = default_options) ~name ~params prog =
     in
     (* Predict before executing: the cost model is only useful if it is
        held to account against what the executor then measures. *)
+    let cost, cost_source =
+      match options.sim_cost with
+      | Some c -> (c, "calibrated")
+      | None -> (Runtime.Sim.base_seconds, "default")
+    in
     let predicted =
-      match sched with
-      | None -> None
-      | Some s ->
-          let cost, cost_source =
-            match options.sim_cost with
-            | Some c -> (c, "calibrated")
-            | None -> (Runtime.Sim.base_seconds, "default")
-          in
-          Some (Strategy.predict ~cost ~threads:options.threads s, cost_source)
+      Option.map (Runtime.Sim.predict cost ~threads:options.threads) sched
     in
     (* Execution: sequential ground truth + instrumented parallel run, or
        the DOACROSS cost model.  The store is scanned once: the oracle
        runs on a copy of the env's image, the schedule on the store
        itself. *)
-    let* ( semantics,
-           seq_seconds,
-           par_seconds,
-           model_makespan,
-           loads,
-           profiles,
-           balance ) =
+    let* semantics, seq_seconds, model_makespan, timed_run =
       match (concrete, sched) with
       | Model { tr }, _ ->
           at Diag.Execute
@@ -306,10 +294,7 @@ let run ?(options = default_options) ~name ~params prog =
                  in
                  ( Report.Skipped,
                    None,
-                   None,
                    Some r.Baselines.Doacross.makespan,
-                   None,
-                   [],
                    None )))
       | _, Some s when options.check || options.measure ->
           at Diag.Execute
@@ -336,42 +321,10 @@ let run ?(options = default_options) ~name ~params prog =
                          Report.Failed
                            "parallel store differs from the sequential run"
                      in
-                     let profiles =
-                       List.map
-                         (fun p ->
-                           {
-                             Report.label = p.Runtime.Exec.label;
-                             instances = p.Runtime.Exec.n_instances;
-                             units = p.Runtime.Exec.n_units;
-                             seconds = p.Runtime.Exec.seconds;
-                             busy_seconds =
-                               Array.fold_left ( +. ) 0.0 p.Runtime.Exec.busy;
-                             alloc_words =
-                               Array.fold_left ( +. ) 0.0
-                                 p.Runtime.Exec.alloc;
-                           })
-                         tmd.Runtime.Exec.phase_stats
-                     in
-                     let balance =
-                       Report.balance_of_phases ~threads:options.threads
-                         (List.map
-                            (fun p ->
-                              ( p.Runtime.Exec.label,
-                                p.Runtime.Exec.busy,
-                                p.Runtime.Exec.seconds ))
-                            tmd.Runtime.Exec.phase_stats)
-                     in
-                     ( semantics,
-                       Some seq_s,
-                       Some tmd.Runtime.Exec.seconds,
-                       None,
-                       Some
-                         (Runtime.Exec.thread_loads tmd
-                            ~threads:options.threads),
-                       profiles,
-                       balance ))))
-      | _ -> Ok (Report.Skipped, None, None, None, None, [], None)
+                     (semantics, Some seq_s, None, Some tmd))))
+      | _ -> Ok (Report.Skipped, None, None, None)
     in
+    let par_seconds = Option.map (fun t -> t.Runtime.Exec.seconds) timed_run in
     let n_instances, n_phases =
       match (concrete, sched) with
       | Model { tr }, _ ->
@@ -380,59 +333,68 @@ let run ?(options = default_options) ~name ~params prog =
           (Some (Runtime.Sched.n_instances s), Some (Runtime.Sched.n_phases s))
       | _ -> (None, None)
     in
+    (* One entry per scheduled phase: Sim.predict and Exec.run_timed both
+       walk the schedule's phases in order, so their lists line up. *)
+    let phases =
+      match (sched, predicted) with
+      | Some s, Some pred ->
+          let entry ph (label, predicted_s) =
+            {
+              Report.label;
+              instances = Runtime.Sched.phase_size ph;
+              predicted_s;
+              run = None;
+            }
+          in
+          let entries = List.map2 entry s.Runtime.Sched.phases pred in
+          let ran e (p : Runtime.Exec.phase_stat) =
+            let sum = Array.fold_left ( +. ) 0.0 in
+            {
+              e with
+              Report.run =
+                Some
+                  {
+                    Report.units = p.n_units;
+                    domains = Array.length p.busy;
+                    seconds = p.seconds;
+                    busy_seconds = sum p.busy;
+                    alloc_words = sum p.alloc;
+                  };
+            }
+          in
+          Option.fold ~none:entries
+            ~some:(fun t -> List.map2 ran entries t.Runtime.Exec.phase_stats)
+            timed_run
+      | _ -> []
+    in
+    let balance =
+      Option.bind timed_run (fun t ->
+          Report.balance_of_phases ~threads:options.threads
+            (List.map
+               (fun (p : Runtime.Exec.phase_stat) -> (p.busy, p.seconds))
+               t.Runtime.Exec.phase_stats))
+    in
     let prediction =
-      match predicted with
-      | None -> None
-      | Some (per_phase_pred, cost_source) ->
-          (* run_timed profiles phases positionally off the same schedule
-             the prediction walked, so zip when the lengths agree. *)
-          let actuals =
-            if List.length profiles = List.length per_phase_pred then
-              List.map
-                (fun (p : Report.phase_profile) -> Some p.Report.seconds)
-                profiles
-            else List.map (fun _ -> None) per_phase_pred
-          in
-          let per_phase =
-            List.map2
-              (fun (lbl, pred) actual ->
-                {
-                  Report.p_label = lbl;
-                  predicted_s = pred;
-                  actual_s = actual;
-                  p_rel_error =
-                    Option.bind actual (fun a ->
-                        Report.rel_error ~predicted:pred ~actual:a);
-                })
-              per_phase_pred actuals
-          in
+      Option.map
+        (fun pred ->
           let total_predicted_s =
-            List.fold_left (fun acc (_, p) -> acc +. p) 0.0 per_phase_pred
+            List.fold_left (fun acc (_, p) -> acc +. p) 0.0 pred
           in
           let rel_error =
             Option.bind par_seconds (fun a ->
                 Report.rel_error ~predicted:total_predicted_s ~actual:a)
           in
           Option.iter Runtime.Sim.observe_rel_error rel_error;
-          Some
-            {
-              Report.cost_source;
-              per_phase;
-              total_predicted_s;
-              total_actual_s = par_seconds;
-              rel_error;
-            }
+          { Report.cost_source; total_predicted_s; rel_error })
+        predicted
     in
     let run_stats = stats concrete in
-    (* Tick the gateable chain-vs-bound ratio inside the metrics window so
-       per-run reports (and baseline gates) see it. *)
+    (* Tick the gateable chain-vs-bound ratio inside the run, so a caller
+       that diffs metrics around it (and the baseline gates) sees it. *)
     (match (run_stats.Report.longest_chain, run_stats.Report.theorem_bound) with
     | Some measured, Some bound ->
         Obs.Critpath.observe_chain_ratio ~measured ~bound
     | _ -> ());
-    let metrics =
-      Obs.Metrics.diff ~before:metrics_before ~after:(Obs.Metrics.snapshot ())
-    in
     let report =
       {
         Report.program = name;
@@ -449,12 +411,14 @@ let run ?(options = default_options) ~name ~params prog =
         seq_seconds;
         par_seconds;
         model_makespan;
-        thread_loads = loads;
-        phases = profiles;
+        thread_loads =
+          Option.map
+            (Runtime.Exec.thread_loads ~threads:options.threads)
+            timed_run;
+        phases;
         balance;
         prediction;
         gc = List.rev !gcs;
-        metrics = (if Obs.Metrics.is_empty metrics then None else Some metrics);
       }
     in
     Ok { plan; concrete; sched; report }
@@ -464,15 +428,18 @@ let calibration_samples { sched; report; _ } =
   match sched with
   | None -> []
   | Some s ->
-      let shapes = Runtime.Sim.abstract s in
-      if List.length shapes <> List.length report.Report.phases then []
-      else
-        List.map2
-          (fun shape (p : Report.phase_profile) ->
-            {
-              Runtime.Sim.s_threads = report.Report.threads;
-              s_shape = shape;
-              s_busy = p.Report.busy_seconds;
-              s_wall = p.Report.seconds;
-            })
-          shapes report.Report.phases
+      List.concat
+        (List.map2
+           (fun shape (p : Report.phase_profile) ->
+             match p.run with
+             | None -> []
+             | Some x ->
+                 [
+                   {
+                     Runtime.Sim.s_threads = report.Report.threads;
+                     s_shape = shape;
+                     s_busy = x.Report.busy_seconds;
+                     s_wall = x.Report.seconds;
+                   };
+                 ])
+           (Runtime.Sim.abstract s) report.Report.phases)

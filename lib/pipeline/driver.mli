@@ -84,7 +84,8 @@ type options = {
           default) lets each run create and shut down a transient pool *)
   sim_cost : Runtime.Sim.cost option;
       (** cost-model constants for the pre-execution prediction
-          ({!Report.prediction}) and for the executor's DOALL chunk sizes;
+          (each phase's [predicted_s], {!Report.prediction}) and for the
+          executor's DOALL chunk sizes;
           [None] (the default) uses the uncalibrated
           {!Runtime.Sim.base_seconds}, [Some c] uses calibrated constants
           (see {!Runtime.Sim.calibrate}) and tags the report's prediction
@@ -125,9 +126,11 @@ val run :
     {!Report.t} (the pipeline itself still succeeds — an [Error] means a
     stage could not run at all).  [run] reads the ambient log and never
     swaps it, so concurrent runs on several domains all record into the
-    one attached log. *)
+    one attached log.  Nor does it diff the process-wide metrics: a
+    caller that runs one pipeline at a time takes that diff around its
+    own call ({!Report.to_text}'s [metrics]). *)
 
 val calibration_samples : outcome -> Runtime.Sim.sample list
 (** The run's measured phases as {!Runtime.Sim.calibrate} samples, at
     the report's thread count; [[]] when the run built no schedule or
-    its phase profile does not line up with the schedule's phases. *)
+    did not execute it. *)

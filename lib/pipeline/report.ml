@@ -25,27 +25,37 @@ let empty_stats =
 
 type check_result = Passed | Failed of string | Skipped
 
-type phase_profile = {
-  label : string;
-  instances : int;
+type phase_run = {
   units : int;
+  domains : int;
   seconds : float;
   busy_seconds : float;
   alloc_words : float;
 }
 
-type phase_prediction = {
-  p_label : string;
+type phase_profile = {
+  label : string;
+  instances : int;
   predicted_s : float;
-  actual_s : float option;
-  p_rel_error : float option;
+  run : phase_run option;
 }
+
+(* Idle time is a fraction by construction; degenerate schedules (zero or
+   sub-tick wall time, no engaged domain, non-finite clock readings) must
+   clamp to 0.0 rather than leak nan/inf into reports and the bench
+   gate. *)
+let idle_frac ~busy_sum ~slots ~wall =
+  if not (Float.is_finite wall) || wall <= 0.0 then 0.0
+  else
+    let f = 1.0 -. (busy_sum /. (float_of_int (max 1 slots) *. wall)) in
+    if Float.is_finite f then Float.max 0.0 (Float.min 1.0 f) else 0.0
+
+let phase_idle p =
+  idle_frac ~busy_sum:p.busy_seconds ~slots:p.domains ~wall:p.seconds
 
 type prediction = {
   cost_source : string;
-  per_phase : phase_prediction list;
   total_predicted_s : float;
-  total_actual_s : float option;
   rel_error : float option;
 }
 
@@ -61,18 +71,7 @@ type balance = {
   busy_min : float;
   busy_mean : float;
   idle_fraction : float;
-  per_phase_idle : (string * float) list;
 }
-
-(* Idle time is a fraction by construction; degenerate schedules (zero or
-   sub-tick wall time, empty busy arrays, non-finite clock readings) must
-   clamp to 0.0 rather than leak nan/inf into reports and the bench
-   gate. *)
-let idle_frac ~busy_sum ~slots ~wall =
-  if not (Float.is_finite wall) || wall <= 0.0 then 0.0
-  else
-    let f = 1.0 -. (busy_sum /. (float_of_int (max 1 slots) *. wall)) in
-    if Float.is_finite f then Float.max 0.0 (Float.min 1.0 f) else 0.0
 
 let balance_of_phases ~threads stats =
   match stats with
@@ -81,22 +80,16 @@ let balance_of_phases ~threads stats =
       let threads = max 1 threads in
       let slots = Array.make threads 0.0 in
       let total_wall = ref 0.0 in
-      let per_phase_idle =
-        List.map
-          (fun (label, busy, seconds) ->
-            Array.iteri
-              (fun k b ->
-                let k = min k (threads - 1) in
-                slots.(k) <- slots.(k) +. b)
-              busy;
-            if Float.is_finite seconds && seconds > 0.0 then
-              total_wall := !total_wall +. seconds;
-            let sum = Array.fold_left ( +. ) 0.0 busy in
-            ( label,
-              idle_frac ~busy_sum:sum ~slots:(Array.length busy)
-                ~wall:seconds ))
-          stats
-      in
+      List.iter
+        (fun (busy, seconds) ->
+          Array.iteri
+            (fun k b ->
+              let k = min k (threads - 1) in
+              slots.(k) <- slots.(k) +. b)
+            busy;
+          if Float.is_finite seconds && seconds > 0.0 then
+            total_wall := !total_wall +. seconds)
+        stats;
       let busy_max = Array.fold_left max slots.(0) slots in
       let busy_min = Array.fold_left min slots.(0) slots in
       let busy_sum = Array.fold_left ( +. ) 0.0 slots in
@@ -104,15 +97,7 @@ let balance_of_phases ~threads stats =
       let idle_fraction =
         idle_frac ~busy_sum ~slots:threads ~wall:!total_wall
       in
-      Some
-        {
-          busy = slots;
-          busy_max;
-          busy_min;
-          busy_mean;
-          idle_fraction;
-          per_phase_idle;
-        }
+      Some { busy = slots; busy_max; busy_min; busy_mean; idle_fraction }
 
 type t = {
   program : string;
@@ -134,7 +119,6 @@ type t = {
   balance : balance option;
   prediction : prediction option;
   gc : (string * Obs.Gcstats.t) list;
-  metrics : Obs.Metrics.t option;
 }
 
 let check_result_string = function
@@ -144,7 +128,7 @@ let check_result_string = function
 
 (* ---- text ------------------------------------------------------------ *)
 
-let to_text r =
+let to_text ?metrics r =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "program  : %s%s" r.program
@@ -203,26 +187,31 @@ let to_text r =
         (String.concat " "
            (Array.to_list (Array.map string_of_int loads)))
   | None -> ());
+  (* Per-phase barrier idle and prediction error are derived here, from
+     the phase's own entry, not stored. *)
+  let ran =
+    List.filter_map (fun p -> Option.map (fun x -> (p, x)) p.run) r.phases
+  in
   List.iter
-    (fun p ->
+    (fun (p, x) ->
       line "  phase %-12s %7d inst %5d unit(s) %.4fs  %.0f alloc words"
-        p.label p.instances p.units p.seconds p.alloc_words)
-    r.phases;
+        p.label p.instances x.units x.seconds x.alloc_words)
+    ran;
   (match r.balance with
   | None -> ()
   | Some b ->
       line "domains  : busy max %.4fs / min %.4fs / mean %.4fs, idle %.1f%%"
         b.busy_max b.busy_min b.busy_mean (100.0 *. b.idle_fraction);
       List.iter
-        (fun (label, idle) ->
-          line "  barrier %-10s idle %.1f%%" label (100.0 *. idle))
-        b.per_phase_idle);
+        (fun (p, x) ->
+          line "  barrier %-10s idle %.1f%%" p.label (100.0 *. phase_idle x))
+        ran);
   (match r.prediction with
   | None -> ()
   | Some p ->
       line "predict  : %.4fs total (%s cost model)%s" p.total_predicted_s
         p.cost_source
-        (match (p.total_actual_s, p.rel_error) with
+        (match (r.par_seconds, p.rel_error) with
         | Some a, Some e ->
             Printf.sprintf " vs %.4fs measured, rel error %.0f%%" a
               (100.0 *. e)
@@ -230,14 +219,16 @@ let to_text r =
         | None, _ -> "");
       List.iter
         (fun pp ->
-          line "  phase %-12s predicted %.4fs%s" pp.p_label pp.predicted_s
-            (match (pp.actual_s, pp.p_rel_error) with
-            | Some a, Some e ->
-                Printf.sprintf "  actual %.4fs  rel error %.0f%%" a
-                  (100.0 *. e)
-            | Some a, None -> Printf.sprintf "  actual %.4fs" a
-            | None, _ -> ""))
-        p.per_phase);
+          line "  phase %-12s predicted %.4fs%s" pp.label pp.predicted_s
+            (match pp.run with
+            | Some x -> (
+                match rel_error ~predicted:pp.predicted_s ~actual:x.seconds with
+                | Some e ->
+                    Printf.sprintf "  actual %.4fs  rel error %.0f%%" x.seconds
+                      (100.0 *. e)
+                | None -> Printf.sprintf "  actual %.4fs" x.seconds)
+            | None -> ""))
+        r.phases);
   (match List.filter (fun (_, g) -> not (Obs.Gcstats.is_zero g)) r.gc with
   | [] -> ()
   | gcs ->
@@ -251,7 +242,7 @@ let to_text r =
                Printf.sprintf "  %d compaction(s)" g.Obs.Gcstats.compactions
              else ""))
         gcs);
-  (match r.metrics with
+  (match metrics with
   | None -> ()
   | Some m ->
       if not (Obs.Metrics.is_empty m) then begin
@@ -303,10 +294,6 @@ let balance_json b =
       ("busy_min", Json.Float b.busy_min);
       ("busy_mean", Json.Float b.busy_mean);
       ("idle_fraction", Json.Float b.idle_fraction);
-      ( "per_phase_idle",
-        Json.Obj
-          (List.map (fun (l, idle) -> (l, Json.Float idle)) b.per_phase_idle)
-      );
     ]
 
 let prediction_json p =
@@ -315,26 +302,25 @@ let prediction_json p =
        [
          [ ("cost_source", Json.Str p.cost_source) ];
          [ ("predicted_s", Json.Float p.total_predicted_s) ];
-         opt (fun a -> ("actual_s", Json.Float a)) p.total_actual_s;
          opt (fun e -> ("rel_error", Json.Float e)) p.rel_error;
-         [
-           ( "per_phase",
-             Json.List
-               (List.map
-                  (fun pp ->
-                    Json.Obj
-                      (List.concat
-                         [
-                           [ ("label", Json.Str pp.p_label) ];
-                           [ ("predicted_s", Json.Float pp.predicted_s) ];
-                           opt (fun a -> ("actual_s", Json.Float a)) pp.actual_s;
-                           opt
-                             (fun e -> ("rel_error", Json.Float e))
-                             pp.p_rel_error;
-                         ]))
-                  p.per_phase) );
-         ];
        ])
+
+let phase_json p =
+  Json.Obj
+    (("label", Json.Str p.label)
+     :: ("instances", Json.Int p.instances)
+     :: ("predicted_s", Json.Float p.predicted_s)
+     ::
+     (match p.run with
+     | None -> []
+     | Some x ->
+         [
+           ("units", Json.Int x.units);
+           ("domains", Json.Int x.domains);
+           ("seconds", Json.Float x.seconds);
+           ("busy_seconds", Json.Float x.busy_seconds);
+           ("alloc_words", Json.Float x.alloc_words);
+         ]))
 
 let gcstats_json (g : Obs.Gcstats.t) =
   Json.Obj
@@ -375,7 +361,7 @@ let metrics_json (m : Obs.Metrics.t) =
              m.Obs.Metrics.histograms) );
     ]
 
-let to_json r =
+let to_json ?metrics r =
   Json.Obj
     (List.concat
        [
@@ -408,23 +394,7 @@ let to_json r =
            r.thread_loads;
          (match r.phases with
          | [] -> []
-         | ps ->
-             [
-               ( "phase_profile",
-                 Json.List
-                   (List.map
-                      (fun p ->
-                        Json.Obj
-                          [
-                            ("label", Json.Str p.label);
-                            ("instances", Json.Int p.instances);
-                            ("units", Json.Int p.units);
-                            ("seconds", Json.Float p.seconds);
-                            ("busy_seconds", Json.Float p.busy_seconds);
-                            ("alloc_words", Json.Float p.alloc_words);
-                          ])
-                      ps) );
-             ]);
+         | ps -> [ ("phase_profile", Json.List (List.map phase_json ps)) ]);
          opt (fun b -> ("balance", balance_json b)) r.balance;
          opt (fun p -> ("prediction", prediction_json p)) r.prediction;
          (match r.gc with
@@ -436,7 +406,7 @@ let to_json r =
                    (List.map (fun (stage, g) -> (stage, gcstats_json g)) gcs)
                );
              ]);
-         (match r.metrics with
+         (match metrics with
          | Some m when not (Obs.Metrics.is_empty m) ->
              [ ("metrics", metrics_json m) ]
          | _ -> []);

@@ -22,37 +22,42 @@ val empty_stats : partition_stats
 
 type check_result = Passed | Failed of string | Skipped
 
-type phase_profile = {
-  label : string;
-  instances : int;
+(** What a phase measured when the schedule ran. *)
+type phase_run = {
   units : int;  (** non-empty parallel work units in the phase *)
-  seconds : float;
+  domains : int;  (** domains the phase engaged *)
+  seconds : float;  (** phase wall, barrier included *)
   busy_seconds : float;
       (** Σ per-domain execution time of the phase; the gap to
-          [threads × seconds] is barrier idle — also the work-time input
-          {!Runtime.Sim.calibrate} fits [w_iter] from *)
+          [domains × seconds] is barrier idle ({!phase_idle}) — also the
+          work-time input {!Runtime.Sim.calibrate} fits [w_iter] from *)
   alloc_words : float;
       (** words allocated across all domains while executing the phase
           (sum of the executor's per-domain {!Runtime.Exec} deltas) *)
 }
 
-type phase_prediction = {
-  p_label : string;
+(** One scheduled phase, in schedule order. *)
+type phase_profile = {
+  label : string;
+  instances : int;
   predicted_s : float;  (** {!Runtime.Sim.phase_time} before execution *)
-  actual_s : float option;  (** measured phase wall; [None] if not run *)
-  p_rel_error : float option;  (** |predicted − actual| / actual *)
+  run : phase_run option;  (** [None] when the schedule did not run *)
 }
 
-(** The predicted-vs-actual accounting block: what {!Runtime.Sim} said the
-    schedule would cost before execution, against what {!Runtime.Exec}
-    then measured. *)
+val phase_idle : phase_run -> float
+(** Idle fraction at the phase's barrier, 1 − busy / (domains × wall)
+    (0 = perfectly balanced).  Clamped to [[0, 1]]: degenerate inputs —
+    zero or non-finite walls, no engaged domain — yield 0.0, never
+    [nan]/[inf]. *)
+
+(** What {!Runtime.Sim} said the schedule would cost before execution,
+    against what {!Runtime.Exec} then measured ([par_seconds]); the
+    per-phase predictions are in {!phase_profile}. *)
 type prediction = {
   cost_source : string;
       (** ["default"] (uncalibrated {!Runtime.Sim.base_seconds}) or
           ["calibrated"] (constants fitted from measured runs) *)
-  per_phase : phase_prediction list;
   total_predicted_s : float;
-  total_actual_s : float option;
   rel_error : float option;
 }
 
@@ -70,18 +75,14 @@ type balance = {
   idle_fraction : float;
       (** 1 − Σbusy / (threads × Σ phase wall): time domains spent waiting
           at barriers or idle for lack of work *)
-  per_phase_idle : (string * float) list;
-      (** per phase: idle fraction at that barrier (0 = perfectly
-          balanced) *)
 }
 
 val balance_of_phases :
-  threads:int -> (string * float array * float) list -> balance option
-(** [balance_of_phases ~threads [(label, busy, wall); …]] aggregates the
+  threads:int -> (float array * float) list -> balance option
+(** [balance_of_phases ~threads [(busy, wall); …]] aggregates the
     executor's per-phase busy arrays into the load-imbalance breakdown;
-    [None] on an empty list.  Idle fractions are clamped to [[0, 1]]:
-    degenerate inputs — zero or non-finite wall times, empty busy
-    arrays — yield 0.0, never [nan]/[inf]. *)
+    [None] on an empty list.  The idle fraction is clamped as
+    {!phase_idle}'s is. *)
 
 type t = {
   program : string;
@@ -103,24 +104,28 @@ type t = {
   model_makespan : float option;  (** DOACROSS cost-model makespan *)
   thread_loads : int array option;
       (** instances executed per domain, across phases *)
-  phases : phase_profile list;  (** per-phase execution profile *)
+  phases : phase_profile list;
+      (** one entry per scheduled phase; [[]] when no schedule was built *)
   balance : balance option;  (** domain busy/idle breakdown *)
   prediction : prediction option;
-      (** cost-model accounting; [None] when no schedule was predicted *)
+      (** cost-model totals; [None] when no schedule was predicted *)
   gc : (string * Obs.Gcstats.t) list;
       (** per-stage GC telemetry ({!Obs.Gcstats.since} around each
           pipeline stage: exact words, collection counts), in pipeline
           order; rendered as a ["gc"] object in JSON *)
-  metrics : Obs.Metrics.t option;
-      (** counters/histograms the run moved (a {!Obs.Metrics.diff} of
-          before/after snapshots) *)
 }
+(** A report holds its own run's facts only.  Metrics are process-wide,
+    so a report carries no metrics diff: a caller that runs one pipeline
+    at a time diffs {!Obs.Metrics.snapshot}s around its own call and
+    passes the diff to {!to_text}/{!to_json} as [metrics]. *)
 
-val to_text : t -> string
-val to_json : t -> Json.t
+val to_text : ?metrics:Obs.Metrics.t -> t -> string
+val to_json : ?metrics:Obs.Metrics.t -> t -> Json.t
+(** [metrics], when given and not empty, is rendered last: a
+    ["metrics  :"] section, a ["metrics"] member. *)
 
 val metrics_json : Obs.Metrics.t -> Json.t
-(** The ["metrics"] object embedded in {!to_json}; also used by [recpart
+(** The ["metrics"] object {!to_json} renders; also used by [recpart
     explain --json] for its analysis-metrics section. *)
 
 val check_result_string : check_result -> string

@@ -1,29 +1,18 @@
-(** The common strategy signature: every partitioning scheme — the paper's
-    Algorithm 1 branches and the baselines it is evaluated against — is a
-    planner from a program to a typed {!Plan.t}, with failures threaded as
-    structured {!Diag.error}s.
+(** Strategy planning: every partitioning scheme — the paper's Algorithm 1
+    branches and the baselines it is evaluated against — plans a program
+    into a typed {!Plan.t}, with failures threaded as structured
+    {!Diag.error}s.
 
     [auto] reproduces Algorithm 1's selection (REC if the single-pair
     full-rank hypotheses hold, else dataflow for constant bounds, else
-    PDM); [find] retrieves a specific scheme for forced selection
-    ([recpart run --strategy pdm], benchmark panels, tests). *)
+    PDM); [plan] plans one forced scheme ([recpart run --strategy pdm],
+    benchmark panels, tests). *)
 
-module type S = sig
-  val strategy : Plan.strategy
+val plan : Plan.strategy -> Loopir.Ast.program -> (Plan.t, Diag.error) result
+(** The forced scheme's plan.  Symbolic planning only — no loop-bound
+    parameters are consumed.  [Error] when the program is outside the
+    scheme's hypotheses. *)
 
-  val plan : Loopir.Ast.program -> (Plan.t, Diag.error) result
-  (** Symbolic planning only — no loop-bound parameters are consumed.
-      [Error] when the program is outside the scheme's hypotheses. *)
-end
-
-module Rec_chains : S
-module Dataflow : S
-module Pdm : S
-module Unique : S
-module Mindist : S
-module Doacross : S
-
-val find : Plan.strategy -> (module S)
 val auto : Loopir.Ast.program -> (Plan.t, Diag.error) result
 (** Algorithm 1 strategy selection; never fails on the shapes the paper
     considers (degrades REC → dataflow → PDM), so an [Error] means even
@@ -33,14 +22,3 @@ val analyze_simple :
   Loopir.Ast.program -> (Depend.Solve.simple, Diag.error) result
 (** Result-based wrapper over {!Depend.Solve.analyze_simple} (shared by
     the strategies and the driver). *)
-
-val predict :
-  ?cost:Runtime.Sim.cost ->
-  threads:int ->
-  Runtime.Sched.t ->
-  (string * float) list
-(** Per-phase predicted execution time [(phase label, seconds)] from the
-    {!Runtime.Sim} cost model ([cost] defaults to the uncalibrated
-    {!Runtime.Sim.base_seconds}).  The driver calls this before executing
-    a schedule and folds the result, with the realized error, into
-    {!Report.t.prediction}. *)

@@ -2,60 +2,6 @@ module C = Constr
 module P = Poly
 module D = Numeric.Digest
 
-(* ---- parallel disjunct elimination ---------------------------------- *)
-
-(* The presburger layer sits below Runtime in the dependency order, so the
-   worker pool is injected: Runtime.Workers installs a runner that executes
-   an array of jobs on its domains ([Svc.Service] installs its one pool this
-   way).  Without a runner, below the threshold, or when already inside a
-   parallel disjunct job, the work runs sequentially on the caller.  The
-   pool would accept the nested barrier, but a disjunct job already runs
-   beside its siblings: splitting it again only adds queue traffic, so
-   nested eliminations stay sequential. *)
-let runner : ((unit -> unit) array -> unit) option Atomic.t = Atomic.make None
-let set_runner r = Atomic.set runner r
-let par_threshold = 4
-let in_par_job : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-let par_map f xs =
-  match Atomic.get runner with
-  | None -> List.map f xs
-  | Some run ->
-      if !(Domain.DLS.get in_par_job) then List.map f xs
-      else
-        let arr = Array.of_list xs in
-        let n = Array.length arr in
-        if n < par_threshold then List.map f xs
-        else begin
-          let out = Array.make n None in
-          (* Once a job raises, the runner re-raises its exception after
-             the barrier, so jobs not yet started are skipped: a typed
-             Omega.Blowup then costs what it costs sequentially instead of
-             every other disjunct's full budget. *)
-          let failed = Atomic.make false in
-          let job i () =
-            (* The flag is per executing domain: a job that re-enters the
-               Dnf layer (e.g. remove_redundant → Omega.is_empty) stays
-               sequential instead of submitting a nested barrier, as the
-               header comment explains. *)
-            if not (Atomic.get failed) then begin
-              let flag = Domain.DLS.get in_par_job in
-              flag := true;
-              Fun.protect
-                ~finally:(fun () -> flag := false)
-                (fun () ->
-                  match f arr.(i) with
-                  | v -> out.(i) <- Some v
-                  | exception e ->
-                      Atomic.set failed true;
-                      raise e)
-            end
-          in
-          run (Array.init n job);
-          Array.to_list
-            (Array.map (function Some v -> v | None -> assert false) out)
-        end
-
 (* ---- memo tables ----------------------------------------------------- *)
 
 (* Operator-level memoization over whole disjunct lists, keyed by the
@@ -98,11 +44,7 @@ let poly_diff a b =
 
 let max_diff_disjuncts = 20_000
 
-(* Emptiness filtering dominates [diff]/[simplify]; the disjuncts are
-   independent, so they go through the worker pool when one is installed. *)
-let filter_nonempty polys =
-  par_map (fun p -> if Omega.is_empty p then None else Some p) polys
-  |> List.filter_map Fun.id
+let filter_nonempty polys = List.filter (fun p -> not (Omega.is_empty p)) polys
 
 let diff a b =
   Hc.get memo_diff (pair_digest a b) @@ fun () ->
@@ -120,12 +62,14 @@ let diff a b =
        (filter_nonempty a)
        b)
 
-let is_empty polys = List.for_all Fun.id (par_map Omega.is_empty polys)
+(* Tests every disjunct, not just up to the first non-empty one, so the
+   memo tables and the gated omega call counts see the same calls. *)
+let is_empty polys = List.for_all Fun.id (List.map Omega.is_empty polys)
 let subset a b = is_empty (diff a b)
 let equal a b = subset a b && subset b a
 
 let project_out polys ks =
-  List.concat (par_map (fun p -> Omega.project_out p ks) polys)
+  List.concat_map (fun p -> Omega.project_out p ks) polys
 
 (* Constraint c is redundant in p when p minus c still implies c. *)
 let remove_redundant p =
@@ -155,15 +99,12 @@ let simplify ?(aggressive = false) polys =
   let key = D.add_char (polys_digest polys) (if aggressive then 'a' else 'p') in
   Hc.get memo_simplify key @@ fun () ->
   let polys =
-    (* Per-disjunct normalization, emptiness, and redundancy removal are
-       independent — one parallel job per disjunct. *)
-    par_map
+    List.filter_map
       (fun p ->
         match P.normalize p with
         | Some p when not (Omega.is_empty p) -> P.normalize (remove_redundant p)
         | Some _ | None -> None)
       polys
-    |> List.filter_map Fun.id
   in
   (* Drop syntactic duplicates cheaply. *)
   let polys =

@@ -3,19 +3,8 @@
     bookkeeping.
 
     The big operators ({!inter}, {!diff}, {!simplify}) are memoized in
-    digest-keyed {!Hc} tables, and independent per-disjunct elimination work
-    is spread over an injected worker pool (see {!set_runner}). *)
-
-val set_runner : ((unit -> unit) array -> unit) option -> unit
-(** Installs (or removes, with [None]) the parallel job runner used for
-    independent disjunct elimination.  The runner must execute every job in
-    the array before returning (a barrier) and re-raise the first job
-    exception; once a job has raised, the jobs that have not started yet
-    return at once, so a failure costs what it costs sequentially.
-    [Runtime.Workers.install_dnf_runner] wires a worker pool in.
-    Jobs never submit nested runner calls (re-entry falls back to
-    sequential), but the runner itself must tolerate concurrent calls from
-    several domains. *)
+    digest-keyed {!Hc} tables.  Per-disjunct elimination runs on the
+    calling domain. *)
 
 val inter : Poly.t list -> Poly.t list -> Poly.t list
 (** Pairwise conjunction. *)

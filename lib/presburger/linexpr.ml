@@ -30,7 +30,6 @@ let scale k a =
   { a with coef = Array.map (S.mul k) a.coef; const = S.mul k a.const }
 
 let add_const a c = { a with const = S.add a.const c }
-let is_const a = Array.for_all (fun c -> c = 0) a.coef
 
 (* Hash-consed callers mostly compare physically-shared expressions; the
    pointer check makes that O(1) before the structural fallback. *)
@@ -69,13 +68,6 @@ let vars e =
   !acc
 
 let uses e k = e.coef.(k) <> 0
-
-let max_var e =
-  let m = ref (-1) in
-  for k = 0 to e.n - 1 do
-    if e.coef.(k) <> 0 then m := k
-  done;
-  !m
 
 let set_coeff e k v =
   let coef = Array.copy e.coef in

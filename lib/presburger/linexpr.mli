@@ -21,7 +21,6 @@ val sub : t -> t -> t
 val neg : t -> t
 val scale : int -> t -> t
 val add_const : t -> int -> t
-val is_const : t -> bool
 
 val equal : t -> t -> bool
 (** Physical equality is checked first; hash-consed callers compare shared
@@ -47,8 +46,6 @@ val vars : t -> int list
 (** [vars e] lists the indices with non-zero coefficient, increasing. *)
 
 val uses : t -> int -> bool
-val max_var : t -> int
-(** [max_var e] is the largest index with a non-zero coefficient, or [-1]. *)
 
 val set_coeff : t -> int -> int -> t
 

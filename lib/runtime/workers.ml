@@ -250,15 +250,6 @@ let try_submit t job =
       admitted depth;
       true
 
-(* The presburger layer sits below this one, so its parallel disjunct
-   elimination receives the pool as an injected runner rather than a direct
-   dependency.  [run] already satisfies Dnf's runner contract: barrier
-   semantics, re-raise of the first job exception, concurrent callers. *)
-let install_dnf_runner t =
-  Presburger.Dnf.set_runner (Some (fun jobs -> ignore (run t jobs)))
-
-let uninstall_dnf_runner () = Presburger.Dnf.set_runner None
-
 let shutdown t =
   let first =
     locked t (fun () ->

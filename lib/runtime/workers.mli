@@ -2,7 +2,7 @@
     drain two queues.
 
     - The {e run} queue holds {!run}'s barrier jobs: execution chunk
-      drainers and DNF disjuncts.  {!run} executes its first thunk on the
+      drainers.  {!run} executes its first thunk on the
       calling domain and then helps drain the run queue until its own
       jobs are done, so a pool made by [create ~domains:1] spawns nothing
       and degenerates to sequential execution, and concurrent {!run}
@@ -104,14 +104,6 @@ val queue_length : t -> int
 
 val alive : t -> bool
 (** [true] until {!shutdown} is called. *)
-
-val install_dnf_runner : t -> unit
-(** Registers this pool as [Presburger.Dnf]'s parallel job runner, so
-    independent DNF-disjunct elimination shares the pool's domains.
-    Process-global: the last installed pool wins. *)
-
-val uninstall_dnf_runner : unit -> unit
-(** Clears the Dnf runner (set algebra falls back to sequential). *)
 
 val shutdown : t -> unit
 (** Stops admissions, lets the helpers drain both queues and joins them;

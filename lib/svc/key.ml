@@ -48,8 +48,6 @@ let canonical prog =
     body = List.map (rn_stmt []) prog.Loopir.Ast.body;
   }
 
-let canonical_string prog = Loopir.Pretty.program_to_string (canonical prog)
-
 let of_request ?strategy ?(extra = []) ~params prog =
   let c = canonical prog in
   let buf = Buffer.create 256 in

@@ -35,10 +35,6 @@ val canonical : Loopir.Ast.program -> Loopir.Ast.program
     indices renamed to [$0, $1, …] in pre-order, name dropped.  Exposed
     for tests and debugging. *)
 
-val canonical_string : Loopir.Ast.program -> string
-(** Pretty-printed {!canonical} — the program part of the hashed
-    material. *)
-
 val of_request :
   ?strategy:Pipeline.Plan.strategy ->
   ?extra:string list ->

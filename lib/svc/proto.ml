@@ -216,7 +216,7 @@ let survey_json s =
 (* The tag in front of every cached body, naming the reply format:
    change it whenever a body's bytes change, and an older build's
    payloads read as misses and are rewritten. *)
-let payload_tag = "rpb1:"
+let payload_tag = "rpb2:"
 
 (* The body's last member is the report, whose first member, the program
    name, is the one field that follows the requester.  The cached form

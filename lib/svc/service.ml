@@ -57,9 +57,6 @@ let create ?(config = default_config) () =
     }
   in
   Option.iter (fun store -> Cache.attach_store t.cache ~store) store;
-  (* The pool doubles as the presburger layer's DNF-disjunct runner, so
-     analysis-side set algebra parallelizes over the same domains. *)
-  Runtime.Workers.install_dnf_runner t.pool;
   Obs.Flight.enable ();
   t
 
@@ -73,7 +70,6 @@ let register_gauges t provider =
 let flush_store t = Option.iter Store.flush t.store
 
 let shutdown t =
-  Runtime.Workers.uninstall_dnf_runner ();
   Obs.Flight.disable ();
   Runtime.Workers.shutdown t.pool;
   Option.iter Store.close t.store

@@ -32,16 +32,19 @@ let test_classify_builtins () =
     ]
 
 let test_forced_strategy_roundtrip () =
-  (* strategy_of_string ∘ strategy_name = identity, and find returns the
-     matching module. *)
+  (* strategy_of_string ∘ strategy_name = identity, and a forced plan is
+     of the strategy asked for (example2 meets every scheme's
+     hypotheses). *)
   List.iter
     (fun s ->
       let name = Plan.strategy_name s in
       Alcotest.(check bool)
         ("roundtrip " ^ name) true
         (Plan.strategy_of_string name = Some s);
-      let (module M : Pipeline.Strategy.S) = Pipeline.Strategy.find s in
-      Alcotest.(check string) ("find " ^ name) name (Plan.strategy_name M.strategy))
+      match Pipeline.Strategy.plan s Loopir.Builtin.example2 with
+      | Ok plan ->
+          Alcotest.(check string) ("plan " ^ name) name (strategy_of plan)
+      | Error e -> Alcotest.failf "plan %s: %s" name (Diag.to_string e))
     Plan.all_strategies;
   Alcotest.(check bool) "unknown name" true
     (Plan.strategy_of_string "nope" = None)
@@ -396,6 +399,8 @@ let test_error_carries_stage_timings () =
 
 let test_run_with_recording_sink () =
   let log = Obs.Event.make () in
+  (* A report carries no metrics: the caller diffs around its own run. *)
+  let before = Obs.Metrics.snapshot () in
   match
     Obs.Event.with_ambient log (fun () ->
         Driver.run ~name:"example2" ~params:[ ("n", 12) ]
@@ -403,6 +408,7 @@ let test_run_with_recording_sink () =
   with
   | Error e -> Alcotest.fail (Driver.error_to_string e)
   | Ok { report; _ } ->
+      let m = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
       let names =
         List.map (fun (s : Obs.Event.event) -> s.Obs.Event.name)
           (Obs.Event.spans log)
@@ -426,47 +432,55 @@ let test_run_with_recording_sink () =
           Alcotest.(check bool) "max >= mean >= min" true
             (b.Report.busy_max >= b.Report.busy_mean
             && b.Report.busy_mean >= b.Report.busy_min);
-          Alcotest.(check int) "per-phase idle entries" 3
-            (List.length b.Report.per_phase_idle));
+          Alcotest.(check (list string)) "one executed entry per phase"
+            [ "P1"; "P2-chains"; "P3" ]
+            (List.filter_map
+               (fun p ->
+                 Option.map (fun _ -> p.Report.label) p.Report.run)
+               report.Report.phases));
       (* The metrics diff shows the layers this run exercised. *)
-      (match report.Report.metrics with
-      | None -> Alcotest.fail "metrics missing"
-      | Some m ->
-          let count name =
-            Option.value ~default:0
-              (List.assoc_opt name m.Obs.Metrics.counters)
-          in
-          Alcotest.(check int) "partition point counters cover the space" 144
-            (count "partition.p1_points" + count "partition.p2_points"
-           + count "partition.p3_points");
-          (* Earlier runs in this process may have warmed the presburger
-             memo tables, in which case the set algebra resolves via memo
-             hits without reaching Omega. *)
-          let memo_hits =
-            List.fold_left
-              (fun acc (name, v) ->
-                if
-                  String.starts_with ~prefix:"presburger.memo." name
-                  && String.ends_with ~suffix:".hits" name
-                then acc + v
-                else acc)
-              0 m.Obs.Metrics.counters
-          in
-          Alcotest.(check bool) "omega was exercised" true
-            (count "omega.is_empty_calls" > 0 || memo_hits > 0));
-      (* Balance and metrics render in both report formats. *)
-      let text = Report.to_text report in
+      let count name =
+        Option.value ~default:0 (List.assoc_opt name m.Obs.Metrics.counters)
+      in
+      Alcotest.(check int) "partition point counters cover the space" 144
+        (count "partition.p1_points" + count "partition.p2_points"
+       + count "partition.p3_points");
+      (* Earlier runs in this process may have warmed the presburger memo
+         tables, in which case the set algebra resolves via memo hits
+         without reaching Omega. *)
+      let memo_hits =
+        List.fold_left
+          (fun acc (name, v) ->
+            if
+              String.starts_with ~prefix:"presburger.memo." name
+              && String.ends_with ~suffix:".hits" name
+            then acc + v
+            else acc)
+          0 m.Obs.Metrics.counters
+      in
+      Alcotest.(check bool) "omega was exercised" true
+        (count "omega.is_empty_calls" > 0 || memo_hits > 0);
+      (* Balance, per-phase idle and the caller's metrics render in both
+         report formats; without [metrics] the report has none. *)
+      let text = Report.to_text ~metrics:m report in
       List.iter
         (fun needle ->
           Alcotest.(check bool) ("text mentions " ^ needle) true
             (contains ~needle text))
-        [ "domains  : busy max"; "metrics  :"; "partition.chains" ];
-      let json = Json.to_string (Report.to_json report) in
+        [
+          "domains  : busy max"; "barrier P2-chains"; "rel error";
+          "metrics  :"; "partition.chains";
+        ];
+      Alcotest.(check bool) "no metrics section of its own" false
+        (contains ~needle:"metrics  :" (Report.to_text report));
+      let json = Json.to_string (Report.to_json ~metrics:m report) in
       List.iter
         (fun needle ->
           Alcotest.(check bool) ("json mentions " ^ needle) true
             (contains ~needle json))
-        [ "\"balance\":{"; "\"idle_fraction\":"; "\"metrics\":{" ]
+        [ "\"balance\":{"; "\"idle_fraction\":"; "\"metrics\":{" ];
+      Alcotest.(check bool) "no metrics member of its own" true
+        (Json.member "metrics" (Report.to_json report) = None)
 
 let test_null_sink_reports_no_balance_gap () =
   (* With no log attached the run still produces balance (it comes from
@@ -549,36 +563,55 @@ let test_json_parse_roundtrip () =
 
 let test_balance_degenerate_clamps () =
   (* Zero, negative, or non-finite phase walls must clamp idle fractions
-     to [0, 1] — never nan/inf in the report. *)
+     to [0, 1] — never nan/inf in the report: the balance total and each
+     phase's barrier idle, derived from its entry. *)
   Alcotest.(check bool) "empty input has no balance" true
     (Report.balance_of_phases ~threads:4 [] = None);
+  let ok x = Float.is_finite x && x >= 0.0 && x <= 1.0 in
+  let run (busy, seconds) =
+    {
+      Report.units = 1;
+      domains = Array.length busy;
+      seconds;
+      busy_seconds = Array.fold_left ( +. ) 0.0 busy;
+      alloc_words = 0.0;
+    }
+  in
   let check_clamped label phases =
-    match Report.balance_of_phases ~threads:4 phases with
+    (match Report.balance_of_phases ~threads:4 phases with
     | None -> Alcotest.failf "%s: expected Some balance" label
     | Some b ->
-        let ok x = Float.is_finite x && x >= 0.0 && x <= 1.0 in
         Alcotest.(check bool) (label ^ ": idle_fraction in [0,1]") true
-          (ok b.Report.idle_fraction);
-        List.iter
-          (fun (phase, idle) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: %s idle in [0,1]" label phase)
-              true (ok idle))
-          b.Report.per_phase_idle
+          (ok b.Report.idle_fraction));
+    List.iteri
+      (fun k phase ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: phase %d idle in [0,1]" label k)
+          true
+          (ok (Report.phase_idle (run phase))))
+      phases
   in
-  check_clamped "zero wall" [ ("P1", [| 0.0; 0.0 |], 0.0) ];
-  check_clamped "nan wall" [ ("P1", [| 1.0 |], Float.nan) ];
-  check_clamped "inf wall" [ ("P1", [| 1.0 |], Float.infinity) ];
-  check_clamped "negative wall" [ ("P1", [| 1.0 |], -1.0) ];
-  check_clamped "empty busy" [ ("P1", [||], 1.0) ];
+  check_clamped "zero wall" [ ([| 0.0; 0.0 |], 0.0) ];
+  check_clamped "nan wall" [ ([| 1.0 |], Float.nan) ];
+  check_clamped "inf wall" [ ([| 1.0 |], Float.infinity) ];
+  check_clamped "negative wall" [ ([| 1.0 |], -1.0) ];
+  check_clamped "empty busy" [ ([||], 1.0) ];
   check_clamped "mixed"
+    [ ([| 0.5; 0.5 |], 1.0); ([| 0.0 |], 0.0); ([| 1.0 |], Float.nan) ];
+  List.iter
+    (fun (label, phase) ->
+      Alcotest.(check (float 0.0)) (label ^ ": phase idle is 0.0") 0.0
+        (Report.phase_idle (run phase)))
     [
-      ("P1", [| 0.5; 0.5 |], 1.0);
-      ("P2", [| 0.0 |], 0.0);
-      ("P3", [| 1.0 |], Float.nan);
+      ("zero wall", ([| 0.0; 0.0 |], 0.0));
+      ("nan wall", ([| 1.0 |], Float.nan));
+      ("inf wall", ([| 1.0 |], Float.infinity));
+      ("negative wall", ([| 1.0 |], -1.0));
     ];
+  Alcotest.(check (float 1e-12)) "half-busy pair idles half" 0.5
+    (Report.phase_idle (run ([| 0.5; 0.5 |], 1.0)));
   (* A degenerate-only run reports 0 idle, not nan. *)
-  match Report.balance_of_phases ~threads:4 [ ("P1", [| 0.0 |], 0.0) ] with
+  match Report.balance_of_phases ~threads:4 [ ([| 0.0 |], 0.0) ] with
   | Some b ->
       Alcotest.(check (float 0.0)) "degenerate-only idle is 0.0" 0.0
         b.Report.idle_fraction

@@ -1861,45 +1861,6 @@ let test_workers_exception_propagates () =
   Alcotest.(check (array int)) "pool survives" [| 3; 4 |] r;
   Workers.shutdown w
 
-(* The pool as Dnf's runner must fail as cheaply as the sequential path:
-   once a disjunct job raises Omega.Blowup, the jobs not yet started are
-   skipped.  On a one-domain pool the jobs run in order on the caller, so
-   the elimination budget spent is deterministic and must equal the
-   sequential run's.  Running every remaining job made a served request
-   of this nest take ~1.4 s instead of ~20 ms. *)
-let test_workers_dnf_runner_stops_on_blowup () =
-  let prog =
-    Loopir.Parser.parse ~name:"splinter"
-      "DO i = 1, 6\n\
-      \  DO j = 1, 6\n\
-      \    DO k = 1, 6\n\
-      \      a(-1*i + 3*j + -1*k + 4, 2*j + 3*k + 3) = a(3*i + 1*k + 4, -1*i \
-       + 2*j + 1*k + 2)\n\
-      \    ENDDO\n\
-      \  ENDDO\n\
-       ENDDO\n"
-  in
-  let spent = Obs.Counter.make "omega.budget_spent" in
-  let budget_of_blowup () =
-    Presburger.Hc.clear_all ();
-    let before = Obs.Counter.value spent in
-    (match Depend.Solve.analyze_simple prog with
-    | _ -> Alcotest.fail "expected Omega.Blowup"
-    | exception Presburger.Omega.Blowup _ -> ());
-    Obs.Counter.value spent - before
-  in
-  let sequential = budget_of_blowup () in
-  let w = Workers.create ~domains:1 in
-  Workers.install_dnf_runner w;
-  let pooled =
-    Fun.protect
-      ~finally:(fun () ->
-        Workers.uninstall_dnf_runner ();
-        Workers.shutdown w)
-      budget_of_blowup
-  in
-  Alcotest.(check int) "same budget as the sequential path" sequential pooled
-
 let test_workers_shutdown_idempotent_and_post_run () =
   let w = Workers.create ~domains:3 in
   ignore (Workers.run w (Array.init 4 (fun i () -> i)));
@@ -2629,7 +2590,5 @@ let () =
             test_workers_shutdown_idempotent_and_post_run;
           Alcotest.test_case "telemetry counters consistent on 4 domains"
             `Quick test_workers_telemetry_consistency;
-          Alcotest.test_case "DNF runner stops after a Blowup" `Quick
-            test_workers_dnf_runner_stops_on_blowup;
         ] );
     ]

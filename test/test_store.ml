@@ -334,11 +334,11 @@ let test_foreign_tag_is_a_miss () =
         | Some payload -> f s payload)
   in
   with_record (fun s payload ->
-      (* The same bytes behind another tag: only the tag check may keep
-         them out. *)
+      (* The same bytes behind the previous reply format's tag: only the
+         tag check may keep them out. *)
       let body = String.index payload ':' + 1 in
       Store.add s key
-        ("rpv1:" ^ String.sub payload body (String.length payload - body)));
+        ("rpb1:" ^ String.sub payload body (String.length payload - body)));
   let svc2 = Service.create ~config:(service_config dir) () in
   let r2 = Service.run_one svc2 (request ()) in
   Alcotest.(check bool) "foreign-tag run ok" true (Proto.ok r2);

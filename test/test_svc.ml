@@ -14,6 +14,13 @@ module Service = Svc.Service
 
 let parse name src = Loopir.Parser.parse ~name src
 
+let contains sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Key                                                                  *)
 
@@ -601,13 +608,6 @@ let test_service_metrics_op () =
   Alcotest.(check bool) "metrics response traced" true (m.Proto.trace <> "");
   match m.Proto.body with
   | Proto.Stats { prometheus; snapshot } ->
-      let contains sub s =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-        in
-        go 0
-      in
       Alcotest.(check bool)
         "prometheus names sanitized" true
         (contains "recpart_svc_cache_results_hits" prometheus);
@@ -695,13 +695,6 @@ let test_service_deadline_flight_dump () =
       let len = in_channel_length ic in
       let content = really_input_string ic len in
       close_in ic;
-      let contains sub s =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-        in
-        go 0
-      in
       Alcotest.(check bool) "dump names the request" true
         (contains "late" file);
       Alcotest.(check bool) "dump carries the trace id" true
@@ -866,6 +859,66 @@ let test_service_hit_replays_miss () =
     [ Proto.Run; Proto.Classify ];
   rm_rf dir
 
+(* A served report holds its own run's facts.  While another domain
+   keeps moving a registered counter, a run request is computed: its
+   reply must not mention that counter, since a process-wide metrics
+   diff taken around the run would count the other domain's work. *)
+let test_service_reply_has_no_foreign_counters () =
+  let name = "test.svc.foreign_bumps" in
+  let bumps = Obs.Counter.make name in
+  let stop = Atomic.make false in
+  let bumper =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Obs.Counter.incr bumps
+        done)
+  in
+  let svc =
+    Service.create ~config:{ (quiet_config ~domains:1) with check = true } ()
+  in
+  let before, r, after =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join bumper;
+        Service.shutdown svc)
+      (fun () ->
+        (* The bumper shares the host's CPUs with every other process, so
+           it may sit out a short run: start each run right after seeing
+           it bump, and serve distinct requests (no cache hit) until one
+           run overlaps it. *)
+        let rec serve k =
+          let seen = Obs.Counter.value bumps in
+          while Obs.Counter.value bumps = seen do
+            Domain.cpu_relax ()
+          done;
+          let before = Obs.Counter.value bumps in
+          let r =
+            Service.run_one svc
+              (Proto.request ~id:"foreign" ~name:"tri" ~mode:Proto.Run
+                 ~params:[ ("n", 24 + k) ] (Proto.Src base_src))
+          in
+          let after = Obs.Counter.value bumps in
+          if after > before || k = 49 then (before, r, after)
+          else serve (k + 1)
+        in
+        serve 0)
+  in
+  Alcotest.(check bool) "run ok" true (Proto.ok r);
+  Alcotest.(check bool) "the counter moved while the run was served" true
+    (after > before);
+  let line = Proto.response_to_line r in
+  Alcotest.(check bool) "the reply does not mention the counter" false
+    (contains name line);
+  match Pipeline.Json.parse line with
+  | Ok j -> (
+      match Pipeline.Json.member "report" j with
+      | Some report ->
+          Alcotest.(check bool) "the report has no metrics member" true
+            (Pipeline.Json.member "metrics" report = None)
+      | None -> Alcotest.fail "the run reply has no report")
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "svc"
     [
@@ -919,6 +972,8 @@ let () =
             test_service_reused_index;
           Alcotest.test_case "hit reply = miss reply" `Quick
             test_service_hit_replays_miss;
+          Alcotest.test_case "a reply counts no other domain's work" `Quick
+            test_service_reply_has_no_foreign_counters;
         ] );
       ( "telemetry",
         [
