@@ -490,11 +490,11 @@ let ablation () =
       let longest_task s =
         List.fold_left
           (fun acc ph ->
-            match ph with
-            | Sched.Doall _ -> max acc 1
-            | Sched.Tasks { tasks; _ } ->
-                Array.fold_left (fun a t -> max a (Array.length t)) acc tasks)
-          0 s.Sched.phases
+            if Sched.is_doall ph then max acc 1
+            else
+              List.fold_left max acc
+                (List.init (Sched.n_tasks ph) (Sched.task_length ph)))
+          0 (Sched.phase_list s)
       in
       Printf.printf
         "A2 schedule structure on Example 2 (N=%d, %d iterations):\n" n (n * n);

@@ -38,7 +38,7 @@ let tile_of t x =
       | None -> 0
       | Some e -> Numeric.Safeint.fdiv x.(k) e)
 
-let schedule t ~stmt points =
+let tiles t points =
   let tiles = Hashtbl.create 256 in
   List.iter
     (fun x ->
@@ -49,21 +49,14 @@ let schedule t ~stmt points =
   (* Tiles must execute in lexicographic order of their origin: every
      dependence crosses tiles forward in that order (its first non-zero
      component is at least the tile extent). *)
-  let keys =
-    Hashtbl.fold (fun key _ acc -> key :: acc) tiles []
-    |> List.sort Ivec.compare_lex
-  in
-  let phases =
-    List.map
-      (fun key ->
-        Runtime.Sched.Doall
-          {
-            label = Printf.sprintf "tile%s" (Ivec.to_string key);
-            instances =
-              Runtime.Sched.instances_of_list
-                (fun iter -> { Runtime.Sched.stmt; iter })
-                (List.rev (Hashtbl.find tiles key));
-          })
-      keys
-  in
-  Runtime.Sched.of_phases phases
+  Hashtbl.fold (fun key _ acc -> key :: acc) tiles []
+  |> List.sort Ivec.compare_lex
+  |> List.map (fun key -> (key, List.rev (Hashtbl.find tiles key)))
+
+let schedule t ~stmt points =
+  Runtime.Sched.of_stmt_groups ~stmt
+    (List.map
+       (fun (key, pts) ->
+         ( Printf.sprintf "tile%s" (Ivec.to_string key),
+           Runtime.Sched.Doall pts ))
+       (tiles t points))

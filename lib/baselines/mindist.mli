@@ -27,5 +27,9 @@ val tile_parallelism : t -> int option
     paper's "4" for Example 2); [None] when some dimension is unbounded
     (whole-dimension parallelism). *)
 
+val tiles : t -> Linalg.Ivec.t list -> (Linalg.Ivec.t * Linalg.Ivec.t list) list
+(** The tiles the points fall in, in lexicographic order of origin: each
+    tile's origin and its points, in input order. *)
+
 val schedule : t -> stmt:int -> Linalg.Ivec.t list -> Runtime.Sched.t
-(** One DOALL phase per tile, tiles in lexicographic order of origin. *)
+(** One DOALL phase per tile of {!tiles}, labelled [tile(origin)]. *)

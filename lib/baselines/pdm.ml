@@ -58,6 +58,7 @@ let cosets t points =
          | _ -> 0)
 
 let schedule t ~stmt points =
-  Runtime.Sched.of_task_groups ~label:"PDM-cosets" ~stmt (cosets t points)
+  Runtime.Sched.of_stmt_groups ~stmt
+    [ ("PDM-cosets", Runtime.Sched.Tasks (cosets t points)) ]
 
 let degree_of_parallelism t points = List.length (cosets t points)

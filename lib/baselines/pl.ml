@@ -14,4 +14,5 @@ let of_simple (a : Depend.Solve.simple) ~params =
   of_distances ~dim:(Array.length a.Depend.Solve.iters) ds
 
 let schedule t ~stmt points =
-  Runtime.Sched.of_task_groups ~label:"PL-cosets" ~stmt (Pdm.cosets t points)
+  Runtime.Sched.of_stmt_groups ~stmt
+    [ ("PL-cosets", Runtime.Sched.Tasks (Pdm.cosets t points)) ]

@@ -85,33 +85,13 @@ let partition (a : Solve.simple) ~three =
   }
 
 let schedule t ~stmt ~params =
-  let doall label set =
-    Runtime.Sched.Doall
-      {
-        label;
-        instances =
-          Runtime.Sched.instances_of_list
-            (fun iter -> { Runtime.Sched.stmt; iter })
-            (Iset.points (Iset.bind_params set params));
-      }
-  in
-  let mid_task =
-    Runtime.Sched.Tasks
-      {
-        label = "unique-3-sequential";
-        tasks =
-          [|
-            Runtime.Sched.instances_of_list
-              (fun iter -> { Runtime.Sched.stmt; iter })
-              (Iset.points (Iset.bind_params t.mid params));
-          |];
-      }
-  in
-  Runtime.Sched.of_phases
+  let points set = Iset.points (Iset.bind_params set params) in
+  let doall label set = (label, Runtime.Sched.Doall (points set)) in
+  Runtime.Sched.of_stmt_groups ~stmt
     [
       doall "unique-1-head-flow" t.head_flow;
       doall "unique-2-head-rest" t.head_rest;
-      mid_task;
+      ("unique-3-sequential", Runtime.Sched.Tasks [ points t.mid ]);
       doall "unique-4-tail-anti" t.tail_anti;
       doall "unique-5-tail-rest" t.tail_rest;
     ]

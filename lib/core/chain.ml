@@ -13,9 +13,6 @@ let get t k i =
     invalid_arg "Chain.get: point out of range";
   Array.sub t.data ((t.offsets.(k) + i) * t.dim) t.dim
 
-let lengths t =
-  Array.init (n_chains t) (fun k -> t.offsets.(k + 1) - t.offsets.(k))
-
 let to_lists t =
   List.init (n_chains t) (fun k -> List.init (chain_length t k) (get t k))
 

@@ -30,11 +30,6 @@ val get : t -> int -> int -> Linalg.Ivec.t
 (** [get t k i] is a fresh copy of point [i] of chain [k] (points are in
     lexicographic execution order within the chain). *)
 
-val lengths : t -> int array
-(** Per-chain point counts, indexed by chain id — the measured chain
-    lengths the scheduler orders P2 work by (Theorem 1 bounds their
-    maximum by [⌈log_a L⌉ + 1]). *)
-
 val to_lists : t -> Linalg.Ivec.t list list
 (** Unpacked view (one list per chain) — for tests, visualization and
     event evidence; allocates. *)

@@ -7,6 +7,12 @@ let get t i =
   if i < 0 || i >= t.n then invalid_arg "Points.get: index out of range";
   Array.sub t.data (i * t.dim) t.dim
 
+let blit t i dst off =
+  if i < 0 || i >= t.n then invalid_arg "Points.blit: index out of range";
+  for j = 0 to t.dim - 1 do
+    dst.(off + j) <- t.data.((i * t.dim) + j)
+  done
+
 let iter f t =
   for i = 0 to t.n - 1 do
     f (Array.sub t.data (i * t.dim) t.dim)

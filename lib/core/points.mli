@@ -13,6 +13,10 @@ val length : t -> int
 val get : t -> int -> Linalg.Ivec.t
 (** [get t i] is a fresh copy of the [i]-th point (callers may mutate it). *)
 
+val blit : t -> int -> int array -> int -> unit
+(** [blit t i dst off] copies the [i]-th point's [dim t] coordinates into
+    [dst] from [off], allocating nothing. *)
+
 val iter : (Linalg.Ivec.t -> unit) -> t -> unit
 (** Iterates in storage order; each callback receives a fresh copy. *)
 

@@ -156,11 +156,9 @@ let stats = function
   | Tasks { sched } ->
       let n_tasks =
         List.fold_left
-          (fun acc ph ->
-            match ph with
-            | Runtime.Sched.Tasks { tasks; _ } -> acc + Array.length tasks
-            | Runtime.Sched.Doall _ -> acc)
-          0 sched.Runtime.Sched.phases
+          (fun acc ph -> acc + Runtime.Sched.n_tasks ph)
+          0
+          (Runtime.Sched.phase_list sched)
       in
       {
         Report.empty_stats with
@@ -346,7 +344,7 @@ let run ?(options = default_options) ~name ~params prog =
               run = None;
             }
           in
-          let entries = List.map2 entry s.Runtime.Sched.phases pred in
+          let entries = List.map2 entry (Runtime.Sched.phase_list s) pred in
           let ran e (p : Runtime.Exec.phase_stat) =
             let sum = Array.fold_left ( +. ) 0.0 in
             {

@@ -4,12 +4,18 @@ module Affine = Loopir.Affine
 module S = Numeric.Safeint
 
 (* Compilation of one statement happens in the context of its loop-variable
-   slot mapping (outermost first, matching the [iter] vectors built by
-   [Sched]) and the parameter values — both resolved exactly once. *)
+   slot mapping (outermost first, matching the iteration vectors of
+   [Sched]) and the parameter values — both resolved exactly once.  A
+   kernel reads coordinate [j] of its instance at [a.(o + j)], for the
+   array [a] and offset [o] it is given. *)
 type ctx = {
   vars : string array;  (** loop variables, outermost first *)
   params : (string * int) list;
   store : Arrays.t;
+  mutable copies : bool;
+      (** the statement evaluates some subscript with the general
+          evaluator, which reads a vector of its own: its kernel copies
+          the coordinates to the scratch first (see [compile_stmt]) *)
 }
 
 (* The loop indices of a nest are distinct ([Interp.prepare] refuses a loop
@@ -63,13 +69,22 @@ let affine_of ctx e =
 let unbound v _ = failwith (Printf.sprintf "Compile: unbound variable %s" v)
 
 (* General (non-affine) integer evaluation: {!Loopir.Eval_int.compile},
-   with variable lookups resolved to slots/constants at compile time. *)
-let cint ctx =
-  Loopir.Eval_int.compile ~var:(fun v ->
-      match slot ctx v with
-      | Some j -> fun it -> it.(j)
-      | None -> (
-          match param ctx v with Some k -> fun _ -> k | None -> unbound v))
+   with variable lookups resolved to slots/constants at compile time, over
+   a vector of its own.  The statement's kernel copies its coordinates to
+   the scratch and runs at offset 0 there, so the closure reads the array
+   it is given from 0. *)
+let cint ctx e =
+  ctx.copies <- true;
+  let f =
+    Loopir.Eval_int.compile
+      ~var:(fun v ->
+        match slot ctx v with
+        | Some j -> fun it -> it.(j)
+        | None -> (
+            match param ctx v with Some k -> fun _ -> k | None -> unbound v))
+      e
+  in
+  fun a _ -> f a
 
 (* Integer evaluator with the affine fast path: affine expressions use raw
    machine arithmetic.  The dry scan evaluated each affine subscript with
@@ -78,24 +93,24 @@ let cint ctx =
    lies between its end values and cannot overflow either.  Wrapping
    arithmetic is exact modulo 2^63, so the canonical form [c + Σ m·iter]
    yields that in-range value however its terms are grouped. *)
-let cint_value ctx e : int array -> int =
+let cint_value ctx e : int array -> int -> int =
   match affine_of ctx e with
   | Some { a_const; a_coefs } -> (
       let nz = ref [] in
       Array.iteri (fun j c -> if c <> 0 then nz := (j, c) :: !nz) a_coefs;
       match List.rev !nz with
-      | [] -> fun _ -> a_const
-      | [ (j0, c0) ] -> fun it -> a_const + (c0 * it.(j0))
+      | [] -> fun _ _ -> a_const
+      | [ (j0, c0) ] -> fun a o -> a_const + (c0 * a.(o + j0))
       | [ (j0, c0); (j1, c1) ] ->
-          fun it -> a_const + (c0 * it.(j0)) + (c1 * it.(j1))
+          fun a o -> a_const + (c0 * a.(o + j0)) + (c1 * a.(o + j1))
       | pairs ->
           let slots = Array.of_list (List.map fst pairs) in
           let coefs = Array.of_list (List.map snd pairs) in
           let n = Array.length slots in
-          fun it ->
+          fun a o ->
             let acc = ref a_const in
             for j = 0 to n - 1 do
-              acc := !acc + (coefs.(j) * it.(slots.(j)))
+              acc := !acc + (coefs.(j) * a.(o + slots.(j)))
             done;
             !acc)
   | None -> cint ctx e
@@ -125,28 +140,28 @@ let fuse_offset ctx (view : Arrays.view) affs =
    its page is present; an offset outside the scanned space meets an
    absent page's negative entry or the table's end, and the access
    raises. *)
-let fused_cell view c nz : int array -> int =
+let fused_cell view c nz : int array -> int -> int =
   let table = view.Arrays.v_table in
   let sh = view.Arrays.v_shift in
   let mask = (1 lsl sh) - 1 in
   match nz with
-  | [] -> fun _ -> table.(c lsr sh) + (c land mask)
+  | [] -> fun _ _ -> table.(c lsr sh) + (c land mask)
   | [ (j0, m0) ] ->
-      fun it ->
-        let off = c + (m0 * it.(j0)) in
+      fun a o ->
+        let off = c + (m0 * a.(o + j0)) in
         table.(off lsr sh) + (off land mask)
   | [ (j0, m0); (j1, m1) ] ->
-      fun it ->
-        let off = c + (m0 * it.(j0)) + (m1 * it.(j1)) in
+      fun a o ->
+        let off = c + (m0 * a.(o + j0)) + (m1 * a.(o + j1)) in
         table.(off lsr sh) + (off land mask)
   | pairs ->
       let slots = Array.of_list (List.map fst pairs) in
       let ms = Array.of_list (List.map snd pairs) in
       let n = Array.length slots in
-      fun it ->
+      fun a o ->
         let off = ref c in
         for j = 0 to n - 1 do
-          off := !off + (ms.(j) * it.(slots.(j)))
+          off := !off + (ms.(j) * a.(o + slots.(j)))
         done;
         table.(!off lsr sh) + (!off land mask)
 
@@ -156,17 +171,17 @@ let fused_cell view c nz : int array -> int =
    index tuple: -1 outside the extent or on an absent page, where only
    then a tuple is built, for {!Arrays.read}'s initial value or
    {!Arrays.write}'s error. *)
-let general_cell view fs : int array -> int =
+let general_cell view fs : int array -> int -> int =
   match view with
   | Some v when Array.length v.Arrays.v_lo = Array.length fs ->
       let lo = v.Arrays.v_lo and hi = v.Arrays.v_hi in
       let st = v.Arrays.v_strides and table = v.Arrays.v_table in
       let sh = v.Arrays.v_shift in
       let mask = (1 lsl sh) - 1 in
-      fun it ->
+      fun a o ->
         let off = ref 0 and inside = ref true in
         for k = 0 to Array.length fs - 1 do
-          let x = fs.(k) it in
+          let x = fs.(k) a o in
           if x < lo.(k) || x > hi.(k) then inside := false
           else off := !off + (st.(k) * (x - lo.(k)))
         done;
@@ -174,19 +189,19 @@ let general_cell view fs : int array -> int =
         else
           let base = table.(!off lsr sh) in
           if base < 0 then -1 else base + (!off land mask)
-  | _ -> fun _ -> -1
+  | _ -> fun _ _ -> -1
 
 (* A reference as the slab it reads and writes and the cell closure that
    finds an instance's cell there: fused when every subscript is affine
    and the array has a raw view (it was noted during the dry scan),
    general otherwise. *)
 type reference =
-  | Fused of { slab : float array; cell : int array -> int }
+  | Fused of { slab : float array; cell : int array -> int -> int }
   | General of {
       slab : float array;
-      cell : int array -> int;
+      cell : int array -> int -> int;
       h : Arrays.handle;
-      tuple : int array -> int array;
+      tuple : int array -> int -> int array;
     }
 
 let reference ctx name subs =
@@ -215,18 +230,20 @@ let reference ctx name subs =
           slab = (match view with Some v -> v.Arrays.v_slab | None -> [||]);
           cell = general_cell view fs;
           h = Arrays.handle ctx.store name;
-          tuple = (fun it -> Array.map (fun f -> f it) fs);
+          tuple = (fun a o -> Array.map (fun f -> f a o) fs);
         }
 
 (* ---- float expressions ----------------------------------------------- *)
 
-(* A kernel takes the executing domain's scratch and the iteration
-   vector.  No float is returned from or passed to a closure: without
-   flambda such a float is boxed, ~2 words per instance.  A node of a
-   general tree writes its value into its scratch slot [s] and uses the
-   slots above [s] for its operands; the domains of a phase share one
-   compiled program, so each brings its own scratch. *)
-type kernel = float array -> int array -> unit
+(* A kernel takes the executing domain's scratch, an int array and the
+   offset of its instance's first coordinate there.  No float is
+   returned from or passed to a closure: without flambda such a float is
+   boxed, ~2 words per instance.  A node of a general tree writes its
+   value into its float slot [s] of the scratch and uses the slots above
+   [s] for its operands; the domains of a phase share one compiled
+   program, so each brings its own scratch. *)
+type scratch = { f : float array; iv : int array }
+type kernel = scratch -> int array -> int -> unit
 
 (* [tree ctx need e s]: a node writing [e]'s value into scratch slot [s];
    [need] records the slots the program's scratch must hold. *)
@@ -236,92 +253,93 @@ let rec tree ctx need e s : kernel =
   match e with
   | Ast.Int k ->
       let v = float_of_int k in
-      fun sc _ -> sc.(s) <- v
-  | Ast.Real v -> fun sc _ -> sc.(s) <- v
+      fun sc _ _ -> sc.f.(s) <- v
+  | Ast.Real v -> fun sc _ _ -> sc.f.(s) <- v
   | Ast.Var v -> (
       match slot ctx v with
-      | Some j -> fun sc it -> sc.(s) <- float_of_int it.(j)
+      | Some j -> fun sc a o -> sc.f.(s) <- float_of_int a.(o + j)
       | None -> (
           match param ctx v with
           | Some k ->
               let v = float_of_int k in
-              fun sc _ -> sc.(s) <- v
-          | None -> fun sc it -> sc.(s) <- float_of_int (unbound v it)))
-  | Ast.Ref (a, subs) -> (
-      match reference ctx a subs with
-      | Fused { slab; cell } -> fun sc it -> sc.(s) <- slab.(cell it)
+              fun sc _ _ -> sc.f.(s) <- v
+          | None -> fun sc a _ -> sc.f.(s) <- float_of_int (unbound v a)))
+  | Ast.Ref (r, subs) -> (
+      match reference ctx r subs with
+      | Fused { slab; cell } -> fun sc a o -> sc.f.(s) <- slab.(cell a o)
       | General { slab; cell; h; tuple } ->
-          fun sc it ->
-            let i = cell it in
-            sc.(s) <- (if i >= 0 then slab.(i) else Arrays.read h (tuple it)))
-  | Ast.Bin (op, a, b) -> (
-      let fa = tree ctx need a s and fb = tree ctx need b s1 in
+          fun sc a o ->
+            let i = cell a o in
+            sc.f.(s) <-
+              (if i >= 0 then slab.(i) else Arrays.read h (tuple a o)))
+  | Ast.Bin (op, x, y) -> (
+      let fx = tree ctx need x s and fy = tree ctx need y s1 in
       match op with
       | Ast.Add ->
-          fun sc it ->
-            fa sc it;
-            fb sc it;
-            sc.(s) <- sc.(s) +. sc.(s1)
+          fun sc a o ->
+            fx sc a o;
+            fy sc a o;
+            sc.f.(s) <- sc.f.(s) +. sc.f.(s1)
       | Ast.Sub ->
-          fun sc it ->
-            fa sc it;
-            fb sc it;
-            sc.(s) <- sc.(s) -. sc.(s1)
+          fun sc a o ->
+            fx sc a o;
+            fy sc a o;
+            sc.f.(s) <- sc.f.(s) -. sc.f.(s1)
       | Ast.Mul ->
-          fun sc it ->
-            fa sc it;
-            fb sc it;
-            sc.(s) <- sc.(s) *. sc.(s1)
+          fun sc a o ->
+            fx sc a o;
+            fy sc a o;
+            sc.f.(s) <- sc.f.(s) *. sc.f.(s1)
       | Ast.Div ->
-          fun sc it ->
-            fa sc it;
-            fb sc it;
-            sc.(s) <- sc.(s) /. sc.(s1))
-  | Ast.Un (op, a) -> (
-      let fa = tree ctx need a s in
+          fun sc a o ->
+            fx sc a o;
+            fy sc a o;
+            sc.f.(s) <- sc.f.(s) /. sc.f.(s1))
+  | Ast.Un (op, x) -> (
+      let fx = tree ctx need x s in
       match op with
       | Ast.Neg ->
-          fun sc it ->
-            fa sc it;
-            sc.(s) <- -.sc.(s)
+          fun sc a o ->
+            fx sc a o;
+            sc.f.(s) <- -.sc.f.(s)
       | Ast.Sqrt ->
-          fun sc it ->
-            fa sc it;
-            sc.(s) <- sqrt sc.(s)
+          fun sc a o ->
+            fx sc a o;
+            sc.f.(s) <- sqrt sc.f.(s)
       | Ast.Abs ->
-          fun sc it ->
-            fa sc it;
-            sc.(s) <- Float.abs sc.(s))
+          fun sc a o ->
+            fx sc a o;
+            sc.f.(s) <- Float.abs sc.f.(s))
   | Ast.Min es ->
       let fs = Array.of_list (List.map (fun e -> tree ctx need e s1) es) in
-      fun sc it ->
-        sc.(s) <- infinity;
+      fun sc a o ->
+        sc.f.(s) <- infinity;
         for k = 0 to Array.length fs - 1 do
-          fs.(k) sc it;
-          sc.(s) <- Float.min sc.(s) sc.(s1)
+          fs.(k) sc a o;
+          sc.f.(s) <- Float.min sc.f.(s) sc.f.(s1)
         done
   | Ast.Max es ->
       let fs = Array.of_list (List.map (fun e -> tree ctx need e s1) es) in
-      fun sc it ->
-        sc.(s) <- neg_infinity;
+      fun sc a o ->
+        sc.f.(s) <- neg_infinity;
         for k = 0 to Array.length fs - 1 do
-          fs.(k) sc it;
-          sc.(s) <- Float.max sc.(s) sc.(s1)
+          fs.(k) sc a o;
+          sc.f.(s) <- Float.max sc.f.(s) sc.f.(s1)
         done
-  | Ast.Mod (a, b) ->
-      let fa = cint_value ctx a and fb = cint_value ctx b in
-      fun sc it -> sc.(s) <- float_of_int (S.emod (fa it) (fb it))
-  | Ast.Pow (a, k) ->
-      let fa = tree ctx need a s in
+  | Ast.Mod (x, y) ->
+      let fx = cint_value ctx x and fy = cint_value ctx y in
+      fun sc a o -> sc.f.(s) <- float_of_int (S.emod (fx a o) (fy a o))
+  | Ast.Pow (x, k) ->
+      let fx = tree ctx need x s in
       let k = float_of_int k in
-      fun sc it ->
-        fa sc it;
-        sc.(s) <- sc.(s) ** k
+      fun sc a o ->
+        fx sc a o;
+        sc.f.(s) <- sc.f.(s) ** k
 
 (* ---- statements ------------------------------------------------------ *)
 
 (* An operand of the fused shapes: a constant or a fused load. *)
-type operand = Const of float | Load of float array * (int array -> int)
+type operand = Const of float | Load of float array * (int array -> int -> int)
 
 let operand ctx e =
   match e with
@@ -331,8 +349,8 @@ let operand ctx e =
       match param ctx v with
       | Some k -> Some (Const (float_of_int k))
       | None -> None)
-  | Ast.Ref (a, subs) -> (
-      match reference ctx a subs with
+  | Ast.Ref (r, subs) -> (
+      match reference ctx r subs with
       | Fused { slab; cell } -> Some (Load (slab, cell))
       | General _ -> None)
   | _ -> None
@@ -343,106 +361,124 @@ let operand ctx e =
    found, as in the interpreter. *)
 let fused_kernel ctx dst dcell rhs : kernel option =
   match rhs with
-  | Ast.Bin (op, a, b) -> (
-      match (op, operand ctx a, operand ctx b) with
+  | Ast.Bin (op, x, y) -> (
+      match (op, operand ctx x, operand ctx y) with
       | _, None, _ | _, _, None | _, Some (Const _), Some (Const _) -> None
       | Ast.Add, Some (Load (x, xc)), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) +. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) +. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Add, Some (Load (x, xc)), Some (Const y) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) +. y in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) +. y in
+              dst.(dcell a o) <- v)
       | Ast.Add, Some (Const x), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x +. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x +. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Sub, Some (Load (x, xc)), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) -. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) -. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Sub, Some (Load (x, xc)), Some (Const y) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) -. y in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) -. y in
+              dst.(dcell a o) <- v)
       | Ast.Sub, Some (Const x), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x -. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x -. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Mul, Some (Load (x, xc)), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) *. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) *. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Mul, Some (Load (x, xc)), Some (Const y) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) *. y in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) *. y in
+              dst.(dcell a o) <- v)
       | Ast.Mul, Some (Const x), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x *. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x *. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Div, Some (Load (x, xc)), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) /. y.(yc it) in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) /. y.(yc a o) in
+              dst.(dcell a o) <- v)
       | Ast.Div, Some (Load (x, xc)), Some (Const y) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) /. y in
-              dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) /. y in
+              dst.(dcell a o) <- v)
       | Ast.Div, Some (Const x), Some (Load (y, yc)) ->
           Some
-            (fun _ it ->
-              let v = x /. y.(yc it) in
-              dst.(dcell it) <- v))
+            (fun _ a o ->
+              let v = x /. y.(yc a o) in
+              dst.(dcell a o) <- v))
   | _ -> (
       match operand ctx rhs with
       | Some (Load (x, xc)) ->
           Some
-            (fun _ it ->
-              let v = x.(xc it) in
-              dst.(dcell it) <- v)
-      | Some (Const v) -> Some (fun _ it -> dst.(dcell it) <- v)
+            (fun _ a o ->
+              let v = x.(xc a o) in
+              dst.(dcell a o) <- v)
+      | Some (Const v) -> Some (fun _ a o -> dst.(dcell a o) <- v)
       | None -> None)
 
 type t = { kernels : kernel array; depths : int array; slots : int }
 
+(* A statement that evaluates a subscript with the general evaluator
+   ([ctx.copies]) first copies its instance's coordinates to the
+   scratch's int vector and runs there, at offset 0: {!Loopir.Eval_int}'s
+   closures read a vector of their own.  Every other kernel reads the
+   array it is given in place. *)
 let compile_stmt env store need (info : Prog.stmt_info) : kernel =
   let ctx =
     {
       vars = Array.of_list (Prog.loop_vars info);
       params = env.Interp.params;
       store;
+      copies = false;
     }
   in
   let lhs_name, lhs_subs = info.Prog.lhs in
   let rhs = info.Prog.rhs in
-  match reference ctx lhs_name lhs_subs with
-  | Fused { slab; cell } -> (
-      match fused_kernel ctx slab cell rhs with
-      | Some k -> k
-      | None ->
-          let f = tree ctx need rhs 0 in
-          fun sc it ->
-            f sc it;
-            slab.(cell it) <- sc.(0))
-  | General { slab; cell; h; tuple } ->
-      let f = tree ctx need rhs 0 in
-      fun sc it ->
-        f sc it;
-        let i = cell it in
-        if i >= 0 then slab.(i) <- sc.(0) else Arrays.write h (tuple it) sc.(0)
+  let k =
+    match reference ctx lhs_name lhs_subs with
+    | Fused { slab; cell } -> (
+        match fused_kernel ctx slab cell rhs with
+        | Some k -> k
+        | None ->
+            let f = tree ctx need rhs 0 in
+            fun sc a o ->
+              f sc a o;
+              slab.(cell a o) <- sc.f.(0))
+    | General { slab; cell; h; tuple } ->
+        let f = tree ctx need rhs 0 in
+        fun sc a o ->
+          f sc a o;
+          let i = cell a o in
+          if i >= 0 then slab.(i) <- sc.f.(0)
+          else Arrays.write h (tuple a o) sc.f.(0)
+  in
+  if not ctx.copies then k
+  else
+    let depth = Array.length ctx.vars in
+    fun sc a o ->
+      let iv = sc.iv in
+      for j = 0 to depth - 1 do
+        iv.(j) <- a.(o + j)
+      done;
+      k sc iv 0
 
 let program (env : Interp.env) store =
   let need = ref 0 in
@@ -454,12 +490,12 @@ let program (env : Interp.env) store =
     slots = !need;
   }
 
-type scratch = float array
+let depths t = t.depths
 
-let scratch t = Array.make t.slots 0.0
+let scratch t =
+  {
+    f = Array.make t.slots 0.0;
+    iv = Array.make (Array.fold_left max 0 t.depths) 0;
+  }
 
-let[@inline] exec_instance t sc (inst : Sched.instance) =
-  let iter = inst.Sched.iter in
-  if Array.length iter <> t.depths.(inst.Sched.stmt) then
-    failwith "Compile.exec_instance: iteration arity mismatch";
-  t.kernels.(inst.Sched.stmt) sc iter
+let[@inline] exec_instance t sc stmt a o = t.kernels.(stmt) sc a o

@@ -1,15 +1,18 @@
 (** Closure-compiled statement kernels — what {!Exec} runs every
     statement instance through.
 
-    Each statement's LHS/RHS is translated once into an OCaml closure over
-    the [int array] iteration vector: loop variables become vector slots,
-    parameter values are folded in as constants, array references resolve
-    to the page table and slab of a frozen {!Arrays.t}, and affine
-    subscripts (recognized via {!Loopir.Affine}) are pre-lowered into a
-    single fused linear offset [o = c + Σ mⱼ·iterⱼ], read as slab cell
-    [table.(o lsr shift) + (o land mask)] — so the per-instance hot loop
-    performs one page-table read, and no list traversal, no string lookup
-    and no AST matching.
+    Each statement's LHS/RHS is translated once into an OCaml closure
+    [(scratch, a, o)]: coordinate [j] of the instance's iteration vector
+    is read at [a.(o + j)], in place in the schedule's flat phase array
+    ({!Sched.data} at {!Sched.coords}), so no record or vector is loaded
+    per instance.  Loop variables become coordinate indices, parameter
+    values are folded in as constants, array references resolve to the
+    page table and slab of a frozen {!Arrays.t}, and affine subscripts
+    (recognized via {!Loopir.Affine}) are pre-lowered into a single fused
+    linear offset [c + Σ mⱼ·a.(o + j)], read as slab cell
+    [table.(off lsr shift) + (off land mask)] — so the per-instance hot
+    loop performs one page-table read, and no list traversal, no string
+    lookup and no AST matching.
 
     A kernel allocates nothing per instance.  No float is returned from
     or passed to a closure (without flambda such a float is boxed): an
@@ -17,11 +20,13 @@
     cell, an int.  The common statements — a copy, a constant, or one
     binary operator over loads and constants — load, compute and store
     in one closure.  Any other right-hand side is a tree of closures,
-    each writing its value into a slot of a float {!scratch}; the domains
-    of a phase share one compiled program, so each executing domain
-    brings its own scratch.
+    each writing its value into a float slot of the {!scratch}; the
+    domains of a phase share one compiled program, so each executing
+    domain brings its own scratch.  A statement with a non-affine
+    subscript first copies its coordinates into the scratch's int
+    vector, which {!Loopir.Eval_int}'s closures read.
 
-    Semantics match {!Interp.exec_instance} for every instance of the
+    Semantics match {!Interp.run_schedule} for every instance of the
     program's own iteration space.  The dry scan ({!Interp.scan_bounds})
     evaluated every affine subscript with checked arithmetic at both ends
     of its innermost loop and noted its extent; each of its subexpressions
@@ -53,14 +58,20 @@ val program : Interp.env -> Arrays.t -> t
     affine form overflows gets the general kernel, whose checked
     arithmetic raises [Numeric.Safeint.Overflow] only when it runs. *)
 
-type scratch = float array
-(** The float slots a kernel's general tree evaluates into.  A scratch
-    belongs to one executing domain at a time. *)
+val depths : t -> int array
+(** Each statement's number of enclosing loops, the length of the
+    iteration vectors its kernel reads ({!Sched.check_arity}). *)
+
+type scratch
+(** The float slots a kernel's general tree evaluates into, and the int
+    vector a statement with a non-affine subscript copies its coordinates
+    to.  A scratch belongs to one executing domain at a time. *)
 
 val scratch : t -> scratch
 (** A fresh scratch with room for every kernel of the program. *)
 
-val exec_instance : t -> scratch -> Sched.instance -> unit
-(** Runs one statement instance through its compiled kernel, with the
-    executing domain's scratch.  Raises [Failure] on an iteration arity
-    mismatch, like {!Interp.exec_instance}. *)
+val exec_instance : t -> scratch -> int -> int array -> int -> unit
+(** [exec_instance t sc stmt a o] runs statement [stmt]'s kernel on the
+    instance whose coordinates start at [a.(o)], with the executing
+    domain's scratch.  Nothing is checked per instance: the caller checks
+    the vectors' length once per schedule ({!Sched.check_arity}). *)

@@ -16,19 +16,20 @@ let task_ns_hist = Obs.Histogram.make "exec.task_ns"
 (* ---- chunks ----------------------------------------------------------- *)
 
 (* A phase split among domains is drained as chunks, each a contiguous
-   instance range: a DOALL block or a whole sequential task.  A chunk is
-   named by its place in the drain order and found from it in O(1), so
-   chunking builds no block per chunk.  No array on the run path starts
-   from a freshly allocated element: past 256 elements OCaml empties the
-   minor heap before it fills such an array ([Array.init], [Array.of_list]
-   and [Array.map] over fresh values all do), and with a helper domain
-   parked on the same CPU that collection costs ~190 µs (E21). *)
+   instance range of the phase's array: a DOALL block or a whole
+   sequential task.  A chunk is named by its place in the drain order and
+   found from it in O(1), so chunking copies no instance and builds no
+   block per chunk.  No array on the run path starts from a freshly
+   allocated element: past 256 elements OCaml empties the minor heap
+   before it fills such an array ([Array.init], [Array.of_list] and
+   [Array.map] over fresh values all do), and with a helper domain parked
+   on the same CPU that collection costs ~190 µs (E21). *)
 type chunks =
-  | Blocks of { instances : Sched.instance array; k : int }
+  | Blocks of { phase : Sched.phase; k : int }
       (** [k] near-equal contiguous blocks, block [c] being instances
-          [c·n/k, (c+1)·n/k) of the [n]; [k] is clamped to [1 … n], and
-          is 0 for an empty phase *)
-  | Chains of { tasks : Sched.instance array array; order : int array }
+          [c·n/k, (c+1)·n/k) of the phase's [n]; [k] is clamped to
+          [1 … n], and is 0 for an empty phase *)
+  | Chains of { phase : Sched.phase; order : int array }
       (** chunk [c] is the whole task [order.(c)]; empty tasks are left
           out *)
 
@@ -47,47 +48,54 @@ let block_lo ~k ~n c = c * n / k
 (* [chunks] clamped to [1 … n] blocks; none for an empty phase. *)
 let block_count ~chunks n = if n <= 0 then 0 else min n (max 1 chunks)
 
+(* Chunk [c]'s first instance and its instance count. *)
+let chunk_lo chunks c =
+  match chunks with
+  | Blocks { phase; k } -> block_lo ~k ~n:(Sched.phase_size phase) c
+  | Chains { phase; order } -> Sched.task_start phase order.(c)
+
 let chunk_len chunks c =
   match chunks with
-  | Blocks { instances; k } ->
-      let n = Array.length instances in
+  | Blocks { phase; k } ->
+      let n = Sched.phase_size phase in
       block_lo ~k ~n (c + 1) - block_lo ~k ~n c
-  | Chains { tasks; order } -> Array.length tasks.(order.(c))
+  | Chains { phase; order } -> Sched.task_length phase order.(c)
 
-let nonempty_tasks tasks =
+let nonempty_tasks p =
   let k = ref 0 in
-  for u = 0 to Array.length tasks - 1 do
-    if Array.length tasks.(u) > 0 then incr k
+  for u = 0 to Sched.n_tasks p - 1 do
+    if Sched.task_length p u > 0 then incr k
   done;
   !k
 
-(* The non-empty tasks' indices in drain order: index order, or when
-   [longest_first] the longest first with ties by ascending index, so the
-   chain that bounds the barrier starts first.  The latter is a counting
-   sort over the task lengths, O(tasks + the longest task); both allocate
-   int arrays only. *)
-let drain_order ~longest_first tasks =
-  let n = Array.length tasks in
-  let order = Array.make (nonempty_tasks tasks) 0 in
+(* The indices of the [n] tasks of lengths [len] that are not empty, in
+   drain order: index order, or when [longest_first] the longest first
+   with ties by ascending index, so the chain that bounds the barrier
+   starts first.  The latter is a counting sort over the task lengths,
+   O(tasks + the longest task); both allocate int arrays only. *)
+let drain_order ~longest_first n len =
+  let nonempty = ref 0 and longest = ref 0 in
+  for u = 0 to n - 1 do
+    let l = len u in
+    if l > 0 then incr nonempty;
+    longest := max !longest l
+  done;
+  let order = Array.make !nonempty 0 in
   if not longest_first then begin
     let k = ref 0 in
     for u = 0 to n - 1 do
-      if Array.length tasks.(u) > 0 then begin
+      if len u > 0 then begin
         order.(!k) <- u;
         incr k
       end
     done
   end
   else begin
-    let longest = ref 0 in
-    for u = 0 to n - 1 do
-      longest := max !longest (Array.length tasks.(u))
-    done;
     (* [next.(l)]: the count of tasks of length [l], then the next free
        slot for one. *)
     let next = Array.make (!longest + 1) 0 in
     for u = 0 to n - 1 do
-      let l = Array.length tasks.(u) in
+      let l = len u in
       next.(l) <- next.(l) + 1
     done;
     let slot = ref 0 in
@@ -97,7 +105,7 @@ let drain_order ~longest_first tasks =
       slot := !slot + c
     done;
     for u = 0 to n - 1 do
-      let l = Array.length tasks.(u) in
+      let l = len u in
       if l > 0 then begin
         order.(next.(l)) <- u;
         next.(l) <- next.(l) + 1
@@ -115,41 +123,42 @@ let engaged ~cost ~threads phase =
     min threads
       (Sim.doall_chunk_count cost ~threads ~n:(Sched.phase_size phase))
   in
-  match phase with
-  | Sched.Doall _ -> k
-  | Sched.Tasks { tasks; _ } -> min k (nonempty_tasks tasks)
+  if Sched.is_doall phase then k else min k (nonempty_tasks phase)
 
 (* The chunk policy.  DOALL blocks are sized cost-proportionally by
    {!Sim.doall_chunk_count} (a single block on one domain).  Empty tasks
    are dropped; when several domains share the rest they drain them
    longest first. *)
-let chunks_of ~cost ~threads = function
-  | Sched.Doall { instances; _ } ->
-      let n = Array.length instances in
-      Blocks
-        {
-          instances;
-          k = block_count ~chunks:(Sim.doall_chunk_count cost ~threads ~n) n;
-        }
-  | Sched.Tasks { tasks; _ } ->
-      Chains { tasks; order = drain_order ~longest_first:(threads > 1) tasks }
+let chunks_of ~cost ~threads phase =
+  if Sched.is_doall phase then
+    let n = Sched.phase_size phase in
+    Blocks
+      {
+        phase;
+        k = block_count ~chunks:(Sim.doall_chunk_count cost ~threads ~n) n;
+      }
+  else
+    Chains
+      {
+        phase;
+        order =
+          drain_order ~longest_first:(threads > 1) (Sched.n_tasks phase)
+            (Sched.task_length phase);
+      }
 
-(* Runs instances [off, off + len) of [xs] through the compiled kernels,
-   with the executing domain's scratch. *)
-let exec_range compiled sc (xs : Sched.instance array) off len =
-  for i = off to off + len - 1 do
-    Compile.exec_instance compiled sc xs.(i)
+(* Runs instances [lo, lo + len) of phase [p] through the compiled
+   kernels, in place in the phase's array, with the executing domain's
+   scratch. *)
+let exec_range compiled sc p lo len =
+  let a = Sched.data p in
+  for k = lo to lo + len - 1 do
+    Compile.exec_instance compiled sc (Sched.stmt p k) a (Sched.coords p k)
   done
 
 let run_chunk compiled sc chunks c =
   match chunks with
-  | Blocks { instances; k } ->
-      let n = Array.length instances in
-      let lo = block_lo ~k ~n c in
-      exec_range compiled sc instances lo (block_lo ~k ~n (c + 1) - lo)
-  | Chains { tasks; order } ->
-      let t = tasks.(order.(c)) in
-      exec_range compiled sc t 0 (Array.length t)
+  | Blocks { phase; _ } | Chains { phase; _ } ->
+      exec_range compiled sc phase (chunk_lo chunks c) (chunk_len chunks c)
 
 let kind_of = function Blocks _ -> "block" | Chains _ -> "chain"
 
@@ -246,18 +255,13 @@ let run_phase ~logged ~cost ~threads ~pool compiled sc ~t0 r k ~domains phase
           for c = 0 to n - 1 do
             traced_chunk ~label compiled sc chunks c
           done)
-  | _ -> (
+  | _ ->
       r.start.(k) <- Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0);
-      match phase with
-      | Sched.Doall { instances; _ } ->
-          let n = Array.length instances in
-          r.units.(k) <- min 1 n;
-          exec_range compiled sc instances 0 n
-      | Sched.Tasks { tasks; _ } ->
-          r.units.(k) <- nonempty_tasks tasks;
-          for u = 0 to Array.length tasks - 1 do
-            exec_range compiled sc tasks.(u) 0 (Array.length tasks.(u))
-          done)
+      (* A task phase's tasks lie in index order in its array. *)
+      r.units.(k) <-
+        (if Sched.is_doall phase then min 1 (Sched.phase_size phase)
+         else nonempty_tasks phase);
+      exec_range compiled sc phase 0 (Sched.phase_size phase)
 
 let phase_stat r k phase =
   let label = Sched.phase_label phase and n_instances = Sched.phase_size phase in
@@ -300,8 +304,11 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   let compiled =
     Obs.Span.with_ ~name:"compile" (fun () -> Compile.program env store)
   in
-  let phases = Sched.phase_array s in
-  let domains = Array.map (engaged ~cost ~threads) phases in
+  Sched.check_arity s ~depths:(Compile.depths compiled);
+  let n = Sched.n_phases s in
+  let domains =
+    Array.init n (fun k -> engaged ~cost ~threads (Sched.phase s k))
+  in
   let pool, owned =
     match workers with
     | Some w -> (Some w, false)
@@ -312,7 +319,6 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   Fun.protect
     ~finally:(fun () -> if owned then Option.iter Workers.shutdown pool)
     (fun () ->
-      let n = Array.length phases in
       let r =
         {
           bound = Array.make (n + 1) 0.0;
@@ -328,7 +334,7 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
       let probe = Obs.Gcstats.mark () in
       let t0 = Obs.Clock.now_ns () in
       for k = 0 to n - 1 do
-        let phase = phases.(k) and domains = domains.(k) in
+        let phase = Sched.phase s k and domains = domains.(k) in
         if spans then
           Obs.Span.with_ ~name:("phase:" ^ Sched.phase_label phase) (fun () ->
               run_phase ~logged ~cost ~threads ~pool compiled sc ~t0 r k
@@ -342,7 +348,7 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
       {
         store;
         seconds = r.bound.(n) *. 1e-9;
-        phase_stats = List.init n (fun k -> phase_stat r k phases.(k));
+        phase_stats = List.init n (fun k -> phase_stat r k (Sched.phase s k));
       })
 
 let run ?cost env ~threads s = (run_timed ?cost env ~threads s).store

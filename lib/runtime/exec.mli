@@ -4,12 +4,15 @@
     leaves the store identical to the sequential run) and provides
     wall-clock measurements.
 
-    Every statement instance runs through its {!Compile} kernel — a
-    closure with fused affine offsets that allocates nothing per
-    instance: no float crosses a closure, and a right-hand side that is
-    not a copy or one binary operator evaluates into a float scratch
-    owned by the executing domain (the run makes one for the calling
-    domain, each pooled drainer its own).
+    Every statement instance runs through its {!Compile} kernel, which
+    reads the instance's loop indices in place in its phase's flat
+    array ({!Sched.data} at {!Sched.coords}) — a closure with fused
+    affine offsets that allocates nothing per instance: no float crosses
+    a closure, and a right-hand side that is not a copy or one binary
+    operator evaluates into a scratch owned by the executing domain (the
+    run makes one for the calling domain, each pooled drainer its own).
+    The vectors' length is checked against the program once per run
+    ({!Sched.check_arity}), not once per instance.
     {!Interp.run_sequential} remains the reference oracle ({!check}).
 
     Phases are separated by barriers.  The {!Sim} cost model decides
@@ -20,19 +23,20 @@
     domain only from 400 instances.
 
     A phase that engages one domain runs on the calling domain, in a
-    plain loop over its instances (tasks in index order): no chunk
-    array, no closure, no cursor and no {!Workers.run} round trip.  A
-    [threads ≤ 1] run takes this same path for every phase.  A phase
-    that engages several domains is drained as chunks, each a DOALL
-    block or a whole task, named by its place in the drain order and
-    found from it in O(1): chunk setup copies no instance data and
-    builds no block per chunk.  DOALL blocks are sized
-    cost-proportionally (several chunks per domain when per-chunk work
-    dwarfs scheduling overhead), non-empty tasks drain longest first
-    with ties by ascending index (a counting sort over the task lengths,
-    into an int array), and the engaged domains drain the chunks through
-    one atomic cursor — dynamic self-scheduling, so a straggling domain
-    simply takes fewer chunks and per-barrier idle time shrinks.  No
+    plain loop over its array (a task phase's tasks lie there in index
+    order): no chunk array, no closure, no cursor and no {!Workers.run}
+    round trip.  A [threads ≤ 1] run takes this same path for every
+    phase.  A phase that engages several domains is drained as chunks,
+    each an instance range of the phase's array — a DOALL block or a
+    whole task — named by its place in the drain order and found from it
+    in O(1): chunk setup copies no instance data and builds no block per
+    chunk.  DOALL blocks are sized cost-proportionally (several chunks
+    per domain when per-chunk work dwarfs scheduling overhead), non-empty
+    tasks drain longest first with ties by ascending index (a counting
+    sort over the task lengths, into an int array), and the engaged
+    domains drain the chunks through one atomic cursor — dynamic
+    self-scheduling, so a straggling domain simply takes fewer chunks
+    and per-barrier idle time shrinks.  No
     array on the run path starts from a freshly allocated element, so
     a run forces no minor collection: past 256 elements OCaml empties
     the minor heap before it fills such an array, which stops every
@@ -145,8 +149,8 @@ val doall_chunks : chunks:int -> int -> (int * int) list
     chunk — [chunks] clamped to [1 …​ n], ranges contiguous, complete and
     never empty. *)
 
-val drain_order :
-  longest_first:bool -> Sched.instance array array -> int array
-(** Exposed for tests: the indices of the non-empty tasks in the order a
-    split task phase drains them — index order, or the longest first
+val drain_order : longest_first:bool -> int -> (int -> int) -> int array
+(** Exposed for tests: [drain_order ~longest_first n len] is the indices
+    of the non-empty tasks among [n] tasks of lengths [len], in the order
+    a split task phase drains them — index order, or the longest first
     with ties by ascending index (a counting sort over the lengths). *)

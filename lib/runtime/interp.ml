@@ -180,13 +180,15 @@ let scan_bounds t =
 
 (* ---- the reference interpreter --------------------------------------- *)
 
-(* The indices of the enclosing loops, bound by depth in one int array:
-   a name is looked up innermost first, then among the parameters.  The
-   lookup closure is made once per run, and a statement instance binds
-   its scope by pointing [vals] at its iteration vector. *)
+(* The indices of the enclosing loops, bound by depth in one int array
+   from [base]: a name is looked up innermost first, then among the
+   parameters.  The lookup closure is made once per run, and a scheduled
+   instance binds its scope by pointing [vals] and [base] at its
+   coordinates in the phase array. *)
 type scope = {
   mutable names : string array;
   mutable vals : int array;
+  mutable base : int;
   mutable depth : int;  (** depths [0 .. depth-1] are bound *)
   params : (string * int) list;
 }
@@ -194,7 +196,7 @@ type scope = {
 let lookup sc name =
   let rec find k =
     if k < 0 then param sc.params name
-    else if String.equal sc.names.(k) name then sc.vals.(k)
+    else if String.equal sc.names.(k) name then sc.vals.(sc.base + k)
     else find (k - 1)
   in
   find (sc.depth - 1)
@@ -254,6 +256,7 @@ let machine t =
     {
       names = Array.make depth "";
       vals = Array.make depth 0;
+      base = 0;
       depth = 0;
       params = t.params;
     }
@@ -332,33 +335,31 @@ let run_sequential t =
   List.iter run (List.map (resolve_stmt store) t.prog.Ast.body);
   store
 
-(* Executes one instance in a scope bound to its iteration vector;
-   [vars.(s)] are statement [s]'s loop indices, outermost first, and
-   [stmts.(s)] its resolved assignment. *)
-let exec_in m vars stmts (inst : Sched.instance) =
-  let names = vars.(inst.Sched.stmt) in
-  if Array.length names <> Array.length inst.Sched.iter then
-    failwith "Interp.exec_instance: iteration arity mismatch";
-  m.sc.names <- names;
-  m.sc.vals <- inst.Sched.iter;
-  m.sc.depth <- Array.length names;
-  exec_assign m stmts.(inst.Sched.stmt)
-
-let loop_vars t =
-  Array.map (fun info -> Array.of_list (Prog.loop_vars info)) t.stmts
-
-let assigns t store =
-  Array.map (fun info -> assign store info.Prog.lhs info.Prog.rhs) t.stmts
-
-let exec_instance t store inst =
-  exec_in (machine t) (loop_vars t) (assigns t store) inst
-
 let run_schedule t (s : Sched.t) =
   let store = scan_bounds t in
-  let m = machine t and vars = loop_vars t and stmts = assigns t store in
-  List.iter
-    (fun phase -> Array.iter (exec_in m vars stmts) (Sched.phase_instances phase))
-    s.Sched.phases;
+  let m = machine t in
+  let vars =
+    Array.map (fun info -> Array.of_list (Prog.loop_vars info)) t.stmts
+  in
+  let stmts =
+    Array.map (fun info -> assign store info.Prog.lhs info.Prog.rhs) t.stmts
+  in
+  Sched.check_arity s ~depths:(Array.map Array.length vars);
+  (* Each instance binds its scope to its coordinates in the phase
+     array, in place. *)
+  for k = 0 to Sched.n_phases s - 1 do
+    let p = Sched.phase s k in
+    let data = Sched.data p in
+    for i = 0 to Sched.phase_size p - 1 do
+      let stmt = Sched.stmt p i in
+      let names = vars.(stmt) in
+      m.sc.names <- names;
+      m.sc.vals <- data;
+      m.sc.base <- Sched.coords p i;
+      m.sc.depth <- Array.length names;
+      exec_assign m stmts.(stmt)
+    done
+  done;
   store
 
 let check_schedule t s =

@@ -87,12 +87,14 @@ val run_sequential : env -> Arrays.t
     [Invalid_argument] (the program's own instances only touch marked
     cells). *)
 
-val exec_instance : env -> Arrays.t -> Sched.instance -> unit
-(** Executes one statement instance (used by the executors). *)
-
 val run_schedule : env -> Sched.t -> Arrays.t
 (** Executes a schedule serially (phases in order, tasks in listed order) on
-    a fresh {!scan_bounds} of [env]. *)
+    a fresh {!scan_bounds} of [env], each instance's loop indices read in
+    place from its phase array.  Raises [Failure] when the schedule's
+    vectors do not fit the program ({!Sched.check_arity}, once per
+    schedule).  An instance outside the program's iteration space reads
+    {!Arrays.initial_value} off the scanned extent and raises
+    [Invalid_argument] on a write there, as {!run_sequential} would. *)
 
 val check_schedule : env -> Sched.t -> (unit, string) result
 (** [run_schedule] vs [run_sequential] array equality: one scan of [env],

@@ -42,11 +42,11 @@ type aphase = ADoall of int | ATasks of int array
 
 type asched = aphase list
 
-let abstract_phase = function
-  | Sched.Doall { instances; _ } -> ADoall (Array.length instances)
-  | Sched.Tasks { tasks; _ } -> ATasks (Array.map Array.length tasks)
+let abstract_phase p =
+  if Sched.is_doall p then ADoall (Sched.phase_size p)
+  else ATasks (Array.init (Sched.n_tasks p) (Sched.task_length p))
 
-let abstract (s : Sched.t) = List.map abstract_phase s.Sched.phases
+let abstract s = List.map abstract_phase (Sched.phase_list s)
 
 let aphase_time c ~threads shape =
   let per_iter = c.w_iter *. c.code_factor in
@@ -84,7 +84,9 @@ let doall_chunk_count c ~threads ~n =
   end
 
 let time c ~threads s =
-  List.fold_left (fun acc p -> acc +. phase_time c ~threads p) 0.0 s.Sched.phases
+  List.fold_left
+    (fun acc p -> acc +. phase_time c ~threads p)
+    0.0 (Sched.phase_list s)
 
 let seq_time c n = float_of_int n *. c.w_iter
 
@@ -106,9 +108,11 @@ let predictions_counter = Obs.Counter.make "runtime.sim.predictions"
 let calibrations_counter = Obs.Counter.make "runtime.sim.calibrations"
 let rel_error_hist = Obs.Histogram.make "runtime.sim.rel_error_pct"
 
-let predict c ~threads (s : Sched.t) =
+let predict c ~threads s =
   Obs.Counter.incr predictions_counter;
-  List.map (fun p -> (Sched.phase_label p, phase_time c ~threads p)) s.Sched.phases
+  List.map
+    (fun p -> (Sched.phase_label p, phase_time c ~threads p))
+    (Sched.phase_list s)
 
 let observe_rel_error e =
   if Float.is_finite e && e >= 0.0 then

@@ -29,16 +29,21 @@ let attach_store t ~store =
 let add_mem t k v =
   if Numeric.Lru.add t.lru k v then Obs.Counter.incr t.evictions
 
-let find t k =
-  let in_mem = Numeric.Lru.find t.lru k in
+let find t ~usable k =
+  let in_mem =
+    match Numeric.Lru.find t.lru k with
+    | Some v when usable v -> Some v
+    | Some _ | None -> None
+  in
   Obs.Counter.incr (if Option.is_some in_mem then t.hits else t.misses);
   match (in_mem, t.store) with
   | (Some _ as hit), _ -> hit
   | None, None -> None
   | None, Some store -> (
       (* Read-through outside the shard lock: the store has its own
-         locks and a disk read must not block the hot memory path. *)
-      match Store.find store k with
+         locks and a disk read must not block the hot memory path.  A
+         record [usable] rejects is a store miss and is not promoted. *)
+      match Store.find store ~usable k with
       | None -> None
       | Some v as hit ->
           add_mem t k v;

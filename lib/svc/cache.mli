@@ -33,16 +33,17 @@ val attach_store : t -> store:Store.t -> unit
     tier: {!find} falls through to the store on a memory miss (a stored
     payload is promoted into memory without re-appending it), and {!add}
     also appends the value to the log.  The cache does not read the
-    bytes: a caller that finds a payload it cannot use treats it as a
-    miss and {!add}s the recomputed value, which replaces the promoted
-    copy and rewrites the record.  @raise Invalid_argument if a tier is
+    bytes; {!find}'s [usable] does.  @raise Invalid_argument if a tier is
     already attached. *)
 
-val find : t -> Key.t -> string option
-(** Lookup; a hit refreshes the entry's recency.  With a store tier
-    attached, a memory miss that hits the log counts as a
-    [svc.store.hits] (the memory miss counter still moves — diff the
-    two layers to separate warm from disk-warm traffic). *)
+val find : t -> usable:(string -> bool) -> Key.t -> string option
+(** Lookup of a value [usable] accepts; a hit refreshes the entry's
+    recency.  With a store tier attached, a memory miss that hits the
+    log counts as a [svc.store.hits] (the memory miss counter still
+    moves — diff the two layers to separate warm from disk-warm
+    traffic).  A value [usable] rejects is a miss in its layer, and a
+    rejected record is not promoted: the caller recomputes it and
+    {!add}s the new value, which rewrites the record. *)
 
 val add : t -> Key.t -> string -> unit
 (** Insert (or overwrite) as most recently used, evicting the shard's LRU

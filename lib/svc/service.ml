@@ -471,14 +471,14 @@ let process t (req : Proto.request) ~submitted_ns =
                 ]
               ~params:req.Proto.params prog
           in
-          match Cache.find t.cache key with
-          | Some payload when Proto.readable payload ->
+          match Cache.find t.cache ~usable:Proto.readable key with
+          | Some payload ->
               Obs.Event.emit ~severity:Obs.Event.Debug
                 ~scope:"svc" ~name:"cache.hit" (fun () ->
                   [ ("key", Obs.Event.Str (Key.to_string key)) ]);
               finish ~cached:true
                 (Proto.Done { payload; name = req.Proto.name })
-          | Some _ | None -> (
+          | None -> (
               (* A payload behind another build's tag is a miss; the
                  recomputed one overwrites it, on disk too. *)
               Obs.Event.emit ~severity:Obs.Event.Debug

@@ -241,30 +241,31 @@ let add t k payload =
       Obs.Counter.incr appends;
       if List.length sh.pending >= t.flush_every then flush_shard sh)
 
-let find t k =
+(* A payload [usable] rejects is counted as a miss, like an absent
+   one: the caller recomputes it and its [add] rewrites the record. *)
+let find t ~usable k =
   check_open t;
   let sh = shard_of t k in
-  locked sh (fun () ->
-      match Hashtbl.find_opt sh.tbl k with
-      | None ->
-          Obs.Counter.incr misses;
-          None
-      | Some (Mem s) ->
-          Obs.Counter.incr hits;
-          Some s
-      | Some (Disk { off; len }) ->
-          ignore (Unix.lseek sh.fd off Unix.SEEK_SET);
-          let b = Bytes.create len in
-          if really_read sh.fd b 0 len = len then begin
-            Obs.Counter.incr hits;
-            Some (Bytes.to_string b)
-          end
-          else begin
-            (* unreadable tail (should be impossible after recovery);
-               treat as a miss rather than crash the request *)
-            Obs.Counter.incr misses;
-            None
-          end)
+  let found =
+    locked sh (fun () ->
+        match Hashtbl.find_opt sh.tbl k with
+        | None -> None
+        | Some (Mem s) -> Some s
+        | Some (Disk { off; len }) ->
+            ignore (Unix.lseek sh.fd off Unix.SEEK_SET);
+            let b = Bytes.create len in
+            (* an unreadable tail (should be impossible after recovery)
+               is a miss rather than a crashed request *)
+            if really_read sh.fd b 0 len = len then Some (Bytes.to_string b)
+            else None)
+  in
+  match found with
+  | Some v when usable v ->
+      Obs.Counter.incr hits;
+      found
+  | Some _ | None ->
+      Obs.Counter.incr misses;
+      None
 
 let flush t =
   check_open t;

@@ -47,9 +47,10 @@ val open_dir : ?shards:int -> ?flush_every:int -> string -> t
     automatic append.  @raise Sys_error / [Unix.Unix_error] when the
     directory cannot be created or a log cannot be opened. *)
 
-val find : t -> Key.t -> string option
-(** Payload for a key, from the pending buffer or the log.  Counted in
-    [svc.store.hits]/[svc.store.misses]. *)
+val find : t -> usable:(string -> bool) -> Key.t -> string option
+(** Payload for a key, from the pending buffer or the log, when [usable]
+    accepts it.  Counted in [svc.store.hits]; an absent, unreadable or
+    rejected payload counts in [svc.store.misses] and reads [None]. *)
 
 val add : t -> Key.t -> string -> unit
 (** Buffer a record for append (write-behind); immediately visible to

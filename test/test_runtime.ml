@@ -892,16 +892,21 @@ module Reference = struct
         exec_assign t store bindings lhs rhs);
     store
 
-  let exec_instance (t : Interp.env) store (inst : Sched.instance) =
-    let info = t.stmts.(inst.Sched.stmt) in
+  (* Statement [stmt] of [t] at the point [iter], on a fresh scan. *)
+  let run_instance (t : Interp.env) stmt iter =
+    let store = scan_bounds t in
+    let info = t.stmts.(stmt) in
     let vars = Prog.loop_vars info in
-    if List.length vars <> Array.length inst.Sched.iter then
-      failwith "Interp.exec_instance: iteration arity mismatch";
-    let bindings = List.mapi (fun k v -> (v, inst.Sched.iter.(k))) vars in
-    exec_assign t store bindings info.Prog.lhs info.Prog.rhs
+    let bindings = List.mapi (fun k v -> (v, iter.(k))) vars in
+    exec_assign t store bindings info.Prog.lhs info.Prog.rhs;
+    store
 end
 
 let reference_run = Reference.run_sequential
+
+(* The schedule of one instance. *)
+let one_instance stmt iter =
+  Sched.of_list [ ("one", Sched.Doall [ (stmt, iter) ]) ]
 
 (* A store, or the exception raised on the way to it. *)
 let outcome f =
@@ -1115,7 +1120,7 @@ let test_image_failed_scan_records_nothing () =
   Alcotest.check_raises "run_sequential" e (fun () ->
       ignore (Interp.run_sequential env));
   Alcotest.check_raises "check_schedule" e (fun () ->
-      ignore (Interp.check_schedule env { Sched.phases = [] }))
+      ignore (Interp.check_schedule env (Sched.of_list [])))
 
 (* A repeated scan of example1 at 200×300 walks nothing: it allocates
    its 123,516-cell slab and a few words per array, not a word per
@@ -1302,17 +1307,13 @@ let test_run_reference_hand_cases () =
   (* Outside the scanned extent a read falls back to the initial value
      and a write raises, in both interpreters. *)
   let env = parse "DO i = 1, 2\n  DO j = 1, 2\n    a(i) = b(j) + 1.0\n  ENDDO\nENDDO" in
-  let run exec scan iter =
-    outcome (fun () ->
-        let store = scan env in
-        exec env store { Sched.stmt = 0; iter };
-        store)
-  in
   let both label iter =
-    let want = run Reference.exec_instance Reference.scan_bounds iter
-    and got = run Interp.exec_instance Interp.scan_bounds iter in
+    let want = outcome (fun () -> Reference.run_instance env 0 iter)
+    and got =
+      outcome (fun () -> Interp.run_schedule env (one_instance 0 iter))
+    in
     if not (same_outcome want got) then
-      Alcotest.failf "%s: reference gave %s, exec_instance %s" label
+      Alcotest.failf "%s: reference gave %s, run_schedule %s" label
         (show_outcome want) (show_outcome got);
     got
   in
@@ -1341,14 +1342,10 @@ let test_run_reference_hand_cases () =
        ENDDO"
   in
   let order label stmt exn =
-    let run exec scan =
-      outcome (fun () ->
-          let store = scan env in
-          exec env store { Sched.stmt; iter = [| 5 |] };
-          store)
+    let want = outcome (fun () -> Reference.run_instance env stmt [| 5 |])
+    and got =
+      outcome (fun () -> Interp.run_schedule env (one_instance stmt [| 5 |]))
     in
-    let want = run Reference.exec_instance Reference.scan_bounds
-    and got = run Interp.exec_instance Interp.scan_bounds in
     Alcotest.(check string) (label ^ ": reference") (show_outcome want)
       ("exception " ^ Printexc.to_string exn);
     Alcotest.(check string) label (show_outcome want) (show_outcome got)
@@ -1438,21 +1435,21 @@ let test_fronts_schedule_cholesky () =
   | Ok () -> ()
   | Error m -> Alcotest.fail ("legality: " ^ m)
 
+(* A trace's instances as (statement, vector) pairs, in trace order. *)
+let trace_pairs (tr : Trace.t) =
+  Array.to_list
+    (Array.map
+       (fun (i : Trace.instance) -> (i.Trace.stmt, i.Trace.iter))
+       tr.Trace.instances)
+
 let test_illegal_schedule_detected () =
   (* Reverse the sequential order of a serial chain: must be caught both by
      the legality checker and by the interpreter. *)
   let prog = List.assoc "prefix_sum" Loopir.Builtin.corpus in
   let tr = Trace.build prog ~params:[ ("n", 6) ] in
-  let rev_task =
-    Array.of_list
-      (List.rev
-         (Array.to_list
-            (Array.map
-               (fun (i : Trace.instance) ->
-                 { Sched.stmt = i.Trace.stmt; iter = i.Trace.iter })
-               tr.Trace.instances)))
+  let bad =
+    Sched.of_list [ ("bad", Sched.Tasks [ List.rev (trace_pairs tr) ]) ]
   in
-  let bad = Sched.of_phases [ Sched.Tasks { label = "bad"; tasks = [| rev_task |] } ] in
   Alcotest.(check (result unit string))
     "legality checker reports the first broken edge"
     (Error
@@ -1467,10 +1464,9 @@ let test_illegal_schedule_detected () =
 let test_duplicate_instance_detected () =
   let prog = List.assoc "vecadd" Loopir.Builtin.corpus in
   let tr = Trace.build prog ~params:[ ("n", 3) ] in
-  let inst k = { Sched.stmt = 0; iter = [| k |] } in
+  let inst k = (0, [| k |]) in
   let bad =
-    Sched.of_phases
-      [ Sched.Doall { label = "dup"; instances = [| inst 1; inst 2; inst 3; inst 2 |] } ]
+    Sched.of_list [ ("dup", Sched.Doall [ inst 1; inst 2; inst 3; inst 2 ]) ]
   in
   Alcotest.(check (result unit string))
     "duplicate detected" (Error "instance S0(2) scheduled twice")
@@ -1481,13 +1477,10 @@ let test_duplicate_across_tasks_detected () =
      even though each task alone is fine. *)
   let prog = List.assoc "vecadd" Loopir.Builtin.corpus in
   let tr = Trace.build prog ~params:[ ("n", 3) ] in
-  let inst k = { Sched.stmt = 0; iter = [| k |] } in
+  let inst k = (0, [| k |]) in
   let bad =
-    Sched.of_phases
-      [
-        Sched.Tasks
-          { label = "dup"; tasks = [| [| inst 1; inst 2 |]; [| inst 2; inst 3 |] |] };
-      ]
+    Sched.of_list
+      [ ("dup", Sched.Tasks [ [ inst 1; inst 2 ]; [ inst 2; inst 3 ] ]) ]
   in
   Alcotest.(check (result unit string))
     "cross-task duplicate detected" (Error "instance S0(2) scheduled twice")
@@ -1498,13 +1491,7 @@ let test_edge_violation_same_doall_detected () =
      though every instance appears exactly once and in source order. *)
   let prog = List.assoc "prefix_sum" Loopir.Builtin.corpus in
   let tr = Trace.build prog ~params:[ ("n", 4) ] in
-  let all =
-    Array.map
-      (fun (i : Trace.instance) ->
-        { Sched.stmt = i.Trace.stmt; iter = i.Trace.iter })
-      tr.Trace.instances
-  in
-  let bad = Sched.of_phases [ Sched.Doall { label = "flat"; instances = all } ] in
+  let bad = Sched.of_list [ ("flat", Sched.Doall (trace_pairs tr)) ] in
   Alcotest.(check (result unit string))
     "same-phase dependence edge detected"
     (Error
@@ -1517,22 +1504,13 @@ let test_edge_violation_same_doall_detected () =
 let test_missing_and_foreign_instances_detected () =
   let prog = List.assoc "prefix_sum" Loopir.Builtin.corpus in
   let tr = Trace.build prog ~params:[ ("n", 6) ] in
-  let seq =
-    Array.map
-      (fun (i : Trace.instance) ->
-        { Sched.stmt = i.Trace.stmt; iter = i.Trace.iter })
-      tr.Trace.instances
-  in
-  let sequential task =
-    Sched.of_phases [ Sched.Tasks { label = "seq"; tasks = [| task |] } ]
-  in
-  let omitted =
-    Array.append (Array.sub seq 0 2) (Array.sub seq 3 (Array.length seq - 3))
-  in
+  let seq = trace_pairs tr in
+  let sequential task = Sched.of_list [ ("seq", Sched.Tasks [ task ]) ] in
+  let omitted = List.filteri (fun k _ -> k <> 2) seq in
   Alcotest.(check (result unit string))
     "omitted instance" (Error "schedule has 4 instances, trace has 5")
     (Sched.check_legal (sequential omitted) tr);
-  let foreign = Array.append seq [| { Sched.stmt = 0; iter = [| 7 |] } |] in
+  let foreign = seq @ [ (0, [| 7 |]) ] in
   Alcotest.(check (result unit string))
     "instance the trace lacks" (Error "schedule has 6 instances, trace has 5")
     (Sched.check_legal (sequential foreign) tr)
@@ -1543,14 +1521,222 @@ let test_missing_and_foreign_instances_detected () =
 let test_swapped_instance_detected () =
   let prog = List.assoc "vecadd" Loopir.Builtin.corpus in
   let tr = Trace.build prog ~params:[ ("n", 3) ] in
-  let inst k = { Sched.stmt = 0; iter = [| k |] } in
+  let inst k = (0, [| k |]) in
   let bad =
-    Sched.of_phases
-      [ Sched.Doall { label = "swap"; instances = [| inst 1; inst 2; inst 9 |] } ]
+    Sched.of_list [ ("swap", Sched.Doall [ inst 1; inst 2; inst 9 ]) ]
   in
   Alcotest.(check (result unit string))
     "swapped instance detected" (Error "instance S0(9) is not in the trace")
     (Sched.check_legal bad tr)
+
+(* A schedule as the pipeline builds it (exec-paper builds its cases the
+   same way). *)
+let driver_schedule ?strategy prog params =
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s" (Diag.to_string e)
+  in
+  let plan = ok (Pipeline.Driver.classify ?strategy prog) in
+  let m = ok (Pipeline.Driver.materialize plan ~prog ~params) in
+  (Interp.prepare prog ~params, ok (Pipeline.Driver.schedule m))
+
+(* A schedule is one int array per phase: (width + 1) words per instance
+   (its statement and a [width]-coordinate vector), plus a few words per
+   phase (its record, label and array headers) and one per task start. *)
+let test_schedule_is_flat () =
+  List.iter
+    (fun (name, strategy, params) ->
+      let _, sched = driver_schedule ~strategy Loopir.Builtin.example1 params in
+      let phases = Sched.phase_list sched in
+      let n = Sched.n_instances sched and width = 2 in
+      let tasks =
+        List.fold_left (fun acc p -> acc + Sched.n_tasks p) 0 phases
+      in
+      let limit =
+        ((width + 1) * n) + (16 * List.length phases) + tasks + 256
+      in
+      let words = Obj.reachable_words (Obj.repr sched) in
+      if words > limit then
+        Alcotest.failf
+          "%s: %d words for %d instances, %d phases, %d tasks (limit %d)" name
+          words n (List.length phases) tasks limit)
+    [
+      ("example1-rec", Pipeline.Plan.Rec, [ ("n1", 200); ("n2", 300) ]);
+      ("example1-pdm", Pipeline.Plan.Pdm, [ ("n1", 200); ("n2", 300) ]);
+      ("example1-mindist", Pipeline.Plan.Mindist, [ ("n1", 100); ("n2", 150) ]);
+    ]
+
+(* A schedule read back through Sched's accessors: each phase's label
+   and (statement, vector) instances, a task phase task by task. *)
+let read_back s =
+  List.map
+    (fun p ->
+      let inst k = (Sched.stmt p k, Sched.iter s p k) in
+      let range lo n = List.init n (fun i -> inst (lo + i)) in
+      ( Sched.phase_label p,
+        if Sched.is_doall p then Sched.Doall (range 0 (Sched.phase_size p))
+        else
+          Sched.Tasks
+            (List.init (Sched.n_tasks p) (fun u ->
+                 range (Sched.task_start p u) (Sched.task_length p u))) ))
+    (Sched.phase_list s)
+
+(* Does [s] read back as the phases [expected], the empty ones dropped? *)
+let lists expected s =
+  let nonempty = function
+    | _, Sched.Doall l -> l <> []
+    | _, Sched.Tasks ls -> List.exists (fun l -> l <> []) ls
+  in
+  read_back s = List.filter nonempty expected
+
+(* The box [lo_k ≤ i_k ≤ hi_k] over [iters], as a set. *)
+let box iters bounds =
+  let d = Array.length iters in
+  let unit k c = Array.init d (fun j -> if j = k then c else 0) in
+  let ge k c const =
+    Presburger.Constr.Ge (Presburger.Linexpr.make (unit k c) const)
+  in
+  let cons k (lo, hi) = [ ge k 1 (-lo); ge k (-1) hi ] in
+  Presburger.Iset.make ~iters ~params:[||]
+    [ Presburger.Poly.make d (List.concat (List.mapi cons bounds)) ]
+
+(* The sets of one statement's builders, drawn from its points [pts]
+   (of dimension [dim], in trace order), each with the schedule built
+   from them: REC's P1 and P3 from alternate points and chains of 1–3
+   points; PDM's cosets and mindist's tiles for distances between the
+   first points; UNIQUE's regions, boxes over the points' extent. *)
+let stmt_cases ~stmt ~dim pts =
+  let module B = Baselines in
+  let tag l = List.map (fun v -> (stmt, v)) l in
+  let take n l = List.filteri (fun i _ -> i < n) l
+  and drop n l = List.filteri (fun i _ -> i >= n) l in
+  let p1 = List.filteri (fun i _ -> i mod 2 = 0) pts
+  and p3 = List.filteri (fun i _ -> i mod 2 = 1) pts in
+  let rec chains k = function
+    | [] -> []
+    | l -> take k l :: chains ((k mod 3) + 1) (drop k l)
+  in
+  let chains = chains 1 pts in
+  let rec_ =
+    {
+      Partition.p1_pts = Core.Points.of_list ~dim p1;
+      chains = Core.Chain.of_lists ~dim chains;
+      p3_pts = Core.Points.of_list ~dim p3;
+      growth = 0.0;
+      theorem_bound = None;
+    }
+  in
+  let cases =
+    [
+      ( [
+          ("P1", Sched.Doall (tag p1));
+          ("P2-chains", Sched.Tasks (List.map tag chains));
+          ("P3", Sched.Doall (tag p3));
+        ],
+        Sched.of_rec ~stmt rec_ );
+    ]
+  in
+  if dim = 0 then cases
+  else
+    let steps =
+      List.map2
+        (fun a b -> Array.map2 ( - ) b a)
+        (take (List.length pts - 1) pts)
+        (List.tl pts)
+    in
+    let ds = take 2 (List.filter (Array.exists (( <> ) 0)) steps) in
+    let pdm = B.Pdm.of_distances ~dim ds
+    and md = B.Mindist.of_distances ~dim ds in
+    let extent k =
+      List.fold_left
+        (fun (lo, hi) v -> (min lo v.(k), max hi v.(k)))
+        (max_int, min_int) pts
+    in
+    let iters = Array.init dim (Printf.sprintf "i%d") in
+    let slice r =
+      box iters
+        (List.init dim (fun k ->
+             let lo, hi = extent k in
+             if k = 0 then (lo + r, lo + r + (r mod 2)) else (lo, hi)))
+    in
+    let u =
+      {
+        B.Unique.head_flow = slice 0;
+        head_rest = slice 1;
+        mid = slice 2;
+        tail_anti = slice 3;
+        tail_rest =
+          box iters
+            (List.init dim (fun k ->
+                 let lo, hi = extent k in
+                 (lo + 4, hi)));
+      }
+    in
+    let points set = tag (Presburger.Iset.points set) in
+    cases
+    @ [
+        ( [ ("PDM-cosets", Sched.Tasks (List.map tag (B.Pdm.cosets pdm pts))) ],
+          B.Pdm.schedule pdm ~stmt pts );
+        ( List.map
+            (fun (key, l) ->
+              ( Printf.sprintf "tile%s" (Linalg.Ivec.to_string key),
+                Sched.Doall (tag l) ))
+            (B.Mindist.tiles md pts),
+          B.Mindist.schedule md ~stmt pts );
+        ( [
+            ("unique-1-head-flow", Sched.Doall (points u.head_flow));
+            ("unique-2-head-rest", Sched.Doall (points u.head_rest));
+            ("unique-3-sequential", Sched.Tasks [ points u.mid ]);
+            ("unique-4-tail-anti", Sched.Doall (points u.tail_anti));
+            ("unique-5-tail-rest", Sched.Doall (points u.tail_rest));
+          ],
+          B.Unique.schedule u ~stmt ~params:[||] );
+      ]
+
+(* Every builder, on sets drawn from a random nest's instances: the
+   schedule lists the same (statement, vector) pairs, in the same task
+   order, as the sets it was built from. *)
+let prop_builders_read_back ~count =
+  let nest seed = Nests.random_nest (Random.State.make [| seed |]) in
+  QCheck2.Test.make ~name:"builders list the sets they were built from" ~count
+    ~print:(fun seed -> Loopir.Pretty.program_to_string (nest seed))
+    QCheck2.Gen.int
+    (fun seed ->
+      let prog = nest seed in
+      match Trace.build prog ~params:[] with
+      | exception _ -> true
+      | tr ->
+          let pairs =
+            List.map (fun (i : Trace.instance) -> (i.Trace.stmt, i.Trace.iter))
+          in
+          let all = pairs (Array.to_list tr.Trace.instances) in
+          let fronts = Dataflow.peel_concrete prog ~params:[] in
+          let of_ids ids =
+            let insts = fronts.Dataflow.trace.Trace.instances in
+            pairs (List.map (Array.get insts) ids)
+          in
+          let stmts = List.sort_uniq compare (List.map fst all) in
+          List.for_all
+            (fun (expected, s) -> lists expected s)
+            ([
+               ( [ ("sequential", Sched.Tasks [ all ]) ],
+                 Sched.sequential_of_trace tr );
+               ( List.mapi
+                   (fun k ids ->
+                     ( Printf.sprintf "front-%d" (k + 1),
+                       Sched.Doall (of_ids ids) ))
+                   (Array.to_list fronts.Dataflow.fronts),
+                 Sched.of_fronts fronts );
+             ]
+            @ List.concat_map
+                (fun stmt ->
+                  let pts =
+                    List.filter_map
+                      (fun (s, v) -> if s = stmt then Some v else None)
+                      all
+                  in
+                  stmt_cases ~stmt ~dim:(Array.length (List.hd pts)) pts)
+                stmts))
 
 (* ------------------------------------------------------------------ *)
 (* Simulator                                                            *)
@@ -1987,17 +2173,6 @@ let test_run_timed_busy_arrays () =
 (* ------------------------------------------------------------------ *)
 (* Domains engaged per phase                                            *)
 
-(* A schedule as the pipeline builds it (exec-paper builds its cases the
-   same way). *)
-let driver_schedule ?strategy prog params =
-  let ok = function
-    | Ok v -> v
-    | Error e -> Alcotest.failf "%s" (Diag.to_string e)
-  in
-  let plan = ok (Pipeline.Driver.classify ?strategy prog) in
-  let m = ok (Pipeline.Driver.materialize plan ~prog ~params) in
-  (Interp.prepare prog ~params, ok (Pipeline.Driver.schedule m))
-
 let with_pool domains f =
   let w = Workers.create ~domains in
   Fun.protect ~finally:(fun () -> Workers.shutdown w) (fun () -> f w)
@@ -2064,6 +2239,12 @@ let test_small_phases_enqueue_nothing () =
       Alcotest.(check bool) "store = run_sequential" true
         (Arrays.equal tmd.Exec.store oracle))
 
+let nonempty_tasks p =
+  List.length
+    (List.filter
+       (fun u -> Sched.task_length p u > 0)
+       (List.init (Sched.n_tasks p) Fun.id))
+
 let test_small_task_phases_inline () =
   (* Task phases under 400 instances at t = 4 (REC chains of example2,
      PDM cosets of example1) run on the caller, one unit per non-empty
@@ -2072,9 +2253,7 @@ let test_small_task_phases_inline () =
     (fun (name, strategy, prog, params) ->
       let env, sched = driver_schedule ~strategy prog params in
       let tasks =
-        List.filter
-          (function Sched.Tasks _ -> true | Sched.Doall _ -> false)
-          sched.Sched.phases
+        List.filter (fun p -> not (Sched.is_doall p)) (Sched.phase_list sched)
       in
       Alcotest.(check bool) (name ^ ": has a task phase") true (tasks <> []);
       let tmd, (jobs, _, _) =
@@ -2085,16 +2264,11 @@ let test_small_task_phases_inline () =
         (fun phase (ps : Exec.phase_stat) ->
           Alcotest.(check int) (ps.Exec.label ^ ": one domain") 1
             (Array.length ps.Exec.loads);
-          match phase with
-          | Sched.Tasks { tasks; _ } ->
-              Alcotest.(check int)
-                (ps.Exec.label ^ ": one unit per non-empty task")
-                (List.length
-                   (List.filter (fun t -> Array.length t > 0)
-                      (Array.to_list tasks)))
-                ps.Exec.n_units
-          | Sched.Doall _ -> ())
-        sched.Sched.phases tmd.Exec.phase_stats;
+          if not (Sched.is_doall phase) then
+            Alcotest.(check int)
+              (ps.Exec.label ^ ": one unit per non-empty task")
+              (nonempty_tasks phase) ps.Exec.n_units)
+        (Sched.phase_list sched) tmd.Exec.phase_stats;
       Alcotest.(check bool) (name ^ ": store = run_sequential") true
         (Arrays.equal tmd.Exec.store (Interp.run_sequential env)))
     [
@@ -2198,20 +2372,15 @@ let test_pool_path_matches_sequential () =
       List.iter2
         (fun phase (ps : Exec.phase_stat) ->
           let pieces =
-            match phase with
-            | Sched.Doall { instances; _ } -> Array.length instances
-            | Sched.Tasks { tasks; _ } ->
-                List.length
-                  (List.filter
-                     (fun t -> Array.length t > 0)
-                     (Array.to_list tasks))
+            if Sched.is_doall phase then Sched.phase_size phase
+            else nonempty_tasks phase
           in
           Alcotest.(check int)
             (Printf.sprintf "%s t=%d: one domain per piece" ps.Exec.label
                threads)
             (min threads pieces)
             (Array.length ps.Exec.loads))
-        sched.Sched.phases tmd.Exec.phase_stats;
+        (Sched.phase_list sched) tmd.Exec.phase_stats;
       Alcotest.(check bool)
         (Printf.sprintf "example2-rec t=%d: store = run_sequential" threads)
         true
@@ -2291,7 +2460,7 @@ let test_run_path_forces_no_collection () =
 
 let test_builders_force_no_collection () =
   (* The materialize and schedule stages of exec-paper's seven set-ups
-     fill their instance and phase arrays without forcing a collection. *)
+     fill their point and phase arrays without forcing a collection. *)
   let ok = function
     | Ok v -> v
     | Error e -> Alcotest.failf "%s" (Diag.to_string e)
@@ -2304,36 +2473,41 @@ let test_builders_force_no_collection () =
             ok (Pipeline.Driver.materialize plan ~prog ~params))
       in
       Alcotest.(check int) (name ^ ": forced in materialize") 0 forced;
-      let sched, forced =
+      let _, forced =
         forced_minors (fun () -> ok (Pipeline.Driver.schedule m))
       in
-      Alcotest.(check int) (name ^ ": forced in schedule") 0 forced;
-      let _, forced = forced_minors (fun () -> Sched.phase_array sched) in
-      Alcotest.(check int) (name ^ ": forced in phase_array") 0 forced)
+      Alcotest.(check int) (name ^ ": forced in schedule") 0 forced)
     exec_paper_specs
 
-(* Each statement's instances, in trace order. *)
+(* The program's sequential phase, one array every statement shares, and
+   each statement's instance indices in it, in trace order: past the
+   first statement, instances start at non-zero offsets. *)
 let statement_instances prog ~params =
-  let tr = Trace.build prog ~params in
+  let sched = Sched.sequential_of_trace (Trace.build prog ~params) in
+  let p = Sched.phase sched 0 in
   let by_stmt = Hashtbl.create 8 in
-  Array.iter
-    (fun (i : Trace.instance) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt by_stmt i.Trace.stmt) in
-      Hashtbl.replace by_stmt i.Trace.stmt
-        ({ Sched.stmt = i.Trace.stmt; iter = i.Trace.iter } :: l))
-    tr.Trace.instances;
-  Hashtbl.fold (fun s l acc -> (s, Array.of_list (List.rev l)) :: acc) by_stmt []
-  |> List.sort compare
-
-(* The words the kernels of instances [lo, hi) allocate on the calling
-   domain, with a scratch of its own (exact counters). *)
-let kernel_words compiled insts lo hi =
-  let sc = Runtime.Compile.scratch compiled in
-  let p = Obs.Gcstats.mark () in
-  for i = lo to hi - 1 do
-    Runtime.Compile.exec_instance compiled sc insts.(i)
+  for k = Sched.phase_size p - 1 downto 0 do
+    let s = Sched.stmt p k in
+    Hashtbl.replace by_stmt s
+      (k :: Option.value ~default:[] (Hashtbl.find_opt by_stmt s))
   done;
-  Obs.Gcstats.words_since p
+  ( p,
+    Hashtbl.fold (fun s l acc -> (s, Array.of_list l) :: acc) by_stmt []
+    |> List.sort compare )
+
+(* The words the kernels of instances [ks.(lo) … ks.(hi - 1)] of phase [p]
+   allocate on the calling domain, with a scratch of its own, each read
+   in place from the phase's array (exact counters). *)
+let kernel_words compiled p ks lo hi =
+  let sc = Runtime.Compile.scratch compiled in
+  let a = Sched.data p in
+  let w = Obs.Gcstats.mark () in
+  for i = lo to hi - 1 do
+    let k = ks.(i) in
+    Runtime.Compile.exec_instance compiled sc (Sched.stmt p k) a
+      (Sched.coords p k)
+  done;
+  Obs.Gcstats.words_since w
 
 (* A nest whose right-hand sides use every expression form, and whose
    quadratic subscripts take the general (non-affine) path. *)
@@ -2365,23 +2539,27 @@ let test_kernels_allocate_nothing () =
           let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
           let env = Interp.prepare prog ~params in
           let compiled = Runtime.Compile.program env (Interp.scan_bounds env) in
+          let p, by_stmt = statement_instances prog ~params in
           List.iter
-            (fun (s, insts) ->
-              let n = Array.length insts in
-              let label = Printf.sprintf "%s S%d (%d instances)" name s n in
+            (fun (s, ks) ->
+              let n = Array.length ks in
+              let label =
+                Printf.sprintf "%s S%d (%d instances from offset %d)" name s n
+                  (Sched.coords p ks.(0))
+              in
               Alcotest.(check (float 0.0))
                 (label ^ ": words on the caller") 0.0
-                (kernel_words compiled insts 0 n);
+                (kernel_words compiled p ks 0 n);
               let halves =
                 Workers.run w
                   [|
-                    (fun () -> kernel_words compiled insts 0 (n / 2));
-                    (fun () -> kernel_words compiled insts (n / 2) n);
+                    (fun () -> kernel_words compiled p ks 0 (n / 2));
+                    (fun () -> kernel_words compiled p ks (n / 2) n);
                   |]
               in
               Alcotest.(check (array (float 0.0)))
                 (label ^ ": words on each domain") [| 0.0; 0.0 |] halves)
-            (statement_instances prog ~params))
+            by_stmt)
         (("every expression form", every_form) :: Loopir.Builtin.all));
   (* Through run_timed: at a modelled second per instance every phase
      goes to the pool, and each domain's words stay bounded however many
@@ -2423,21 +2601,18 @@ let prop_drain_order =
     ~print:QCheck2.Print.(list int)
     QCheck2.Gen.(list_size (int_bound 60) (frequency [ (1, pure 0); (4, int_bound 12) ]))
     (fun lens ->
-      let inst = { Sched.stmt = 0; iter = [||] } in
-      let tasks = Array.of_list (List.map (fun l -> Array.make l inst) lens) in
-      let ids =
-        List.filter (fun u -> Array.length tasks.(u) > 0)
-          (List.init (Array.length tasks) Fun.id)
-      in
+      let lens = Array.of_list lens in
+      let n = Array.length lens and len u = lens.(u) in
+      let ids = List.filter (fun u -> lens.(u) > 0) (List.init n Fun.id) in
       let sorted =
         List.stable_sort
           (fun a b ->
-            let c = compare (Array.length tasks.(b)) (Array.length tasks.(a)) in
+            let c = compare lens.(b) lens.(a) in
             if c <> 0 then c else compare a b)
           ids
       in
-      Array.to_list (Exec.drain_order ~longest_first:true tasks) = sorted
-      && Array.to_list (Exec.drain_order ~longest_first:false tasks) = ids)
+      Array.to_list (Exec.drain_order ~longest_first:true n len) = sorted
+      && Array.to_list (Exec.drain_order ~longest_first:false n len) = ids)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2525,6 +2700,8 @@ let () =
             test_edge_violation_same_doall_detected;
           Alcotest.test_case "missing and foreign instances detected" `Quick
             test_missing_and_foreign_instances_detected;
+          Alcotest.test_case "a schedule is flat" `Quick test_schedule_is_flat;
+          QCheck_alcotest.to_alcotest (prop_builders_read_back ~count:200);
         ] );
       ( "sim",
         [

@@ -24,6 +24,9 @@ let temp_dir =
 
 let key i = Key.of_hex (Printf.sprintf "%032x" i)
 
+(* Every payload is usable: these cases read the raw records. *)
+let any _ = true
+
 (* ------------------------------------------------------------------ *)
 (* basic operation                                                      *)
 
@@ -35,15 +38,16 @@ let test_roundtrip () =
   Store.add s (key 3) "";
   (* write-behind: visible before any flush *)
   Alcotest.(check (option string)) "mem-tier read" (Some "alpha")
-    (Store.find s (key 1));
+    (Store.find ~usable:any s (key 1));
   Alcotest.(check (option string)) "second key" (Some "beta")
-    (Store.find s (key 2));
-  Alcotest.(check (option string)) "missing key" None (Store.find s (key 9));
+    (Store.find ~usable:any s (key 2));
+  Alcotest.(check (option string)) "missing key" None
+    (Store.find ~usable:any s (key 9));
   Store.flush s;
   Alcotest.(check (option string)) "disk-tier read" (Some "alpha")
-    (Store.find s (key 1));
+    (Store.find ~usable:any s (key 1));
   Alcotest.(check (option string)) "empty payload ok" (Some "")
-    (Store.find s (key 3));
+    (Store.find ~usable:any s (key 3));
   Alcotest.(check int) "entries" 3 (Store.entries s);
   Store.close s
 
@@ -64,7 +68,7 @@ let test_reopen_recovers () =
     Alcotest.(check (option string))
       (Printf.sprintf "key %d" i)
       (Some (Printf.sprintf "payload-%d" i))
-      (Store.find s2 (key i))
+      (Store.find ~usable:any s2 (key i))
   done;
   Store.close s2
 
@@ -77,7 +81,7 @@ let test_last_record_wins () =
   Store.close s;
   let s2 = Store.open_dir ~shards:2 dir in
   Alcotest.(check (option string)) "newest record wins" (Some "second")
-    (Store.find s2 (key 7));
+    (Store.find ~usable:any s2 (key 7));
   Store.close s2
 
 (* ------------------------------------------------------------------ *)
@@ -112,7 +116,7 @@ let test_torn_tail_truncated () =
   Alcotest.(check int) "torn bytes truncated" 10
     (Store.recovery s2).Store.truncated_bytes;
   Alcotest.(check (option string)) "record before the tear" (Some "kept-2")
-    (Store.find s2 (key 2));
+    (Store.find ~usable:any s2 (key 2));
   Store.close s2;
   Alcotest.(check int) "file back to its pre-crash length" before
     (Unix.stat shard).Unix.st_size;
@@ -147,9 +151,9 @@ let test_corrupt_record_rejected () =
     ((Store.recovery s2).Store.truncated_bytes > 0);
   Alcotest.(check (option string)) "intact record readable"
     (Some "good-record")
-    (Store.find s2 (key 1));
+    (Store.find ~usable:any s2 (key 1));
   Alcotest.(check (option string)) "corrupt record gone" None
-    (Store.find s2 (key 2));
+    (Store.find ~usable:any s2 (key 2));
   Store.close s2;
   Alcotest.(check int) "file truncated to the last valid record" keep
     (Unix.stat shard).Unix.st_size
@@ -168,9 +172,10 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path bytes =
   Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
 
-(* Each record's end offset, read from the layout store.mli documents:
-   a 28-byte header with the key and payload lengths at bytes 4 and 8. *)
-let record_ends log =
+(* Each record's key, payload and end offset, read from the layout
+   store.mli documents: a 28-byte header with the key and payload
+   lengths at bytes 4 and 8, then the key and payload bytes. *)
+let parse_log log =
   let u32 o =
     Char.code log.[o]
     lor (Char.code log.[o + 1] lsl 8)
@@ -180,10 +185,15 @@ let record_ends log =
   let rec go pos acc =
     if pos >= String.length log then List.rev acc
     else
-      let e = pos + 28 + u32 (pos + 4) + u32 (pos + 8) in
-      go e (e :: acc)
+      let kl = u32 (pos + 4) and pl = u32 (pos + 8) in
+      let e = pos + 28 + kl + pl in
+      go e
+        ((String.sub log (pos + 28) kl, String.sub log (pos + 28 + kl) pl, e)
+        :: acc)
   in
   go 0 []
+
+let record_ends log = List.map (fun (_, _, e) -> e) (parse_log log)
 
 let written_log () =
   let dir = temp_dir "store-log" in
@@ -217,11 +227,103 @@ let recovers label dir bytes ~ends ~kept =
       Alcotest.(check (option string))
         (Printf.sprintf "%s: record %d" label i)
         (if i < kept then Some p else None)
-        (Store.find s k))
+        (Store.find ~usable:any s k))
     records;
   s
 
+(* The same damage to one shard of a 4-shard store whose records repeat
+   keys: eight keys, five of them written again, three a third time. *)
+let repeated_records =
+  List.map
+    (fun (i, p) -> (key i, p))
+    [
+      (1, "a1"); (2, "b1"); (3, "c1"); (4, ""); (5, "e1"); (6, "f1");
+      (7, "g1"); (8, "h1"); (1, "a2"); (3, String.make 40 'c');
+      (5, "e2 \x00\xff\n"); (2, "b2"); (1, "a3"); (6, "f2"); (3, "c3");
+    ]
+
+(* Each shard's file name and bytes, written by a 4-shard store. *)
+let written_shards () =
+  let dir = temp_dir "store-shards" in
+  let s = Store.open_dir ~shards:4 dir in
+  List.iter (fun (k, p) -> Store.add s k p) repeated_records;
+  Store.close s;
+  let logs =
+    List.map (fun p -> (Filename.basename p, read_file p)) (data_shards dir)
+  in
+  Alcotest.(check int) "one record per add" (List.length repeated_records)
+    (List.fold_left (fun n (_, log) -> n + List.length (parse_log log)) 0 logs);
+  Alcotest.(check bool) "the keys span several shards" true
+    (List.length logs > 1);
+  let repeats log =
+    let ks = List.map (fun (k, _, _) -> k) (parse_log log) in
+    List.length ks - List.length (List.sort_uniq compare ks)
+  in
+  Alcotest.(check bool) "every shard repeats a key" true
+    (List.for_all (fun (_, log) -> repeats log > 0) logs);
+  logs
+
+(* Write [logs] into [dir] with shard [name]'s bytes replaced by
+   [bytes], reopen, and check every key: one of shard [name] reads its
+   last record among the first [kept] of that shard or nothing, one of
+   another shard its last record.  Then a new record for one of [name]'s
+   keys must land, and survive a reopen. *)
+let recovers_shards label dir logs ~name bytes ~kept =
+  List.iter
+    (fun (n, log) ->
+      write_file (Filename.concat dir n) (if n = name then bytes else log))
+    logs;
+  let check s ~appended =
+    List.iter
+      (fun (n, log) ->
+        let recs = parse_log log in
+        let live =
+          if n = name then List.filteri (fun i _ -> i < kept) recs else recs
+        in
+        List.iter
+          (fun (k, _, _) ->
+            let want =
+              match appended with
+              | Some (k', p) when k' = k -> Some p
+              | _ ->
+                  List.fold_left
+                    (fun acc (k', p, _) -> if k' = k then Some p else acc)
+                    None live
+            in
+            Alcotest.(check (option string))
+              (Printf.sprintf "%s: %s key %s" label n k)
+              want
+              (Store.find ~usable:any s (Key.of_hex k)))
+          recs)
+      logs
+  in
+  let s = Store.open_dir ~shards:4 dir in
+  check s ~appended:None;
+  let k, _, _ = List.hd (parse_log (List.assoc name logs)) in
+  Store.add s (Key.of_hex k) "after-damage";
+  Store.close s;
+  let s = Store.open_dir ~shards:4 dir in
+  Alcotest.(check int) (label ^ ": no torn tail after the append") 0
+    (Store.recovery s).Store.truncated_bytes;
+  check s ~appended:(Some (k, "after-damage"));
+  Store.close s
+
+let damage_every_shard damage =
+  let logs = written_shards () in
+  let dir = temp_dir "store-shard-damage" in
+  List.iter
+    (fun (name, log) ->
+      let ends = record_ends log in
+      damage log (fun label bytes ~at ->
+          let kept = List.length (List.filter (fun e -> e <= at) ends) in
+          recovers_shards (name ^ " " ^ label) dir logs ~name bytes ~kept))
+    logs
+
 let test_cut_at_every_byte () =
+  damage_every_shard (fun log recover ->
+      for cut = 0 to String.length log do
+        recover (Printf.sprintf "cut at %d" cut) (String.sub log 0 cut) ~at:cut
+      done);
   let log, ends = written_log () in
   let dir = temp_dir "store-cut" in
   for cut = 0 to String.length log do
@@ -239,11 +341,18 @@ let test_cut_at_every_byte () =
     Alcotest.(check (option string))
       (label ^ ": appended record")
       (Some "after-recovery")
-      (Store.find s (key 9));
+      (Store.find ~usable:any s (key 9));
     Store.close s
   done
 
 let test_flip_at_every_byte () =
+  damage_every_shard (fun log recover ->
+      String.iteri
+        (fun at c ->
+          let bytes = Bytes.of_string log in
+          Bytes.set bytes at (Char.chr (Char.code c lxor 0xff));
+          recover (Printf.sprintf "flip at %d" at) (Bytes.to_string bytes) ~at)
+        log);
   let log, ends = written_log () in
   let dir = temp_dir "store-flip" in
   String.iteri
@@ -329,7 +438,7 @@ let test_foreign_tag_is_a_miss () =
   let with_record f =
     let s = Store.open_dir dir in
     Fun.protect ~finally:(fun () -> Store.close s) (fun () ->
-        match Store.find s key with
+        match Store.find ~usable:any s key with
         | None -> Alcotest.fail "the run was not stored under its request key"
         | Some payload -> f s payload)
   in
@@ -340,14 +449,22 @@ let test_foreign_tag_is_a_miss () =
       Store.add s key
         ("rpb1:" ^ String.sub payload body (String.length payload - body)));
   let svc2 = Service.create ~config:(service_config dir) () in
+  let hits0 = counter "svc.store.hits"
+  and misses0 = counter "svc.store.misses" in
   let r2 = Service.run_one svc2 (request ()) in
   Alcotest.(check bool) "foreign-tag run ok" true (Proto.ok r2);
   Alcotest.(check bool) "foreign-tag record recomputed, not replayed" false
     r2.Proto.cached;
+  (* The unreadable record is a store miss, not a hit that is then
+     recomputed. *)
+  Alcotest.(check int) "foreign-tag record is no store hit" hits0
+    (counter "svc.store.hits");
+  Alcotest.(check int) "foreign-tag record is one store miss" (misses0 + 1)
+    (counter "svc.store.misses");
   Service.shutdown svc2;
   Alcotest.(check bool) "the recompute rewrote the record" true
     (with_record (fun _ payload -> Proto.readable payload));
-  let hits0 = counter "svc.store.hits" in
+  let hits1 = counter "svc.store.hits" in
   let svc3 = Service.create ~config:(service_config dir) () in
   let r3 = Service.run_one svc3 (request ()) in
   Service.shutdown svc3;
@@ -355,7 +472,7 @@ let test_foreign_tag_is_a_miss () =
   Alcotest.(check bool) "the next start answers from disk" true
     r3.Proto.cached;
   Alcotest.(check bool) "store hit counter advanced" true
-    (counter "svc.store.hits" > hits0)
+    (counter "svc.store.hits" > hits1)
 
 let test_garbage_store_file_is_empty () =
   let dir = temp_dir "store-garbage" in
@@ -370,7 +487,7 @@ let test_garbage_store_file_is_empty () =
   Store.close s;
   let s2 = Store.open_dir ~shards:1 dir in
   Alcotest.(check (option string)) "fresh record persisted" (Some "fresh")
-    (Store.find s2 (key 1));
+    (Store.find ~usable:any s2 (key 1));
   Store.close s2
 
 let () =
