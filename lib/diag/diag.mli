@@ -51,7 +51,9 @@ type error =
       (** a dependence edge is violated or an instance is duplicated *)
   | Semantic_mismatch of string
       (** executed arrays differ from the sequential run *)
-  | Invalid_thread_count of int  (** thread count ≤ 0 where not permitted *)
+  | Invalid_thread_count of int
+      (** a thread count below 1, or above the 128 domains the OCaml
+          runtime can run, where not permitted *)
   | Extent_overflow of string
       (** the named array's scanned extent has more cells than the
           execution store can address: the count overflows the native

@@ -195,7 +195,7 @@ type outcome = {
 }
 
 let run ?(options = default_options) ~name ~params prog =
-  if options.threads <= 0 then
+  if options.threads <= 0 || options.threads > Runtime.Workers.max_domains then
     Error
       {
         stage = Diag.Execute;

@@ -75,7 +75,8 @@ val stats : materialized -> Report.partition_stats
 (* ---- composed, instrumented run ------------------------------------- *)
 
 type options = {
-  threads : int;  (** domains for parallel execution (must be ≥ 1) *)
+  threads : int;
+      (** domains for parallel execution, [1 … Runtime.Workers.max_domains] *)
   check : bool;  (** verify legality + sequential equivalence *)
   measure : bool;  (** measure seq/parallel wall time *)
   strategy : Plan.strategy option;  (** [None] = Algorithm 1 selection *)

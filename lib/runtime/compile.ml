@@ -117,12 +117,51 @@ let cint_value ctx e : int array -> int -> int =
 
 (* ---- array references ------------------------------------------------ *)
 
-(* Fused linear offset of an all-affine subscript list against a raw array
-   view: offset(iter) = c + Σⱼ mⱼ·iter.(j), with the extent lo offsets and
-   the parameter parts of every subscript folded into [c]. *)
-let fuse_offset ctx (view : Arrays.view) affs =
-  let depth = Array.length ctx.vars in
-  let ms = Array.make depth 0 in
+(* A fused reference is data, evaluated inline by the kernels: the cell
+   of the instance at coordinates [x0 … x3] is
+   [table.(off lsr shift) + (off land mask)] of [slab], for
+   [off = c + m0·x0 + m1·x1 + m2·x2 + m3·x3], with the extent's lo
+   offsets and the parameter parts of every subscript folded into [c]
+   and [mⱼ] the stride-weighted coefficient of coordinate [j].  The scan
+   marked the cell of every instance of the statement, so its page is
+   present; an offset outside the scanned space meets an absent page's
+   negative entry or the table's end, and the access raises. *)
+type fused = {
+  slab : float array;
+  table : int array;
+  shift : int;
+  mask : int;
+  c : int;
+  m0 : int;
+  m1 : int;
+  m2 : int;
+  m3 : int;
+}
+
+let[@inline] cell r x0 x1 x2 x3 =
+  let off = r.c + (r.m0 * x0) + (r.m1 * x1) + (r.m2 * x2) + (r.m3 * x3) in
+  r.table.(off lsr r.shift) + (off land r.mask)
+
+(* A constant as a reference to a one-cell slab of its own, so the fused
+   shapes read constants and loads alike. *)
+let constant v =
+  {
+    slab = [| v |];
+    table = [| 0 |];
+    shift = 0;
+    mask = 0;
+    c = 0;
+    m0 = 0;
+    m1 = 0;
+    m2 = 0;
+    m3 = 0;
+  }
+
+(* The fused form of an all-affine subscript list against a raw array
+   view, when only the first four coordinates have a non-zero
+   coefficient. *)
+let fuse ctx (view : Arrays.view) affs =
+  let ms = Array.make (max 4 (Array.length ctx.vars)) 0 in
   let c = ref 0 in
   List.iteri
     (fun k { a_const; a_coefs } ->
@@ -130,40 +169,28 @@ let fuse_offset ctx (view : Arrays.view) affs =
       c := !c + (stride * (a_const - view.Arrays.v_lo.(k)));
       Array.iteri (fun j m -> ms.(j) <- ms.(j) + (stride * m)) a_coefs)
     affs;
-  let nz = ref [] in
-  Array.iteri (fun j m -> if m <> 0 then nz := (j, m) :: !nz) ms;
-  (!c, List.rev !nz)
+  if Array.exists (( <> ) 0) (Array.sub ms 4 (Array.length ms - 4)) then None
+  else
+    let shift = view.Arrays.v_shift in
+    Some
+      {
+        slab = view.Arrays.v_slab;
+        table = view.Arrays.v_table;
+        shift;
+        mask = (1 lsl shift) - 1;
+        c = !c;
+        m0 = ms.(0);
+        m1 = ms.(1);
+        m2 = ms.(2);
+        m3 = ms.(3);
+      }
 
-(* The offset closure of a fused access: the slab cell [table.(off lsr
-   shift) + (off land mask)] of the instance, an int, so no float crosses
-   it.  The scan marked the cell of every instance of the statement, so
-   its page is present; an offset outside the scanned space meets an
-   absent page's negative entry or the table's end, and the access
-   raises. *)
-let fused_cell view c nz : int array -> int -> int =
-  let table = view.Arrays.v_table in
-  let sh = view.Arrays.v_shift in
-  let mask = (1 lsl sh) - 1 in
-  match nz with
-  | [] -> fun _ _ -> table.(c lsr sh) + (c land mask)
-  | [ (j0, m0) ] ->
-      fun a o ->
-        let off = c + (m0 * a.(o + j0)) in
-        table.(off lsr sh) + (off land mask)
-  | [ (j0, m0); (j1, m1) ] ->
-      fun a o ->
-        let off = c + (m0 * a.(o + j0)) + (m1 * a.(o + j1)) in
-        table.(off lsr sh) + (off land mask)
-  | pairs ->
-      let slots = Array.of_list (List.map fst pairs) in
-      let ms = Array.of_list (List.map snd pairs) in
-      let n = Array.length slots in
-      fun a o ->
-        let off = ref c in
-        for j = 0 to n - 1 do
-          off := !off + (ms.(j) * a.(o + slots.(j)))
-        done;
-        table.(!off lsr sh) + (!off land mask)
+(* Where a kernel reads coordinates 1, 2 and 3 of an instance: their own
+   slots, or, past the statement's depth, its last one (whose
+   coefficient there is 0), so every read stays inside the instance. *)
+let slots ctx =
+  let last = max 0 (Array.length ctx.vars - 1) in
+  (min 1 last, min 2 last, min 3 last)
 
 (* Non-affine (or unscanned-array) references keep the exact interpreter
    semantics through a handle resolved once.  Their cell is found from
@@ -191,12 +218,11 @@ let general_cell view fs : int array -> int -> int =
           if base < 0 then -1 else base + (!off land mask)
   | _ -> fun _ _ -> -1
 
-(* A reference as the slab it reads and writes and the cell closure that
-   finds an instance's cell there: fused when every subscript is affine
-   and the array has a raw view (it was noted during the dry scan),
-   general otherwise. *)
+(* A reference: fused when every subscript is affine, the array has a raw
+   view (it was noted during the dry scan) and only the first four
+   coordinates enter the offset; general otherwise. *)
 type reference =
-  | Fused of { slab : float array; cell : int array -> int -> int }
+  | Fused of fused
   | General of {
       slab : float array;
       cell : int array -> int -> int;
@@ -213,17 +239,15 @@ let reference ctx name subs =
         | Some a -> affine (a :: acc) rest
         | None -> None)
   in
-  let affs =
+  let fused =
     match view with
     | Some v when List.length subs = Array.length v.Arrays.v_lo ->
-        affine [] subs
+        Option.bind (affine [] subs) (fuse ctx v)
     | _ -> None
   in
-  match (view, affs) with
-  | Some v, Some affs ->
-      let c, nz = fuse_offset ctx v affs in
-      Fused { slab = v.Arrays.v_slab; cell = fused_cell v c nz }
-  | _ ->
+  match fused with
+  | Some r -> Fused r
+  | None ->
       let fs = Array.of_list (List.map (cint_value ctx) subs) in
       General
         {
@@ -235,7 +259,8 @@ let reference ctx name subs =
 
 (* ---- float expressions ----------------------------------------------- *)
 
-(* A kernel takes the executing domain's scratch, an int array and the
+(* The per-instance kernel of a right-hand side that no fused shape
+   covers takes the executing domain's scratch, an int array and the
    offset of its instance's first coordinate there.  No float is
    returned from or passed to a closure: without flambda such a float is
    boxed, ~2 words per instance.  A node of a general tree writes its
@@ -266,7 +291,10 @@ let rec tree ctx need e s : kernel =
           | None -> fun sc a _ -> sc.f.(s) <- float_of_int (unbound v a)))
   | Ast.Ref (r, subs) -> (
       match reference ctx r subs with
-      | Fused { slab; cell } -> fun sc a o -> sc.f.(s) <- slab.(cell a o)
+      | Fused r ->
+          let s1, s2, s3 = slots ctx in
+          fun sc a o ->
+            sc.f.(s) <- r.slab.(cell r a.(o) a.(o + s1) a.(o + s2) a.(o + s3))
       | General { slab; cell; h; tuple } ->
           fun sc a o ->
             let i = cell a o in
@@ -336,10 +364,17 @@ let rec tree ctx need e s : kernel =
         fx sc a o;
         sc.f.(s) <- sc.f.(s) ** k
 
-(* ---- statements ------------------------------------------------------ *)
+(* ---- range kernels --------------------------------------------------- *)
+
+(* A statement's range kernel [r sc a o w n] runs [n] consecutive
+   instances in order: the first instance's coordinates start at
+   [a.(o)], each next one's [w] ints further. *)
+type range = scratch -> int array -> int -> int -> int -> unit
+
+type shape = Copy | Constant | Binary | Mac | Tree
 
 (* An operand of the fused shapes: a constant or a fused load. *)
-type operand = Const of float | Load of float array * (int array -> int -> int)
+type operand = Const of float | Load of fused
 
 let operand ctx e =
   match e with
@@ -351,97 +386,151 @@ let operand ctx e =
       | None -> None)
   | Ast.Ref (r, subs) -> (
       match reference ctx r subs with
-      | Fused { slab; cell } -> Some (Load (slab, cell))
+      | Fused r -> Some (Load r)
       | General _ -> None)
   | _ -> None
 
-(* The common statements run as one closure each: a store of a constant
-   or of one load (a copy), or of one binary operator over loads and
-   constants.  The right-hand side is read before the left-hand cell is
-   found, as in the interpreter. *)
-let fused_kernel ctx dst dcell rhs : kernel option =
+let load = function Load r -> r | Const v -> constant v
+
+(* A reference that reads only the first two coordinates, which a
+   two-coordinate loop may find with two terms. *)
+let[@inline] cell2 r x0 x1 =
+  let off = r.c + (r.m0 * x0) + (r.m1 * x1) in
+  r.table.(off lsr r.shift) + (off land r.mask)
+
+let narrow r = r.m2 = 0 && r.m3 = 0
+
+(* The fused shapes: a store of a copy, of a constant, of one binary
+   operator over loads and constants, or of a multiply-accumulate
+   [x ± y·z], each one loop over the range with every offset evaluated
+   inline and each instance's coordinates read once.  The right-hand
+   side is read before the left-hand cell is found, as in the
+   interpreter, and each operator is the interpreter's own float
+   operation: the operator is matched in the loop, a branch that goes
+   the same way for every instance.  A copy whose two references read
+   only the first two coordinates, the paper's REC examples' statement,
+   runs a loop of its own that reads and weighs only those two. *)
+let fused_range ctx dst rhs : (shape * range) option =
+  let s1, s2, s3 = slots ctx in
+  let operands es =
+    let ops = List.map (operand ctx) es in
+    if List.mem None ops then None else Some (List.filter_map Fun.id ops)
+  in
   match rhs with
+  | Ast.Bin (((Ast.Add | Ast.Sub) as op), x, Ast.Bin (Ast.Mul, y, z)) -> (
+      match operands [ x; y; z ] with
+      | Some [ x; y; z ] ->
+          let x = load x and y = load y and z = load z in
+          Some
+            ( Mac,
+              fun _ a o w n ->
+                let p = ref o in
+                for _ = 1 to n do
+                  let o = !p in
+                  let x0 = a.(o) and x1 = a.(o + s1) in
+                  let x2 = a.(o + s2) and x3 = a.(o + s3) in
+                  let u = x.slab.(cell x x0 x1 x2 x3) in
+                  let yz =
+                    y.slab.(cell y x0 x1 x2 x3) *. z.slab.(cell z x0 x1 x2 x3)
+                  in
+                  let v = match op with Ast.Add -> u +. yz | _ -> u -. yz in
+                  dst.slab.(cell dst x0 x1 x2 x3) <- v;
+                  p := o + w
+                done )
+      | _ -> None)
   | Ast.Bin (op, x, y) -> (
-      match (op, operand ctx x, operand ctx y) with
-      | _, None, _ | _, _, None | _, Some (Const _), Some (Const _) -> None
-      | Ast.Add, Some (Load (x, xc)), Some (Load (y, yc)) ->
+      match operands [ x; y ] with
+      | Some [ x; y ] ->
+          let x = load x and y = load y in
           Some
-            (fun _ a o ->
-              let v = x.(xc a o) +. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Add, Some (Load (x, xc)), Some (Const y) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) +. y in
-              dst.(dcell a o) <- v)
-      | Ast.Add, Some (Const x), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x +. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Sub, Some (Load (x, xc)), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) -. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Sub, Some (Load (x, xc)), Some (Const y) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) -. y in
-              dst.(dcell a o) <- v)
-      | Ast.Sub, Some (Const x), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x -. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Mul, Some (Load (x, xc)), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) *. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Mul, Some (Load (x, xc)), Some (Const y) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) *. y in
-              dst.(dcell a o) <- v)
-      | Ast.Mul, Some (Const x), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x *. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Div, Some (Load (x, xc)), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) /. y.(yc a o) in
-              dst.(dcell a o) <- v)
-      | Ast.Div, Some (Load (x, xc)), Some (Const y) ->
-          Some
-            (fun _ a o ->
-              let v = x.(xc a o) /. y in
-              dst.(dcell a o) <- v)
-      | Ast.Div, Some (Const x), Some (Load (y, yc)) ->
-          Some
-            (fun _ a o ->
-              let v = x /. y.(yc a o) in
-              dst.(dcell a o) <- v))
+            ( Binary,
+              fun _ a o w n ->
+                let p = ref o in
+                for _ = 1 to n do
+                  let o = !p in
+                  let x0 = a.(o) and x1 = a.(o + s1) in
+                  let x2 = a.(o + s2) and x3 = a.(o + s3) in
+                  let u = x.slab.(cell x x0 x1 x2 x3) in
+                  let t = y.slab.(cell y x0 x1 x2 x3) in
+                  let v =
+                    match op with
+                    | Ast.Add -> u +. t
+                    | Ast.Sub -> u -. t
+                    | Ast.Mul -> u *. t
+                    | Ast.Div -> u /. t
+                  in
+                  dst.slab.(cell dst x0 x1 x2 x3) <- v;
+                  p := o + w
+                done )
+      | _ -> None)
   | _ -> (
       match operand ctx rhs with
-      | Some (Load (x, xc)) ->
+      | Some (Load x) when narrow x && narrow dst ->
           Some
-            (fun _ a o ->
-              let v = x.(xc a o) in
-              dst.(dcell a o) <- v)
-      | Some (Const v) -> Some (fun _ a o -> dst.(dcell a o) <- v)
+            ( Copy,
+              fun _ a o w n ->
+                let p = ref o in
+                for _ = 1 to n do
+                  let o = !p in
+                  let x0 = a.(o) and x1 = a.(o + s1) in
+                  let v = x.slab.(cell2 x x0 x1) in
+                  dst.slab.(cell2 dst x0 x1) <- v;
+                  p := o + w
+                done )
+      | Some (Load x) ->
+          Some
+            ( Copy,
+              fun _ a o w n ->
+                let p = ref o in
+                for _ = 1 to n do
+                  let o = !p in
+                  let x0 = a.(o) and x1 = a.(o + s1) in
+                  let x2 = a.(o + s2) and x3 = a.(o + s3) in
+                  let v = x.slab.(cell x x0 x1 x2 x3) in
+                  dst.slab.(cell dst x0 x1 x2 x3) <- v;
+                  p := o + w
+                done )
+      | Some (Const v) ->
+          Some
+            ( Constant,
+              fun _ a o w n ->
+                let p = ref o in
+                for _ = 1 to n do
+                  let o = !p in
+                  dst.slab.(cell dst a.(o) a.(o + s1) a.(o + s2) a.(o + s3))
+                  <- v;
+                  p := o + w
+                done )
       | None -> None)
 
-type t = { kernels : kernel array; depths : int array; slots : int }
+(* Any other statement runs its per-instance kernel on each instance of
+   the range. *)
+let each (k : kernel) : range =
+ fun sc a o w n ->
+  let p = ref o in
+  for _ = 1 to n do
+    k sc a !p;
+    p := !p + w
+  done
+
+type t = {
+  ranges : range array;
+  shapes : shape array;
+  depths : int array;
+  slots : int;
+}
+
+(* A statement with no enclosing loop has no coordinates: its kernel
+   reads the one-cell vector [no_coords] instead, where every
+   coefficient it applies is 0. *)
+let no_coords = [| 0 |]
 
 (* A statement that evaluates a subscript with the general evaluator
    ([ctx.copies]) first copies its instance's coordinates to the
    scratch's int vector and runs there, at offset 0: {!Loopir.Eval_int}'s
    closures read a vector of their own.  Every other kernel reads the
    array it is given in place. *)
-let compile_stmt env store need (info : Prog.stmt_info) : kernel =
+let compile_stmt env store need (info : Prog.stmt_info) : shape * range =
   let ctx =
     {
       vars = Array.of_list (Prog.loop_vars info);
@@ -450,52 +539,63 @@ let compile_stmt env store need (info : Prog.stmt_info) : kernel =
       copies = false;
     }
   in
+  let depth = Array.length ctx.vars in
   let lhs_name, lhs_subs = info.Prog.lhs in
   let rhs = info.Prog.rhs in
-  let k =
-    match reference ctx lhs_name lhs_subs with
-    | Fused { slab; cell } -> (
-        match fused_kernel ctx slab cell rhs with
-        | Some k -> k
-        | None ->
-            let f = tree ctx need rhs 0 in
-            fun sc a o ->
-              f sc a o;
-              slab.(cell a o) <- sc.f.(0))
-    | General { slab; cell; h; tuple } ->
-        let f = tree ctx need rhs 0 in
-        fun sc a o ->
-          f sc a o;
-          let i = cell a o in
-          if i >= 0 then slab.(i) <- sc.f.(0)
-          else Arrays.write h (tuple a o) sc.f.(0)
-  in
-  if not ctx.copies then k
-  else
-    let depth = Array.length ctx.vars in
-    fun sc a o ->
+  let instance k =
+    if not ctx.copies then k
+    else fun sc a o ->
       let iv = sc.iv in
       for j = 0 to depth - 1 do
         iv.(j) <- a.(o + j)
       done;
       k sc iv 0
+  in
+  let shape, r =
+    match reference ctx lhs_name lhs_subs with
+    | Fused dst -> (
+        match fused_range ctx dst rhs with
+        | Some sr -> sr
+        | None ->
+            let f = tree ctx need rhs 0 in
+            let s1, s2, s3 = slots ctx in
+            ( Tree,
+              each
+                (instance (fun sc a o ->
+                     f sc a o;
+                     dst.slab.(cell dst a.(o) a.(o + s1) a.(o + s2) a.(o + s3))
+                     <- sc.f.(0))) ))
+    | General { slab; cell; h; tuple } ->
+        let f = tree ctx need rhs 0 in
+        ( Tree,
+          each
+            (instance (fun sc a o ->
+                 f sc a o;
+                 let i = cell a o in
+                 if i >= 0 then slab.(i) <- sc.f.(0)
+                 else Arrays.write h (tuple a o) sc.f.(0))) )
+  in
+  if depth > 0 then (shape, r)
+  else (shape, fun sc _ _ _ n -> r sc no_coords 0 0 n)
 
 let program (env : Interp.env) store =
   let need = ref 0 in
-  let kernels = Array.map (compile_stmt env store need) env.Interp.stmts in
+  let compiled = Array.map (compile_stmt env store need) env.Interp.stmts in
   {
-    kernels;
+    ranges = Array.map snd compiled;
+    shapes = Array.map fst compiled;
     depths =
       Array.map (fun info -> List.length (Prog.loop_vars info)) env.Interp.stmts;
     slots = !need;
   }
 
 let depths t = t.depths
+let shape t stmt = t.shapes.(stmt)
 
 let scratch t =
   {
     f = Array.make t.slots 0.0;
-    iv = Array.make (Array.fold_left max 0 t.depths) 0;
+    iv = Array.make (max 1 (Array.fold_left max 0 t.depths)) 0;
   }
 
-let[@inline] exec_instance t sc stmt a o = t.kernels.(stmt) sc a o
+let[@inline] exec_range t sc stmt a o w n = t.ranges.(stmt) sc a o w n

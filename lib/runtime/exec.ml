@@ -125,6 +125,16 @@ let engaged ~cost ~threads phase =
   in
   if Sched.is_doall phase then k else min k (nonempty_tasks phase)
 
+(* The domains each phase of [s] engages, and the widest of them: the
+   size of a transient pool for the run (1: the run needs none). *)
+let engaged_phases ~cost ~threads s =
+  Array.init (Sched.n_phases s) (fun k -> engaged ~cost ~threads (Sched.phase s k))
+
+let widest domains = Array.fold_left max 1 domains
+
+let pool_domains ?(cost = Sim.base_seconds) ~threads s =
+  widest (engaged_phases ~cost ~threads:(max 1 threads) s)
+
 (* The chunk policy.  DOALL blocks are sized cost-proportionally by
    {!Sim.doall_chunk_count} (a single block on one domain).  Empty tasks
    are dropped; when several domains share the rest they drain them
@@ -148,11 +158,20 @@ let chunks_of ~cost ~threads phase =
 
 (* Runs instances [lo, lo + len) of phase [p] through the compiled
    kernels, in place in the phase's array, with the executing domain's
-   scratch. *)
+   scratch: one range call per maximal run of one statement, so a
+   single-statement range is one call. *)
 let exec_range compiled sc p lo len =
-  let a = Sched.data p in
-  for k = lo to lo + len - 1 do
-    Compile.exec_instance compiled sc (Sched.stmt p k) a (Sched.coords p k)
+  let a = Sched.data p and w = Sched.width p in
+  let hi = lo + len in
+  let k = ref lo in
+  while !k < hi do
+    let s = Sched.stmt p !k in
+    let j = ref (!k + 1) in
+    while !j < hi && Sched.stmt p !j = s do
+      incr j
+    done;
+    Compile.exec_range compiled sc s a (Sched.coords p !k) w (!j - !k);
+    k := !j
   done
 
 let run_chunk compiled sc chunks c =
@@ -293,7 +312,8 @@ let phase_stat r k phase =
    caller adds one clock reading, at the start of its loop, so [busy] is
    the loop's time and [seconds] the boundary-to-boundary wall.  The
    domains each phase engages are settled before the timed region, and
-   a transient pool is made there only when some phase engages two. *)
+   a transient pool is made there only when some phase engages two; it
+   holds the widest phase's domains, not [threads]. *)
 let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   let threads = max 1 threads in
   let store =
@@ -306,14 +326,12 @@ let run_timed ?(cost = Sim.base_seconds) ?workers ?store env ~threads s =
   in
   Sched.check_arity s ~depths:(Compile.depths compiled);
   let n = Sched.n_phases s in
-  let domains =
-    Array.init n (fun k -> engaged ~cost ~threads (Sched.phase s k))
-  in
+  let domains = engaged_phases ~cost ~threads s in
   let pool, owned =
     match workers with
     | Some w -> (Some w, false)
-    | None when Array.exists (fun d -> d > 1) domains ->
-        (Some (Workers.create ~domains:threads), true)
+    | None when widest domains > 1 ->
+        (Some (Workers.create ~domains:(widest domains)), true)
     | None -> (None, false)
   in
   Fun.protect

@@ -4,15 +4,19 @@
     leaves the store identical to the sequential run) and provides
     wall-clock measurements.
 
-    Every statement instance runs through its {!Compile} kernel, which
-    reads the instance's loop indices in place in its phase's flat
-    array ({!Sched.data} at {!Sched.coords}) — a closure with fused
-    affine offsets that allocates nothing per instance: no float crosses
-    a closure, and a right-hand side that is not a copy or one binary
-    operator evaluates into a scratch owned by the executing domain (the
-    run makes one for the calling domain, each pooled drainer its own).
-    The vectors' length is checked against the program once per run
-    ({!Sched.check_arity}), not once per instance.
+    Every statement instance runs through its statement's {!Compile}
+    range kernel, which reads the loop indices of consecutive instances
+    in place in their phase's flat array ({!Sched.data} from
+    {!Sched.coords}, {!Sched.width} apart): a chunk makes one range call
+    per maximal run of one statement, so a single-statement phase makes
+    one call per chunk.  A copy, a constant, one binary operator or a
+    multiply-accumulate runs as one loop with its affine offsets inline;
+    any other right-hand side calls its closure tree per instance,
+    evaluating into a scratch owned by the executing domain (the run
+    makes one for the calling domain, each pooled drainer its own).  No
+    kernel allocates per instance.  The vectors' length is checked
+    against the program once per run ({!Sched.check_arity}), not once
+    per instance.
     {!Interp.run_sequential} remains the reference oracle ({!check}).
 
     Phases are separated by barriers.  The {!Sim} cost model decides
@@ -44,9 +48,10 @@
     those domains are handed to the pool, which runs them on a
     persistent {!Workers.t}: pass [?workers] to reuse one pool across
     many runs (the analysis service does), or let {!run_timed} create a
-    transient pool at the first phase that needs one — domains are then
-    spawned once per run, not once per phase, and not at all when no
-    phase engages a second domain.
+    transient pool of the widest phase's domains before the first phase
+    — domains are then spawned once per run, not once per phase, never
+    more than a phase engages, and not at all when no phase engages a
+    second domain.
 
     Store set-up is one {!Interp.scan_bounds} of the env: a scan on its
     first call, one copy of the env's image after that, so repeated runs
@@ -114,9 +119,9 @@ val run_timed :
     calling domain when [threads ≤ 1]) and records per-phase wall time
     and per-domain load/busy time.  [cost] (default {!Sim.base_seconds})
     decides the domains each phase engages and sizes the DOALL chunks;
-    [workers] (default: a transient pool created at the first phase that
-    engages a second domain and shut down inside this call) supplies a
-    persistent executor pool.
+    [workers] (default: a transient pool of the widest phase's domains,
+    created when some phase engages a second domain and shut down inside
+    this call) supplies a persistent executor pool.
     [store] (default: a fresh {!Interp.scan_bounds} of [env], a copy of
     its image after the env's first scan) is the frozen store the run
     writes into and returns; a caller that holds a fresh
@@ -148,6 +153,17 @@ val doall_chunks : chunks:int -> int -> (int * int) list
 (** Exposed for tests: [(offset, length)] of each cost-proportional DOALL
     chunk — [chunks] clamped to [1 …​ n], ranges contiguous, complete and
     never empty. *)
+
+val exec_range :
+  Compile.t -> Compile.scratch -> Sched.phase -> int -> int -> unit
+(** Exposed for tests: [exec_range compiled sc p lo len] runs instances
+    [lo … lo + len - 1] of phase [p] in order, as a chunk does: one
+    {!Compile.exec_range} call per maximal run of one statement. *)
+
+val pool_domains : ?cost:Sim.cost -> threads:int -> Sched.t -> int
+(** Exposed for tests: the domains of the transient pool {!run_timed}
+    makes for the schedule without [?workers] — the most any of its
+    phases engages, 1 when it makes none. *)
 
 val drain_order : longest_first:bool -> int -> (int -> int) -> int array
 (** Exposed for tests: [drain_order ~longest_first n len] is the indices

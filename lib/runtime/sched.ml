@@ -31,6 +31,7 @@ let task_length p u = p.starts.(u + 1) - p.starts.(u)
 let[@inline] stmt p k = p.data.(k * p.width)
 let[@inline] data p = p.data
 let[@inline] coords p k = (k * p.width) + 1
+let[@inline] width p = p.width
 let iter s p k = Array.sub p.data (coords p k) (arity s (stmt p k))
 
 let check_arity s ~depths =

@@ -68,6 +68,10 @@ val coords : phase -> int -> int
     coordinate; its vector is the next ints there, as many as its
     statement's loops. *)
 
+val width : phase -> int
+(** The ints per instance in [data p]: instance [k + 1]'s coordinates
+    start [width p] ints after instance [k]'s. *)
+
 val iter : t -> phase -> int -> int array
 (** A fresh copy of instance [k]'s iteration vector (for reports and
     tests; executors read {!data} in place). *)

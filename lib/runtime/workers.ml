@@ -117,6 +117,8 @@ let make ~queue_capacity ~domains ~spawn =
         Domain.spawn (fun () -> helper t wid));
   t
 
+let max_domains = 128
+
 let create ~domains =
   if domains < 1 then invalid_arg "Workers.create: domains must be >= 1";
   make ~queue_capacity:64 ~domains ~spawn:(domains - 1)

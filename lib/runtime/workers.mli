@@ -48,6 +48,11 @@ type t
 exception Closed
 (** Raised by {!submit} after {!shutdown} started. *)
 
+val max_domains : int
+(** The most domains the OCaml runtime runs at once, the main domain
+    included: 128 (OCaml 5.1's [Max_domains]).  Past it [Domain.spawn]
+    fails, so no pool of more can be made. *)
+
 val create : domains:int -> t
 (** Spawns [domains - 1] helper domains ([domains ≥ 1]; the caller of
     {!run} is the remaining worker) behind an admission queue of 64.

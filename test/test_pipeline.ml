@@ -229,11 +229,31 @@ let test_unbound_parameter () =
   | Ok _ -> Alcotest.fail "missing parameter not reported"
 
 let test_invalid_thread_count () =
-  let options = { Driver.default_options with threads = 0 } in
-  match Driver.run ~options ~name:"fig2" ~params:[] Loopir.Builtin.fig2 with
-  | Error { Driver.error = Diag.Invalid_thread_count 0; _ } -> ()
-  | Error e -> Alcotest.fail ("unexpected: " ^ Driver.error_to_string e)
-  | Ok _ -> Alcotest.fail "threads=0 accepted"
+  (* Below 1, or above the domains the runtime can run, a thread count
+     is refused typed before anything runs; fig2's 20 instances engage
+     one domain, so the largest count accepted spawns nothing either. *)
+  let spawned () =
+    Option.value ~default:0
+      (List.assoc_opt "runtime.workers.spawned"
+         (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  let before = spawned () in
+  let run threads =
+    let options = { Driver.default_options with threads } in
+    Driver.run ~options ~name:"fig2" ~params:[] Loopir.Builtin.fig2
+  in
+  List.iter
+    (fun threads ->
+      match run threads with
+      | Error { Driver.error = Diag.Invalid_thread_count t; _ } ->
+          Alcotest.(check int) "the count refused" threads t
+      | Error e -> Alcotest.fail ("unexpected: " ^ Driver.error_to_string e)
+      | Ok _ -> Alcotest.failf "threads=%d accepted" threads)
+    [ 0; Runtime.Workers.max_domains + 1; 200 ];
+  (match run Runtime.Workers.max_domains with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("unexpected: " ^ Driver.error_to_string e));
+  Alcotest.(check int) "domains spawned" before (spawned ())
 
 let test_trace_unbound_parameter_result () =
   match Depend.Trace.build_result Loopir.Builtin.example2 ~params:[] with

@@ -1919,13 +1919,38 @@ let test_compiled_general_path_nonaffine () =
           };
       ]
   in
-  let env = Interp.prepare prog ~params:[] in
-  let sched = Sched.sequential_of_trace (Trace.build prog ~params:[]) in
-  Alcotest.(check bool)
-    "general path ≡ sequential interp" true
-    (Arrays.equal
-       (Exec.run env ~threads:2 sched)
-       (Interp.run_sequential env))
+  (* The fused form weighs four coordinates: a subscript on the fifth
+     loop's index takes the general path too.  Statements outside every
+     loop have no coordinates to read. *)
+  let deep =
+    Loopir.Parser.parse ~name:"deep"
+      {|c(1) = 2.0
+c(2) = c(1)*3.0
+DO i = 1, 2
+  DO j = 1, 2
+    DO k = 1, 2
+      DO l = 1, 2
+        DO m = 1, 3
+          b(i + j, k + l + m) = b(i, m) + c(2)
+          d(i, j + k + l) = d(i, j) - b(j, l)*c(1)
+        ENDDO
+      ENDDO
+    ENDDO
+  ENDDO
+ENDDO
+c(3) = c(2) + d(1, 3)|}
+  in
+  List.iter
+    (fun (name, prog) ->
+      let env = Interp.prepare prog ~params:[] in
+      let sched = Sched.sequential_of_trace (Trace.build prog ~params:[]) in
+      Alcotest.(check bool)
+        (name ^ ": general path ≡ sequential interp")
+        true
+        (Arrays.equal
+           (Exec.run env ~threads:2 sched)
+           (Interp.run_sequential env)))
+    [ ("quadratic", prog); ("five deep", deep) ]
 
 let test_doall_chunk_count_bounds () =
   (* The chunk policy: nothing for empty phases, one chunk sequentially
@@ -2245,6 +2270,60 @@ let nonempty_tasks p =
        (fun u -> Sched.task_length p u > 0)
        (List.init (Sched.n_tasks p) Fun.id))
 
+let test_transient_pool_widest_phase () =
+  (* A run without [?workers] makes its pool of the widest phase's
+     domains, not [threads]: at 200 threads, above the runtime's domain
+     limit, each schedule here asks for a few (example1-REC's P1 of
+     1,802 instances affords 9).  The phases run on a supplied pool, so
+     nothing is spawned while the engaged domains are read off the phase
+     statistics. *)
+  let spawned () =
+    Option.value ~default:0
+      (List.assoc_opt "runtime.workers.spawned"
+         (Obs.Metrics.snapshot ()).Obs.Metrics.counters)
+  in
+  with_pool 2 (fun w ->
+      let before = spawned () in
+      List.iter
+        (fun (name, strategy, prog, params) ->
+          let env, sched = driver_schedule ?strategy prog params in
+          let tmd = Exec.run_timed ~workers:w env ~threads:200 sched in
+          let widest =
+            List.fold_left
+              (fun m (ps : Exec.phase_stat) -> max m (Array.length ps.Exec.loads))
+              1 tmd.Exec.phase_stats
+          in
+          Alcotest.(check int) (name ^ ": pool = widest phase") widest
+            (Exec.pool_domains ~threads:200 sched);
+          if widest >= 200 then
+            Alcotest.failf "%s: a phase engaged %d domains" name widest)
+        [
+          ( "example1-rec",
+            Some Pipeline.Plan.Rec,
+            Loopir.Builtin.example1,
+            [ ("n1", 40); ("n2", 60) ] );
+          ( "example1-mindist",
+            Some Pipeline.Plan.Mindist,
+            Loopir.Builtin.example1,
+            [ ("n1", 100); ("n2", 150) ] );
+          ( "cholesky",
+            None,
+            Loopir.Builtin.cholesky,
+            [ ("n", 30); ("m", 8); ("nmat", 4); ("nrhs", 2) ] );
+        ];
+      Alcotest.(check int) "domains spawned" before (spawned ()));
+  (* mindist's phases all engage one domain: a run without a pool at 200
+     threads spawns nothing. *)
+  let env, sched =
+    driver_schedule ~strategy:Pipeline.Plan.Mindist Loopir.Builtin.example1
+      [ ("n1", 100); ("n2", 150) ]
+  in
+  Alcotest.(check int) "mindist: no pool" 1 (Exec.pool_domains ~threads:200 sched);
+  let before = spawned () in
+  ignore (Exec.run_timed env ~threads:200 sched);
+  Alcotest.(check int) "mindist at 200 threads: domains spawned" before
+    (spawned ())
+
 let test_small_task_phases_inline () =
   (* Task phases under 400 instances at t = 4 (REC chains of example2,
      PDM cosets of example1) run on the caller, one unit per non-empty
@@ -2479,35 +2558,33 @@ let test_builders_force_no_collection () =
       Alcotest.(check int) (name ^ ": forced in schedule") 0 forced)
     exec_paper_specs
 
-(* The program's sequential phase, one array every statement shares, and
-   each statement's instance indices in it, in trace order: past the
-   first statement, instances start at non-zero offsets. *)
-let statement_instances prog ~params =
+(* Each statement's instances, in trace order, as a DOALL phase of their
+   own: one statement's consecutive instances, what one range call runs. *)
+let statement_phases prog ~params =
   let sched = Sched.sequential_of_trace (Trace.build prog ~params) in
   let p = Sched.phase sched 0 in
   let by_stmt = Hashtbl.create 8 in
   for k = Sched.phase_size p - 1 downto 0 do
     let s = Sched.stmt p k in
     Hashtbl.replace by_stmt s
-      (k :: Option.value ~default:[] (Hashtbl.find_opt by_stmt s))
+      ((s, Sched.iter sched p k)
+      :: Option.value ~default:[] (Hashtbl.find_opt by_stmt s))
   done;
-  ( p,
-    Hashtbl.fold (fun s l acc -> (s, Array.of_list l) :: acc) by_stmt []
-    |> List.sort compare )
+  Hashtbl.fold
+    (fun s l acc ->
+      (s, Sched.phase (Sched.of_list [ ("S", Sched.Doall l) ]) 0) :: acc)
+    by_stmt []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* The words the kernels of instances [ks.(lo) … ks.(hi - 1)] of phase [p]
-   allocate on the calling domain, with a scratch of its own, each read
-   in place from the phase's array (exact counters). *)
-let kernel_words compiled p ks lo hi =
+(* The words statement [s]'s range kernel allocates on the calling
+   domain, with a scratch of its own, running [n] instances of its phase
+   [q] from instance [lo], read in place (exact counters). *)
+let range_words compiled q s lo n =
   let sc = Runtime.Compile.scratch compiled in
-  let a = Sched.data p in
-  let w = Obs.Gcstats.mark () in
-  for i = lo to hi - 1 do
-    let k = ks.(i) in
-    Runtime.Compile.exec_instance compiled sc (Sched.stmt p k) a
-      (Sched.coords p k)
-  done;
-  Obs.Gcstats.words_since w
+  let a = Sched.data q and w = Sched.width q in
+  let m = Obs.Gcstats.mark () in
+  Runtime.Compile.exec_range compiled sc s a (Sched.coords q lo) w n;
+  Obs.Gcstats.words_since m
 
 (* A nest whose right-hand sides use every expression form, and whose
    quadratic subscripts take the general (non-affine) path. *)
@@ -2525,9 +2602,9 @@ let every_form =
 ENDDO|}
 
 let test_kernels_allocate_nothing () =
-  (* Every builtin statement's kernel, on the caller and on the two
-     domains of a pool, each running half of the statement's instances;
-     the every-form nest's kernels also match the interpreter. *)
+  (* Every builtin statement's range kernel, on ranges of 1, n/2 and n
+     of its n instances, on the caller and on each of the two domains of
+     a pool; the every-form nest's kernels also match the interpreter. *)
   let params = [ ("n", 8) ] in
   let env = Interp.prepare every_form ~params in
   let sched = Sched.sequential_of_trace (Trace.build every_form ~params) in
@@ -2539,27 +2616,22 @@ let test_kernels_allocate_nothing () =
           let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
           let env = Interp.prepare prog ~params in
           let compiled = Runtime.Compile.program env (Interp.scan_bounds env) in
-          let p, by_stmt = statement_instances prog ~params in
           List.iter
-            (fun (s, ks) ->
-              let n = Array.length ks in
-              let label =
-                Printf.sprintf "%s S%d (%d instances from offset %d)" name s n
-                  (Sched.coords p ks.(0))
+            (fun (s, q) ->
+              let n = Sched.phase_size q in
+              (* One instance mid-phase, the second half, the whole. *)
+              let ranges = [ (n / 2, 1); (n - (n / 2), n / 2); (0, n) ] in
+              let words () =
+                List.map (fun (lo, k) -> range_words compiled q s lo k) ranges
               in
-              Alcotest.(check (float 0.0))
-                (label ^ ": words on the caller") 0.0
-                (kernel_words compiled p ks 0 n);
-              let halves =
-                Workers.run w
-                  [|
-                    (fun () -> kernel_words compiled p ks 0 (n / 2));
-                    (fun () -> kernel_words compiled p ks (n / 2) n);
-                  |]
-              in
-              Alcotest.(check (array (float 0.0)))
-                (label ^ ": words on each domain") [| 0.0; 0.0 |] halves)
-            by_stmt)
+              let label = Printf.sprintf "%s S%d (%d instances)" name s n in
+              Alcotest.(check (list (float 0.0)))
+                (label ^ ": words on the caller") [ 0.0; 0.0; 0.0 ] (words ());
+              Alcotest.(check (array (list (float 0.0))))
+                (label ^ ": words on each domain")
+                [| [ 0.0; 0.0; 0.0 ]; [ 0.0; 0.0; 0.0 ] |]
+                (Workers.run w [| words; words |]))
+            (statement_phases prog ~params))
         (("every expression form", every_form) :: Loopir.Builtin.all));
   (* Through run_timed: at a modelled second per instance every phase
      goes to the pool, and each domain's words stay bounded however many
@@ -2592,6 +2664,98 @@ let test_kernels_allocate_nothing () =
             Loopir.Builtin.example1,
             [ ("n1", 40); ("n2", 60) ] );
         ])
+
+let test_fused_shape_census () =
+  (* Every builtin statement compiles to a fused range shape except
+     Cholesky's power and square-root statements (S3 and S4), whose range
+     calls their per-instance tree: a statement falling back to the tree
+     fails here, not only in the benchmark. *)
+  let count = Hashtbl.create 8 and trees = ref [] in
+  List.iter
+    (fun (name, prog) ->
+      let params = List.map (fun p -> (p, 8)) prog.Loopir.Ast.params in
+      let env = Interp.prepare prog ~params in
+      let compiled = Runtime.Compile.program env (Interp.scan_bounds env) in
+      Array.iteri
+        (fun s _ ->
+          let shape = Runtime.Compile.shape compiled s in
+          if shape = Runtime.Compile.Tree then trees := (name, s) :: !trees;
+          Hashtbl.replace count shape
+            (1 + Option.value ~default:0 (Hashtbl.find_opt count shape)))
+        env.Interp.stmts)
+    Loopir.Builtin.all;
+  Alcotest.(check (list (pair string int)))
+    "statements left to the tree" [ ("cholesky", 3); ("cholesky", 4) ]
+    (List.rev !trees);
+  let n shape = Option.value ~default:0 (Hashtbl.find_opt count shape) in
+  Alcotest.(check (list int))
+    "copies, constants, binary operators, multiply-accumulates, trees"
+    [ 19; 0; 16; 5; 2 ]
+    Runtime.Compile.[ n Copy; n Constant; n Binary; n Mac; n Tree ]
+
+(* The cut property's programs: example3's and Cholesky's dataflow
+   fronts (phases of several statements), then random imperfect nests in
+   one sequential phase. *)
+let cut_fronts =
+  lazy
+    [
+      driver_schedule Loopir.Builtin.example3 [ ("n", 9) ];
+      driver_schedule Loopir.Builtin.cholesky
+        [ ("n", 7); ("m", 3); ("nmat", 2); ("nrhs", 1) ];
+    ]
+
+let cut_case (which, seed, _) =
+  match List.nth_opt (Lazy.force cut_fronts) which with
+  | Some c -> Some c
+  | None -> (
+      let env =
+        Interp.prepare
+          (Nests.random_nest ~mixed_ranks:false (Random.State.make [| seed |]))
+          ~params:[]
+      in
+      match sequential_schedule env with
+      | Some s -> Some (env, s)
+      | None -> None)
+
+(* [sched] run through the range kernels, each phase cut into ranges at
+   the boundaries [rng] picks with probability [p], and always after its
+   first instance: every range is run by [Exec.exec_range] in order. *)
+let cut_run env sched rng p =
+  let store = Interp.scan_bounds env in
+  let compiled = Runtime.Compile.program env store in
+  Sched.check_arity sched ~depths:(Runtime.Compile.depths compiled);
+  let sc = Runtime.Compile.scratch compiled in
+  List.iter
+    (fun q ->
+      let n = Sched.phase_size q and lo = ref 0 in
+      for k = 1 to n do
+        if k = 1 || k = n || Random.State.float rng 1.0 < p then begin
+          Exec.exec_range compiled sc q !lo (k - !lo);
+          lo := k
+        end
+      done)
+    (Sched.phase_list sched);
+  store
+
+let prop_range_cuts ~count =
+  QCheck2.Test.make
+    ~name:"range kernels = run_schedule (phases cut at random points)" ~count
+    ~print:(fun ((which, seed, p) as c) ->
+      Printf.sprintf "case %d, seed %d, cut probability %g: %s" which seed p
+        (match cut_case c with
+        | Some (env, _) -> Loopir.Pretty.program_to_string env.Interp.prog
+        | None -> "no schedule"))
+    QCheck2.Gen.(
+      triple (int_bound 5) int (oneofl [ 0.02; 0.3; 0.9 ]))
+    (fun ((_, seed, p) as c) ->
+      match cut_case c with
+      | None -> true
+      | Some (env, sched) -> (
+          match outcome (fun () -> Interp.run_schedule env sched) with
+          | Error _ -> true
+          | Ok want ->
+              Arrays.equal want
+                (cut_run env sched (Random.State.make [| seed |]) p)))
 
 let prop_drain_order =
   (* The counting sort's drain order is the old comparator's: longest
@@ -2738,6 +2902,8 @@ let () =
             `Quick test_small_phases_enqueue_nothing;
           Alcotest.test_case "small task phases run inline (t=4)" `Quick
             test_small_task_phases_inline;
+          Alcotest.test_case "a transient pool holds the widest phase" `Quick
+            test_transient_pool_widest_phase;
           Alcotest.test_case "traced and untraced runs report the same units"
             `Quick test_traced_units_match_untraced;
           Alcotest.test_case "mindist phase allocation (exact counters)" `Quick
@@ -2748,6 +2914,9 @@ let () =
             test_builders_force_no_collection;
           Alcotest.test_case "kernels allocate nothing per instance" `Quick
             test_kernels_allocate_nothing;
+          Alcotest.test_case "builtin statements compile to fused shapes"
+            `Quick test_fused_shape_census;
+          QCheck_alcotest.to_alcotest (prop_range_cuts ~count:300);
           QCheck_alcotest.to_alcotest prop_drain_order;
           Alcotest.test_case "pool path = sequential (every phase split)"
             `Quick test_pool_path_matches_sequential;
